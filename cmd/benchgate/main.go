@@ -1,9 +1,9 @@
 // Command benchgate is the benchmark-regression gate for the cycle
 // kernel: it parses `go test -bench` output, compares each gated
 // benchmark against the checked-in baseline in BENCH_kernel.json and
-// exits non-zero if ns/op regresses past the tolerance or allocs/op
-// grows past the slack. Plain stdlib, so CI needs nothing but the Go
-// toolchain:
+// exits non-zero if ns/op regresses past the tolerance, allocs/op grows
+// past the slack, or a baselined benchmark is absent. Plain stdlib, so
+// CI needs nothing but the Go toolchain:
 //
 //	go test -run '^$' -bench Kernel -benchmem . | go run ./cmd/benchgate
 //	go run ./cmd/benchgate -baseline BENCH_kernel.json -tolerance 0.35 -input bench.txt
@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -32,17 +33,14 @@ type benchBaseline struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 }
 
-// speedupGate is a cross-benchmark speedup gate: the gated benchmark
-// must deliver at least MinAggregateSpeedup over the sequential
-// reference when the runner has 2+ processors to parallelise across.
-// On a single processor parallel execution cannot beat sequential —
-// the gate degrades to SingleProcFloor, a no-pathological-regression
-// bound on the same ratio. Two instances are gated: the lockstep
-// replica engine (one op = one replica-cycle; overhead is lockstep
-// sync plus the cache footprint of N replica stacks on one core) and
-// the intra-replica parallel tick (one op = one cycle; overhead is
-// the scratch-record/commit-replay bookkeeping and the fork/join
-// barriers).
+// speedupGate is the cross-benchmark speedup gate on the lockstep
+// replica engine: the gated benchmark (one op = one replica-cycle) must
+// deliver at least MinAggregateSpeedup over the sequential reference
+// when the runner has 2+ processors to spread replicas across. On a
+// single processor parallel execution cannot beat sequential — the gate
+// degrades to SingleProcFloor, a no-pathological-regression bound on
+// the same ratio (lockstep sync plus the cache footprint of N replica
+// stacks on one core).
 type speedupGate struct {
 	Benchmark           string  `json:"benchmark"`
 	Reference           string  `json:"reference"`
@@ -52,9 +50,8 @@ type speedupGate struct {
 
 // baselineFile is the subset of BENCH_kernel.json the gate reads.
 type baselineFile struct {
-	After            map[string]benchBaseline `json:"after"`
-	ReplicatedGate   *speedupGate             `json:"replicated_gate"`
-	ParallelTickGate *speedupGate             `json:"parallel_tick_gate"`
+	After          map[string]benchBaseline `json:"after"`
+	ReplicatedGate *speedupGate             `json:"replicated_gate"`
 }
 
 // sample is one parsed benchmark result line.
@@ -109,73 +106,89 @@ func realMain() int {
 		return fail(err)
 	}
 
-	checked, failed := 0, 0
-	for name, b := range base.After {
-		samples, ok := results[name]
-		if !ok {
-			continue
-		}
-		checked++
-		s := mean(samples)
-		limit := b.NsPerCycle * (1 + *tolerance)
-		status := "ok"
-		if s.nsPerOp > limit {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%)  %s\n",
-			name, s.nsPerOp, b.NsPerCycle, limit, 100*(s.nsPerOp/b.NsPerCycle-1), status)
-		if s.hasAllocs {
-			allocLimit := b.AllocsPerCycle + *allocSlack
-			status = "ok"
-			if s.allocsPerOp > allocLimit {
-				status = "FAIL"
-				failed++
-			}
-			fmt.Printf("%-24s allocs/op %6.1f  baseline %6.1f  limit %9.1f  %s\n",
-				name, s.allocsPerOp, b.AllocsPerCycle, allocLimit, status)
-		}
-	}
-	for _, g := range []*speedupGate{base.ReplicatedGate, base.ParallelTickGate} {
-		if g == nil {
-			continue
-		}
-		gated, haveGated := results[g.Benchmark]
-		ref, haveRef := results[g.Reference]
-		if !haveGated || !haveRef {
-			continue
-		}
-		checked++
-		r, s := mean(ref), mean(gated)
-		// Both sides count ns per (replica-)cycle, so the sequential
-		// reference's ns/op over the gated ns/op is the aggregate
-		// cycles/sec speedup directly.
-		speedup := r.nsPerOp / s.nsPerOp
-		required := g.MinAggregateSpeedup
-		kind := "aggregate speedup"
-		if s.procs < 2 {
-			// A single-core runner cannot parallelise anything; hold
-			// the floor instead of the speedup target.
-			required = g.SingleProcFloor
-			kind = "single-proc floor"
-		}
-		status := "ok"
-		if speedup < required {
-			status = "FAIL"
-			failed++
-		}
-		fmt.Printf("%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
-			g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
-	}
-	if checked == 0 {
-		return fail(fmt.Errorf("no gated benchmark appeared in the input — is the bench step wired correctly?"))
-	}
+	checked, failed := check(os.Stdout, base, results, *tolerance, *allocSlack)
 	if failed > 0 {
 		fmt.Printf("benchgate: %d gate(s) failed\n", failed)
 		return 1
 	}
 	fmt.Printf("benchgate: %d benchmark(s) within limits\n", checked)
 	return 0
+}
+
+// check gates every baseline in sorted name order, then the replica
+// speedup ratio, and returns how many gates ran and how many failed. A
+// benchmark the baseline names but the input lacks fails its gate: a
+// deleted or renamed benchmark must take its baseline with it rather
+// than leave a stale entry that passes by never being looked at.
+func check(w io.Writer, base baselineFile, results map[string][]sample, tolerance, allocSlack float64) (checked, failed int) {
+	names := make([]string, 0, len(base.After))
+	for name := range base.After {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		b := base.After[name]
+		checked++
+		samples, ok := results[name]
+		if !ok {
+			failed++
+			fmt.Fprintf(w, "%-24s has a baseline but is missing from the input  FAIL\n", name)
+			continue
+		}
+		s := mean(samples)
+		limit := b.NsPerCycle * (1 + tolerance)
+		status := "ok"
+		if s.nsPerOp > limit {
+			status = "FAIL"
+			failed++
+		}
+		fmt.Fprintf(w, "%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%)  %s\n",
+			name, s.nsPerOp, b.NsPerCycle, limit, 100*(s.nsPerOp/b.NsPerCycle-1), status)
+		if s.hasAllocs {
+			allocLimit := b.AllocsPerCycle + allocSlack
+			status = "ok"
+			if s.allocsPerOp > allocLimit {
+				status = "FAIL"
+				failed++
+			}
+			fmt.Fprintf(w, "%-24s allocs/op %6.1f  baseline %6.1f  limit %9.1f  %s\n",
+				name, s.allocsPerOp, b.AllocsPerCycle, allocLimit, status)
+		}
+	}
+	g := base.ReplicatedGate
+	if g == nil {
+		return checked, failed
+	}
+	checked++
+	gated, haveGated := results[g.Benchmark]
+	ref, haveRef := results[g.Reference]
+	if !haveGated || !haveRef {
+		failed++
+		fmt.Fprintf(w, "%-24s speedup gate needs %s and %s in the input  FAIL\n",
+			g.Benchmark, g.Benchmark, g.Reference)
+		return checked, failed
+	}
+	r, s := mean(ref), mean(gated)
+	// Both sides count ns per (replica-)cycle, so the sequential
+	// reference's ns/op over the gated ns/op is the aggregate
+	// cycles/sec speedup directly.
+	speedup := r.nsPerOp / s.nsPerOp
+	required := g.MinAggregateSpeedup
+	kind := "aggregate speedup"
+	if s.procs < 2 {
+		// A single-core runner cannot parallelise anything; hold
+		// the floor instead of the speedup target.
+		required = g.SingleProcFloor
+		kind = "single-proc floor"
+	}
+	status := "ok"
+	if speedup < required {
+		status = "FAIL"
+		failed++
+	}
+	fmt.Fprintf(w, "%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
+		g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
+	return checked, failed
 }
 
 // parseBench extracts (ns/op, allocs/op) samples per benchmark from

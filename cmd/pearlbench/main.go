@@ -48,24 +48,23 @@ func main() {
 
 func realMain() int {
 	var (
-		full        = flag.Bool("full", false, "paper-scale runs (16 pairs, 60k cycles)")
-		check       = flag.Bool("check", false, "run the machine-verifiable paper-claim shape checks")
-		figure      = flag.String("figure", "all", "which artifact: all, t1, t2, t5, 4..11, nrmse, ab-step, ab-bounds, ab-thresholds, ab-window, ab-features, ab-label, extensions, thermal")
-		out         = flag.String("out", "", "also write results to this file")
-		jsonOut     = flag.String("json", "", "write machine-readable per-artifact benchmark records (name, iters, ns/op, bytes/op) to this file")
-		md          = flag.Bool("md", false, "emit a single Markdown report (all artifacts + shape checks)")
-		seed        = flag.Uint64("seed", 2018, "experiment seed")
-		seeds       = flag.Int("seeds", 1, "with -sweep: replicate every point over N derived seeds (lockstep when the backend supports it) and report mean ± 95% CI")
-		sweep       = flag.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
-		policy      = flag.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
-		cacheOut    = flag.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
-		serverURL   = flag.String("server", "", "with -sweep: submit to a running pearld at this base URL instead of simulating in-process; honors 429/503 Retry-After with bounded backoff")
-		token       = flag.String("token", "", "API token for -server (tenant bearer token)")
-		follow      = flag.Bool("follow", false, "with -server: stream the batch's live SSE event feed (per-window samples, per-point progress) instead of polling silently; falls back to polling if the stream fails")
-		modelList   = flag.String("model", "", "comma-separated trained model artifact files (pearltrain -out); serves ML points instead of training in-process")
-		tickWorkers = flag.Int("tick-workers", 0, "intra-replica parallel tick workers for PEARL runs (0/1 = sequential kernel; byte-identical results at any count; ignored by multi-seed replication and CMESH)")
-		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile  = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
+		full       = flag.Bool("full", false, "paper-scale runs (16 pairs, 60k cycles)")
+		check      = flag.Bool("check", false, "run the machine-verifiable paper-claim shape checks")
+		figure     = flag.String("figure", "all", "which artifact: all, t1, t2, t5, 4..11, nrmse, ab-step, ab-bounds, ab-thresholds, ab-window, ab-features, ab-label, extensions, thermal")
+		out        = flag.String("out", "", "also write results to this file")
+		jsonOut    = flag.String("json", "", "write machine-readable per-artifact benchmark records (name, iters, ns/op, bytes/op) to this file")
+		md         = flag.Bool("md", false, "emit a single Markdown report (all artifacts + shape checks)")
+		seed       = flag.Uint64("seed", 2018, "experiment seed")
+		seeds      = flag.Int("seeds", 1, "with -sweep: replicate every point over N derived seeds (lockstep when the backend supports it) and report mean ± 95% CI")
+		sweep      = flag.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
+		policy     = flag.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
+		cacheOut   = flag.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
+		serverURL  = flag.String("server", "", "with -sweep: submit to a running pearld at this base URL instead of simulating in-process; honors 429/503 Retry-After with bounded backoff")
+		token      = flag.String("token", "", "API token for -server (tenant bearer token)")
+		follow     = flag.Bool("follow", false, "with -server: stream the batch's live SSE event feed (per-window samples, per-point progress) instead of polling silently; falls back to polling if the stream fails")
+		modelList  = flag.String("model", "", "comma-separated trained model artifact files (pearltrain -out); serves ML points instead of training in-process")
+		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
 	flag.Parse()
 
@@ -108,7 +107,6 @@ func realMain() int {
 		opts = experiments.Full()
 	}
 	opts.Seed = *seed
-	opts.TickWorkers = *tickWorkers
 
 	var w io.Writer = os.Stdout
 	if *out != "" {

@@ -42,7 +42,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		tickWorkers  = flag.Int("tick-workers", 0, "parallel-tick workers per single-seed PEARL job (0/1 = sequential kernel; results byte-identical; size workers*tick-workers to the machine)")
 		queue        = flag.Int("queue", 64, "bounded job-queue depth")
 		cacheCap     = flag.Int("cache", 1024, "result-cache capacity (entries, LRU)")
 		cacheDir     = flag.String("cache-dir", "", "directory for the disk-persistent result cache (empty = memory only)")
@@ -73,7 +72,6 @@ func main() {
 
 	opts := server.Options{
 		Workers:             *workers,
-		TickWorkers:         *tickWorkers,
 		QueueDepth:          *queue,
 		CacheCapacity:       *cacheCap,
 		CacheDir:            *cacheDir,

@@ -20,12 +20,8 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/controller"
-	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/models"
-	"repro/internal/photonic"
-	"repro/internal/power"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -96,87 +92,67 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 		}
 	}
 
-	if timeline {
-		return runTimeline(cfg, pair, opts, model)
-	}
-	ctrl, err := controller.New(cfg, model)
+	res, tl, err := runPEARL(cfg, pair, opts, model, timeline)
 	if err != nil {
 		return err
 	}
-	res, err := experiments.RunPEARL(cfg, pair, opts, ctrl)
-	if err != nil {
-		return err
+	if tl != nil {
+		tl.report(res)
+	} else {
+		report(res)
 	}
-	report(res)
 	return nil
 }
 
-// runTimeline wires the network manually so per-window signals can be
-// captured: mean wavelength state across routers and delivered bits per
-// window, rendered as sparklines.
-func runTimeline(cfg config.Config, pair traffic.Pair, opts experiments.Options, model *models.Artifact) error {
-	engine := sim.NewEngine()
-	net, err := core.New(engine, cfg)
-	if err != nil {
-		return err
-	}
-	if model != nil {
-		net.SetPredictor(model)
-	}
-	acct := power.NewAccount(config.NetworkFrequencyHz)
-	net.SetAccount(acct)
-	w, err := traffic.NewWorkload(engine, net, pair, opts.Seed)
-	if err != nil {
-		return err
-	}
-	net.SetDeliveryHandler(w.OnDeliver)
-	engine.Register(w)
-	engine.Register(net)
-
-	wlSeries := stats.NewSeries("mean wavelengths")
-	thrSeries := stats.NewSeries("bits/window")
-	var wlSum float64
-	var wlCount int
-	net.SetWindowHook(func(_ int, _ []float64, _ int64, _ float64, next photonic.WLState) {
-		wlSum += float64(next.Wavelengths())
-		wlCount++
-	})
-	var lastBits uint64
-	window := int64(cfg.ReservationWindow)
-	engine.Register(sim.ComponentFunc(func(cycle int64) {
-		if cycle == 0 || cycle%window != 0 {
-			return
+// runPEARL simulates one photonic configuration through the Controller
+// registry, like every other tool. With timeline set it also returns the
+// per-window series captured through Options.OnWindow; the simulation
+// itself is identical either way.
+func runPEARL(cfg config.Config, pair traffic.Pair, opts experiments.Options, model *models.Artifact, timeline bool) (experiments.Result, *windowTimeline, error) {
+	var tl *windowTimeline
+	if timeline {
+		tl = &windowTimeline{
+			window:      cfg.ReservationWindow,
+			wavelengths: stats.NewSeries("mean wavelengths"),
+			throughput:  stats.NewSeries("bits/cycle"),
 		}
-		if wlCount > 0 {
-			wlSeries.Append(cycle, wlSum/float64(wlCount))
-			wlSum, wlCount = 0, 0
-		}
-		bits := net.Metrics().Delivered.TotalBits()
-		thrSeries.Append(cycle, float64(bits-lastBits))
-		lastBits = bits
-	}))
+		opts.OnWindow = tl.observe
+	}
+	ctrl, err := controller.New(cfg, model)
+	if err != nil {
+		return experiments.Result{}, nil, err
+	}
+	res, err := experiments.RunPEARL(cfg, pair, opts, ctrl)
+	return res, tl, err
+}
 
-	engine.Run(warmupOf(opts))
-	net.StartMeasurement()
-	w.StartMeasurement()
-	engine.Run(opts.MeasureCycles)
-	net.StopMeasurement(opts.MeasureCycles)
+// windowTimeline collects the two per-window signals -timeline renders
+// as sparklines: mean wavelength state across routers and delivered
+// bits per cycle.
+type windowTimeline struct {
+	window      int
+	wavelengths *stats.Series
+	throughput  *stats.Series
+}
 
-	m := net.Metrics()
+func (tl *windowTimeline) observe(ws experiments.WindowStats) {
+	tl.wavelengths.Append(ws.Cycle, ws.WavelengthsOn)
+	tl.throughput.Append(ws.Cycle, ws.ThroughputBitsPerCycle)
+}
+
+func (tl *windowTimeline) report(res experiments.Result) {
+	m := res.Metrics
 	fmt.Printf("%s on %s — %d windows of %d cycles\n\n",
-		cfg.Name(), pair.Name(), thrSeries.Len(), cfg.ReservationWindow)
-	fmt.Printf("wavelengths  %s  (8..64)\n", wlSeries.Sparkline(72, 8, 64))
-	fmt.Printf("throughput   %s  (0..max)\n\n", thrSeries.Sparkline(72, 0, thrSeries.Max()))
+		res.Name, res.Pair.Name(), tl.throughput.Len(), tl.window)
+	fmt.Printf("wavelengths  %s  (8..64)\n", tl.wavelengths.Sparkline(72, 8, 64))
+	fmt.Printf("throughput   %s  (0..max)\n\n", tl.throughput.Sparkline(72, 0, tl.throughput.Max()))
 	for _, wl := range m.StateResidency.Keys() {
 		fmt.Println(stats.HBar(fmt.Sprintf("%d wavelengths", wl),
 			100*m.StateResidency.Fraction(wl), 100, 40))
 	}
 	fmt.Printf("\nthroughput %.2f bits/cycle, avg laser %.3f W\n",
-		m.ThroughputBitsPerCycle(), acct.AverageLaserPowerW())
-	return nil
+		m.ThroughputBitsPerCycle(), res.Account.AverageLaserPowerW())
 }
-
-func warmupOf(opts experiments.Options) int64 { return opts.WarmupCycles }
 
 func report(res experiments.Result) {
 	m := res.Metrics

@@ -41,14 +41,6 @@ type Network struct {
 	windowHook func(routerID int, feats []float64, injected int64, betaTotal float64, next photonic.WLState)
 
 	measuring bool
-
-	// pool, tickTask, tickCycle and scratch drive the deterministic
-	// parallel tick (see parallel.go); pool == nil selects the
-	// sequential kernel.
-	pool      *sim.TickPool
-	tickTask  func(worker, workers int)
-	tickCycle int64
-	scratch   [config.NumRouters]tickScratch
 }
 
 // New validates the configuration and builds the network. Register the
@@ -77,10 +69,7 @@ func New(engine *sim.Engine, cfg config.Config) (*Network, error) {
 	case config.PowerReactive:
 		n.initialState = photonic.WL64
 		n.policy = ReactivePolicy{Thresholds: cfg.Thresholds, Allow8WL: cfg.Allow8WL}
-	case config.PowerML:
-		n.initialState = photonic.WL64
-		n.policy = nil // set via SetPredictor or SetStatePolicy
-	case config.PowerProteus, config.PowerD3NOC, config.PowerOnline, config.PowerRL:
+	case config.PowerML, config.PowerProteus, config.PowerD3NOC, config.PowerOnline, config.PowerRL:
 		// Controller-installed policies: they scale down from full power,
 		// like the other scaling policies.
 		n.initialState = photonic.WL64
@@ -124,13 +113,6 @@ func (n *Network) SetWindowHook(h func(routerID int, feats []float64, injected i
 	n.windowHook = h
 }
 
-// SetPredictor wires a trained regression model into the ML power-scaling
-// policy (§III.D). Only meaningful when the configuration's power policy
-// is PowerML.
-func (n *Network) SetPredictor(model PacketPredictor) {
-	n.policy = MLPolicy{Model: model, Allow8WL: n.cfg.Allow8WL}
-}
-
 // SetStatePolicy overrides the wavelength-state policy; the training
 // pipeline uses this to run random-state data-collection passes.
 func (n *Network) SetStatePolicy(p StatePolicy) { n.policy = p }
@@ -158,14 +140,8 @@ func (n *Network) Inject(p *noc.Packet) bool {
 }
 
 // Tick advances every router one cycle in index order, then global
-// accounting. With a tick pool attached the router-local phase fans out
-// across the pool's workers; results are byte-identical either way (see
-// parallel.go).
+// accounting.
 func (n *Network) Tick(cycle int64) {
-	if n.pool != nil {
-		n.tickParallel(cycle)
-		return
-	}
 	for _, r := range n.routers {
 		r.tick(cycle)
 	}

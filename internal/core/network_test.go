@@ -111,7 +111,7 @@ func TestMLPolicyDrivesStates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A constant low predictor must drive every router to 8WL.
-	net.SetPredictor(PredictorFunc(func([]float64) float64 { return 1 }))
+	net.SetStatePolicy(MLPolicy{Model: PredictorFunc(func([]float64) float64 { return 1 }), Allow8WL: cfg.Allow8WL})
 	pair := traffic.Pair{CPU: traffic.CPUProfiles()[8], GPU: traffic.GPUProfiles()[8]}
 	w, _ := traffic.NewWorkload(engine, net, pair, 9)
 	net.SetDeliveryHandler(w.OnDeliver)

@@ -136,9 +136,6 @@ func newLockstep(n int, build func(i int, tab *traffic.ExpTable) (replica, error
 	for i := 0; i < n; i++ {
 		r, err := build(i, tables[i%workers])
 		if err != nil {
-			for j := 0; j < i; j++ {
-				closeReplica(l.replicas[j])
-			}
 			return nil, err
 		}
 		l.replicas[i] = r
@@ -196,10 +193,8 @@ func (l *Lockstep) FinishMeasurement(measured int64) []Result {
 	return results
 }
 
-// Close stops the worker pool and releases any per-replica tick pools
-// (a single-seed lockstep may carry one; multi-seed runs never do — see
-// NewPEARLLockstep). The Lockstep must not be used after Close; Close
-// is idempotent.
+// Close stops the worker pool. The Lockstep must not be used after
+// Close; Close is idempotent.
 func (l *Lockstep) Close() {
 	if l.closed {
 		return
@@ -209,9 +204,6 @@ func (l *Lockstep) Close() {
 		close(c)
 	}
 	l.wg.Wait()
-	for i := range l.replicas {
-		closeReplica(l.replicas[i])
-	}
 }
 
 // runCtx drives all replicas for n cycles in bounded chunks, checking
@@ -262,14 +254,6 @@ func NewPEARLLockstep(cfg config.Config, pair traffic.Pair, opts Options, seeds 
 	}
 	if err := CanReplicate(cfg, ctrl); err != nil {
 		return nil, err
-	}
-	if len(seeds) > 1 {
-		// Composition rule: replicas × tick-workers must not
-		// oversubscribe. A multi-seed lockstep already spreads replicas
-		// across GOMAXPROCS lanes, so intra-replica parallelism is forced
-		// off; a single-seed run keeps its tick pool (the lockstep then
-		// adds no parallelism of its own).
-		opts.TickWorkers = 0
 	}
 	return newLockstep(len(seeds), func(i int, tab *traffic.ExpTable) (replica, error) {
 		o := opts

@@ -122,12 +122,6 @@ type jobSpec struct {
 	// Execution state only — never part of the cache key, never affects
 	// the result.
 	canarySample func(routerID int, feats []float64, injected int64)
-	// tickWorkers is the daemon's intra-replica parallel-tick setting
-	// for single-seed PEARL runs (Options.TickWorkers). Execution state
-	// only — the parallel kernel is byte-identical to sequential, so it
-	// never enters the cache key: a result computed at any worker count
-	// is THE result for the point.
-	tickWorkers int
 }
 
 // options bounds for externally supplied run lengths.
@@ -343,7 +337,6 @@ func (s jobSpec) options() experiments.Options {
 		Seed:          s.seed,
 		WarmupCycles:  s.warmup,
 		MeasureCycles: s.measure,
-		TickWorkers:   s.tickWorkers,
 	}
 }
 
