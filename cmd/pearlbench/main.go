@@ -262,7 +262,7 @@ func preparedSweepPoints(w io.Writer, opts experiments.Options, name, policy str
 	for _, p := range all {
 		p.Config.WarmupCycles = int(opts.WarmupCycles)
 		p.Config.MeasureCycles = int(opts.MeasureCycles)
-		if p.Backend == "pearl" {
+		if p.Backend == server.BackendPEARL {
 			if policy != "" {
 				cspec, ok := controller.Lookup(policy)
 				if !ok {
@@ -318,8 +318,8 @@ func writeCacheEntries(w io.Writer, cacheOut string, entries []server.CacheEntry
 }
 
 // runSweepSeeds is runSweep with every point replicated over n derived
-// seeds: backends that support it run all n as one lockstep simulation
-// (experiments.Run*ReplicatedSeeds); the rest fall back, with a
+// seeds: points that support it run all n as one lockstep simulation
+// (experiments.RunSeeds); the rest fall back, with a
 // warning, to running the same derived seeds sequentially — same
 // aggregates and cache keys, just slower. Each point prints mean ± 95%
 // CI over its seeds, and -cache-out exports one entry per (point,
@@ -334,29 +334,17 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 	var entries []server.CacheEntry
 	var bench []benchRecord
 	for _, p := range points {
-		scale := p.LinkScale
-		if scale < 1 {
-			scale = 1
-		}
 		// Derive the member seeds exactly as pearld's seeds:n batches do:
-		// fold the configuration's canonical name (not the sweep's display
-		// label) and the pair name, so the exported per-seed cache keys
-		// collide with the server's.
-		derivName := p.Config.Name()
-		if p.Backend == "cmesh" {
-			derivName = experiments.CMESHName(scale)
-		}
-		seeds := experiments.ReplicaSeeds(opts.Seed, derivName, p.Pair.Name(), n)
+		// fold the point's canonical name (not the sweep's display label)
+		// and the pair name, so the exported per-seed cache keys collide
+		// with the server's.
+		seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), n)
 
 		pstart := time.Now()
 		var results []experiments.Result
-		switch {
-		case p.Backend == "cmesh":
-			results, err = experiments.RunCMESHReplicatedSeeds(ctx, p.Config, p.Pair, opts, seeds, scale)
-		case experiments.CanReplicate(p.Config, p.Controller) == nil:
-			results, err = experiments.RunPEARLReplicatedSeeds(ctx, p.Config, p.Pair, opts, seeds, p.Controller)
-		default:
-			rerr := experiments.CanReplicate(p.Config, p.Controller)
+		if rerr := experiments.CanReplicate(p); rerr == nil {
+			results, err = experiments.RunSeeds(ctx, p, opts, seeds)
+		} else {
 			fmt.Fprintf(w, "pearlbench: %s %s: lockstep replication unavailable (%v); running %d seeds sequentially\n",
 				p.Label, p.Pair.Name(), rerr, n)
 			results = make([]experiments.Result, 0, n)
@@ -364,7 +352,7 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 				o := opts
 				o.Seed = s
 				var res experiments.Result
-				if res, err = experiments.RunPEARLCtx(ctx, p.Config, p.Pair, o, p.Controller); err != nil {
+				if res, err = experiments.Run(ctx, p, o); err != nil {
 					break
 				}
 				results = append(results, res)
@@ -381,7 +369,7 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 			tput.Add(payload.ThroughputBitsPerCycle)
 			epb.Add(payload.EnergyPerBitPJ)
 			entries = append(entries, server.CacheEntry{
-				Key:    server.PointKey(p.Backend, p.Config, p.Pair, seeds[i], scale),
+				Key:    server.PointKey(p.Backend, p.Config, p.Pair, seeds[i], p.LinkScale),
 				Result: payload,
 			})
 		}

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +64,8 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 	opts.WarmupCycles = warmup
 
 	if strings.EqualFold(configName, "cmesh") {
-		res, err := experiments.RunCMESH(config.Default(), pair, opts, 1)
+		p := experiments.Point{Backend: "cmesh", Config: config.Default(), LinkScale: 1, Pair: pair}
+		res, err := experiments.Run(context.Background(), p, opts)
 		if err != nil {
 			return err
 		}
@@ -122,7 +124,7 @@ func runPEARL(cfg config.Config, pair traffic.Pair, opts experiments.Options, mo
 	if err != nil {
 		return experiments.Result{}, nil, err
 	}
-	res, err := experiments.RunPEARL(cfg, pair, opts, ctrl)
+	res, err := experiments.Run(context.Background(), experiments.Point{Config: cfg, Pair: pair, Controller: ctrl}, opts)
 	return res, tl, err
 }
 

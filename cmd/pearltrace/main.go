@@ -31,6 +31,7 @@ import (
 
 	"repro/internal/cmesh"
 	"repro/internal/config"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/noc"
 	"repro/internal/sim"
@@ -119,7 +120,7 @@ func record(args []string) error {
 func replay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("in", "trace.trc", "input trace")
-	configName := fs.String("config", "pearl-dyn", "network configuration (photonic presets or cmesh)")
+	configName := fs.String("config", "pearl-dyn", "network configuration (any config preset, e.g. static-16 or proteus-rw500, or cmesh)")
 	drain := fs.Int64("drain", 20000, "extra cycles to drain in-flight packets")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -151,7 +152,7 @@ func replay(args []string) error {
 			return net.Metrics().String()
 		}
 	} else {
-		cfg, err := photonicConfig(*configName)
+		cfg, err := config.ByName(*configName)
 		if err != nil {
 			return err
 		}
@@ -159,6 +160,18 @@ func replay(args []string) error {
 		if err != nil {
 			return err
 		}
+		// The preset's registered controller drives the wavelength states.
+		// Replay takes no model, so the ML presets stop here with the
+		// controller's "needs a trained model" error.
+		ctrl, err := controller.New(cfg, nil)
+		if err != nil {
+			return err
+		}
+		policy, err := ctrl.Policy(0)
+		if err != nil {
+			return err
+		}
+		net.SetStatePolicy(policy)
 		net.StartMeasurement()
 		target = net
 		register = func() { engine.Register(net) }
@@ -283,27 +296,4 @@ func readTrace(path string) ([]trace.Record, error) {
 	}
 	defer f.Close()
 	return trace.ReadAll(f)
-}
-
-func photonicConfig(name string) (config.Config, error) {
-	switch strings.ToLower(name) {
-	case "pearl-dyn":
-		return config.PEARLDyn(), nil
-	case "pearl-fcfs":
-		return config.PEARLFCFS(), nil
-	case "static-48":
-		return config.StaticWL(48), nil
-	case "static-32":
-		return config.StaticWL(32), nil
-	case "static-16":
-		return config.StaticWL(16), nil
-	case "static-8":
-		return config.StaticWL(8), nil
-	case "dyn-rw500":
-		return config.DynRW(500), nil
-	case "dyn-rw2000":
-		return config.DynRW(2000), nil
-	default:
-		return config.Config{}, fmt.Errorf("unknown configuration %q", name)
-	}
 }

@@ -1,6 +1,7 @@
 package pearl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,8 +22,12 @@ func goldenOptions() experiments.Options {
 	return opts
 }
 
+func goldenPoint(cfg config.Config) experiments.Point {
+	return experiments.Point{Backend: "pearl", Config: cfg, Pair: traffic.TestPairs()[0]}
+}
+
 func TestGoldenPEARLDyn(t *testing.T) {
-	res, err := experiments.RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], goldenOptions(), nil)
+	res, err := experiments.Run(context.Background(), goldenPoint(config.PEARLDyn()), goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +43,7 @@ func TestGoldenPEARLDyn(t *testing.T) {
 }
 
 func TestGoldenDynRW500(t *testing.T) {
-	res, err := experiments.RunPEARL(config.DynRW(500), traffic.TestPairs()[0], goldenOptions(), nil)
+	res, err := experiments.Run(context.Background(), goldenPoint(config.DynRW(500)), goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +63,9 @@ func TestGoldenDynRW500(t *testing.T) {
 // seed unchanged and must reproduce the single-run golden values
 // exactly — same numbers, same cache identity.
 func TestGoldenReplicaZero(t *testing.T) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
-	results, err := experiments.RunPEARLReplicated(cfg, pair, goldenOptions(), 3, nil)
+	p, opts := goldenPoint(config.PEARLDyn()), goldenOptions()
+	seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), 3)
+	results, err := experiments.RunSeeds(context.Background(), p, opts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +85,8 @@ func TestGoldenReplicaZero(t *testing.T) {
 }
 
 func TestGoldenCMESH(t *testing.T) {
-	res, err := experiments.RunCMESH(config.Default(), traffic.TestPairs()[0], goldenOptions(), 1)
+	p := experiments.Point{Backend: "cmesh", Config: config.Default(), LinkScale: 1, Pair: traffic.TestPairs()[0]}
+	res, err := experiments.Run(context.Background(), p, goldenOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package controller_test
 //     must not allocate per decision.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -131,9 +132,10 @@ func TestControllerDeterminismAcrossGOMAXPROCS(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			cfg, ctrl := build(t, spec)
 			prev := runtime.GOMAXPROCS(1)
-			a, errA := experiments.RunPEARL(cfg, pair, opts, ctrl)
+			p := experiments.Point{Config: cfg, Pair: pair, Controller: ctrl}
+			a, errA := experiments.Run(context.Background(), p, opts)
 			runtime.GOMAXPROCS(4)
-			b, errB := experiments.RunPEARL(cfg, pair, opts, ctrl)
+			b, errB := experiments.Run(context.Background(), p, opts)
 			runtime.GOMAXPROCS(prev)
 			if errA != nil || errB != nil {
 				t.Fatal(errA, errB)
@@ -156,7 +158,7 @@ func TestControllerDeterminismAcrossGOMAXPROCS(t *testing.T) {
 func TestReplicaSafetyDeclarationMatchesGate(t *testing.T) {
 	for _, spec := range controller.Specs() {
 		cfg, ctrl := build(t, spec)
-		err := experiments.CanReplicate(cfg, ctrl)
+		err := experiments.CanReplicate(experiments.Point{Config: cfg, Controller: ctrl})
 		if spec.Caps.ReplicaSafe && err != nil {
 			t.Errorf("%s declares ReplicaSafe but CanReplicate rejects it: %v", spec.Name, err)
 		}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/mlkit"
 	"repro/internal/photonic"
-	"repro/internal/traffic"
+	"repro/internal/sim"
 )
 
 // Ablations cover the design choices the paper reports evaluating but
@@ -27,7 +27,7 @@ import (
 // returning mean throughput (bits/cycle) and mean laser power (W).
 func (s *Suite) runDynMean(cfg config.Config, ctrl controller.Controller) (thr, laser float64, err error) {
 	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
+		return runPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
 	})
 	if err != nil {
 		return 0, 0, err
@@ -52,7 +52,7 @@ func (s *Suite) AblationBandwidthStep() (Table, error) {
 		cfg.BandwidthStep = step
 		var thr, p99 float64
 		for _, pair := range s.Opts.Pairs {
-			res, err := RunPEARL(cfg, pair, s.Opts, nil)
+			res, err := runPEARL(cfg, pair, s.Opts, nil)
 			if err != nil {
 				return Table{}, err
 			}
@@ -85,7 +85,7 @@ func (s *Suite) AblationDBABounds() (Table, error) {
 		cfg.CPUUpperBound, cfg.GPUUpperBound = pt.cpu, pt.gpu
 		var thr, cpuLat, gpuLat float64
 		for _, pair := range s.Opts.Pairs {
-			res, err := RunPEARL(cfg, pair, s.Opts, nil)
+			res, err := runPEARL(cfg, pair, s.Opts, nil)
 			if err != nil {
 				return Table{}, err
 			}
@@ -174,7 +174,7 @@ func (s *Suite) AblationFeatureSubset() (Table, error) {
 		Columns: []string{"features", "val score"},
 		Notes:   "paper §IV.B kept all 30 features; subsets did not help",
 	}
-	randomPolicy := core.RandomPolicy{RNG: newAblationRNG(s.Opts.Seed)}
+	randomPolicy := core.RandomPolicy{RNG: sim.NewRNG(s.Opts.Seed ^ 0xab1a)}
 	train, err := CollectDataset(s.Opts.TrainPairs, 500, s.Opts, randomPolicy)
 	if err != nil {
 		return Table{}, err
@@ -257,18 +257,12 @@ func (s *Suite) AblationLabelChoice() (Table, error) {
 		return Table{}, err
 	}
 	cfg := config.MLRW(500, true)
-	betaPolicy := betaStatePolicy{model: betaModel, thresholds: cfg.Thresholds, allow8: cfg.Allow8WL}
-	var thrB, laserB float64
-	for _, pair := range s.Opts.Pairs {
-		res, err := runWithPolicy(cfg, pair, s.Opts, betaPolicy)
-		if err != nil {
-			return Table{}, err
-		}
-		thrB += res.ThroughputBitsPerCycle()
-		laserB += res.Account.AverageLaserPowerW()
+	betaCtrl := fixedPolicy{betaStatePolicy{model: betaModel, thresholds: cfg.Thresholds, allow8: cfg.Allow8WL}}
+	thrB, laserB, err := s.runDynMean(cfg, betaCtrl)
+	if err != nil {
+		return Table{}, err
 	}
-	n := float64(len(s.Opts.Pairs))
-	t.Rows = append(t.Rows, Row{Label: "buffer utilisation (rejected)", Values: []float64{thrB / n, laserB / n}})
+	t.Rows = append(t.Rows, Row{Label: "buffer utilisation (rejected)", Values: []float64{thrB, laserB}})
 	return t, nil
 }
 
@@ -287,10 +281,11 @@ func (p betaStatePolicy) NextState(w core.WindowInfo) photonic.WLState {
 
 // trainBetaModel fits a ridge on (features, next-window mean occupancy).
 func trainBetaModel(opts Options) (*mlkit.Ridge, error) {
-	randomPolicy := core.RandomPolicy{RNG: newAblationRNG(opts.Seed ^ 0xbe7a)}
+	randomPolicy := core.RandomPolicy{RNG: sim.NewRNG(opts.Seed ^ 0x1560)}
+	occupancy := func(_ int64, beta float64) float64 { return beta }
 	ds := mlkit.NewDataset(core.FeatureCount)
 	for i, pair := range opts.TrainPairs {
-		if err := collectBeta(ds, pair, opts, randomPolicy, opts.Seed+uint64(i)*104729); err != nil {
+		if err := collectExamples(ds, pair, 500, opts, randomPolicy, opts.Seed+uint64(i)*104729, occupancy); err != nil {
 			return nil, err
 		}
 	}
@@ -300,59 +295,4 @@ func trainBetaModel(opts Options) (*mlkit.Ridge, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func collectBeta(ds *mlkit.Dataset, pair traffic.Pair, opts Options, policy core.StatePolicy, seed uint64) error {
-	engine := newEngine()
-	cfg := config.MLRW(500, false)
-	net, err := core.New(engine, cfg)
-	if err != nil {
-		return err
-	}
-	net.SetStatePolicy(policy)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, "", pair.Name()))
-	if err != nil {
-		return err
-	}
-	net.SetDeliveryHandler(w.OnDeliver)
-	engine.Register(w)
-	engine.Register(net)
-	prev := make(map[int][]float64, config.NumRouters)
-	net.SetWindowHook(func(router int, feats []float64, _ int64, beta float64, _ photonic.WLState) {
-		if p, ok := prev[router]; ok {
-			ds.Add(p, beta)
-		}
-		prev[router] = feats
-	})
-	engine.Run(opts.WarmupCycles + opts.CollectCycles)
-	return nil
-}
-
-// runWithPolicy runs a photonic configuration under an explicit state
-// policy (used by the label-choice ablation).
-func runWithPolicy(cfg config.Config, pair traffic.Pair, opts Options, policy core.StatePolicy) (Result, error) {
-	engine := newEngine()
-	net, err := core.New(engine, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	net.SetStatePolicy(policy)
-	acct := newAccount()
-	net.SetAccount(acct)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(opts.Seed, cfg.Name(), pair.Name()))
-	if err != nil {
-		return Result{}, err
-	}
-	net.SetDeliveryHandler(w.OnDeliver)
-	engine.Register(w)
-	engine.Register(net)
-	engine.Run(opts.WarmupCycles)
-	net.StartMeasurement()
-	w.StartMeasurement()
-	engine.Run(opts.MeasureCycles)
-	net.StopMeasurement(opts.MeasureCycles)
-	return Result{
-		Name: cfg.Name(), Pair: pair, Metrics: net.Metrics(), Account: acct,
-		InjectedCPUShare: w.Injected.Share(0), Retired: w.Retired,
-	}, nil
 }

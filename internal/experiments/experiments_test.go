@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func tiny() Options {
 }
 
 func TestRunPEARLProducesMetrics(t *testing.T) {
-	res, err := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], tiny(), nil)
+	res, err := runPEARL(config.PEARLDyn(), traffic.TestPairs()[0], tiny(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +44,13 @@ func TestRunPEARLProducesMetrics(t *testing.T) {
 }
 
 func TestRunPEARLNeedsPredictorForML(t *testing.T) {
-	if _, err := RunPEARL(config.MLRW(500, true), traffic.TestPairs()[0], tiny(), nil); err == nil {
+	if _, err := runPEARL(config.MLRW(500, true), traffic.TestPairs()[0], tiny(), nil); err == nil {
 		t.Fatal("expected error without predictor")
 	}
 }
 
 func TestRunCMESHProducesMetrics(t *testing.T) {
-	res, err := RunCMESH(config.Default(), traffic.TestPairs()[0], tiny(), 1)
+	res, err := runCMESH(traffic.TestPairs()[0], tiny(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestRunCMESHProducesMetrics(t *testing.T) {
 	if res.Name != "CMESH" {
 		t.Fatalf("name %q", res.Name)
 	}
-	res2, err := RunCMESH(config.Default(), traffic.TestPairs()[0], tiny(), 2)
+	res2, err := runCMESH(traffic.TestPairs()[0], tiny(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +74,11 @@ func TestRunCMESHProducesMetrics(t *testing.T) {
 
 func TestRunDeterminism(t *testing.T) {
 	opts := tiny()
-	a, err := RunPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
+	a, err := runPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
+	b, err := runPEARL(config.DynRW(500), traffic.TestPairs()[0], opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +93,8 @@ func TestPairedSeeding(t *testing.T) {
 	// pair: injected CPU share under identical (pair, seed) should match
 	// closely between the two static photonic configs.
 	opts := tiny()
-	a, _ := RunPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)
-	b, _ := RunPEARL(config.PEARLFCFS(), traffic.TestPairs()[0], opts, nil)
+	a, _ := runPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)
+	b, _ := runPEARL(config.PEARLFCFS(), traffic.TestPairs()[0], opts, nil)
 	// The demand processes are seeded identically, but the accepted mix
 	// shifts with the closed loop (round-trip latency gates MSHR reuse),
 	// so allow a generous band.
@@ -152,6 +153,41 @@ func TestTrainAndEvaluate(t *testing.T) {
 	}
 	if ev.Examples == 0 {
 		t.Fatal("no test examples")
+	}
+}
+
+// goldenQuickModelHash is the content hash of Train(500, Quick()) at
+// seed 2018, as computed on one processor before the data-collection
+// passes were made independent of GOMAXPROCS. The benchmark's reference
+// digests for its ML specs were made with that model, so it must not
+// drift silently: an intentional change to the traffic model, the
+// kernel or the fit must update it consciously.
+const goldenQuickModelHash = "d0950cc0db21cc6db744a479d2991081a37e7dfa75066593c521fe1e3d80560f"
+
+// The first collection pass hands one RandomPolicy — one RNG — to every
+// pair's run. Fanned out over parallel workers that was a data race and
+// made the fitted model depend on goroutine scheduling; the artifact
+// must be a pure function of (window, opts) at any GOMAXPROCS.
+func TestTrainSameArtifactAtAnyGOMAXPROCS(t *testing.T) {
+	opts := Quick()
+	if opts.Seed != 2018 {
+		t.Fatalf("Quick() seed = %d; the pinned hash is for 2018", opts.Seed)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	hashes := map[int]string{}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		model, err := Train(500, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[procs] = model.Hash
+	}
+	if hashes[1] != goldenQuickModelHash {
+		t.Errorf("GOMAXPROCS=1 artifact hash %s, pinned %s", hashes[1], goldenQuickModelHash)
+	}
+	if hashes[4] != hashes[1] {
+		t.Errorf("artifact depends on GOMAXPROCS: %s at 4, %s at 1", hashes[4], hashes[1])
 	}
 }
 

@@ -40,20 +40,20 @@ func (s *Suite) Extensions() (Table, error) {
 
 	entries := []entry{
 		{"PEARL-Dyn(64WL)", func(i int) (Result, error) {
-			return RunPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
+			return runPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
 		}},
 		{"Dyn RW500 (reactive)", func(i int) (Result, error) {
-			return RunPEARL(config.DynRW(500), s.Opts.Pairs[i], s.Opts, nil)
+			return runPEARL(config.DynRW(500), s.Opts.Pairs[i], s.Opts, nil)
 		}},
 		{"ML RW500 (offline ridge)", func(i int) (Result, error) {
-			return RunPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, mlCtrl)
+			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, mlCtrl)
 		}},
 		{"Online RLS RW500", func(i int) (Result, error) {
 			policy, err := core.NewOnlinePolicy(0.995, true)
 			if err != nil {
 				return Result{}, err
 			}
-			return runWithPolicy(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, policy)
+			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, fixedPolicy{policy})
 		}},
 		{"Q-learning RW500", func(i int) (Result, error) {
 			rlCfg := rl.DefaultConfig()
@@ -62,7 +62,7 @@ func (s *Suite) Extensions() (Table, error) {
 			if err != nil {
 				return Result{}, err
 			}
-			return runWithPolicy(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, agent)
+			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, fixedPolicy{agent})
 		}},
 	}
 

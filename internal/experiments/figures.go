@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -124,6 +125,13 @@ func (s *Suite) controllerFor(cfg config.Config) (controller.Controller, error) 
 	return controller.New(cfg, art)
 }
 
+// runOn runs a sweep configuration (a Point with no pair yet) on one
+// pair.
+func (s *Suite) runOn(p Point, pair traffic.Pair) (Result, error) {
+	p.Pair = pair
+	return Run(context.Background(), p, s.Opts)
+}
+
 // meanOverPairs runs fn per pair (in parallel) and averages the returned
 // metric.
 func meanOverPairs(pairs []traffic.Pair, fn func(traffic.Pair) (float64, error)) (float64, error) {
@@ -150,7 +158,7 @@ func (s *Suite) Figure4() (Table, error) {
 		Notes:   "CPU benchmarks create more packets than GPU overall; DBA keeps allocation demand-driven",
 	}
 	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return RunPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
+		return runPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
 	})
 	if err != nil {
 		return Table{}, err
@@ -170,57 +178,28 @@ func (s *Suite) Figure5() (Table, error) {
 		Columns: []string{"64WL-eq", "32WL-eq", "16WL-eq"},
 		Notes:   "PEARL-Dyn undercuts PEARL-FCFS and decisively undercuts CMESH as bandwidth is constrained",
 	}
-	type variant struct {
-		label string
-		run   func(wl, scale int, pair traffic.Pair) (Result, error)
+	// The fig5 sweep lists, per bandwidth point, PEARL-Dyn, PEARL-FCFS
+	// and the bandwidth-matched CMESH: one row each, one column per point.
+	cfgs, err := sweepConfigs("fig5")
+	if err != nil {
+		return Table{}, err
 	}
-	variants := []variant{
-		{"PEARL-Dyn", func(wl, _ int, pair traffic.Pair) (Result, error) {
-			return RunPEARL(config.StaticWL(wl), pair, s.Opts, nil)
-		}},
-		{"PEARL-FCFS", func(wl, _ int, pair traffic.Pair) (Result, error) {
-			cfg := config.StaticWL(wl)
-			cfg.Bandwidth = config.PolicyFCFS
-			return RunPEARL(cfg, pair, s.Opts, nil)
-		}},
-		{"CMESH", func(_, scale int, pair traffic.Pair) (Result, error) {
-			return RunCMESH(config.Default(), pair, s.Opts, scale)
-		}},
-	}
-	points := []struct{ wl, scale int }{{64, 1}, {32, 2}, {16, 4}}
-	for _, v := range variants {
-		row := Row{Label: v.label}
-		for _, pt := range points {
-			mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-				res, err := v.run(pt.wl, pt.scale, pair)
-				if err != nil {
-					return 0, err
-				}
-				return res.Account.EnergyPerBitJ() * 1e12, nil
-			})
+	t.Rows = []Row{{Label: "PEARL-Dyn"}, {Label: "PEARL-FCFS"}, {Label: "CMESH"}}
+	for i, p := range cfgs {
+		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
+			res, err := s.runOn(p, pair)
 			if err != nil {
-				return Table{}, err
+				return 0, err
 			}
-			row.Values = append(row.Values, mean)
+			return res.Account.EnergyPerBitJ() * 1e12, nil
+		})
+		if err != nil {
+			return Table{}, err
 		}
-		t.Rows = append(t.Rows, row)
+		row := &t.Rows[i%len(t.Rows)]
+		row.Values = append(row.Values, mean)
 	}
 	return t, nil
-}
-
-// powerScalingConfigs are the Figure 6/7 comparison set: the paper's
-// architectures plus the related-work comparison controllers.
-func (s *Suite) powerScalingConfigs() ([]config.Config, error) {
-	return []config.Config{
-		config.PEARLDyn(), // 64WL baseline
-		config.DynRW(500),
-		config.DynRW(2000),
-		config.MLRW(500, true),
-		config.MLRW(500, false),
-		config.MLRW(2000, true),
-		config.ProteusRW(500),
-		config.D3NOCRW(500),
-	}, nil
 }
 
 // runScalingSet evaluates every Figure 6/7 configuration, returning mean
@@ -249,7 +228,9 @@ func (s *Suite) runScalingSetUncached() (Table, Table, error) {
 		Columns: []string{"laser W", "savings %"},
 		Notes:   "paper: ML RW500 65.5%, ML RW500-no8WL 60.7%, Dyn RW2000 55.8%, Dyn RW500 46%, ML RW2000 42% savings",
 	}
-	cfgs, err := s.powerScalingConfigs()
+	// The fig6 sweep is the comparison set: the 64WL baseline first, then
+	// the paper's architectures and the related-work controllers.
+	cfgs, err := sweepConfigs("fig6")
 	if err != nil {
 		return Table{}, Table{}, err
 	}
@@ -259,24 +240,16 @@ func (s *Suite) runScalingSetUncached() (Table, Table, error) {
 		laser      float64
 	}
 	var points []point
-	for _, cfg := range cfgs {
-		ctrl, err := s.controllerFor(cfg)
+	for _, p := range cfgs {
+		ctrl, err := s.controllerFor(p.Config)
 		if err != nil {
 			return Table{}, Table{}, err
 		}
-		results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-			return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
-		})
+		throughput, laser, err := s.runDynMean(p.Config, ctrl)
 		if err != nil {
 			return Table{}, Table{}, err
 		}
-		var thrSum, powSum float64
-		for _, res := range results {
-			thrSum += res.ThroughputBitsPerCycle()
-			powSum += res.Account.AverageLaserPowerW()
-		}
-		n := float64(len(s.Opts.Pairs))
-		points = append(points, point{cfg.Name(), thrSum / n, powSum / n})
+		points = append(points, point{p.Name(), throughput, laser})
 	}
 	base := points[0]
 	for _, p := range points {
@@ -317,7 +290,7 @@ func (s *Suite) Figure8() (Table, error) {
 			return Table{}, err
 		}
 		results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-			return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
+			return runPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
 		})
 		if err != nil {
 			return Table{}, err
@@ -352,33 +325,26 @@ func (s *Suite) Figure9() (Table, error) {
 	if err != nil {
 		return Table{}, err
 	}
-	type entry struct {
+	noLow := config.DynRW(500)
+	noLow.Allow8WL = false
+	ml := pearlPoint(config.MLRW(500, false))
+	ml.Controller = mlCtrl
+	entries := []struct {
 		name string
-		run  func(pair traffic.Pair) (Result, error)
-	}
-	entries := []entry{
-		{"PEARL-Dyn(64WL)", func(p traffic.Pair) (Result, error) { return RunPEARL(config.PEARLDyn(), p, s.Opts, nil) }},
-		{"PEARL-FCFS(64WL)", func(p traffic.Pair) (Result, error) { return RunPEARL(config.PEARLFCFS(), p, s.Opts, nil) }},
-		{"Dyn RW500", func(p traffic.Pair) (Result, error) {
-			cfg := config.DynRW(500)
-			cfg.Allow8WL = false
-			return RunPEARL(cfg, p, s.Opts, nil)
-		}},
-		{"ML RW500 no8WL", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.MLRW(500, false), p, s.Opts, mlCtrl)
-		}},
-		{"PROTEUS RW500", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.ProteusRW(500), p, s.Opts, nil)
-		}},
-		{"D3NOC RW500", func(p traffic.Pair) (Result, error) {
-			return RunPEARL(config.D3NOCRW(500), p, s.Opts, nil)
-		}},
-		{"CMESH", func(p traffic.Pair) (Result, error) { return RunCMESH(config.Default(), p, s.Opts, 1) }},
+		p    Point
+	}{
+		{"PEARL-Dyn(64WL)", pearlPoint(config.PEARLDyn())},
+		{"PEARL-FCFS(64WL)", pearlPoint(config.PEARLFCFS())},
+		{"Dyn RW500", pearlPoint(noLow)},
+		{"ML RW500 no8WL", ml},
+		{"PROTEUS RW500", pearlPoint(config.ProteusRW(500))},
+		{"D3NOC RW500", pearlPoint(config.D3NOCRW(500))},
+		{"CMESH", cmeshPoint(1)},
 	}
 	var values []float64
 	for _, e := range entries {
 		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := e.run(pair)
+			res, err := s.runOn(e.p, pair)
 			if err != nil {
 				return 0, err
 			}
@@ -407,7 +373,7 @@ func (s *Suite) Figure10() (Table, error) {
 		Notes:   "paper: RW2000 best throughput; RW500/RW1000 drop vs static 64WL",
 	}
 	base, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-		res, err := RunPEARL(config.PEARLDyn(), pair, s.Opts, nil)
+		res, err := runPEARL(config.PEARLDyn(), pair, s.Opts, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -423,7 +389,7 @@ func (s *Suite) Figure10() (Table, error) {
 			return Table{}, err
 		}
 		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := RunPEARL(config.MLRW(window, true), pair, s.Opts, ctrl)
+			res, err := runPEARL(config.MLRW(window, true), pair, s.Opts, ctrl)
 			if err != nil {
 				return 0, err
 			}
@@ -454,19 +420,10 @@ func (s *Suite) Figure11() (Table, error) {
 		for _, turnOn := range []float64{2, 4, 16, 32} {
 			cfg := config.DynRW(window)
 			cfg.LaserTurnOnNs = turnOn
-			results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-				return RunPEARL(cfg, s.Opts.Pairs[i], s.Opts, nil)
-			})
+			thr, pow, err := s.runDynMean(cfg, nil)
 			if err != nil {
 				return Table{}, err
 			}
-			var thrSum, powSum float64
-			for _, res := range results {
-				thrSum += res.ThroughputBitsPerCycle()
-				powSum += res.Account.AverageLaserPowerW()
-			}
-			n := float64(len(s.Opts.Pairs))
-			thr, pow := thrSum/n, powSum/n
 			if turnOn == 2 {
 				base = thr
 			}

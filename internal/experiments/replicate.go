@@ -6,24 +6,23 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/config"
-	"repro/internal/controller"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
-// Replicated lockstep execution: N replicas of one (config, pair) —
-// identical topology and policy, different seeds — stepped through a
-// shared per-cycle loop. Each replica is a complete independent stack
-// built by the same builders the single-run entry points use, so every
-// replica's Result is bit-identical to a standalone run of its seed;
-// the lockstep engine only amortises scheduling overhead and spreads
-// the replicas across cores.
+// Lockstep execution: N replicas of one Point — identical topology and
+// policy, different seeds — stepped through a shared per-cycle loop.
+// This is the package's only run loop: a single run is its N=1 case,
+// stepped inline on the caller's goroutine. Each replica is a complete
+// independent stack from the one builder, so every replica's Result is
+// bit-identical to a standalone run of its seed; with more replicas the
+// engine only amortises scheduling overhead and spreads them across
+// cores.
 //
 // Seed derivation contract: replica 0 runs the caller's base seed
-// unchanged, so it is byte-identical to today's single run (and its
-// cache entry has the same content address). Replicas i > 0 run
-// ReplicaSeed(base, configName, pairName, i). Unlike the single-run
+// unchanged, so it is byte-identical to a single run (and its cache
+// entry has the same content address). Replicas i > 0 run
+// ReplicaSeed(base, point.Name(), pairName, i). Unlike the single-run
 // workload seed (runSeed, which deliberately drops the config name for
 // paired comparison), the replica fan folds the config name in: extra
 // seeds exist to estimate variance, not to pair configurations, and
@@ -69,78 +68,105 @@ func ReplicaSeeds(base uint64, configName, pairName string, n int) []uint64 {
 	return seeds
 }
 
-// CanReplicate reports whether a PEARL configuration can run in
-// replicated lockstep mode under the given controller: the controller
-// must declare itself replica-safe (every Policy call mints an
-// independent instance, so replica N matches a standalone run of its
-// seed). ctrl may be nil, in which case the configuration's registered
-// controller is consulted; a model-needing configuration then fails
-// with the construction error. The electrical CMESH baseline is always
-// replicable and has no gate.
-func CanReplicate(cfg config.Config, ctrl controller.Controller) error {
-	if ctrl == nil {
-		c, err := controller.New(cfg, nil)
-		if err != nil {
-			return err
-		}
-		ctrl = c
+// CanReplicate reports whether a point can run as more than one
+// lockstep replica: a photonic point's controller must declare itself
+// replica-safe (every Policy call mints an independent instance, so
+// replica N matches a standalone run of its seed). A nil
+// Point.Controller consults the configuration's registered controller;
+// a model-needing configuration then fails with the construction error.
+// The electrical CMESH baseline is always replicable. A single seed
+// needs no gate: Run accepts any controller.
+func CanReplicate(p Point) error {
+	if p.Backend == backendCMESH {
+		return nil
+	}
+	ctrl, err := p.controller()
+	if err != nil {
+		return err
 	}
 	if !ctrl.Capabilities().ReplicaSafe {
-		return fmt.Errorf("experiments: controller %s is not replica-safe; %s cannot run replicated", ctrl.Name(), cfg.Name())
+		return fmt.Errorf("experiments: controller %s is not replica-safe; %s cannot run replicated", ctrl.Name(), p.Name())
 	}
 	return nil
 }
 
-// Lockstep steps N independent replicas through a shared cycle loop on
-// a small pool of persistent worker goroutines. Replica i is pinned to
-// worker i mod workers for the lifetime of the run, so each replica's
-// whole history executes on one goroutine; workers only synchronise at
-// chunk boundaries. Steady-state stepping allocates nothing.
+// Lockstep steps N independent replicas of one Point through a shared
+// cycle loop. With one lane — a single replica, or GOMAXPROCS = 1 — it
+// steps them inline on the calling goroutine: no goroutines, no
+// channels, which is all a single run is. With more it runs a small
+// pool of persistent worker goroutines; replica i is pinned to worker
+// i mod workers for the lifetime of the run, so each replica's whole
+// history executes on one goroutine and workers only synchronise at
+// chunk boundaries. Steady-state stepping allocates nothing either way.
 //
-// Because replicas never exchange state, the worker count (and hence
+// Because replicas never exchange state, the lane count (and hence
 // GOMAXPROCS) cannot influence any replica's results — only how the
 // chunks interleave in wall-clock time.
 type Lockstep struct {
 	replicas []replica
-	workers  int
-	cmds     []chan int64
-	done     chan struct{}
-	wg       sync.WaitGroup
-	closed   bool
+	// workers is the size of the goroutine pool; 0 when stepping inline.
+	workers int
+	cmds    []chan int64
+	done    chan struct{}
+	wg      sync.WaitGroup
+	closed  bool
 }
 
-// newLockstep builds n replicas via build and starts the worker pool.
-// build receives the replica index and the exp-table shared by that
-// replica's worker lane.
-func newLockstep(n int, build func(i int, tab *traffic.ExpTable) (replica, error)) (*Lockstep, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("experiments: replicated run needs at least one seed")
+// NewLockstep builds a lockstep engine over one point with one replica
+// per seed. seeds[i] becomes replica i's Options.Seed verbatim — callers
+// wanting the standard fan use ReplicaSeeds. More than one seed needs a
+// replica-safe controller (see CanReplicate). opts.OnWindow and
+// opts.OnWindowSample, if set, observe replica 0 only and are invoked
+// from whichever goroutine steps it (the caller's when the engine has
+// one lane).
+func NewLockstep(p Point, opts Options, seeds []uint64) (*Lockstep, error) {
+	n := len(seeds)
+	if n == 0 {
+		return nil, fmt.Errorf("experiments: a run needs at least one seed")
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	if p.Backend != backendCMESH {
+		// One controller for the whole run; every replica mints its own
+		// policy from it.
+		ctrl, err := p.controller()
+		if err != nil {
+			return nil, err
+		}
+		p.Controller = ctrl
 	}
-	// One exp(-rate) memo per worker lane: every replica a lane steps
-	// runs the same pair, so the first replica warms the rate ladder
-	// and the rest hit. Same-goroutine access only, so no locking.
-	tables := make([]*traffic.ExpTable, workers)
+	if n > 1 {
+		if err := CanReplicate(p); err != nil {
+			return nil, err
+		}
+	}
+	lanes := min(runtime.GOMAXPROCS(0), n)
+	// One exp(-rate) memo per lane: every replica a lane steps runs the
+	// same pair, so the first replica warms the rate ladder and the rest
+	// hit. Same-goroutine access only, so no locking.
+	tables := make([]*traffic.ExpTable, lanes)
 	for i := range tables {
 		tables[i] = traffic.NewExpTable()
 	}
-	l := &Lockstep{
-		replicas: make([]replica, n),
-		workers:  workers,
-		cmds:     make([]chan int64, workers),
-		done:     make(chan struct{}, workers),
-	}
-	for i := 0; i < n; i++ {
-		r, err := build(i, tables[i%workers])
+	l := &Lockstep{replicas: make([]replica, n)}
+	for i, seed := range seeds {
+		o := opts
+		o.Seed = seed
+		if i != 0 {
+			o.OnWindow = nil
+			o.OnWindowSample = nil
+		}
+		r, err := build(p, o, true, tables[i%lanes])
 		if err != nil {
 			return nil, err
 		}
 		l.replicas[i] = r
 	}
-	for w := 0; w < workers; w++ {
+	if lanes == 1 {
+		return l, nil
+	}
+	l.workers = lanes
+	l.cmds = make([]chan int64, lanes)
+	l.done = make(chan struct{}, lanes)
+	for w := range l.cmds {
 		l.cmds[w] = make(chan int64, 1)
 		l.wg.Add(1)
 		go l.worker(w)
@@ -162,10 +188,17 @@ func (l *Lockstep) worker(w int) {
 func (l *Lockstep) Replicas() int { return len(l.replicas) }
 
 // Run advances every replica by the given number of cycles and returns
-// once all of them have caught up. The channel hand-off at each end of
-// the chunk is the only synchronisation: the coordinator's state reads
-// between Runs are ordered after every worker's writes.
+// once all of them have caught up. With a worker pool, the channel
+// hand-off at each end of the chunk is the only synchronisation: the
+// coordinator's state reads between Runs are ordered after every
+// worker's writes.
 func (l *Lockstep) Run(cycles int64) {
+	if l.workers == 0 {
+		for i := range l.replicas {
+			l.replicas[i].engine.Run(cycles)
+		}
+		return
+	}
 	for w := 0; w < l.workers; w++ {
 		l.cmds[w] <- cycles
 	}
@@ -193,8 +226,8 @@ func (l *Lockstep) FinishMeasurement(measured int64) []Result {
 	return results
 }
 
-// Close stops the worker pool. The Lockstep must not be used after
-// Close; Close is idempotent.
+// Close stops the worker pool, if there is one. The Lockstep must not
+// be used after Close; Close is idempotent.
 func (l *Lockstep) Close() {
 	if l.closed {
 		return
@@ -206,124 +239,25 @@ func (l *Lockstep) Close() {
 	l.wg.Wait()
 }
 
+// runCtxChunk is how many cycles execute between context checks: small
+// enough that cancellation lands well inside a client poll interval,
+// large enough to stay off the hot path.
+const runCtxChunk = 1024
+
 // runCtx drives all replicas for n cycles in bounded chunks, checking
-// ctx between chunks (the lockstep analogue of runCycles).
+// ctx between chunks so a cancelled or timed-out run stops within
+// ~runCtxChunk cycles instead of completing the whole phase.
 func (l *Lockstep) runCtx(ctx context.Context, n int64) error {
 	for remaining := n; remaining > 0; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		step := int64(runCtxChunk)
-		if step > remaining {
-			step = remaining
-		}
+		step := min(int64(runCtxChunk), remaining)
 		l.Run(step)
 		remaining -= step
 	}
-	// Every replica completed all n cycles; like runCycles, a
-	// cancellation racing the final chunk must not discard the finished
-	// work.
+	// Every replica completed all n cycles: the results are fully
+	// computed, so a cancellation that lands between the final chunk and
+	// this return must not discard them.
 	return nil
-}
-
-// runAll is the warmup → measure → finalize sequence shared by the
-// replicated entry points.
-func (l *Lockstep) runAll(ctx context.Context, opts Options) ([]Result, error) {
-	if err := l.runCtx(ctx, opts.WarmupCycles); err != nil {
-		return nil, err
-	}
-	l.StartMeasurement()
-	if err := l.runCtx(ctx, opts.MeasureCycles); err != nil {
-		return nil, err
-	}
-	return l.FinishMeasurement(opts.MeasureCycles), nil
-}
-
-// NewPEARLLockstep builds a lockstep engine over one photonic
-// configuration with one replica per seed. seeds[i] becomes replica i's
-// Options.Seed verbatim — callers wanting the standard fan use
-// ReplicaSeeds. opts.OnWindow and opts.OnWindowSample, if set, observe
-// replica 0 only and are invoked from a worker goroutine.
-func NewPEARLLockstep(cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, ctrl controller.Controller) (*Lockstep, error) {
-	if ctrl == nil {
-		c, err := controller.New(cfg, nil)
-		if err != nil {
-			return nil, err
-		}
-		ctrl = c
-	}
-	if err := CanReplicate(cfg, ctrl); err != nil {
-		return nil, err
-	}
-	return newLockstep(len(seeds), func(i int, tab *traffic.ExpTable) (replica, error) {
-		o := opts
-		o.Seed = seeds[i]
-		if i != 0 {
-			o.OnWindow = nil
-			o.OnWindowSample = nil
-		}
-		return buildPEARLReplica(cfg, pair, o, ctrl, tab)
-	})
-}
-
-// NewCMESHLockstep is NewPEARLLockstep for the electrical baseline.
-func NewCMESHLockstep(cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, linkScale int) (*Lockstep, error) {
-	return newLockstep(len(seeds), func(i int, tab *traffic.ExpTable) (replica, error) {
-		o := opts
-		o.Seed = seeds[i]
-		if i != 0 {
-			o.OnWindow = nil
-		}
-		return buildCMESHReplica(cfg, pair, o, linkScale, tab)
-	})
-}
-
-// RunPEARLReplicatedSeeds runs one replica per seed in lockstep and
-// returns their Results in seed order. results[i] is bit-identical to
-// RunPEARLCtx with opts.Seed = seeds[i].
-func RunPEARLReplicatedSeeds(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, ctrl controller.Controller) ([]Result, error) {
-	l, err := NewPEARLLockstep(cfg, pair, opts, seeds, ctrl)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	return l.runAll(ctx, opts)
-}
-
-// RunPEARLReplicated runs n replicas with the standard derived-seed fan
-// (see ReplicaSeeds); replica 0 runs opts.Seed itself.
-func RunPEARLReplicated(cfg config.Config, pair traffic.Pair, opts Options, n int, ctrl controller.Controller) ([]Result, error) {
-	return RunPEARLReplicatedCtx(context.Background(), cfg, pair, opts, n, ctrl)
-}
-
-// RunPEARLReplicatedCtx is RunPEARLReplicated with cooperative
-// cancellation between cycle chunks.
-func RunPEARLReplicatedCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, n int, ctrl controller.Controller) ([]Result, error) {
-	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), n)
-	return RunPEARLReplicatedSeeds(ctx, cfg, pair, opts, seeds, ctrl)
-}
-
-// RunCMESHReplicatedSeeds is RunPEARLReplicatedSeeds for the electrical
-// baseline.
-func RunCMESHReplicatedSeeds(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, seeds []uint64, linkScale int) ([]Result, error) {
-	l, err := NewCMESHLockstep(cfg, pair, opts, seeds, linkScale)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	return l.runAll(ctx, opts)
-}
-
-// RunCMESHReplicated runs n electrical-baseline replicas with the
-// standard derived-seed fan (the CMESH label, including the link-scale
-// suffix, is the config name folded into the fan).
-func RunCMESHReplicated(cfg config.Config, pair traffic.Pair, opts Options, n int, linkScale int) ([]Result, error) {
-	return RunCMESHReplicatedCtx(context.Background(), cfg, pair, opts, n, linkScale)
-}
-
-// RunCMESHReplicatedCtx is RunCMESHReplicated with cooperative
-// cancellation between cycle chunks.
-func RunCMESHReplicatedCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, n int, linkScale int) ([]Result, error) {
-	seeds := ReplicaSeeds(opts.Seed, CMESHName(linkScale), pair.Name(), n)
-	return RunCMESHReplicatedSeeds(ctx, cfg, pair, opts, seeds, linkScale)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -78,64 +79,126 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
+// checkOnePath asserts that the single-run and replicated entry points
+// are one path. For every seed of the point's n-seed fan, Run, RunSeeds
+// with that one seed, and element i of the n-seed lockstep run must
+// agree by reflect.DeepEqual over the whole Result — with and without an
+// OnWindow hook, which must not change any result and must see the same
+// frames from a single run as from replica 0 of the fan.
+func checkOnePath(t *testing.T, p Point, n int) {
+	t.Helper()
+	ctx := context.Background()
 	opts := tiny()
-	const n = 3
+	opts.WarmupCycles, opts.MeasureCycles = 500, 2750 // a partial trailing window
+	seeds := ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), n)
 
-	results, err := RunPEARLReplicated(cfg, pair, opts, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != n {
-		t.Fatalf("got %d results, want %d", len(results), n)
-	}
-	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), n)
-	for i, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		want, err := RunPEARL(cfg, pair, o, nil)
+	var bare []Result
+	for _, hooked := range []bool{false, true} {
+		// frames[k] is what the hook saw during the k-th call below.
+		var frames [][]WindowStats
+		withHook := func(seed uint64) Options {
+			o := opts
+			o.Seed = seed
+			if hooked {
+				frames = append(frames, nil)
+				k := len(frames) - 1
+				o.OnWindow = func(ws WindowStats) { frames[k] = append(frames[k], ws) }
+			}
+			return o
+		}
+		fan, err := RunSeeds(ctx, p, withHook(seeds[0]), seeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameResult(t, cfg.Name(), results[i], want)
+		if len(fan) != n {
+			t.Fatalf("got %d results, want %d", len(fan), n)
+		}
+		for i, seed := range seeds {
+			single, err := Run(ctx, p, withHook(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			one, err := RunSeeds(ctx, p, withHook(seed), []uint64{seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if single.Name != p.Name() || single.Metrics.Delivered.TotalPackets() == 0 {
+				t.Fatalf("seed %d: empty or misnamed result %q", i, single.Name)
+			}
+			if !reflect.DeepEqual(single, fan[i]) {
+				t.Errorf("hooked=%v: Run(seed %d) differs from element %d of the %d-seed run", hooked, i, i, n)
+			}
+			if len(one) != 1 || !reflect.DeepEqual(one[0], single) {
+				t.Errorf("hooked=%v: RunSeeds with the one seed %d differs from Run", hooked, i)
+			}
+		}
+		if !hooked {
+			bare = fan
+			continue
+		}
+		if !reflect.DeepEqual(fan, bare) {
+			t.Error("an OnWindow hook changed the results")
+		}
+		// Calls were: the fan (observing replica 0), then Run and RunSeeds
+		// per seed; the first three all ran seeds[0].
+		if len(frames[0]) == 0 {
+			t.Fatal("the hook saw no windows")
+		}
+		if !reflect.DeepEqual(frames[1], frames[0]) || !reflect.DeepEqual(frames[2], frames[0]) {
+			t.Error("Run, one-seed RunSeeds and replica 0 of the fan streamed different windows")
+		}
+	}
+}
+
+func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
+	pair := traffic.TestPairs()[0]
+	for _, tc := range []struct {
+		name string
+		cfg  config.Config
+		n    int
+	}{
+		{"static N=3", config.PEARLDyn(), 3},
+		{"static N=1", config.PEARLDyn(), 1},
+		{"reactive N=3", config.DynRW(500), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkOnePath(t, Point{Backend: backendPEARL, Config: tc.cfg, Pair: pair}, tc.n)
+		})
 	}
 }
 
 func TestReplicatedMatchesSequentialCMESH(t *testing.T) {
-	cfg := config.Default()
 	pair := traffic.TestPairs()[1]
-	opts := tiny()
-	const n, linkScale = 3, 2
-
-	results, err := RunCMESHReplicated(cfg, pair, opts, n, linkScale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := ReplicaSeeds(opts.Seed, CMESHName(linkScale), pair.Name(), n)
-	for i, seed := range seeds {
-		o := opts
-		o.Seed = seed
-		want, err := RunCMESH(cfg, pair, o, linkScale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameResult(t, "CMESH", results[i], want)
+	for _, tc := range []struct {
+		name         string
+		linkScale, n int
+	}{
+		{"N=3", 1, 3},
+		{"N=1", 1, 1},
+		{"linkScale 2 N=3", 2, 3},
+		{"linkScale 2 N=1", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Point{Backend: backendCMESH, Config: config.Default(), LinkScale: tc.linkScale, Pair: pair}
+			if want := CMESHName(tc.linkScale); p.Name() != want {
+				t.Fatalf("Name() = %q, want %q", p.Name(), want)
+			}
+			checkOnePath(t, p, tc.n)
+		})
 	}
 }
 
 func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
-	cfg := config.DynRW(500)
-	pair := traffic.TestPairs()[0]
+	p := Point{Config: config.DynRW(500), Pair: traffic.TestPairs()[0]}
 	opts := tiny()
 	opts.MeasureCycles = 3000
-	const n = 4
+	seeds := ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), 4)
 
+	// One lane steps every replica inline; four lanes use the worker pool.
 	prev := runtime.GOMAXPROCS(1)
-	one, err1 := RunPEARLReplicated(cfg, pair, opts, n, nil)
+	one, err1 := RunSeeds(context.Background(), p, opts, seeds)
 	runtime.GOMAXPROCS(4)
-	four, err4 := RunPEARLReplicated(cfg, pair, opts, n, nil)
+	four, err4 := RunSeeds(context.Background(), p, opts, seeds)
 	runtime.GOMAXPROCS(prev)
 	if err1 != nil || err4 != nil {
 		t.Fatal(err1, err4)
@@ -148,7 +211,8 @@ func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
 func TestReplicatedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPEARLReplicatedCtx(ctx, config.PEARLDyn(), traffic.TestPairs()[0], tiny(), 2, nil); err == nil {
+	p := Point{Config: config.PEARLDyn(), Pair: traffic.TestPairs()[0]}
+	if _, err := RunSeeds(ctx, p, tiny(), []uint64{1, 2}); err == nil {
 		t.Fatal("cancelled context should abort the replicated run")
 	}
 }
@@ -182,23 +246,56 @@ func TestCanReplicate(t *testing.T) {
 	unsafe.name = "stub-unsafe"
 	unsafe.caps.ReplicaSafe = false
 
-	if err := CanReplicate(config.PEARLDyn(), nil); err != nil {
+	pair := traffic.TestPairs()[0]
+	if err := CanReplicate(Point{Config: config.PEARLDyn(), Pair: pair}); err != nil {
 		t.Errorf("static config's registered controller should replicate: %v", err)
 	}
-	if err := CanReplicate(ml, nil); err == nil {
+	if err := CanReplicate(Point{Backend: backendCMESH, Config: config.Default(), Pair: pair}); err != nil {
+		t.Errorf("the electrical baseline always replicates: %v", err)
+	}
+	if err := CanReplicate(Point{Config: ml, Pair: pair}); err == nil {
 		t.Error("ML config without a model artifact must not replicate (controller construction fails)")
 	}
-	if err := CanReplicate(ml, unsafe); err == nil {
+	if err := CanReplicate(Point{Config: ml, Pair: pair, Controller: unsafe}); err == nil {
 		t.Error("controller declaring ReplicaSafe=false must not replicate")
 	}
-	if err := CanReplicate(ml, safe); err != nil {
+	if err := CanReplicate(Point{Config: ml, Pair: pair, Controller: safe}); err != nil {
 		t.Errorf("replica-safe controller rejected: %v", err)
 	}
 	// The replica-safe controller must drive a real replicated ML run end
 	// to end.
+	ctx := context.Background()
 	opts := tiny()
 	opts.MeasureCycles = 2000
-	if _, err := RunPEARLReplicated(ml, traffic.TestPairs()[0], opts, 2, safe); err != nil {
+	if _, err := RunSeeds(ctx, Point{Config: ml, Pair: pair, Controller: safe}, opts, []uint64{opts.Seed, opts.Seed + 1}); err != nil {
 		t.Errorf("replicated ML run with safe controller: %v", err)
+	}
+
+	// The gate guards replication only. A controller that is not
+	// replica-safe (an online learner) runs as a single seed through Run
+	// and through the one-seed lockstep engine, and is refused two.
+	online, err := config.ByName("online-rw500")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Point{Config: online, Pair: pair}
+	if err := CanReplicate(p); err == nil {
+		t.Fatal("online-rw500 must not be replica-safe")
+	}
+	res, err := Run(ctx, p, opts)
+	if err != nil {
+		t.Fatalf("a single run needs no replica-safe controller: %v", err)
+	}
+	if res.Metrics.Delivered.TotalPackets() == 0 {
+		t.Error("online-rw500 single run delivered nothing")
+	}
+	if _, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed}); err != nil {
+		t.Errorf("one seed needs no replica-safe controller: %v", err)
+	}
+	if _, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed, opts.Seed + 1}); err == nil {
+		t.Error("two seeds under a controller that is not replica-safe must be refused")
+	}
+	if _, err := RunSeeds(ctx, p, opts, nil); err == nil {
+		t.Error("a run with no seeds must be refused")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/noc"
 	"repro/internal/photonic"
 	"repro/internal/power"
 	"repro/internal/sim"
@@ -104,221 +105,52 @@ type Result struct {
 // ThroughputBitsPerCycle is the headline throughput metric.
 func (r Result) ThroughputBitsPerCycle() float64 { return r.Metrics.ThroughputBitsPerCycle() }
 
-// runCtxChunk is how many cycles execute between context checks in the
-// context-aware entry points: small enough that cancellation lands well
-// inside a client poll interval, large enough to stay off the hot path.
-const runCtxChunk = 1024
-
-// runCycles drives the engine for n cycles in bounded chunks, checking
-// ctx between chunks so a cancelled or timed-out run stops within
-// ~runCtxChunk cycles instead of completing the whole window.
-func runCycles(ctx context.Context, engine *sim.Engine, n int64) error {
-	for remaining := n; remaining > 0; {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		step := int64(runCtxChunk)
-		if step > remaining {
-			step = remaining
-		}
-		engine.Run(step)
-		remaining -= step
-	}
-	// All n cycles completed: the result is fully computed, so a
-	// cancellation that lands between the final chunk and this return
-	// must not discard it.
-	return nil
+// Point is the one description of a run: a (configuration, workload
+// pair) evaluation on one backend. It is what Run executes, what the
+// lockstep engine replicates, the unit pearld's batch endpoint schedules
+// and the unit `pearlbench -sweep` exports as cache-warming artifacts.
+type Point struct {
+	// Label is the display label of the point's row in a figure (the
+	// paper's configuration label, sometimes annotated — "Dyn RW500 @
+	// 4ns"). Results and seed derivation use Name, not Label.
+	Label string
+	// Backend is "pearl" (photonic; also what an empty Backend means) or
+	// "cmesh" (electrical baseline).
+	Backend string
+	// Config fully describes the network build.
+	Config config.Config
+	// LinkScale narrows CMESH links for bandwidth-matched baselines
+	// (values below 1 mean 1; ignored by the pearl backend).
+	LinkScale int
+	// Pair is the CPU+GPU benchmark pair driving the run.
+	Pair traffic.Pair
+	// Controller drives the point's wavelength-state policy. nil means
+	// the config's registered controller with no model artifact, so
+	// model-needing points must be filled by the caller (pearld resolves
+	// its registry; pearlbench loads -model files) or they fail at build
+	// time, before any simulation state exists.
+	Controller controller.Controller
 }
 
-// replica is one fully constructed simulation stack — engine, network,
-// workload, power account and optional window sampler — ready to run.
-// Both the single-run entry points and the lockstep replicated runner
-// build their stacks through the same replica builders, so the two
-// paths cannot drift: a replica stepped alone IS a single run.
-type replica struct {
-	engine       *sim.Engine
-	startMeasure func()
-	stopMeasure  func(measured int64)
-	finalize     func() Result
+// The two backend names a Point carries.
+const (
+	backendPEARL = "pearl"
+	backendCMESH = "cmesh"
+)
+
+// Name is the point's canonical configuration name: what its Result
+// reports and what the replica seed fan folds in (see ReplicaSeed) —
+// the paper's configuration name for photonic points, CMESHName for
+// electrical ones.
+func (p Point) Name() string {
+	if p.Backend == backendCMESH {
+		return CMESHName(p.LinkScale)
+	}
+	return p.Config.Name()
 }
 
-// buildPEARLReplica constructs one photonic simulation stack. opts.Seed
-// is used as-is (the replicated runner substitutes derived per-replica
-// seeds before calling); tab, when non-nil, shares an exp(-rate) memo
-// with other replicas on the same goroutine. ctrl may be nil, in which
-// case the configuration's registered controller is built with no model
-// artifact (model-needing policies then fail construction here, before
-// any simulation state exists).
-func buildPEARLReplica(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller, tab *traffic.ExpTable) (replica, error) {
-	engine := sim.NewEngine()
-	net, err := core.New(engine, cfg)
-	if err != nil {
-		return replica{}, err
-	}
-	if ctrl == nil {
-		ctrl, err = controller.New(cfg, nil)
-		if err != nil {
-			return replica{}, err
-		}
-	}
-	wseed := runSeed(opts.Seed, cfg.Name(), pair.Name())
-	pol, err := ctrl.Policy(wseed)
-	if err != nil {
-		return replica{}, err
-	}
-	net.SetStatePolicy(pol)
-	if opts.OnWindowSample != nil {
-		sample := opts.OnWindowSample
-		net.SetWindowHook(func(routerID int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
-			sample(routerID, feats, injected)
-		})
-	}
-	acct := power.NewAccount(config.NetworkFrequencyHz)
-	net.SetAccount(acct)
-	w, err := traffic.NewWorkloadWithExpTable(engine, net, pair, wseed, tab)
-	if err != nil {
-		return replica{}, err
-	}
-	var sampler *windowSampler
-	if opts.OnWindow != nil {
-		sampler = newWindowSampler(opts.OnWindow, net, acct,
-			int64(cfg.ReservationWindow), config.NetworkFrequencyHz)
-		net.SetDeliveryHandler(sampler.wrapDeliver(w.OnDeliver))
-	} else {
-		net.SetDeliveryHandler(w.OnDeliver)
-	}
-	engine.Register(w)
-	engine.Register(net)
-	if sampler != nil {
-		// After the network: the sampler reads each cycle's settled state.
-		engine.Register(sampler)
-	}
-	return replica{
-		engine: engine,
-		startMeasure: func() {
-			net.StartMeasurement()
-			w.StartMeasurement()
-			if sampler != nil {
-				sampler.start(engine.Cycle())
-			}
-		},
-		stopMeasure: func(measured int64) {
-			net.StopMeasurement(measured)
-			w.StopMeasurement()
-			if sampler != nil {
-				sampler.finish(engine.Cycle())
-			}
-		},
-		finalize: func() Result {
-			return Result{
-				Name:             cfg.Name(),
-				Pair:             pair,
-				Metrics:          net.Metrics(),
-				Account:          acct,
-				InjectedCPUShare: w.Injected.Share(0),
-				Retired:          w.Retired,
-				TurnOnStalls:     net.AuxCounters().TurnOnStalls,
-			}
-		},
-	}, nil
-}
-
-// RunPEARL simulates one photonic configuration on one benchmark pair.
-// ctrl may be nil for any configuration whose registered controller
-// needs no model artifact; model-needing configurations must pass a
-// controller built via controller.New with their artifact.
-func RunPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	return RunPEARLCtx(context.Background(), cfg, pair, opts, ctrl)
-}
-
-// RunPEARLCtx is RunPEARL with cooperative cancellation: the simulation
-// aborts between cycle chunks once ctx is cancelled or its deadline
-// passes, returning the context error. This is the entry point pearld's
-// worker pool uses for in-flight job cancellation.
-func RunPEARLCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	r, err := buildPEARLReplica(cfg, pair, opts, ctrl, nil)
-	if err != nil {
-		return Result{}, err
-	}
-	return runReplica(ctx, r, opts)
-}
-
-// runReplica drives one built stack through warmup and measurement.
-func runReplica(ctx context.Context, r replica, opts Options) (Result, error) {
-	if err := runCycles(ctx, r.engine, opts.WarmupCycles); err != nil {
-		return Result{}, err
-	}
-	r.startMeasure()
-	if err := runCycles(ctx, r.engine, opts.MeasureCycles); err != nil {
-		return Result{}, err
-	}
-	r.stopMeasure(opts.MeasureCycles)
-	return r.finalize(), nil
-}
-
-// buildCMESHReplica constructs one electrical-baseline stack (see
-// buildPEARLReplica for the seed and exp-table conventions).
-func buildCMESHReplica(cfg config.Config, pair traffic.Pair, opts Options, linkScale int, tab *traffic.ExpTable) (replica, error) {
-	engine := sim.NewEngine()
-	net, err := cmesh.New(engine, cfg)
-	if err != nil {
-		return replica{}, err
-	}
-	net.SetLinkScale(linkScale)
-	acct := power.NewAccount(config.NetworkFrequencyHz)
-	net.SetAccount(acct)
-	name := CMESHName(linkScale)
-	w, err := traffic.NewWorkloadWithExpTable(engine, net, pair, runSeed(opts.Seed, name, pair.Name()), tab)
-	if err != nil {
-		return replica{}, err
-	}
-	var sampler *windowSampler
-	if opts.OnWindow != nil {
-		// The electrical mesh has no reservation windows of its own; the
-		// configured window length just sets the sampling cadence so both
-		// backends stream comparable frames.
-		sampler = newWindowSampler(opts.OnWindow, net, acct,
-			int64(cfg.ReservationWindow), config.NetworkFrequencyHz)
-		net.SetDeliveryHandler(sampler.wrapDeliver(w.OnDeliver))
-	} else {
-		net.SetDeliveryHandler(w.OnDeliver)
-	}
-	engine.Register(w)
-	engine.Register(net)
-	if sampler != nil {
-		engine.Register(sampler)
-	}
-	return replica{
-		engine: engine,
-		startMeasure: func() {
-			net.StartMeasurement()
-			w.StartMeasurement()
-			if sampler != nil {
-				sampler.start(engine.Cycle())
-			}
-		},
-		stopMeasure: func(measured int64) {
-			net.StopMeasurement(measured)
-			w.StopMeasurement()
-			if sampler != nil {
-				sampler.finish(engine.Cycle())
-			}
-		},
-		finalize: func() Result {
-			return Result{
-				Name:             name,
-				Pair:             pair,
-				Metrics:          net.Metrics(),
-				Account:          acct,
-				InjectedCPUShare: w.Injected.Share(0),
-				Retired:          w.Retired,
-			}
-		},
-	}, nil
-}
-
-// CMESHName is the configuration label CMESH runs report (and the name
-// folded into their workload seed derivation).
+// CMESHName is the configuration name of an electrical-baseline run at
+// the given link scale.
 func CMESHName(linkScale int) string {
 	if linkScale > 1 {
 		return fmt.Sprintf("CMESH(1/%d bw)", linkScale)
@@ -326,40 +158,221 @@ func CMESHName(linkScale int) string {
 	return "CMESH"
 }
 
-// RunCMESH simulates the electrical baseline on one benchmark pair.
-// linkScale narrows links for the Figure 5 bandwidth-matched points
-// (1 = 64WL-equivalent bisection).
-func RunCMESH(cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	return RunCMESHCtx(context.Background(), cfg, pair, opts, linkScale)
+// controller resolves the point's wavelength-state controller: the one
+// the caller supplied, or the configuration's registered controller
+// built with no model artifact.
+func (p Point) controller() (controller.Controller, error) {
+	if p.Controller != nil {
+		return p.Controller, nil
+	}
+	return controller.New(p.Config, nil)
 }
 
-// RunCMESHCtx is RunCMESH with cooperative cancellation (see RunPEARLCtx).
-func RunCMESHCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	r, err := buildCMESHReplica(cfg, pair, opts, linkScale, nil)
+// fixedPolicy adapts one explicit state policy to the Controller seam,
+// for the in-package passes that hand-pick a policy (the training
+// pipeline's data collection, the label-choice and online-learner
+// comparisons). Every Policy call returns the same instance, so it
+// declares no capabilities — in particular it is not replica-safe.
+type fixedPolicy struct{ policy core.StatePolicy }
+
+func (fixedPolicy) Name() string                          { return "fixed" }
+func (fixedPolicy) Capabilities() controller.Capabilities { return controller.Capabilities{} }
+func (f fixedPolicy) Policy(uint64) (core.StatePolicy, error) {
+	return f.policy, nil
+}
+
+// network is what a stack needs from either backend.
+type network interface {
+	sim.Component
+	traffic.Target
+	windowSource
+	SetAccount(a *power.Account)
+	SetDeliveryHandler(h func(p *noc.Packet, cycle int64))
+	StartMeasurement()
+	StopMeasurement(measured int64)
+}
+
+// replica is one fully constructed simulation stack — engine, network,
+// workload, and for measured stacks a power account and an optional
+// window sampler — ready to run. Every simulation in this package runs
+// on one: a single run is a lockstep engine stepping one replica.
+type replica struct {
+	engine *sim.Engine
+	net    network
+	// photonic is net on the pearl backend and nil on cmesh: the window
+	// hook and the turn-on stall counter exist only there.
+	photonic *core.Network
+	workload *traffic.Workload
+	acct     *power.Account
+	sampler  *windowSampler
+	name     string
+	pair     traffic.Pair
+}
+
+// build constructs the one simulation stack this package runs: engine,
+// network, wavelength-state policy (photonic) or link scale
+// (electrical), power account and window sampler, workload, engine
+// registration. A photonic point arrives with its Controller resolved
+// (NewLockstep does it once for all replicas); opts.Seed is used as-is
+// (the lockstep engine substitutes each replica's seed before calling);
+// tab, when non-nil, shares an exp(-rate) memo with other replicas on
+// the same goroutine. The data
+// collection passes build with measured false: no power account and no
+// window sampler, so they cost what they always have.
+func build(p Point, opts Options, measured bool, tab *traffic.ExpTable) (replica, error) {
+	engine := sim.NewEngine()
+	// The configuration name is deliberately not folded into the workload
+	// seed: every configuration sees the same demand sequence for a given
+	// pair (paired comparison).
+	wseed := runSeed(opts.Seed, p.Pair.Name())
+	r := replica{engine: engine, name: p.Name(), pair: p.Pair}
+	if p.Backend == backendCMESH {
+		net, err := cmesh.New(engine, p.Config)
+		if err != nil {
+			return replica{}, err
+		}
+		net.SetLinkScale(max(p.LinkScale, 1))
+		r.net = net
+	} else {
+		net, err := core.New(engine, p.Config)
+		if err != nil {
+			return replica{}, err
+		}
+		pol, err := p.Controller.Policy(wseed)
+		if err != nil {
+			return replica{}, err
+		}
+		net.SetStatePolicy(pol)
+		if sample := opts.OnWindowSample; sample != nil {
+			net.SetWindowHook(func(routerID int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
+				sample(routerID, feats, injected)
+			})
+		}
+		r.net, r.photonic = net, net
+	}
+	if measured {
+		r.acct = power.NewAccount(config.NetworkFrequencyHz)
+		r.net.SetAccount(r.acct)
+	}
+	w, err := traffic.NewWorkloadWithExpTable(engine, r.net, p.Pair, wseed, tab)
+	if err != nil {
+		return replica{}, err
+	}
+	r.workload = w
+	deliver := w.OnDeliver
+	if measured && opts.OnWindow != nil {
+		// The electrical mesh has no reservation windows of its own; the
+		// configured window length just sets the sampling cadence so both
+		// backends stream comparable frames.
+		r.sampler = newWindowSampler(opts.OnWindow, r.net, r.acct,
+			int64(p.Config.ReservationWindow), config.NetworkFrequencyHz)
+		deliver = r.sampler.wrapDeliver(deliver)
+	}
+	r.net.SetDeliveryHandler(deliver)
+	engine.Register(w)
+	engine.Register(r.net)
+	if r.sampler != nil {
+		// After the network: the sampler reads each cycle's settled state.
+		engine.Register(r.sampler)
+	}
+	return r, nil
+}
+
+func (r *replica) startMeasure() {
+	r.net.StartMeasurement()
+	r.workload.StartMeasurement()
+	if r.sampler != nil {
+		r.sampler.start(r.engine.Cycle())
+	}
+}
+
+func (r *replica) stopMeasure(measured int64) {
+	r.net.StopMeasurement(measured)
+	r.workload.StopMeasurement()
+	if r.sampler != nil {
+		r.sampler.finish(r.engine.Cycle())
+	}
+}
+
+func (r *replica) finalize() Result {
+	res := Result{
+		Name:             r.name,
+		Pair:             r.pair,
+		Metrics:          r.net.Metrics(),
+		Account:          r.acct,
+		InjectedCPUShare: r.workload.Injected.Share(0),
+		Retired:          r.workload.Retired,
+	}
+	if r.photonic != nil {
+		res.TurnOnStalls = r.photonic.AuxCounters().TurnOnStalls
+	}
+	return res
+}
+
+// Run simulates one point: RunSeeds with the single seed opts.Seed, so
+// it is the N=1 case of the lockstep engine, stepped inline on the
+// calling goroutine. The simulation aborts between cycle chunks once ctx
+// is cancelled or its deadline passes, returning the context error.
+// Any controller may drive a single run; the replica-safety gate (see
+// CanReplicate) applies only to more than one seed.
+func Run(ctx context.Context, p Point, opts Options) (Result, error) {
+	results, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed})
 	if err != nil {
 		return Result{}, err
 	}
-	return runReplica(ctx, r, opts)
+	return results[0], nil
 }
 
-// runSeed derives a deterministic per-run seed from the experiment seed,
-// configuration and pair so every configuration sees the same workload
-// randomness for a given pair (paired comparison), while different pairs
-// differ. The configuration name is intentionally excluded from workload
-// seeding: identical pair -> identical demand sequence.
-func runSeed(seed uint64, _ string, pairName string) uint64 {
+// RunSeeds runs one replica of the point per seed in lockstep and
+// returns their Results in seed order. seeds[i] replaces opts.Seed for
+// replica i — callers wanting the standard fan use ReplicaSeeds — and
+// results[i] is bit-identical to Run with opts.Seed = seeds[i].
+func RunSeeds(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Result, error) {
+	l, err := NewLockstep(p, opts, seeds)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
+	if err := l.runCtx(ctx, opts.WarmupCycles); err != nil {
+		return nil, err
+	}
+	l.StartMeasurement()
+	if err := l.runCtx(ctx, opts.MeasureCycles); err != nil {
+		return nil, err
+	}
+	return l.FinishMeasurement(opts.MeasureCycles), nil
+}
+
+// RunPEARLCtx is Run for a photonic point. It keeps this exact signature
+// because the frozen benchmark/ harness calls it; new code calls Run.
+func RunPEARLCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
+	return Run(ctx, Point{Backend: backendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
+}
+
+// RunCMESHCtx is Run for an electrical-baseline point (linkScale 1 =
+// 64WL-equivalent bisection). Like RunPEARLCtx it is kept, signature
+// unchanged, for the frozen benchmark/ harness; new code calls Run.
+func RunCMESHCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
+	return Run(ctx, Point{Backend: backendCMESH, Config: cfg, Pair: pair, LinkScale: linkScale}, opts)
+}
+
+// runPEARL and runCMESH are the figure code's shorthand for an
+// uncancellable single run on each backend.
+func runPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
+	return Run(context.Background(), Point{Backend: backendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
+}
+
+func runCMESH(pair traffic.Pair, opts Options, linkScale int) (Result, error) {
+	return Run(context.Background(), Point{Backend: backendCMESH, Config: config.Default(), Pair: pair, LinkScale: linkScale}, opts)
+}
+
+// runSeed derives the workload seed of a run from the experiment seed
+// and the pair, so every configuration sees the same workload randomness
+// for a given pair while different pairs differ.
+func runSeed(seed uint64, pairName string) uint64 {
 	h := seed
 	for _, b := range []byte(pairName) {
 		h = h*1099511628211 + uint64(b) // FNV-style fold
 	}
 	return h
 }
-
-// newEngine and newAccount centralise construction for the ablation
-// helpers.
-func newEngine() *sim.Engine { return sim.NewEngine() }
-
-func newAccount() *power.Account { return power.NewAccount(config.NetworkFrequencyHz) }
-
-// newAblationRNG derives a deterministic stream for ablation policies.
-func newAblationRNG(seed uint64) *sim.RNG { return sim.NewRNG(seed ^ 0xab1a) }

@@ -5,65 +5,100 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
 // A cancellation landing DURING the final cycle chunk — after the last
 // top-of-loop context check, before the return — races a fully computed
 // result. The run completed every requested cycle, so the caller must
-// get the result, not a spurious context error. These tests pin that by
-// scheduling cancel() as a simulator event inside the last cycle: the
-// chunk loop never sees the cancellation until all n cycles are done.
+// get the result, not a spurious context error. These tests pin that on
+// the one run loop by firing cancel() from inside the last cycle (the
+// OnWindow hook of the window that closes there, or a simulator event):
+// the chunk loop never sees the cancellation until all cycles are done.
 
 func TestRunCyclesCompletedRunSurvivesLateCancel(t *testing.T) {
-	engine := sim.NewEngine()
+	p := Point{Config: config.DynRW(500), Pair: traffic.TestPairs()[0]}
+	opts := tiny()
+	// Three full windows and one chunk boundary inside the measurement
+	// phase; the third window closes on the run's final cycle.
+	opts.WarmupCycles, opts.MeasureCycles = 500, 1500
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	const n = 100
-	engine.Schedule(n-1, func(int64) { cancel() })
-	if err := runCycles(ctx, engine, n); err != nil {
-		t.Fatalf("runCycles returned %v after completing all %d cycles", err, n)
+	windows := 0
+	opts.OnWindow = func(WindowStats) {
+		if windows++; windows == 3 {
+			cancel()
+		}
 	}
-	if got := engine.Cycle(); got != n {
-		t.Fatalf("engine stopped at cycle %d, want %d", got, n)
+	res, err := Run(ctx, p, opts)
+	if err != nil {
+		t.Fatalf("Run returned %v after completing every cycle", err)
 	}
+	if ctx.Err() == nil {
+		t.Fatal("the hook never cancelled: the test did not exercise the race")
+	}
+	if res.Metrics == nil || res.Metrics.MeasuredCycles != opts.MeasureCycles {
+		t.Fatalf("result not finalised over %d measured cycles: %+v", opts.MeasureCycles, res.Metrics)
+	}
+	opts.OnWindow = nil
+	want, err := Run(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "late cancel", res, want)
 }
 
 func TestRunCyclesCancelledMidRunStillErrors(t *testing.T) {
 	// Sanity: the fix must not weaken real cancellation — a cancel with
 	// chunks still to run aborts with the context error.
-	engine := sim.NewEngine()
+	p := Point{Config: config.DynRW(500), Pair: traffic.TestPairs()[0]}
+	opts := tiny()
+	opts.WarmupCycles, opts.MeasureCycles = 0, 10*runCtxChunk
+
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	cancel()
-	if err := runCycles(ctx, engine, 10*runCtxChunk); err != context.Canceled {
-		t.Fatalf("runCycles = %v, want context.Canceled", err)
+	if _, err := Run(ctx, p, opts); err != context.Canceled {
+		t.Fatalf("Run under a cancelled context = %v, want context.Canceled", err)
+	}
+
+	// Cancelled from inside the first window, with nine chunks to go.
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	windows := 0
+	opts.OnWindow = func(WindowStats) {
+		windows++
+		cancel()
+	}
+	if _, err := Run(ctx, p, opts); err != context.Canceled {
+		t.Fatalf("Run cancelled mid-run = %v, want context.Canceled", err)
+	}
+	if chunkWindows := runCtxChunk/500 + 1; windows > chunkWindows {
+		t.Fatalf("run went on for %d windows after the cancel; the chunk in flight holds at most %d", windows, chunkWindows)
 	}
 }
 
 func TestLockstepRunCtxCompletedRunSurvivesLateCancel(t *testing.T) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
+	p := Point{Config: config.PEARLDyn(), Pair: traffic.TestPairs()[0]}
 	opts := Quick()
-	seeds := ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), 2)
-	l, err := NewPEARLLockstep(cfg, pair, opts, seeds, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
+	for _, n := range []int{1, 2} {
+		l, err := NewLockstep(p, opts, ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	const n = 64
-	// Replica 0's engine fires the cancel inside the final (only) chunk.
-	l.replicas[0].engine.Schedule(n-1, func(int64) { cancel() })
-	if err := l.runCtx(ctx, n); err != nil {
-		t.Fatalf("runCtx returned %v after completing all %d cycles", err, n)
-	}
-	for i := range l.replicas {
-		if got := l.replicas[i].engine.Cycle(); got != n {
-			t.Fatalf("replica %d stopped at cycle %d, want %d", i, got, n)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		const cycles = 64
+		// Replica 0's engine fires the cancel inside the final (only) chunk.
+		l.replicas[0].engine.Schedule(cycles-1, func(int64) { cancel() })
+		if err := l.runCtx(ctx, cycles); err != nil {
+			t.Fatalf("n=%d: runCtx returned %v after completing all %d cycles", n, err, cycles)
+		}
+		for i := range l.replicas {
+			if got := l.replicas[i].engine.Cycle(); got != cycles {
+				t.Fatalf("n=%d: replica %d stopped at cycle %d, want %d", n, i, got, cycles)
+			}
 		}
 	}
 }

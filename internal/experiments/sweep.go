@@ -7,52 +7,17 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/controller"
 	"repro/internal/traffic"
 )
 
-// Point is one (configuration, workload pair) evaluation of a figure
-// sweep — the unit pearld's batch endpoint schedules and the unit
-// `pearlbench -sweep` exports as cache-warming artifacts.
-type Point struct {
-	// Label is the paper's configuration label for the point's config.
-	Label string
-	// Backend is "pearl" (photonic) or "cmesh" (electrical baseline).
-	Backend string
-	// Config fully describes the network build.
-	Config config.Config
-	// LinkScale narrows CMESH links for bandwidth-matched baselines
-	// (>= 1; ignored by the pearl backend).
-	LinkScale int
-	// Pair is the CPU+GPU benchmark pair driving the run.
-	Pair traffic.Pair
-	// Controller drives the point's wavelength-state policy. nil means
-	// the config's registered controller with no model artifact, so
-	// model-needing points must be filled by the caller (pearld resolves
-	// its registry; pearlbench loads -model files) or they fail at run
-	// time.
-	Controller controller.Controller
+// pearlPoint and cmeshPoint are a sweep's configurations before pairs
+// are crossed in: Points with no Pair yet.
+func pearlPoint(cfg config.Config) Point {
+	return Point{Label: cfg.Name(), Backend: backendPEARL, Config: cfg, LinkScale: 1}
 }
 
-// sweepConfig is one configuration of a named sweep before pairs are
-// crossed in.
-type sweepConfig struct {
-	label     string
-	backend   string
-	cfg       config.Config
-	linkScale int
-}
-
-func pearlPoint(cfg config.Config) sweepConfig {
-	return sweepConfig{label: cfg.Name(), backend: "pearl", cfg: cfg, linkScale: 1}
-}
-
-func cmeshPoint(scale int) sweepConfig {
-	label := "CMESH"
-	if scale > 1 {
-		label = fmt.Sprintf("CMESH(1/%d bw)", scale)
-	}
-	return sweepConfig{label: label, backend: "cmesh", cfg: config.Default(), linkScale: scale}
+func cmeshPoint(scale int) Point {
+	return Point{Label: CMESHName(scale), Backend: backendCMESH, Config: config.Default(), LinkScale: scale}
 }
 
 // sweepConfigs maps a sweep name to the configurations the paper's
@@ -60,12 +25,12 @@ func cmeshPoint(scale int) sweepConfig {
 // comparison). An ML point needs a trained model at run time: pearld
 // resolves its model registry and skips unsatisfiable points with a
 // per-point status; pearlbench loads artifacts via -model.
-func sweepConfigs(name string) ([]sweepConfig, error) {
+func sweepConfigs(name string) ([]Point, error) {
 	switch strings.ToLower(name) {
 	case "fig4":
-		return []sweepConfig{pearlPoint(config.PEARLDyn())}, nil
+		return []Point{pearlPoint(config.PEARLDyn())}, nil
 	case "fig5":
-		var out []sweepConfig
+		var out []Point
 		for _, pt := range []struct{ wl, scale int }{{64, 1}, {32, 2}, {16, 4}} {
 			out = append(out, pearlPoint(config.StaticWL(pt.wl)))
 			fcfs := config.StaticWL(pt.wl)
@@ -75,7 +40,7 @@ func sweepConfigs(name string) ([]sweepConfig, error) {
 		}
 		return out, nil
 	case "fig6", "fig7":
-		return []sweepConfig{
+		return []Point{
 			pearlPoint(config.PEARLDyn()),
 			pearlPoint(config.DynRW(500)),
 			pearlPoint(config.DynRW(2000)),
@@ -88,14 +53,14 @@ func sweepConfigs(name string) ([]sweepConfig, error) {
 			pearlPoint(config.D3NOCRW(500)),
 		}, nil
 	case "fig8":
-		return []sweepConfig{
+		return []Point{
 			pearlPoint(config.MLRW(500, true)),
 			pearlPoint(config.MLRW(2000, true)),
 		}, nil
 	case "fig9":
 		noLow := config.DynRW(500)
 		noLow.Allow8WL = false
-		return []sweepConfig{
+		return []Point{
 			pearlPoint(config.PEARLDyn()),
 			pearlPoint(config.PEARLFCFS()),
 			pearlPoint(noLow),
@@ -105,20 +70,20 @@ func sweepConfigs(name string) ([]sweepConfig, error) {
 			cmeshPoint(1),
 		}, nil
 	case "fig10":
-		return []sweepConfig{
+		return []Point{
 			pearlPoint(config.PEARLDyn()),
 			pearlPoint(config.MLRW(500, true)),
 			pearlPoint(config.MLRW(1000, true)),
 			pearlPoint(config.MLRW(2000, true)),
 		}, nil
 	case "fig11":
-		var out []sweepConfig
+		var out []Point
 		for _, window := range []int{500, 2000} {
 			for _, turnOn := range []float64{2, 4, 16, 32} {
 				cfg := config.DynRW(window)
 				cfg.LaserTurnOnNs = turnOn
 				pt := pearlPoint(cfg)
-				pt.label = fmt.Sprintf("%s @ %gns", cfg.Name(), turnOn)
+				pt.Label = fmt.Sprintf("%s @ %gns", cfg.Name(), turnOn)
 				out = append(out, pt)
 			}
 		}
@@ -149,15 +114,10 @@ func FigureSweep(name string, pairs []traffic.Pair) ([]Point, error) {
 		pairs = traffic.TestPairs()
 	}
 	points := make([]Point, 0, len(cfgs)*len(pairs))
-	for _, sc := range cfgs {
+	for _, p := range cfgs {
 		for _, pair := range pairs {
-			points = append(points, Point{
-				Label:     sc.label,
-				Backend:   sc.backend,
-				Config:    sc.cfg,
-				LinkScale: sc.linkScale,
-				Pair:      pair,
-			})
+			p.Pair = pair
+			points = append(points, p)
 		}
 	}
 	return points, nil
@@ -169,14 +129,6 @@ func FigureSweep(name string, pairs []traffic.Pair) ([]Point, error) {
 // would run the equivalent job.
 func RunSweep(ctx context.Context, points []Point, opts Options) ([]Result, error) {
 	return parallelMapCtx(ctx, len(points), func(ctx context.Context, i int) (Result, error) {
-		p := points[i]
-		if p.Backend == "cmesh" {
-			scale := p.LinkScale
-			if scale < 1 {
-				scale = 1
-			}
-			return RunCMESHCtx(ctx, p.Config, p.Pair, opts, scale)
-		}
-		return RunPEARLCtx(ctx, p.Config, p.Pair, opts, p.Controller)
+		return Run(ctx, points[i], opts)
 	})
 }

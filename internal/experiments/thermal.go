@@ -36,7 +36,7 @@ func (s *Suite) ThermalStudy() (Table, error) {
 		}
 		var laserSum, gatedSum, ungatedSum float64
 		for _, pair := range s.Opts.Pairs {
-			res, err := RunPEARL(cfg, pair, s.Opts, ctrl)
+			res, err := runPEARL(cfg, pair, s.Opts, ctrl)
 			if err != nil {
 				return Table{}, err
 			}

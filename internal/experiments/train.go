@@ -18,48 +18,66 @@ import (
 // number of packets that are being injected into the router" next
 // window, chosen over utilisation metrics to decouple the label from the
 // current wavelength state).
+//
+// The one policy instance drives every pair's run. A core.MLPolicy is
+// stateless (its predictor must be safe for concurrent use, as a ridge
+// model and a model artifact are), so its pairs run in parallel. Any
+// other policy may carry mutable state — the first training pass's
+// RandomPolicy draws every run's states from one RNG — so its pairs run
+// in index order on the calling goroutine, which keeps the dataset a
+// function of the arguments at any GOMAXPROCS.
 func CollectDataset(pairs []traffic.Pair, window int, opts Options, policy core.StatePolicy) (*mlkit.Dataset, error) {
+	packets := func(injected int64, _ float64) float64 { return float64(injected) }
+	collect := func(ds *mlkit.Dataset, i int) error {
+		err := collectExamples(ds, pairs[i], window, opts, policy, opts.Seed+uint64(i)*7919, packets)
+		if err != nil {
+			return fmt.Errorf("experiments: collecting %s: %w", pairs[i].Name(), err)
+		}
+		return nil
+	}
+	ds := mlkit.NewDataset(core.FeatureCount)
+	if _, stateless := policy.(core.MLPolicy); !stateless {
+		for i := range pairs {
+			if err := collect(ds, i); err != nil {
+				return nil, err
+			}
+		}
+		return ds, nil
+	}
 	parts, err := parallelMap(len(pairs), func(i int) (*mlkit.Dataset, error) {
 		part := mlkit.NewDataset(core.FeatureCount)
-		if err := collectOne(part, pairs[i], window, opts, policy, opts.Seed+uint64(i)*7919); err != nil {
-			return nil, fmt.Errorf("experiments: collecting %s: %w", pairs[i].Name(), err)
-		}
-		return part, nil
+		return part, collect(part, i)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ds := mlkit.NewDataset(core.FeatureCount)
 	for _, part := range parts {
 		ds.Merge(part)
 	}
 	return ds, nil
 }
 
-func collectOne(ds *mlkit.Dataset, pair traffic.Pair, window int, opts Options, policy core.StatePolicy, seed uint64) error {
-	engine := sim.NewEngine()
-	cfg := config.MLRW(window, false) // 8WL excluded during training (§IV.B)
-	net, err := core.New(engine, cfg)
+// collectExamples runs one pair for the data-collection length under an
+// explicit policy and adds one example per router per reservation
+// window to ds: the previous window's features against label(this
+// window's injected flits, this window's mean occupancy). The stack
+// comes from the one builder, unmeasured: training configurations
+// exclude the 8WL state (§IV.B), and there is no power account and no
+// measurement phase.
+func collectExamples(ds *mlkit.Dataset, pair traffic.Pair, window int, opts Options, policy core.StatePolicy, seed uint64, label func(injected int64, beta float64) float64) error {
+	opts.Seed = seed
+	r, err := build(Point{Config: config.MLRW(window, false), Pair: pair, Controller: fixedPolicy{policy}}, opts, false, nil)
 	if err != nil {
 		return err
 	}
-	net.SetStatePolicy(policy)
-	w, err := traffic.NewWorkload(engine, net, pair, runSeed(seed, "", pair.Name()))
-	if err != nil {
-		return err
-	}
-	net.SetDeliveryHandler(w.OnDeliver)
-	engine.Register(w)
-	engine.Register(net)
-
 	prev := make(map[int][]float64, config.NumRouters)
-	net.SetWindowHook(func(router int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
+	r.photonic.SetWindowHook(func(router int, feats []float64, injected int64, beta float64, _ photonic.WLState) {
 		if p, ok := prev[router]; ok {
-			ds.Add(p, float64(injected))
+			ds.Add(p, label(injected, beta))
 		}
 		prev[router] = feats
 	})
-	engine.Run(opts.WarmupCycles + opts.CollectCycles)
+	r.engine.Run(opts.WarmupCycles + opts.CollectCycles)
 	return nil
 }
 

@@ -318,18 +318,21 @@ func (s jobSpec) cacheKey() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
+// point is the spec as the experiments layer's description of a run.
+func (s jobSpec) point() experiments.Point {
+	return experiments.Point{
+		Backend:    s.backend,
+		Config:     s.cfg,
+		LinkScale:  s.linkScale,
+		Pair:       s.pair,
+		Controller: s.ctrl,
+	}
+}
+
 // label is the figure-style row label for the spec: the paper's
 // configuration name for photonic points, CMESH (with its bandwidth
-// scale) for electrical ones — matching experiments.Point labels.
-func (s jobSpec) label() string {
-	if s.backend == BackendCMESH {
-		if s.linkScale > 1 {
-			return fmt.Sprintf("CMESH(1/%d bw)", s.linkScale)
-		}
-		return "CMESH"
-	}
-	return s.cfg.Name()
-}
+// scale) for electrical ones — the point's canonical name.
+func (s jobSpec) label() string { return s.point().Name() }
 
 // options converts the spec to an experiments option set.
 func (s jobSpec) options() experiments.Options {

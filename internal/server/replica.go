@@ -45,23 +45,14 @@ func (j *Job) shardKey() string {
 
 // canReplicate reports whether the spec's backend/policy combination
 // supports lockstep replication (see experiments.CanReplicate).
-func (s jobSpec) canReplicate() error {
-	if s.backend == BackendCMESH {
-		return nil
-	}
-	return experiments.CanReplicate(s.cfg, s.ctrl)
-}
+func (s jobSpec) canReplicate() error { return experiments.CanReplicate(s.point()) }
 
-// runReplicated executes one lockstep run over the given seeds,
-// mirroring jobSpec.run for the replicated entry points. Results come
-// back in seed order.
+// runReplicated executes one lockstep run over the given seeds, the
+// seed-fan counterpart of jobSpec.run. Results come back in seed order.
 func (s jobSpec) runReplicated(ctx context.Context, seeds []uint64, onWindow func(experiments.WindowStats)) ([]experiments.Result, error) {
 	opts := s.options()
 	opts.OnWindow = onWindow
-	if s.backend == BackendCMESH {
-		return experiments.RunCMESHReplicatedSeeds(ctx, s.cfg, s.pair, opts, seeds, s.linkScale)
-	}
-	return experiments.RunPEARLReplicatedSeeds(ctx, s.cfg, s.pair, opts, seeds, s.ctrl)
+	return experiments.RunSeeds(ctx, s.point(), opts, seeds)
 }
 
 // replicaSeed derives the base seed of the i-th member of a seeds:N

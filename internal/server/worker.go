@@ -10,19 +10,15 @@ import (
 )
 
 // run executes the spec's simulation under ctx. This is the only place
-// pearld touches the simulator, through the context-aware experiment
-// entry points. onWindow (may be nil) observes each reservation window
-// live; it never affects the result.
+// pearld runs a single simulation (runReplicated is the other, for seed
+// fans). onWindow (may be nil) observes each reservation window live;
+// it never affects the result.
 func (s jobSpec) run(ctx context.Context, onWindow func(experiments.WindowStats)) (experiments.Result, error) {
 	opts := s.options()
 	opts.OnWindow = onWindow
-	if s.backend == BackendCMESH {
-		return experiments.RunCMESHCtx(ctx, s.cfg, s.pair, opts, s.linkScale)
-	}
-	if s.backend == BackendPEARL && s.canarySample != nil {
-		opts.OnWindowSample = s.canarySample
-	}
-	return experiments.RunPEARLCtx(ctx, s.cfg, s.pair, opts, s.ctrl)
+	// nil unless this is a photonic ML run the canary learns from.
+	opts.OnWindowSample = s.canarySample
+	return experiments.Run(ctx, s.point(), opts)
 }
 
 // worker drains the queue until it is closed; each claimed job runs to

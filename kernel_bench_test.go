@@ -24,7 +24,7 @@ import (
 const kernelWarmupCycles = 2000
 
 // buildPEARLKernel wires the standard PEARL-Dyn stack exactly as
-// experiments.RunPEARL does, minus measurement (the kernel itself is the
+// experiments.Run does, minus measurement (the kernel itself is the
 // subject, not the stats layer). It is shared with the steady-state
 // allocation test in kernel_alloc_test.go.
 func buildPEARLKernel(b testing.TB) *sim.Engine {
@@ -76,11 +76,10 @@ const (
 // execution — cmd/benchgate derives and gates that ratio in CI
 // (scaled by GOMAXPROCS; a single-core runner can only break even).
 func BenchmarkKernelReplicated(b *testing.B) {
-	cfg := config.PEARLDyn()
-	pair := traffic.TestPairs()[0]
+	p := experiments.Point{Config: config.PEARLDyn(), Pair: traffic.TestPairs()[0]}
 	opts := experiments.Quick()
-	seeds := experiments.ReplicaSeeds(opts.Seed, cfg.Name(), pair.Name(), benchReplicas)
-	l, err := experiments.NewPEARLLockstep(cfg, pair, opts, seeds, nil)
+	seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), benchReplicas)
+	l, err := experiments.NewLockstep(p, opts, seeds)
 	if err != nil {
 		b.Fatal(err)
 	}
