@@ -15,6 +15,7 @@ package cmesh
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/noc"
@@ -101,8 +102,8 @@ func (q *flitRing) push(tf timedFlit) {
 	q.n++
 }
 
-// front returns the head flit; callers must check len first.
-func (q *flitRing) front() timedFlit { return q.buf[q.head] }
+// front returns the head flit in place; callers must check len first.
+func (q *flitRing) front() *timedFlit { return &q.buf[q.head] }
 
 func (q *flitRing) pop() {
 	q.buf[q.head] = timedFlit{} // release the packet pointer
@@ -128,6 +129,15 @@ type inVC struct {
 // portLocal is a pseudo output port index for ejection.
 const portLocal = numNeighborPorts
 
+// numInputs is the length of a router's fixed input-VC list: the
+// neighbor VCs in [port][vc] order, then the class injection queues.
+const numInputs = numNeighborPorts*VCsPerPort + noc.NumClasses
+
+// neighborInput and localInput give an input VC's position in that list,
+// which is also its bit in the router's occupancy masks.
+func neighborInput(port, vc int) int { return port*VCsPerPort + vc }
+func localInput(c noc.Class) int     { return numNeighborPorts*VCsPerPort + int(c) }
+
 // outVCState is sender-side bookkeeping for one downstream VC.
 type outVCState struct {
 	owner   *noc.Packet // packet holding the VC until its tail passes
@@ -150,8 +160,8 @@ type router struct {
 	// out tracks downstream VC ownership and credits: [port][vc].
 	out [numNeighborPorts][VCsPerPort]outVCState
 
-	// rrNeighbor and rrLocal rotate arbitration priority per output
-	// port.
+	// rr rotates arbitration priority per output port (local ejection
+	// included): the index into inputs the next scan starts from.
 	rr [numNeighborPorts + 1]int
 
 	// outBusyUntil serialises narrow links: an output port is busy for
@@ -159,7 +169,19 @@ type router struct {
 	outBusyUntil [numNeighborPorts + 1]int64
 
 	// inputs caches the fixed input-VC reference list (built once).
-	inputs []inputRef
+	inputs [numInputs]inputRef
+
+	// Occupancy masks over inputs (bit i = inputs[i]), kept current
+	// wherever the state they summarise changes, so the tick visits only
+	// VCs with work instead of probing all of them for every port:
+	//
+	//   occupied  the VC buffers at least one flit
+	//   wants[o]  the VC holds a routed packet bound for output port o
+	//   settled   routed, and ejecting or already holding a downstream
+	//             VC: route compute and VC allocation have nothing to do
+	occupied uint32
+	wants    [numNeighborPorts + 1]uint32
+	settled  uint32
 }
 
 // Network is the electrical CMESH under the same Target interface as the
@@ -221,15 +243,14 @@ func New(engine *sim.Engine, cfg config.Config) (*Network, error) {
 }
 
 // buildInputs assembles the fixed input-VC reference list for a router.
-func buildInputs(r *router) []inputRef {
-	refs := make([]inputRef, 0, numNeighborPorts*VCsPerPort+noc.NumClasses)
+func buildInputs(r *router) (refs [numInputs]inputRef) {
 	for p := 0; p < numNeighborPorts; p++ {
 		for v := 0; v < VCsPerPort; v++ {
-			refs = append(refs, inputRef{vc: &r.in[p][v]})
+			refs[neighborInput(p, v)] = inputRef{vc: &r.in[p][v], port: p, vcIndex: v}
 		}
 	}
-	for c := 0; c < noc.NumClasses; c++ {
-		refs = append(refs, inputRef{vc: &r.local[c], local: true, class: noc.Class(c)})
+	for c := noc.Class(0); c < noc.NumClasses; c++ {
+		refs[localInput(c)] = inputRef{vc: &r.local[c], local: true, class: c}
 	}
 	return refs
 }
@@ -322,6 +343,7 @@ func (n *Network) Inject(p *noc.Packet) bool {
 			readyAt: now,
 		})
 	}
+	r.occupied |= 1 << localInput(p.Class)
 	return true
 }
 
@@ -342,56 +364,59 @@ type inputRef struct {
 	vc    *inVC
 	local bool
 	class noc.Class // for local queues, to release slot accounting
+	// port and vcIndex locate a neighbor VC in router.in, and so the
+	// upstream credit counter that its pops return to.
+	port, vcIndex int
 }
 
-// tickRouter arbitrates each output port and forwards at most one flit
-// per port.
+// tickRouter route-computes and VC-allocates the heads that need it,
+// then arbitrates each output port and forwards at most one flit per
+// port.
 func (n *Network) tickRouter(r *router, cycle int64) {
-	// Route-compute and VC-allocate every head that needs it.
-	for _, ref := range r.inputs {
-		n.routeAndAllocate(r, ref.vc, cycle)
+	if r.occupied == 0 {
+		return
 	}
+	n.routeAndAllocate(r, cycle)
 	// Arbitrate each output port (including local ejection) round-robin.
 	for out := 0; out <= portLocal; out++ {
-		n.arbitrate(r, out, r.inputs, cycle)
+		n.arbitrate(r, out, cycle)
 	}
-}
-
-// headReady returns the head flit if it has crossed the link.
-func headReady(vc *inVC, cycle int64) (flit, bool) {
-	if vc.q.len() == 0 {
-		return flit{}, false
-	}
-	head := vc.q.front()
-	if head.readyAt > cycle {
-		return flit{}, false
-	}
-	return head.f, true
 }
 
 // routeAndAllocate performs RC on new heads and VA for neighbor-bound
-// packets.
-func (n *Network) routeAndAllocate(r *router, vc *inVC, cycle int64) {
-	head, ok := headReady(vc, cycle)
-	if !ok {
-		return
-	}
-	if head.isHead && !vc.routed {
-		vc.outPort = n.route(r, head.pkt)
-		vc.routed = true
-		vc.hasVC = false
-	}
-	if !vc.routed || vc.outPort == portLocal || vc.hasVC {
-		return
-	}
-	// VC allocation: claim a free downstream VC on the chosen port.
-	for v := 0; v < VCsPerPort; v++ {
-		st := &r.out[vc.outPort][v]
-		if st.owner == nil && st.credits > 0 {
-			st.owner = head.pkt
-			vc.outVC = v
-			vc.hasVC = true
-			return
+// packets, visiting the buffered VCs that still lack one of the two in
+// inputs order (VA is first come, first served).
+func (n *Network) routeAndAllocate(r *router, cycle int64) {
+	for m := r.occupied &^ r.settled; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		vc := r.inputs[i].vc
+		head := vc.q.front()
+		if head.readyAt > cycle {
+			continue // still crossing the link
+		}
+		if head.f.isHead && !vc.routed {
+			vc.outPort = n.route(r, head.f.pkt)
+			vc.routed = true
+			vc.hasVC = false
+			r.wants[vc.outPort] |= 1 << i
+			if vc.outPort == portLocal {
+				r.settled |= 1 << i
+			}
+		}
+		if !vc.routed || vc.outPort == portLocal {
+			continue
+		}
+		// VC allocation: claim a free downstream VC on the chosen port.
+		// (An unsettled neighbor-bound packet holds none yet.)
+		for v := 0; v < VCsPerPort; v++ {
+			st := &r.out[vc.outPort][v]
+			if st.owner == nil && st.credits > 0 {
+				st.owner = head.f.pkt
+				vc.outVC = v
+				vc.hasVC = true
+				r.settled |= 1 << i
+				break
+			}
 		}
 	}
 }
@@ -415,38 +440,47 @@ func (n *Network) route(r *router, p *noc.Packet) int {
 	}
 }
 
-// arbitrate forwards at most one flit through the given output port.
-func (n *Network) arbitrate(r *router, out int, inputs []inputRef, cycle int64) {
+// arbitrate forwards at most one flit through the given output port:
+// the first eligible candidate in round-robin order from rr[out], that
+// is inputs rr[out]..numInputs-1 and then 0..rr[out]-1.
+func (n *Network) arbitrate(r *router, out int, cycle int64) {
 	if cycle < r.outBusyUntil[out] {
 		return // narrow link still serialising the previous flit
 	}
-	nIn := len(inputs)
-	start := r.rr[out]
-	for k := 0; k < nIn; k++ {
-		ref := inputs[(start+k)%nIn]
-		vc := ref.vc
-		head, ok := headReady(vc, cycle)
-		if !ok || !vc.routed || vc.outPort != out {
+	// Candidates: a flit buffered, routed to this port and, for a
+	// neighbor port, a downstream VC held (settled means exactly that
+	// for a packet that is not ejecting).
+	m := r.wants[out] & r.settled & r.occupied
+	if m == 0 {
+		return
+	}
+	// Round-robin order: candidates at or above the pointer in the low
+	// word, those below it in the high word, lowest bit first.
+	below := uint32(1)<<r.rr[out] - 1
+	for w := uint64(m&^below) | uint64(m&below)<<32; w != 0; w &= w - 1 {
+		i := bits.TrailingZeros64(w) & 31
+		vc := r.inputs[i].vc
+		if vc.q.front().readyAt > cycle {
+			continue // still crossing the link
+		}
+		if out != portLocal && r.out[out][vc.outVC].credits <= 0 {
 			continue
 		}
-		if out != portLocal {
-			if !vc.hasVC {
-				continue
-			}
-			if r.out[out][vc.outVC].credits <= 0 {
-				continue
-			}
-		}
-		n.forward(r, ref, head, cycle)
-		r.rr[out] = (start + k + 1) % nIn
+		n.forward(r, i, cycle)
+		r.rr[out] = (i + 1) % numInputs
 		return
 	}
 }
 
-// forward moves the head flit of the input VC through the crossbar.
-func (n *Network) forward(r *router, ref inputRef, f flit, cycle int64) {
+// forward moves the head flit of input i through the crossbar.
+func (n *Network) forward(r *router, i int, cycle int64) {
+	ref := &r.inputs[i]
 	vc := ref.vc
+	f := vc.q.front().f
 	vc.q.pop()
+	if vc.q.len() == 0 {
+		r.occupied &^= 1 << i
+	}
 	if ref.local {
 		r.localSlotsUsed[ref.class]--
 	}
@@ -460,46 +494,38 @@ func (n *Network) forward(r *router, ref inputRef, f flit, cycle int64) {
 		st := &r.out[vc.outPort][vc.outVC]
 		st.credits--
 		nb := n.neighbor(r, vc.outPort)
-		dvc := &nb.in[oppositePort(vc.outPort)][vc.outVC]
-		dvc.q.push(timedFlit{f: f, readyAt: cycle + n.linkCyclesPerFlit + RouterPipelineCycles})
+		in := oppositePort(vc.outPort)
+		nb.in[in][vc.outVC].q.push(timedFlit{f: f, readyAt: cycle + n.linkCyclesPerFlit + RouterPipelineCycles})
+		nb.occupied |= 1 << neighborInput(in, vc.outVC)
 		if f.isHead {
 			f.pkt.Hops++
 		}
 		if f.isTail {
 			st.owner = nil
 		}
-		// Credit returns when the downstream slot frees; modelled as
-		// immediate-on-forward downstream (see creditReturn below).
 	}
 	if f.isTail {
 		vc.routed = false
 		vc.hasVC = false
+		r.wants[vc.outPort] &^= 1 << i
+		r.settled &^= 1 << i
 	}
-	// Returning a credit upstream: popping from a neighbor input VC
-	// frees one slot in this router's buffer, owned by the upstream
-	// sender. Upstream credit state lives in the sender's out[][] for
-	// the link feeding this VC; we locate and increment it.
+	// Popping from a neighbor input VC frees one slot in this router's
+	// buffer; the credit for it belongs to the upstream sender and is
+	// returned at once (see returnCredit).
 	if !ref.local {
-		n.returnCredit(r, vc, cycle)
+		n.returnCredit(r, ref)
 	}
 }
 
-// returnCredit finds the upstream router feeding the given input VC and
-// frees one credit.
-func (n *Network) returnCredit(r *router, vc *inVC, _ int64) {
-	for p := 0; p < numNeighborPorts; p++ {
-		for v := 0; v < VCsPerPort; v++ {
-			if &r.in[p][v] == vc {
-				up := n.neighbor(r, p)
-				up.out[oppositePort(p)][v].credits++
-				if up.out[oppositePort(p)][v].credits > SlotsPerVC {
-					panic("cmesh: credit overflow")
-				}
-				return
-			}
-		}
+// returnCredit frees one credit at the upstream router feeding the given
+// neighbor input VC: the sender's out[][] entry for the link into it.
+func (n *Network) returnCredit(r *router, ref *inputRef) {
+	st := &n.neighbor(r, ref.port).out[oppositePort(ref.port)][ref.vcIndex]
+	st.credits++
+	if st.credits > SlotsPerVC {
+		panic("cmesh: credit overflow")
 	}
-	panic("cmesh: credit return for unknown VC")
 }
 
 // neighbor returns the router across the given port.

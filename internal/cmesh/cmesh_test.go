@@ -1,6 +1,7 @@
 package cmesh
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -308,5 +309,358 @@ func TestNewRejectsInvalidConfig(t *testing.T) {
 	cfg.CPUBufferSlots = 0
 	if _, err := New(sim.NewEngine(), cfg); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// The reference router tick: the full scan this package ran before the
+// occupancy masks, kept word for word (free functions instead of
+// methods, its own forward and pointer-search credit return) so that it
+// neither reads nor maintains occupied, wants or settled. It probes all
+// 18 input VCs for route compute and again for each of the 5 output
+// ports; TestOccupancyTickMatchesFullScan holds the mask-driven tick to
+// its every decision.
+
+func refTick(n *Network, cycle int64) {
+	for _, r := range n.routers {
+		refTickRouter(n, r, cycle)
+	}
+	if n.acct != nil {
+		n.acct.AddElectricalLeakage(NumNodes)
+		n.acct.AddCycle()
+	}
+}
+
+func refTickRouter(n *Network, r *router, cycle int64) {
+	for _, ref := range r.inputs {
+		refRouteAndAllocate(n, r, ref.vc, cycle)
+	}
+	for out := 0; out <= portLocal; out++ {
+		refArbitrate(n, r, out, r.inputs[:], cycle)
+	}
+}
+
+func refHeadReady(vc *inVC, cycle int64) (flit, bool) {
+	if vc.q.len() == 0 {
+		return flit{}, false
+	}
+	head := *vc.q.front()
+	if head.readyAt > cycle {
+		return flit{}, false
+	}
+	return head.f, true
+}
+
+func refRouteAndAllocate(n *Network, r *router, vc *inVC, cycle int64) {
+	head, ok := refHeadReady(vc, cycle)
+	if !ok {
+		return
+	}
+	if head.isHead && !vc.routed {
+		vc.outPort = n.route(r, head.pkt)
+		vc.routed = true
+		vc.hasVC = false
+	}
+	if !vc.routed || vc.outPort == portLocal || vc.hasVC {
+		return
+	}
+	for v := 0; v < VCsPerPort; v++ {
+		st := &r.out[vc.outPort][v]
+		if st.owner == nil && st.credits > 0 {
+			st.owner = head.pkt
+			vc.outVC = v
+			vc.hasVC = true
+			return
+		}
+	}
+}
+
+func refArbitrate(n *Network, r *router, out int, inputs []inputRef, cycle int64) {
+	if cycle < r.outBusyUntil[out] {
+		return
+	}
+	nIn := len(inputs)
+	start := r.rr[out]
+	for k := 0; k < nIn; k++ {
+		ref := inputs[(start+k)%nIn]
+		vc := ref.vc
+		head, ok := refHeadReady(vc, cycle)
+		if !ok || !vc.routed || vc.outPort != out {
+			continue
+		}
+		if out != portLocal {
+			if !vc.hasVC {
+				continue
+			}
+			if r.out[out][vc.outVC].credits <= 0 {
+				continue
+			}
+		}
+		refForward(n, r, ref, head, cycle)
+		r.rr[out] = (start + k + 1) % nIn
+		return
+	}
+}
+
+func refForward(n *Network, r *router, ref inputRef, f flit, cycle int64) {
+	vc := ref.vc
+	vc.q.pop()
+	if ref.local {
+		r.localSlotsUsed[ref.class]--
+	}
+	if n.acct != nil {
+		n.acct.AddElectricalHop(FlitBits, vc.outPort != portLocal)
+	}
+	r.outBusyUntil[vc.outPort] = cycle + n.linkCyclesPerFlit
+	if vc.outPort == portLocal {
+		n.eject(f, cycle)
+	} else {
+		st := &r.out[vc.outPort][vc.outVC]
+		st.credits--
+		nb := n.neighbor(r, vc.outPort)
+		dvc := &nb.in[oppositePort(vc.outPort)][vc.outVC]
+		dvc.q.push(timedFlit{f: f, readyAt: cycle + n.linkCyclesPerFlit + RouterPipelineCycles})
+		if f.isHead {
+			f.pkt.Hops++
+		}
+		if f.isTail {
+			st.owner = nil
+		}
+	}
+	if f.isTail {
+		vc.routed = false
+		vc.hasVC = false
+	}
+	if !ref.local {
+		refReturnCredit(n, r, vc)
+	}
+}
+
+func refReturnCredit(n *Network, r *router, vc *inVC) {
+	for p := 0; p < numNeighborPorts; p++ {
+		for v := 0; v < VCsPerPort; v++ {
+			if &r.in[p][v] == vc {
+				up := n.neighbor(r, p)
+				up.out[oppositePort(p)][v].credits++
+				if up.out[oppositePort(p)][v].credits > SlotsPerVC {
+					panic("cmesh: credit overflow")
+				}
+				return
+			}
+		}
+	}
+	panic("cmesh: credit return for unknown VC")
+}
+
+// checkMasks asserts that every router's occupancy masks say exactly
+// what its input VCs' own state says.
+func checkMasks(t *testing.T, n *Network, cycle int64) {
+	t.Helper()
+	for _, r := range n.routers {
+		for i, ref := range r.inputs {
+			vc, bit := ref.vc, uint32(1)<<i
+			if got, want := r.occupied&bit != 0, vc.q.len() > 0; got != want {
+				t.Fatalf("cycle %d router %d input %d: occupied=%v with %d flits buffered", cycle, r.id, i, got, vc.q.len())
+			}
+			for out := range r.wants {
+				if got, want := r.wants[out]&bit != 0, vc.routed && vc.outPort == out; got != want {
+					t.Fatalf("cycle %d router %d input %d: wants[%d]=%v, routed=%v outPort=%d", cycle, r.id, i, out, got, vc.routed, vc.outPort)
+				}
+			}
+			if got, want := r.settled&bit != 0, vc.routed && (vc.outPort == portLocal || vc.hasVC); got != want {
+				t.Fatalf("cycle %d router %d input %d: settled=%v, routed=%v outPort=%d hasVC=%v", cycle, r.id, i, got, vc.routed, vc.outPort, vc.hasVC)
+			}
+		}
+		if r.occupied>>numInputs != 0 {
+			t.Fatalf("cycle %d router %d: occupied %#x has bits past the input list", cycle, r.id, r.occupied)
+		}
+	}
+}
+
+// delivery is one packet handed to the delivery callback.
+type delivery struct {
+	id    uint64
+	cycle int64
+	hops  int
+}
+
+// diffSide is one of the two meshes a differential run drives.
+type diffSide struct {
+	engine    *sim.Engine
+	net       *Network
+	acct      *power.Account
+	delivered []delivery
+}
+
+func newDiffSide(t *testing.T, scale int, tick func(*Network, int64)) *diffSide {
+	t.Helper()
+	s := &diffSide{engine: sim.NewEngine(), acct: power.NewAccount(config.NetworkFrequencyHz)}
+	net, err := New(s.engine, config.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.SetLinkScale(scale)
+	net.SetAccount(s.acct)
+	net.SetDeliveryHandler(func(p *noc.Packet, c int64) {
+		s.delivered = append(s.delivered, delivery{id: p.ID, cycle: c, hops: p.Hops})
+	})
+	s.engine.Register(sim.ComponentFunc(func(c int64) { tick(net, c) }))
+	s.net = net
+	return s
+}
+
+// ownerID names the packet holding a downstream VC (0 = free).
+func ownerID(p *noc.Packet) uint64 {
+	if p == nil {
+		return 0
+	}
+	return p.ID
+}
+
+// compareMeshes fails unless every piece of router state the tick reads
+// or writes agrees between the two meshes.
+func compareMeshes(t *testing.T, got, want *Network, cycle int64) {
+	t.Helper()
+	if g, w := got.InFlight(), want.InFlight(); g != w {
+		t.Fatalf("cycle %d: InFlight %d, reference %d", cycle, g, w)
+	}
+	for id, g := range got.routers {
+		w := want.routers[id]
+		if g.rr != w.rr {
+			t.Fatalf("cycle %d router %d: rr %v, reference %v", cycle, id, g.rr, w.rr)
+		}
+		if g.outBusyUntil != w.outBusyUntil {
+			t.Fatalf("cycle %d router %d: outBusyUntil %v, reference %v", cycle, id, g.outBusyUntil, w.outBusyUntil)
+		}
+		if g.localSlotsUsed != w.localSlotsUsed {
+			t.Fatalf("cycle %d router %d: localSlotsUsed %v, reference %v", cycle, id, g.localSlotsUsed, w.localSlotsUsed)
+		}
+		for p := 0; p < numNeighborPorts; p++ {
+			for v := 0; v < VCsPerPort; v++ {
+				gs, ws := g.out[p][v], w.out[p][v]
+				if gs.credits != ws.credits || ownerID(gs.owner) != ownerID(ws.owner) {
+					t.Fatalf("cycle %d router %d out[%d][%d]: credits %d owner %d, reference credits %d owner %d",
+						cycle, id, p, v, gs.credits, ownerID(gs.owner), ws.credits, ownerID(ws.owner))
+				}
+			}
+		}
+		for i := range g.inputs {
+			gv, wv := g.inputs[i].vc, w.inputs[i].vc
+			if gv.q.len() != wv.q.len() || gv.routed != wv.routed || gv.hasVC != wv.hasVC ||
+				(gv.routed && gv.outPort != wv.outPort) || (gv.hasVC && gv.outVC != wv.outVC) {
+				t.Fatalf("cycle %d router %d input %d: %d flits routed=%v out=%d hasVC=%v vc=%d, reference %d flits routed=%v out=%d hasVC=%v vc=%d",
+					cycle, id, i, gv.q.len(), gv.routed, gv.outPort, gv.hasVC, gv.outVC,
+					wv.q.len(), wv.routed, wv.outPort, wv.hasVC, wv.outVC)
+			}
+		}
+	}
+}
+
+// TestOccupancyTickMatchesFullScan drives the mask-driven tick and the
+// full-scan reference with the same seeded injection and holds them
+// equal after every cycle: the delivery sequence (packet, cycle, hops),
+// each round-robin pointer, link-busy time, credit count, VC owner and
+// wormhole state, InFlight and, at the end, the energy account. Traffic
+// is all-to-all over the 16 clusters and the L3, single- and five-flit
+// packets of both classes, in bursts heavy enough to fill class queues
+// (Inject must refuse on both sides alike), each followed by a drain to
+// an empty mesh so that idle routers are skipped and woken again.
+func TestOccupancyTickMatchesFullScan(t *testing.T) {
+	const (
+		bursts      = 6
+		burstCycles = 120
+		drainLimit  = 50000
+	)
+	for _, scale := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("scale%d", scale), func(t *testing.T) {
+			got := newDiffSide(t, scale, (*Network).Tick)
+			want := newDiffSide(t, scale, refTick)
+			rng := sim.NewRNG(uint64(2018 + scale))
+			var id uint64
+			accepted, refused, drains, seen := 0, 0, 0, 0
+
+			step := func() {
+				cycle := got.engine.Cycle()
+				got.engine.Step()
+				want.engine.Step()
+				if len(got.delivered) != len(want.delivered) {
+					t.Fatalf("cycle %d: %d packets delivered, reference %d", cycle, len(got.delivered), len(want.delivered))
+				}
+				for ; seen < len(got.delivered); seen++ {
+					if got.delivered[seen] != want.delivered[seen] {
+						t.Fatalf("cycle %d: delivery %d is %+v, reference %+v", cycle, seen, got.delivered[seen], want.delivered[seen])
+					}
+				}
+				compareMeshes(t, got.net, want.net, cycle)
+				checkMasks(t, got.net, cycle)
+			}
+
+			for burst := 0; burst < bursts; burst++ {
+				// Odd bursts add a hot source so its class queues fill.
+				hot := -1
+				if burst%2 == 1 {
+					hot = rng.Intn(config.NumRouters)
+				}
+				for c := 0; c < burstCycles; c++ {
+					for k := rng.Intn(12); k > 0; k-- {
+						src := rng.Intn(config.NumRouters)
+						if hot >= 0 && rng.Bernoulli(0.5) {
+							src = hot
+						}
+						dst := rng.Intn(config.NumRouters)
+						for dst == src {
+							dst = rng.Intn(config.NumRouters)
+						}
+						class, label := noc.ClassCPU, noc.SrcCPUL1D
+						if rng.Bernoulli(0.5) {
+							class, label = noc.ClassGPU, noc.SrcGPUL1
+						}
+						mk := noc.NewRequest
+						if rng.Bernoulli(0.4) {
+							mk = noc.NewResponse
+						}
+						id++
+						now := got.engine.Cycle()
+						ok := got.net.Inject(mk(id, src, dst, class, label, now))
+						if refOK := want.net.Inject(mk(id, src, dst, class, label, now)); ok != refOK {
+							t.Fatalf("cycle %d: Inject(%d->%d) = %v, reference %v", now, src, dst, ok, refOK)
+						}
+						if ok {
+							accepted++
+						} else {
+							refused++
+						}
+					}
+					step()
+				}
+				for n := 0; got.net.InFlight() > 0; n++ {
+					if n == drainLimit {
+						t.Fatalf("burst %d: %d flits still in flight after %d drain cycles", burst, got.net.InFlight(), drainLimit)
+					}
+					step()
+				}
+				drains++
+				for _, r := range got.net.routers {
+					if r.occupied != 0 {
+						t.Fatalf("burst %d: router %d occupied %#x on an empty mesh", burst, r.id, r.occupied)
+					}
+				}
+				for idle := 0; idle < 10; idle++ {
+					step()
+				}
+			}
+
+			if refused == 0 {
+				t.Fatal("no injection was refused: the bursts never filled a class queue")
+			}
+			if len(got.delivered) != accepted {
+				t.Fatalf("delivered %d of %d accepted packets", len(got.delivered), accepted)
+			}
+			if drains != bursts {
+				t.Fatalf("drained %d times, want %d", drains, bursts)
+			}
+			if g, w := got.acct.Breakdown(), want.acct.Breakdown(); g != w {
+				t.Fatalf("energy %+v, reference %+v", g, w)
+			}
+		})
 	}
 }

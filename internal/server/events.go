@@ -98,24 +98,27 @@ type BatchEndEvent struct {
 // broadcast channel, so an abandoned reader holds no ring state to
 // leak — "unsubscribing" is simply returning.
 type eventRing struct {
-	mu      sync.Mutex
-	buf     []streamEvent // fixed capacity, ring-indexed
-	head    int           // index of the oldest buffered event
-	n       int           // buffered count
-	nextSeq uint64        // next sequence number (first event gets 1)
-	dropped uint64
-	closed  bool
-	notify  chan struct{} // closed+replaced on every append/close
+	mu       sync.Mutex
+	buf      []streamEvent // grows by append up to capacity, ring-indexed once full
+	capacity int           // bound on len(buf)
+	head     int           // index of the oldest buffered event (0 until full)
+	nextSeq  uint64        // next sequence number (first event gets 1)
+	dropped  uint64
+	closed   bool
+	notify   chan struct{} // closed+replaced on every append/close
 }
 
+// newEventRing returns an empty ring bounded at capacity frames. Storage
+// is not reserved up front: most rings (cache hits, coalesced, remote
+// and failed jobs) only ever hold their one end frame.
 func newEventRing(capacity int) *eventRing {
 	if capacity < 1 {
 		capacity = 1
 	}
 	return &eventRing{
-		buf:     make([]streamEvent, capacity),
-		nextSeq: 1,
-		notify:  make(chan struct{}),
+		capacity: capacity,
+		nextSeq:  1,
+		notify:   make(chan struct{}),
 	}
 }
 
@@ -135,24 +138,33 @@ func (r *eventRing) append(kind string, body framePayload) (appended, evicted bo
 	return r.push(kind, body)
 }
 
-// push marshals and stores one frame; callers hold mu.
+// push marshals and stores one frame; callers hold mu. Nothing is ever
+// removed except by eviction, so every slot of buf is live: the ring
+// appends until it reaches capacity and from then on overwrites the
+// oldest frame in place.
 func (r *eventRing) push(kind string, body framePayload) (appended, evicted bool) {
-	if r.n == len(r.buf) {
-		r.head = (r.head + 1) % len(r.buf)
-		r.n--
-		r.dropped++
-		evicted = true
+	evicted = len(r.buf) == r.capacity
+	dropped := r.dropped
+	if evicted {
+		dropped++
 	}
-	body.setDropped(r.dropped)
+	body.setDropped(dropped)
 	data, err := json.Marshal(body)
 	if err != nil {
 		// Event bodies are plain structs of scalars; this cannot happen,
-		// and an unmarshalable frame is not worth a seq gap.
-		return false, evicted
+		// and an unmarshalable frame is worth neither a seq gap nor an
+		// eviction.
+		return false, false
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = streamEvent{seq: r.nextSeq, kind: kind, data: data}
+	r.dropped = dropped
+	ev := streamEvent{seq: r.nextSeq, kind: kind, data: data}
+	if evicted {
+		r.buf[r.head] = ev
+		r.head = (r.head + 1) % len(r.buf)
+	} else {
+		r.buf = append(r.buf, ev)
+	}
 	r.nextSeq++
-	r.n++
 	close(r.notify)
 	r.notify = make(chan struct{})
 	return true, evicted
@@ -186,7 +198,7 @@ func (r *eventRing) since(after uint64) (evs []streamEvent, closed bool, wait <-
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for i := 0; i < r.n; i++ {
+	for i := range r.buf {
 		ev := r.buf[(r.head+i)%len(r.buf)]
 		if ev.seq > after {
 			evs = append(evs, ev)

@@ -12,19 +12,34 @@
 
 package pearl
 
-import "testing"
+import (
+	"testing"
 
-// TestKernelSteadyStateZeroAllocs drives the warmed PEARL-Dyn kernel —
-// all 17 routers injecting under the fmm/DCT workload, saturating the
-// arbiter every cycle — and asserts that stepping allocates nothing.
+	"repro/internal/sim"
+)
+
+// TestKernelSteadyStateZeroAllocs drives each warmed kernel — PEARL-Dyn
+// with all 17 routers injecting under the fmm/DCT workload, saturating
+// the arbiter every cycle, and the CMESH baseline at link scale 1 under
+// the same workload — and asserts that stepping allocates nothing.
 // After warmup every structure the kernel touches (ring-calendar slots,
-// circular-queue buffers, the packet pool, response queues) has reached
-// its high-water capacity, so any allocation here is a regression, not
-// growth.
+// circular-queue buffers, flit rings, the packet pool, response queues)
+// has reached its high-water capacity, so any allocation here is a
+// regression, not growth.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	engine := buildPEARLKernel(t)
-	const cycles = 5000
-	if allocs := testing.AllocsPerRun(cycles, func() { engine.Step() }); allocs != 0 {
-		t.Fatalf("steady-state kernel allocates: %v allocs/cycle over %d cycles, want 0", allocs, cycles)
+	for _, k := range []struct {
+		name  string
+		build func(testing.TB) *sim.Engine
+	}{
+		{"PEARL-Dyn", buildPEARLKernel},
+		{"CMESH", buildCMESHKernel},
+	} {
+		t.Run(k.name, func(t *testing.T) {
+			engine := k.build(t)
+			const cycles = 5000
+			if allocs := testing.AllocsPerRun(cycles, func() { engine.Step() }); allocs != 0 {
+				t.Fatalf("steady-state kernel allocates: %v allocs/cycle over %d cycles, want 0", allocs, cycles)
+			}
+		})
 	}
 }

@@ -96,9 +96,11 @@ func BenchmarkKernelReplicated(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelCMESH times the electrical baseline's cycle loop, which
-// shares the engine, buffers and workload with the photonic kernel.
-func BenchmarkKernelCMESH(b *testing.B) {
+// buildCMESHKernel wires the electrical baseline at link scale 1 under
+// the same workload, seed and warm-up as buildPEARLKernel, and is shared
+// with the allocation test the same way.
+func buildCMESHKernel(b testing.TB) *sim.Engine {
+	b.Helper()
 	engine := sim.NewEngine()
 	net, err := cmesh.New(engine, config.Default())
 	if err != nil {
@@ -112,6 +114,13 @@ func BenchmarkKernelCMESH(b *testing.B) {
 	engine.Register(w)
 	engine.Register(net)
 	engine.Run(kernelWarmupCycles)
+	return engine
+}
+
+// BenchmarkKernelCMESH times the electrical baseline's cycle loop, which
+// shares the engine, buffers and workload with the photonic kernel.
+func BenchmarkKernelCMESH(b *testing.B) {
+	engine := buildCMESHKernel(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
