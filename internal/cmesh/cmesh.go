@@ -581,7 +581,7 @@ func (n *Network) eject(f flit, cycle int64) {
 	p.ArriveCycle = cycle
 	if n.measuring {
 		n.metrics.Delivered.Add(int(p.Class), p.SizeBits)
-		lat := float64(cycle - p.InjectCycle)
+		lat := cycle - p.InjectCycle
 		n.metrics.Latency.Add(lat)
 		if p.Class == noc.ClassCPU {
 			n.metrics.CPULatency.Add(lat)

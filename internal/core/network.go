@@ -178,7 +178,7 @@ func (n *Network) arrive(p *noc.Packet, class noc.Class, cycle int64) {
 func (n *Network) deliver(p *noc.Packet, cycle int64) {
 	if n.measuring {
 		n.metrics.Delivered.Add(int(p.Class), p.SizeBits)
-		lat := float64(cycle - p.InjectCycle)
+		lat := cycle - p.InjectCycle
 		n.metrics.Latency.Add(lat)
 		if p.Class == noc.ClassCPU {
 			n.metrics.CPULatency.Add(lat)

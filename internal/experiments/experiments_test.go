@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"strings"
@@ -303,5 +304,38 @@ func TestSuiteCachesModels(t *testing.T) {
 func TestMeanOverPairsErrors(t *testing.T) {
 	if _, err := meanOverPairs(nil, nil); err == nil {
 		t.Fatal("expected error for empty pairs")
+	}
+}
+
+// TestResultRetention bounds what a finished run keeps alive. A Result
+// holds its stats.Network, so a figure sweep or a result cache pays the
+// latency histograms' size once per point: counters bounded by the
+// value range, not 16 bytes per delivered packet (which is about
+// 1.7 MB for a run of this length).
+func TestResultRetention(t *testing.T) {
+	p := Point{Config: config.DynRW(500), Pair: traffic.TestPairs()[0]}
+	opts := Full()
+	opts.WarmupCycles, opts.MeasureCycles = 2000, 60000
+	seeds := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	results, err := RunSeeds(context.Background(), p, opts, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	const limit = 256 << 10
+	perResult := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(len(seeds))
+	if perResult >= limit {
+		t.Fatalf("each retained result holds %d KB of live heap, want under %d KB", perResult>>10, limit>>10)
+	}
+	for _, r := range results {
+		if r.Metrics.Delivered.TotalPackets() < 50000 {
+			t.Fatalf("run delivered only %d packets; the bound is not being exercised", r.Metrics.Delivered.TotalPackets())
+		}
 	}
 }

@@ -27,7 +27,7 @@ type WindowStats struct {
 	DeliveredPackets       uint64  `json:"delivered_packets"`
 	ThroughputBitsPerCycle float64 `json:"throughput_bits_per_cycle"`
 	// Latency percentiles over the packets delivered in this window
-	// (nearest-rank, like stats.Histogram); zero when nothing landed.
+	// (nearest-rank, like stats.CycleHistogram); zero when nothing landed.
 	LatencyP50Cycles float64 `json:"latency_p50_cycles"`
 	LatencyP99Cycles float64 `json:"latency_p99_cycles"`
 	// WavelengthsOn is the mean per-router wavelength count powered at
@@ -156,7 +156,7 @@ func (s *windowSampler) emit(endCycle int64) {
 	s.hook(ws)
 }
 
-// nearestRank is the same percentile definition stats.Histogram uses,
+// nearestRank is the same percentile definition stats.CycleHistogram uses,
 // over the window's sample buffer. Sorts in place (the buffer is reset
 // after each window; emit calls with ascending p keep the sort valid).
 func nearestRank(xs []float64, p float64) float64 {

@@ -98,22 +98,22 @@ func TestOnWindowIsPureObservation(t *testing.T) {
 }
 
 // TestNearestRankMatchesHistogram pins the sampler's percentile
-// definition to stats.Histogram's — the two report the same latency
+// definition to stats.CycleHistogram's — the two report the same latency
 // statistic, one per window, one per run.
 func TestNearestRankMatchesHistogram(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(200)
 		xs := make([]float64, n)
-		h := stats.NewHistogram(0)
+		var h stats.CycleHistogram
 		for i := range xs {
-			v := float64(rng.Intn(1000))
-			xs[i] = v
-			h.Add(v)
+			v := rng.Intn(1000)
+			xs[i] = float64(v)
+			h.Add(int64(v))
 		}
 		for _, p := range []float64{0, 1, 50, 90, 99, 100} {
 			if got, want := nearestRank(xs, p), h.Percentile(p); got != want {
-				t.Fatalf("trial %d n=%d: nearestRank(%v) = %v, Histogram.Percentile = %v", trial, n, p, got, want)
+				t.Fatalf("trial %d n=%d: nearestRank(%v) = %v, CycleHistogram.Percentile = %v", trial, n, p, got, want)
 			}
 		}
 	}
@@ -124,7 +124,7 @@ func TestNearestRankMatchesHistogram(t *testing.T) {
 
 // TestPercentileEdgeCases pins the nearest-rank edge behavior with an
 // explicit table driven through BOTH implementations (the sampler's
-// nearestRank and stats.Histogram.Percentile). The audited hazard: at
+// nearestRank and stats.CycleHistogram.Percentile). The audited hazard: at
 // p→0⁺ the raw rank ceil(p/100·n) would be 0 (index −1); NaN p makes
 // the float→int conversion implementation-defined. Both code paths
 // guard these (p<=0 short-circuits to the minimum; rank<1 clamps to 1),
@@ -158,9 +158,9 @@ func TestPercentileEdgeCases(t *testing.T) {
 		{"quad p tiny", []float64{40, 10, 30, 20}, 1e-12, 10},
 	}
 	for _, tc := range cases {
-		h := stats.NewHistogram(0)
+		var h stats.CycleHistogram
 		for _, v := range tc.samples {
-			h.Add(v)
+			h.Add(int64(v))
 		}
 		// nearestRank sorts in place; give it its own copy so the table
 		// stays readable in unsorted order.
@@ -169,10 +169,10 @@ func TestPercentileEdgeCases(t *testing.T) {
 			t.Errorf("%s: nearestRank = %v, want %v", tc.name, got, tc.want)
 		}
 		if got := h.Percentile(tc.p); got != tc.want {
-			t.Errorf("%s: Histogram.Percentile = %v, want %v", tc.name, got, tc.want)
+			t.Errorf("%s: CycleHistogram.Percentile = %v, want %v", tc.name, got, tc.want)
 		}
 		if got := h.Percentiles(tc.p); got[0] != tc.want {
-			t.Errorf("%s: Histogram.Percentiles = %v, want %v", tc.name, got[0], tc.want)
+			t.Errorf("%s: CycleHistogram.Percentiles = %v, want %v", tc.name, got[0], tc.want)
 		}
 	}
 }

@@ -73,7 +73,11 @@ func RingHeatingRouterW(s photonic.WLState) float64 {
 // Account integrates energy over a run. The simulator calls the Add*
 // methods; reporters read the totals.
 type Account struct {
-	clockHz float64
+	// dt is the duration of one network cycle in seconds.
+	dt float64
+	// routerCycle is the static energy one router draws in one cycle,
+	// per wavelength state, so AddRouterCycle adds constants.
+	routerCycle [photonic.NumStates]struct{ laserJ, heatingJ float64 }
 
 	laserJ      float64
 	heatingJ    float64
@@ -94,18 +98,23 @@ func NewAccount(clockHz float64) *Account {
 	if clockHz <= 0 {
 		panic("power: non-positive clock")
 	}
-	return &Account{clockHz: clockHz}
+	a := &Account{dt: 1 / clockHz}
+	for _, s := range photonic.States() {
+		a.routerCycle[s].laserJ = LaserRouterPowerW(s) * a.dt
+		a.routerCycle[s].heatingJ = RingHeatingRouterW(s) * a.dt
+	}
+	return a
 }
 
-// cycleSeconds is the duration of one network cycle.
-func (a *Account) cycleSeconds() float64 { return 1 / a.clockHz }
-
 // AddRouterCycle integrates one router-cycle of photonic static power in
-// the given state (laser plus heating).
+// the given state (laser plus heating). It adds the same per-cycle
+// addends in the same order as computing power*dt each call would, so
+// totals are bit-identical to that; count*constant would round
+// differently.
 func (a *Account) AddRouterCycle(s photonic.WLState) {
-	dt := a.cycleSeconds()
-	a.laserJ += LaserRouterPowerW(s) * dt
-	a.heatingJ += RingHeatingRouterW(s) * dt
+	e := &a.routerCycle[s]
+	a.laserJ += e.laserJ
+	a.heatingJ += e.heatingJ
 }
 
 // AddCycle advances global time by one cycle. Call exactly once per
@@ -116,7 +125,7 @@ func (a *Account) AddCycle() { a.cycles++ }
 // through nWavelengths active rings for cycles network cycles.
 func (a *Account) AddModulation(nWavelengths int, cycles int) {
 	a.modulationJ += float64(nWavelengths) * photonic.RingModulatingW *
-		float64(cycles) * a.cycleSeconds()
+		float64(cycles) * a.dt
 }
 
 // AddConversion charges E/O + O/E energy for bits crossing the link.
@@ -138,7 +147,7 @@ func (a *Account) AddElectricalHop(bits int, traverseLink bool) {
 
 // AddElectricalLeakage charges leakage for n routers over one cycle.
 func (a *Account) AddElectricalLeakage(nRouters int) {
-	a.electricalLeakageJ += float64(nRouters) * CMESHLeakagePerRouterW * a.cycleSeconds()
+	a.electricalLeakageJ += float64(nRouters) * CMESHLeakagePerRouterW * a.dt
 }
 
 // AddDeliveredBits records payload bits that reached their destination;
@@ -146,7 +155,7 @@ func (a *Account) AddElectricalLeakage(nRouters int) {
 func (a *Account) AddDeliveredBits(bits int) { a.deliveredBits += uint64(bits) }
 
 // Seconds returns elapsed simulated time.
-func (a *Account) Seconds() float64 { return float64(a.cycles) * a.cycleSeconds() }
+func (a *Account) Seconds() float64 { return float64(a.cycles) * a.dt }
 
 // LaserEnergyJ returns total laser energy.
 func (a *Account) LaserEnergyJ() float64 { return a.laserJ }

@@ -1,0 +1,180 @@
+package stats
+
+import (
+	"math"
+	"slices"
+	"testing"
+)
+
+// queryPoints are the percentiles every differential check compares:
+// both clamps, the p→0⁺ rank-0 hazard, the figures' p50/p99, a rank
+// that lands on the last sample, and an out-of-range p.
+var queryPoints = []float64{0, 1e-9, 50, 99, 99.999, 100, 250}
+
+// query is the table's marker for "compare against the reference now";
+// any other negative value would make Add panic.
+const query = -1
+
+// checkAgainstReference asserts h and the raw-sample Histogram agree on
+// N, the mean's bit pattern and every query point, and that asking
+// twice gives the same answers.
+func checkAgainstReference(t *testing.T, h *CycleHistogram, ref *Histogram) {
+	t.Helper()
+	if ref.Truncated() {
+		t.Fatal("reference dropped samples; the stream is too long for it")
+	}
+	if h.N() != ref.N() {
+		t.Fatalf("N = %d, reference %d", h.N(), ref.N())
+	}
+	if got, want := h.Mean(), ref.Mean(); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("Mean = %v, reference %v", got, want)
+	}
+	got, want := h.Percentiles(queryPoints...), ref.Percentiles(queryPoints...)
+	if !slices.Equal(got, want) {
+		t.Fatalf("Percentiles(%v) = %v, reference %v", queryPoints, got, want)
+	}
+	for i, p := range queryPoints {
+		if one := h.Percentile(p); one != got[i] {
+			t.Fatalf("Percentile(%v) = %v after Percentiles gave %v", p, one, got[i])
+		}
+	}
+}
+
+// runDifferential feeds ops to both types, comparing at every query
+// marker and once more at the end, so an Add after a query has to
+// re-dirty the lazy sort.
+func runDifferential(t *testing.T, ops []int64) {
+	t.Helper()
+	var h CycleHistogram
+	ref := NewHistogram(0)
+	for _, v := range ops {
+		if v == query {
+			checkAgainstReference(t, &h, ref)
+			continue
+		}
+		h.Add(v)
+		ref.Add(float64(v))
+	}
+	checkAgainstReference(t, &h, ref)
+}
+
+func TestCycleHistogramMatchesRawSamples(t *testing.T) {
+	ramp := make([]int64, 0, 3*denseLimit)
+	for v := int64(3*denseLimit) - 1; v >= 0; v-- {
+		ramp = append(ramp, v)
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []int64
+	}{
+		{"empty", nil},
+		{"one sample", []int64{7}},
+		{"one zero", []int64{0}},
+		{"all equal", []int64{86, 86, 86, 86, 86}},
+		{"dense growth", []int64{3, 63, 64, 1, 2000, 65, 0}},
+		{"straddling the limit", []int64{denseLimit - 2, denseLimit + 1, denseLimit - 1, denseLimit, denseLimit - 1, denseLimit}},
+		{"only overflow", []int64{58487, denseLimit, 9000, 9000, 1 << 40}},
+		{"one overflow sample", []int64{denseLimit}},
+		{"interleaved", []int64{5, query, 1, query, 70000, query, 6000, 3, query, denseLimit, query}},
+		{"descending ramp across the limit", ramp},
+	} {
+		t.Run(tc.name, func(t *testing.T) { runDifferential(t, tc.ops) })
+	}
+}
+
+func TestCycleHistogramNegativeLatencyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Add(-1) did not panic")
+		}
+	}()
+	new(CycleHistogram).Add(-1)
+}
+
+// TestCycleHistogramMemoryBound pins the representation: values below
+// the limit cost counters sized to the largest one seen, never more
+// than denseLimit of them, and only values at or above it are kept raw.
+func TestCycleHistogramMemoryBound(t *testing.T) {
+	var h CycleHistogram
+	for i := 0; i < 100000; i++ {
+		h.Add(int64(i % 340))
+	}
+	if len(h.dense) != 512 || len(h.overflow) != 0 {
+		t.Fatalf("max 339: %d counters, %d raw; want 512, 0", len(h.dense), len(h.overflow))
+	}
+	h.Add(denseLimit - 1)
+	h.Add(denseLimit)
+	h.Add(58487)
+	if len(h.dense) != denseLimit || len(h.overflow) != 2 {
+		t.Fatalf("past the limit: %d counters, %d raw; want %d, 2", len(h.dense), len(h.overflow), denseLimit)
+	}
+}
+
+// TestCycleHistogramLongHorizon pins this type's one behaviour change
+// over the raw-sample Histogram the simulator used before it: past
+// 1<<20 samples that one answered percentiles over the first 1<<20
+// only. The stream's tail is larger than its head, so the truncated
+// answer is wrong at both p50 and p99.
+func TestCycleHistogramLongHorizon(t *testing.T) {
+	const head, tail = 1 << 20, 200000
+	var h CycleHistogram
+	truncated := NewHistogram(0)
+	all := make([]int64, 0, head+tail)
+	add := func(v int64) {
+		h.Add(v)
+		truncated.Add(float64(v))
+		all = append(all, v)
+	}
+	for i := 0; i < head; i++ {
+		add(int64(i % 1000))
+	}
+	for i := 0; i < tail; i++ {
+		add(int64(2000 + i%5000)) // crosses denseLimit
+	}
+	if !truncated.Truncated() {
+		t.Fatal("the reference should have dropped the tail")
+	}
+	slices.Sort(all)
+	for _, p := range []float64{50, 99} {
+		rank := int(math.Ceil(p / 100 * float64(len(all))))
+		want := float64(all[rank-1])
+		if got := h.Percentile(p); got != want {
+			t.Errorf("p%v = %v, nearest rank over all %d samples is %v", p, got, len(all), want)
+		}
+		if first := truncated.Percentile(p); first == want {
+			t.Errorf("p%v: the first-2^20 answer %v equals the exact one; the stream does not show the difference", p, first)
+		}
+	}
+	if got, want := h.Percentile(100), float64(all[len(all)-1]); got != want {
+		t.Errorf("max = %v, want %v", got, want)
+	}
+}
+
+// FuzzCycleHistogram decodes the input three bytes at a time into Adds
+// of small, limit-straddling and overflow values and interleaved
+// queries, and runs the same differential as the table test.
+func FuzzCycleHistogram(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 7})
+	f.Add([]byte{1, 0, 86, 1, 0, 86, 1, 0, 86, 0, 0, 0})
+	f.Add([]byte{4, 0, 0, 4, 1, 0, 4, 2, 0, 4, 3, 0, 0, 0, 0, 4, 4, 0, 4, 1, 0})
+	f.Add([]byte{6, 255, 255, 6, 0, 0, 7, 0, 1, 0, 0, 0, 6, 0, 0})
+	f.Add([]byte{2, 3, 200, 0, 0, 0, 6, 1, 1, 0, 0, 0, 3, 0, 1, 5, 2, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops := make([]int64, 0, len(data)/3)
+		for ; len(data) >= 3; data = data[3:] {
+			arg := int64(data[1])<<8 | int64(data[2])
+			switch data[0] % 8 {
+			case 0:
+				ops = append(ops, query)
+			case 1, 2, 3:
+				ops = append(ops, arg%denseLimit)
+			case 4, 5:
+				ops = append(ops, denseLimit-2+arg%5)
+			default:
+				ops = append(ops, denseLimit+arg*8)
+			}
+		}
+		runDifferential(t, ops)
+	})
+}

@@ -58,8 +58,10 @@ func (s *Summary) Min() float64 { return s.min }
 // Max returns the largest sample (0 when empty).
 func (s *Summary) Max() float64 { return s.max }
 
-// Histogram is a fixed-bucket latency histogram with exact percentile
-// support via a bounded reservoir of raw samples.
+// Histogram is a float64 sample distribution with percentile support
+// via a bounded reservoir of raw samples. Simulated latencies (whole
+// cycles) go to CycleHistogram instead; this type serves the daemon's
+// wall-clock job latencies and is CycleHistogram's reference in tests.
 type Histogram struct {
 	samples []float64
 	sorted  bool
@@ -184,43 +186,62 @@ func (c *ClassCounts) Share(class int) float64 {
 	return float64(c.Packets[class]) / float64(tot)
 }
 
+// maxResidencyKey is the largest wavelength count a router can hold
+// (config.MaxWavelengths; this package stays free of that import).
+const maxResidencyKey = 64
+
 // Residency tracks how many cycles each wavelength state was active —
-// Figure 8's state-residency breakdown.
+// Figure 8's state-residency breakdown. It is a fixed array indexed by
+// wavelength count, so the per-router-per-cycle Add is one indexed
+// increment; a key outside 0..64 panics. The zero value is ready to use.
 type Residency struct {
-	cycles map[int]int64
+	cycles [maxResidencyKey + 1]int64
 	total  int64
 }
 
 // NewResidency returns an empty residency tracker.
-func NewResidency() *Residency {
-	return &Residency{cycles: make(map[int]int64)}
-}
+func NewResidency() Residency { return Residency{} }
 
 // Add records n cycles spent in the state identified by key (wavelength
 // count).
 func (r *Residency) Add(key int, n int64) {
+	if uint(key) > maxResidencyKey {
+		badResidencyKey(key)
+	}
 	r.cycles[key] += n
 	r.total += n
 }
 
 // Fraction returns the share of time spent in the state.
 func (r *Residency) Fraction(key int) float64 {
+	if uint(key) > maxResidencyKey {
+		badResidencyKey(key)
+	}
 	if r.total == 0 {
 		return 0
 	}
 	return float64(r.cycles[key]) / float64(r.total)
 }
 
+// badResidencyKey is out of line so Add stays small enough to inline.
+//
+//go:noinline
+func badResidencyKey(key int) {
+	panic(fmt.Sprintf("stats: residency key %d outside 0..%d", key, maxResidencyKey))
+}
+
 // Total returns total observed cycles.
 func (r *Residency) Total() int64 { return r.total }
 
-// Keys returns the observed state keys in ascending order.
+// Keys returns the state keys with a non-zero cycle count in ascending
+// order.
 func (r *Residency) Keys() []int {
-	keys := make([]int, 0, len(r.cycles))
-	for k := range r.cycles {
-		keys = append(keys, k)
+	var keys []int
+	for k, c := range r.cycles {
+		if c != 0 {
+			keys = append(keys, k)
+		}
 	}
-	sort.Ints(keys)
 	return keys
 }
 
@@ -233,11 +254,11 @@ type Network struct {
 	// measurement phase.
 	Injected ClassCounts
 	// Latency is end-to-end packet latency in cycles.
-	Latency *Histogram
+	Latency *CycleHistogram
 	// CPULatency and GPULatency split latency by class.
-	CPULatency, GPULatency *Histogram
+	CPULatency, GPULatency *CycleHistogram
 	// StateResidency tracks wavelength-state time across all routers.
-	StateResidency *Residency
+	StateResidency Residency
 	// MeasuredCycles is the length of the measurement phase.
 	MeasuredCycles int64
 }
@@ -245,10 +266,9 @@ type Network struct {
 // NewNetwork returns an empty metric set.
 func NewNetwork() *Network {
 	return &Network{
-		Latency:        NewHistogram(0),
-		CPULatency:     NewHistogram(0),
-		GPULatency:     NewHistogram(0),
-		StateResidency: NewResidency(),
+		Latency:    new(CycleHistogram),
+		CPULatency: new(CycleHistogram),
+		GPULatency: new(CycleHistogram),
 	}
 }
 

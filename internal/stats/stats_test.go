@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -177,6 +178,47 @@ func TestResidencyFractionsSumToOneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestResidencyKeysAscendingNonZero(t *testing.T) {
+	r := NewResidency()
+	for _, k := range []int{64, 8, 48, 16, 32, 8} {
+		r.Add(k, 10)
+	}
+	r.Add(0, 0) // touched but empty: not a key
+	if got, want := r.Keys(), []int{8, 16, 32, 48, 64}; !slices.Equal(got, want) {
+		t.Fatalf("Keys = %v, want %v", got, want)
+	}
+	if r.Fraction(8) != 20.0/60.0 || r.Fraction(24) != 0 {
+		t.Fatalf("Fraction(8) = %v, Fraction(unseen 24) = %v", r.Fraction(8), r.Fraction(24))
+	}
+}
+
+func TestResidencyOutOfRangeKeyPanics(t *testing.T) {
+	for name, fn := range map[string]func(r *Residency){
+		"Add above":      func(r *Residency) { r.Add(maxResidencyKey+1, 1) },
+		"Add negative":   func(r *Residency) { r.Add(-1, 1) },
+		"Fraction above": func(r *Residency) { r.Fraction(maxResidencyKey + 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("expected a panic")
+				}
+			}()
+			r := NewResidency()
+			fn(&r)
+		})
+	}
+}
+
+func TestNewResidencyDoesNotAllocate(t *testing.T) {
+	if allocs := testing.AllocsPerRun(100, func() {
+		r := NewResidency()
+		r.Add(64, 1)
+	}); allocs != 0 {
+		t.Fatalf("NewResidency + Add allocates %v times, want 0", allocs)
 	}
 }
 

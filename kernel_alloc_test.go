@@ -20,22 +20,27 @@ import (
 
 // TestKernelSteadyStateZeroAllocs drives each warmed kernel — PEARL-Dyn
 // with all 17 routers injecting under the fmm/DCT workload, saturating
-// the arbiter every cycle, and the CMESH baseline at link scale 1 under
-// the same workload — and asserts that stepping allocates nothing.
-// After warmup every structure the kernel touches (ring-calendar slots,
-// circular-queue buffers, flit rings, the packet pool, response queues)
-// has reached its high-water capacity, so any allocation here is a
-// regression, not growth.
+// the arbiter every cycle, the same with the measurement layer on, and
+// the CMESH baseline at link scale 1 under the same workload — and
+// asserts that stepping allocates nothing. After warmup every structure
+// the kernel touches (ring-calendar slots, circular-queue buffers, flit
+// rings, the packet pool, response queues) has reached its high-water
+// capacity, so any allocation here is a regression, not growth. The
+// measured row first steps until the latency histograms' counters have
+// grown to cover the latencies this workload produces.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	for _, k := range []struct {
-		name  string
-		build func(testing.TB) *sim.Engine
+		name   string
+		build  func(testing.TB) *sim.Engine
+		settle int64
 	}{
-		{"PEARL-Dyn", buildPEARLKernel},
-		{"CMESH", buildCMESHKernel},
+		{"PEARL-Dyn", buildPEARLKernel, 0},
+		{"PEARL-Dyn measured", buildPEARLKernelMeasured, 20000},
+		{"CMESH", buildCMESHKernel, 0},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			engine := k.build(t)
+			engine.Run(k.settle)
 			const cycles = 5000
 			if allocs := testing.AllocsPerRun(cycles, func() { engine.Step() }); allocs != 0 {
 				t.Fatalf("steady-state kernel allocates: %v allocs/cycle over %d cycles, want 0", allocs, cycles)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/traffic"
 )
@@ -27,12 +28,24 @@ const kernelWarmupCycles = 2000
 // experiments.Run does, minus measurement (the kernel itself is the
 // subject, not the stats layer). It is shared with the steady-state
 // allocation test in kernel_alloc_test.go.
-func buildPEARLKernel(b testing.TB) *sim.Engine {
+func buildPEARLKernel(b testing.TB) *sim.Engine { return buildPEARL(b, false) }
+
+// buildPEARLKernelMeasured is the stack every experiments.Run actually
+// steps: the same kernel with a power account attached and, after the
+// warm-up, delivery statistics and state residency recording. The gap
+// between BenchmarkKernelMeasured and BenchmarkKernel is the always-on
+// measurement layer's cost per cycle.
+func buildPEARLKernelMeasured(b testing.TB) *sim.Engine { return buildPEARL(b, true) }
+
+func buildPEARL(b testing.TB, measured bool) *sim.Engine {
 	b.Helper()
 	engine := sim.NewEngine()
 	net, err := core.New(engine, config.PEARLDyn())
 	if err != nil {
 		b.Fatal(err)
+	}
+	if measured {
+		net.SetAccount(power.NewAccount(config.NetworkFrequencyHz))
 	}
 	w, err := traffic.NewWorkload(engine, net, traffic.TestPairs()[0], 2018)
 	if err != nil {
@@ -42,12 +55,15 @@ func buildPEARLKernel(b testing.TB) *sim.Engine {
 	engine.Register(w)
 	engine.Register(net)
 	engine.Run(kernelWarmupCycles)
+	if measured {
+		net.StartMeasurement()
+		w.StartMeasurement()
+	}
 	return engine
 }
 
-// BenchmarkKernel times the photonic crossbar's steady-state cycle loop.
-func BenchmarkKernel(b *testing.B) {
-	engine := buildPEARLKernel(b)
+// benchmarkSteps times engine.Step, one op per network cycle.
+func benchmarkSteps(b *testing.B, engine *sim.Engine) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -58,6 +74,13 @@ func BenchmarkKernel(b *testing.B) {
 		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
 	}
 }
+
+// BenchmarkKernel times the photonic crossbar's steady-state cycle loop.
+func BenchmarkKernel(b *testing.B) { benchmarkSteps(b, buildPEARLKernel(b)) }
+
+// BenchmarkKernelMeasured times the same loop with the measurement
+// layer on, the configuration figure sweeps and pearld jobs run in.
+func BenchmarkKernelMeasured(b *testing.B) { benchmarkSteps(b, buildPEARLKernelMeasured(b)) }
 
 // benchReplicas and benchReplicaChunk fix the shape of the replicated
 // kernel benchmark: 8 lockstep seeds stepped in 1024-cycle chunks —
@@ -119,15 +142,4 @@ func buildCMESHKernel(b testing.TB) *sim.Engine {
 
 // BenchmarkKernelCMESH times the electrical baseline's cycle loop, which
 // shares the engine, buffers and workload with the photonic kernel.
-func BenchmarkKernelCMESH(b *testing.B) {
-	engine := buildCMESHKernel(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.Step()
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(b.N)/secs, "cycles/sec")
-	}
-}
+func BenchmarkKernelCMESH(b *testing.B) { benchmarkSteps(b, buildCMESHKernel(b)) }
