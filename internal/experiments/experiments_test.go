@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -261,6 +262,59 @@ func TestFigure5Shape(t *testing.T) {
 		if cmesh <= dyn {
 			t.Errorf("%s: CMESH %.3f pJ/bit not above PEARL-Dyn %.3f", col, cmesh, dyn)
 		}
+	}
+}
+
+// TestFigure5NoteMatchesTable: Figure 5's note describes the table it
+// is printed under. Each column must appear in the PEARL-FCFS clause
+// exactly when PEARL-Dyn is below PEARL-FCFS there (or the clause says
+// every point), and the CMESH clause must quote the table's own factors.
+func TestFigure5NoteMatchesTable(t *testing.T) {
+	tbl, err := NewSuite(tiny()).Figure5()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcfsClause, cmeshClause, ok := strings.Cut(tbl.Notes, "; ")
+	if !ok {
+		t.Fatalf("note %q has no CMESH clause", tbl.Notes)
+	}
+	dyn, fcfs, cmesh := tbl.Rows[0].Values, tbl.Rows[1].Values, tbl.Rows[2].Values
+	every := true
+	for i := range tbl.Columns {
+		every = every && dyn[i] < fcfs[i]
+	}
+	for i, col := range tbl.Columns {
+		named := strings.Contains(fcfsClause, col) || strings.HasSuffix(fcfsClause, "at every point")
+		if named != (dyn[i] < fcfs[i]) {
+			t.Errorf("%s: Dyn %.4f vs FCFS %.4f, but the note says %q", col, dyn[i], fcfs[i], fcfsClause)
+		}
+	}
+	if every != strings.HasSuffix(fcfsClause, "at every point") {
+		t.Errorf("note %q misstates whether Dyn undercuts FCFS everywhere", fcfsClause)
+	}
+	last := len(tbl.Columns) - 1
+	for _, factor := range []float64{cmesh[0] / dyn[0], cmesh[last] / dyn[last]} {
+		if want := fmt.Sprintf("%.1fx", factor); !strings.Contains(cmeshClause, want) {
+			t.Errorf("CMESH clause %q does not quote the table's factor %s", cmeshClause, want)
+		}
+	}
+}
+
+// TestFigure5NoteAtPaperScale pins the note for the table checked into
+// full_results.txt, whose old hard-coded note claimed PEARL-Dyn
+// undercuts PEARL-FCFS although it is above it at two of three points.
+func TestFigure5NoteAtPaperScale(t *testing.T) {
+	tbl := Table{
+		Columns: []string{"64WL-eq", "32WL-eq", "16WL-eq"},
+		Rows: []Row{
+			{Label: "PEARL-Dyn", Values: []float64{1.7173, 1.2622, 1.1746}},
+			{Label: "PEARL-FCFS", Values: []float64{1.7187, 1.2429, 1.1521}},
+			{Label: "CMESH", Values: []float64{6.0906, 6.7243, 7.4292}},
+		},
+	}
+	want := "PEARL-Dyn undercuts PEARL-FCFS only at 64WL-eq; it undercuts CMESH at every point, by 3.5x at 64WL-eq to 6.3x at 16WL-eq"
+	if got := figure5Note(tbl); got != want {
+		t.Fatalf("note\n got %q\nwant %q", got, want)
 	}
 }
 

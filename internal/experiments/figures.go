@@ -176,7 +176,6 @@ func (s *Suite) Figure5() (Table, error) {
 	t := Table{
 		Title:   "Figure 5: energy per bit (pJ/bit)",
 		Columns: []string{"64WL-eq", "32WL-eq", "16WL-eq"},
-		Notes:   "PEARL-Dyn undercuts PEARL-FCFS and decisively undercuts CMESH as bandwidth is constrained",
 	}
 	// The fig5 sweep lists, per bandwidth point, PEARL-Dyn, PEARL-FCFS
 	// and the bandwidth-matched CMESH: one row each, one column per point.
@@ -199,7 +198,41 @@ func (s *Suite) Figure5() (Table, error) {
 		row := &t.Rows[i%len(t.Rows)]
 		row.Values = append(row.Values, mean)
 	}
+	t.Notes = figure5Note(t)
 	return t, nil
+}
+
+// figure5Note states what Figure 5's rows show rather than what the
+// paper claims: at which points PEARL-Dyn undercuts PEARL-FCFS, and
+// whether and by what factor it undercuts CMESH from the widest to the
+// narrowest bandwidth point.
+func figure5Note(t Table) string {
+	dyn, fcfs, cmesh := t.Rows[0].Values, t.Rows[1].Values, t.Rows[2].Values
+	below := func(other []float64) (cols []string) {
+		for i, col := range t.Columns {
+			if dyn[i] < other[i] {
+				cols = append(cols, col)
+			}
+		}
+		return cols
+	}
+	where := func(cols []string) string {
+		switch len(cols) {
+		case len(t.Columns):
+			return "at every point"
+		case 0:
+			return "at no point"
+		}
+		return "only at " + strings.Join(cols, ", ")
+	}
+	note := "PEARL-Dyn undercuts PEARL-FCFS " + where(below(fcfs)) + "; it undercuts CMESH "
+	underCMESH := below(cmesh)
+	if len(underCMESH) != len(t.Columns) {
+		return note + where(underCMESH)
+	}
+	last := len(t.Columns) - 1
+	return note + fmt.Sprintf("at every point, by %.1fx at %s to %.1fx at %s",
+		cmesh[0]/dyn[0], t.Columns[0], cmesh[last]/dyn[last], t.Columns[last])
 }
 
 // runScalingSet evaluates every Figure 6/7 configuration, returning mean

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"math"
-	"sort"
-
 	"repro/internal/noc"
 	"repro/internal/power"
 	"repro/internal/stats"
@@ -26,8 +23,9 @@ type WindowStats struct {
 	// only (deltas of the cumulative measurement counters).
 	DeliveredPackets       uint64  `json:"delivered_packets"`
 	ThroughputBitsPerCycle float64 `json:"throughput_bits_per_cycle"`
-	// Latency percentiles over the packets delivered in this window
-	// (nearest-rank, like stats.CycleHistogram); zero when nothing landed.
+	// Latency percentiles over the packets delivered in this window, by
+	// nearest rank (a stats.CycleHistogram reset at every window); zero
+	// when nothing landed.
 	LatencyP50Cycles float64 `json:"latency_p50_cycles"`
 	LatencyP99Cycles float64 `json:"latency_p99_cycles"`
 	// WavelengthsOn is the mean per-router wavelength count powered at
@@ -69,15 +67,16 @@ type windowSampler struct {
 	lastBits    uint64
 	lastPackets uint64
 	lastEnergy  float64
-	lats        []float64
+	// lats holds the current window's latencies; reset, not reallocated,
+	// at every window boundary.
+	lats stats.CycleHistogram
 }
 
 func newWindowSampler(hook func(WindowStats), src windowSource, acct *power.Account, period int64, freqHz float64) *windowSampler {
 	if period <= 0 {
 		period = 1
 	}
-	return &windowSampler{hook: hook, src: src, acct: acct, period: period, freqHz: freqHz,
-		lats: make([]float64, 0, 256)}
+	return &windowSampler{hook: hook, src: src, acct: acct, period: period, freqHz: freqHz}
 }
 
 // wrapDeliver chains the sampler onto the workload's delivery handler:
@@ -86,7 +85,7 @@ func newWindowSampler(hook func(WindowStats), src windowSource, acct *power.Acco
 func (s *windowSampler) wrapDeliver(inner func(p *noc.Packet, cycle int64)) func(p *noc.Packet, cycle int64) {
 	return func(p *noc.Packet, cycle int64) {
 		if s.active {
-			s.lats = append(s.lats, float64(cycle-p.InjectCycle))
+			s.lats.Add(cycle - p.InjectCycle)
 		}
 		inner(p, cycle)
 	}
@@ -138,8 +137,8 @@ func (s *windowSampler) emit(endCycle int64) {
 		Cycles:                 cycles,
 		DeliveredPackets:       packets - s.lastPackets,
 		ThroughputBitsPerCycle: float64(bits-s.lastBits) / float64(cycles),
-		LatencyP50Cycles:       nearestRank(s.lats, 50),
-		LatencyP99Cycles:       nearestRank(s.lats, 99),
+		LatencyP50Cycles:       s.lats.Percentile(50),
+		LatencyP99Cycles:       s.lats.Percentile(99),
 		WavelengthsOn:          s.src.WavelengthsOn(),
 		InFlight:               s.src.InFlight(),
 	}
@@ -152,27 +151,6 @@ func (s *windowSampler) emit(endCycle int64) {
 	s.lastEmit = endCycle
 	s.lastBits = bits
 	s.lastPackets = packets
-	s.lats = s.lats[:0]
+	s.lats.Reset()
 	s.hook(ws)
-}
-
-// nearestRank is the same percentile definition stats.CycleHistogram uses,
-// over the window's sample buffer. Sorts in place (the buffer is reset
-// after each window; emit calls with ascending p keep the sort valid).
-func nearestRank(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sort.Float64s(xs)
-	if p <= 0 {
-		return xs[0]
-	}
-	if p >= 100 {
-		return xs[len(xs)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(xs))))
-	if rank < 1 {
-		rank = 1
-	}
-	return xs[rank-1]
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/noc"
 	"repro/internal/stats"
 	"repro/internal/traffic"
 )
@@ -97,38 +98,56 @@ func TestOnWindowIsPureObservation(t *testing.T) {
 	}
 }
 
-// TestNearestRankMatchesHistogram pins the sampler's percentile
-// definition to stats.CycleHistogram's — the two report the same latency
-// statistic, one per window, one per run.
-func TestNearestRankMatchesHistogram(t *testing.T) {
+// fixedSource is a windowSource with nothing delivered or in flight:
+// the sampler's percentiles depend only on the deliveries it is handed.
+type fixedSource struct{ m *stats.Network }
+
+func (f fixedSource) Metrics() *stats.Network { return f.m }
+func (f fixedSource) InFlight() int           { return 0 }
+func (f fixedSource) WavelengthsOn() float64  { return 0 }
+
+// TestWindowPercentilesPerWindow: the sampler reports each window's
+// p50/p99 over exactly that window's deliveries — its one histogram,
+// reset at every boundary, answers like a fresh one per window, however
+// the windows' sizes and ranges (past the dense limit included) vary.
+func TestWindowPercentilesPerWindow(t *testing.T) {
+	const period, windows = 100, 60
+	var got []WindowStats
+	s := newWindowSampler(func(ws WindowStats) { got = append(got, ws) },
+		fixedSource{stats.NewNetwork()}, nil, period, 0)
+	deliver := s.wrapDeliver(func(*noc.Packet, int64) {})
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(200)
-		xs := make([]float64, n)
-		var h stats.CycleHistogram
-		for i := range xs {
-			v := rng.Intn(1000)
-			xs[i] = float64(v)
-			h.Add(int64(v))
+	want := make([]stats.CycleHistogram, windows)
+	s.start(0)
+	for cycle := int64(0); cycle < period*windows; cycle++ {
+		w := cycle / period
+		spread := int64(1) << (2 + w%14) // 4 .. 32768 cycles
+		for k := rng.Intn(4 + int(w%5)*3); k > 0; k-- {
+			lat := rng.Int63n(spread)
+			deliver(&noc.Packet{InjectCycle: cycle - lat}, cycle)
+			want[w].Add(lat)
 		}
-		for _, p := range []float64{0, 1, 50, 90, 99, 100} {
-			if got, want := nearestRank(xs, p), h.Percentile(p); got != want {
-				t.Fatalf("trial %d n=%d: nearestRank(%v) = %v, CycleHistogram.Percentile = %v", trial, n, p, got, want)
-			}
-		}
+		s.Tick(cycle)
 	}
-	if nearestRank(nil, 50) != 0 {
-		t.Fatal("empty sample set must report 0")
+	if len(got) != windows {
+		t.Fatalf("%d windows emitted, want %d", len(got), windows)
+	}
+	for i, ws := range got {
+		if p50, p99 := want[i].Percentile(50), want[i].Percentile(99); ws.LatencyP50Cycles != p50 || ws.LatencyP99Cycles != p99 {
+			t.Fatalf("window %d: p50/p99 %v/%v, want %v/%v over its %d deliveries",
+				i, ws.LatencyP50Cycles, ws.LatencyP99Cycles, p50, p99, want[i].N())
+		}
 	}
 }
 
-// TestPercentileEdgeCases pins the nearest-rank edge behavior with an
-// explicit table driven through BOTH implementations (the sampler's
-// nearestRank and stats.CycleHistogram.Percentile). The audited hazard: at
-// p→0⁺ the raw rank ceil(p/100·n) would be 0 (index −1); NaN p makes
-// the float→int conversion implementation-defined. Both code paths
-// guard these (p<=0 short-circuits to the minimum; rank<1 clamps to 1),
-// and this table keeps any future edit honest about it.
+// TestPercentileEdgeCases pins the nearest-rank edge behavior of
+// stats.CycleHistogram, the window sampler's percentile, with an
+// explicit table driven through a fresh histogram and through one reset
+// after unrelated samples, the way the sampler reuses its own. The
+// audited hazard: at p→0⁺ the raw rank ceil(p/100·n) would be 0 (index
+// −1); NaN p makes the float→int conversion implementation-defined.
+// Percentile guards these (p<=0 short-circuits to the minimum; rank<1
+// clamps to 1), and this table keeps any future edit honest about it.
 func TestPercentileEdgeCases(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -157,22 +176,25 @@ func TestPercentileEdgeCases(t *testing.T) {
 		{"quad p99", []float64{40, 10, 30, 20}, 99, 40},
 		{"quad p tiny", []float64{40, 10, 30, 20}, 1e-12, 10},
 	}
+	var reused stats.CycleHistogram
 	for _, tc := range cases {
-		var h stats.CycleHistogram
+		for _, v := range []int64{9000, 3, 600} {
+			reused.Add(v)
+		}
+		reused.Reset()
+		var fresh stats.CycleHistogram
 		for _, v := range tc.samples {
-			h.Add(int64(v))
+			fresh.Add(int64(v))
+			reused.Add(int64(v))
 		}
-		// nearestRank sorts in place; give it its own copy so the table
-		// stays readable in unsorted order.
-		xs := append([]float64(nil), tc.samples...)
-		if got := nearestRank(xs, tc.p); got != tc.want {
-			t.Errorf("%s: nearestRank = %v, want %v", tc.name, got, tc.want)
+		for name, h := range map[string]*stats.CycleHistogram{"fresh": &fresh, "reset": &reused} {
+			if got := h.Percentile(tc.p); got != tc.want {
+				t.Errorf("%s: %s Percentile = %v, want %v", tc.name, name, got, tc.want)
+			}
+			if got := h.Percentiles(tc.p); got[0] != tc.want {
+				t.Errorf("%s: %s Percentiles = %v, want %v", tc.name, name, got[0], tc.want)
+			}
 		}
-		if got := h.Percentile(tc.p); got != tc.want {
-			t.Errorf("%s: CycleHistogram.Percentile = %v, want %v", tc.name, got, tc.want)
-		}
-		if got := h.Percentiles(tc.p); got[0] != tc.want {
-			t.Errorf("%s: CycleHistogram.Percentiles = %v, want %v", tc.name, got[0], tc.want)
-		}
+		reused.Reset()
 	}
 }

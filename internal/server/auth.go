@@ -78,8 +78,9 @@ func (s *Server) admitRequest(w http.ResponseWriter, tn *tenant.Tenant) bool {
 const quotaRetryAfter = time.Second
 
 // acquireSlots reserves n in-flight slots against the tenant's quota;
-// false means the 429 has been written. Each admitted job must release
-// its slot at terminal state (see releaseOnTerminal).
+// false means the 429 has been written. Each admitted job releases its
+// slot at terminal state: at once for a cache hit, through the
+// subscriber armJob registers otherwise.
 func (s *Server) acquireSlots(w http.ResponseWriter, tn *tenant.Tenant, n int) bool {
 	if !tn.AcquireSlots(n) {
 		s.metrics.tenantThrottled(tn.Name())
@@ -89,15 +90,6 @@ func (s *Server) acquireSlots(w http.ResponseWriter, tn *tenant.Tenant, n int) b
 		return false
 	}
 	return true
-}
-
-// stampTenant ties a freshly built job to its tenant: identity and
-// scheduling weight for the fair queue, token for shard forwarding,
-// and the quota slot release on whatever terminal transition the job
-// eventually takes.
-func stampTenant(j *Job, tn *tenant.Tenant, token string) {
-	j.setTenant(tn.Name(), token, tn.Weight())
-	j.subscribe(func(*Job) { tn.ReleaseSlot() })
 }
 
 // handleTenantReload is POST /v1/admin/tenants/reload: re-reads the

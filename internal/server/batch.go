@@ -380,13 +380,13 @@ func (s *Server) feedBatch(deferred []*Job) {
 				// A cancelled replica carrier is bookkeeping, not a point:
 				// its crew members carry the per-tenant cancellation metric
 				// (armCarrier releases them when the carrier goes terminal).
-				if job.cancelIfPending() && len(job.crew) == 0 {
+				if job.cancelIfPending() && len(job.exec.crew) == 0 {
 					s.metrics.jobCancelled(job.tenant)
 				}
 				break
 			}
 			select {
-			case <-job.ctx.Done():
+			case <-job.exec.ctx.Done():
 				// Cancelled (or settled) while waiting for a slot; the
 				// next loop iteration observes the terminal state.
 			case <-time.After(feedRetryInterval):
@@ -478,22 +478,18 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 				mspec.seed = spec.replicaSeed(i)
 			}
 			s.metrics.jobSubmitted(tn.Name())
-			job := s.buildJob(mspec)
+			job := s.buildJob(&mspec, tn, token)
 			job.group = group
-			job.sinks = append(job.sinks, b.events)
-			stampTenant(job, tn, token)
-			b.addJob(job)
-			s.closeFeedOnTerminal(job)
-			job.subscribe(func(j *Job) { b.noteTerminal(s, j) })
 			if b.isCancelled() {
 				// An earlier point already failed and cancel_on_error fired.
+				s.armJob(job, mspec, tn, b)
 				s.reg.add(job)
 				job.finish(StateCancelled, nil, errors.New("batch cancelled before scheduling"))
 				s.metrics.jobCancelled(job.tenant)
 				allCached = false
 				continue
 			}
-			switch s.admit(job, false) {
+			switch s.admit(job, mspec, tn, b) {
 			case admitCached:
 			case admitCoalesced:
 				allCached = false

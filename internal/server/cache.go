@@ -32,16 +32,18 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-// Get returns the cached result for key, refreshing its recency.
-func (c *resultCache) Get(key string) (*JobResult, bool) {
+// Get returns the cached entry for key, refreshing its recency. The
+// entry's key is the string the cache holds, so a caller that keeps the
+// key can keep that one copy instead of its own.
+func (c *resultCache) Get(key string) (cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return nil, false
+		return cacheEntry{}, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).result, true
+	return *el.Value.(*cacheEntry), true
 }
 
 // Put stores a result, evicting the least recently used entry past

@@ -7,9 +7,10 @@ import (
 	"repro/internal/experiments"
 )
 
-// The streaming layer's buffer: every job (and every batch) owns a
-// bounded eventRing the simulation writes into and SSE handlers read
-// out of. The contract is strictly no-backpressure: an append never
+// The streaming layer's buffer: every job that may run (and every
+// batch) owns a bounded eventRing the simulation writes into and SSE
+// handlers read out of; a cache hit's one-frame feed is built on
+// request. The contract is strictly no-backpressure: an append never
 // blocks and never fails upward into the kernel — when the ring is
 // full the oldest event is dropped and a cumulative dropped counter is
 // stamped into every subsequent frame, so a slow or absent consumer
@@ -109,8 +110,8 @@ type eventRing struct {
 }
 
 // newEventRing returns an empty ring bounded at capacity frames. Storage
-// is not reserved up front: most rings (cache hits, coalesced, remote
-// and failed jobs) only ever hold their one end frame.
+// is not reserved up front: most rings (coalesced, remote and failed
+// jobs) only ever hold their one end frame.
 func newEventRing(capacity int) *eventRing {
 	if capacity < 1 {
 		capacity = 1

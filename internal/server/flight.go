@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+
+	"repro/internal/tenant"
 )
 
 // flightTable coalesces concurrently in-flight jobs that share a cache
@@ -50,16 +52,27 @@ const (
 	admitRejected
 )
 
-// admit routes a freshly resolved job through the cache and
-// singleflight layers and registers it. When enqueue is false the
-// caller owns getting leader jobs into the queue (see batch feeding).
-func (s *Server) admit(job *Job, enqueue bool) admission {
-	if result, disk, ok := s.lookup(job.key); ok {
+// admit routes a freshly built job through the cache and singleflight
+// layers and registers it. A job the result cache already holds settles
+// at once as a compact terminal record: it never gets spec, context,
+// event ring or subscribers, its tenant slot is released here, and the
+// "end" frame its feed consists of is counted now. Any other job is
+// armed to run first. A batch member (b non-nil) joins b either way; its
+// leader jobs are left for the batch feeder to enqueue.
+func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admission {
+	if hit, disk, ok := s.lookup(job.key); ok {
+		job.key = hit.key
 		s.metrics.cacheHit(job.tenant, disk)
-		job.finishCached(result)
+		job.finishCached(hit.result)
+		tn.ReleaseSlot()
+		s.metrics.eventEmitted(job.tenant, false)
 		s.reg.add(job)
+		if b != nil {
+			b.addJob(job)
+		}
 		return admitCached
 	}
+	s.armJob(job, spec, tn, b)
 	s.reg.add(job)
 	if s.testHookAfterCacheMiss != nil {
 		s.testHookAfterCacheMiss(job)
@@ -84,10 +97,10 @@ func (s *Server) admit(job *Job, enqueue bool) admission {
 	// The recheck must consult the full stack, not just the memory LRU:
 	// a leader's freshly published result may already have been evicted
 	// from memory while the disk layer still holds it.
-	if result, disk, ok := s.lookup(job.key); ok {
+	if hit, disk, ok := s.lookup(job.key); ok {
 		s.flight.mu.Unlock()
 		s.metrics.cacheHit(job.tenant, disk)
-		job.finishCached(result)
+		job.finishCached(hit.result)
 		return admitCached
 	}
 	// Only now is the submission definitively a miss; counting it any
@@ -97,7 +110,7 @@ func (s *Server) admit(job *Job, enqueue bool) admission {
 	s.flight.mu.Unlock()
 	job.subscribe(func(*Job) { s.flight.remove(job.key, job) })
 
-	if !enqueue {
+	if b != nil {
 		return admitDeferred
 	}
 	if !s.reg.enqueue(job) {

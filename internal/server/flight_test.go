@@ -57,8 +57,9 @@ func TestAdmitRecheckHitCountsExactlyOneVerdict(t *testing.T) {
 	want := testResult(3.5)
 	s.testHookAfterCacheMiss = func(j *Job) { s.cache.Put(j.key, want) }
 
-	job := newJob("job-000001", spec, s.rootCtx)
-	if got := s.admit(job, true); got != admitCached {
+	anon := s.tenants.Anonymous()
+	job := s.buildJob(&spec, anon, "")
+	if got := s.admit(job, spec, anon, nil); got != admitCached {
 		t.Fatalf("admit = %v, want admitCached (recheck hit)", got)
 	}
 	if st := job.Status(); st.State != string(StateDone) || !st.Cached {
@@ -90,8 +91,9 @@ func TestAdmitRecheckConsultsDiskLayer(t *testing.T) {
 		}
 	}
 
-	job := newJob("job-000001", spec, s.rootCtx)
-	if got := s.admit(job, true); got != admitCached {
+	anon := s.tenants.Anonymous()
+	job := s.buildJob(&spec, anon, "")
+	if got := s.admit(job, spec, anon, nil); got != admitCached {
 		t.Fatalf("admit = %v, want admitCached (disk-layer recheck hit)", got)
 	}
 	if res, done := job.Result(); !done || res == nil || res.ThroughputBitsPerCycle != want.ThroughputBitsPerCycle {

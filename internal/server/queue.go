@@ -26,13 +26,25 @@ func (s JobState) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Job is one queued simulation with its lifecycle bookkeeping. The
-// mutable fields are guarded by mu; ctx/cancel govern the simulation's
-// cooperative cancellation.
+// Job is one submitted point with its lifecycle bookkeeping. The
+// mutable fields are guarded by mu.
+//
+// Every job carries its identity, computed once when it is built. Only
+// a job that may run also carries execution state, attached by arm once
+// the result cache has missed. A cache hit is terminal at birth and
+// never gets any: it stays a compact record whose feed is synthesized
+// from Status on request (see handleJobEvents).
 type Job struct {
-	ID   string
-	spec jobSpec
-	key  string
+	ID  string
+	key string
+
+	// Identity, fixed at build: what Status, the batch series rows, the
+	// window frames and the batch results report for the job.
+	backend string
+	config  string
+	pair    string
+	model   string
+	label   string
 
 	// Tenant identity, fixed at submission: the owning tenant's name
 	// (scheduling lane and metrics attribution), the bearer token it
@@ -42,22 +54,13 @@ type Job struct {
 	token  string
 	weight int
 
-	// events is the job's live feed; sinks are additional rings (the
-	// owning batch's feed) its window frames fan out to. Both are fixed
-	// before the job is shared with any other goroutine, so they need
-	// no lock; the rings themselves are concurrency-safe.
-	events *eventRing
-	sinks  []*eventRing
+	// exec is nil on a job settled from the cache at submission.
+	exec *execution
 
 	// group links a seeds:N batch member to its replica group (nil for
-	// ordinary jobs); crew, on a replica-carrier job, lists the member
-	// jobs one lockstep run settles. Both are fixed before the job is
-	// shared with any other goroutine, so they need no lock.
+	// ordinary jobs). Fixed before the job is shared with any other
+	// goroutine, so it needs no lock.
 	group *replicaGroup
-	crew  []*Job
-
-	ctx    context.Context
-	cancel context.CancelFunc
 
 	mu        sync.Mutex
 	state     JobState
@@ -73,18 +76,68 @@ type Job struct {
 	finished  time.Time
 }
 
+// execution is the state of a job that may run. It is fixed before the
+// job is shared with any other goroutine, so it needs no lock.
+type execution struct {
+	// spec is the simulation; ctx/cancel govern its cooperative
+	// cancellation.
+	spec   jobSpec
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	// events is the job's live feed; sinks are additional rings (the
+	// owning batch's feed) its window frames fan out to. The rings
+	// themselves are concurrency-safe.
+	events *eventRing
+	sinks  []*eventRing
+
+	// crew, on a replica-carrier job, lists the member jobs one lockstep
+	// run settles.
+	crew []*Job
+}
+
+// newJob builds a runnable job: identity plus execution state.
 func newJob(id string, spec jobSpec, parent context.Context) *Job {
-	ctx, cancel := context.WithCancel(parent)
+	j := newRecord(id, &spec)
+	j.arm(spec, parent)
+	return j
+}
+
+// newRecord builds the part of a job every job has: id, content key and
+// identity. It is all a cache hit ever carries.
+func newRecord(id string, spec *jobSpec) *Job {
+	config := spec.cfg.Name()
+	label := spec.label()
+	if label == config {
+		label = config // a photonic point's label is its config name: keep one copy
+	}
 	return &Job{
 		ID:        id,
-		spec:      spec,
 		key:       spec.cacheKey(),
+		backend:   spec.backend,
+		config:    config,
+		pair:      spec.pair.Name(),
+		model:     spec.cfg.ModelRef,
+		label:     label,
 		tenant:    tenant.AnonymousName,
 		weight:    1,
-		ctx:       ctx,
-		cancel:    cancel,
 		state:     StatePending,
 		submitted: time.Now(),
+	}
+}
+
+// arm attaches the execution state of a job that may run. Called before
+// the job is shared with any other goroutine.
+func (j *Job) arm(spec jobSpec, parent context.Context) {
+	ctx, cancel := context.WithCancel(parent)
+	j.exec = &execution{spec: spec, ctx: ctx, cancel: cancel}
+}
+
+// release frees the job's context; a job settled at submission has
+// none.
+func (j *Job) release() {
+	if j.exec != nil {
+		j.exec.cancel()
 	}
 }
 
@@ -155,7 +208,7 @@ func (j *Job) Cancel() (signalled, wasPending bool) {
 		j.mu.Unlock()
 		return false, false
 	}
-	j.cancel()
+	j.release()
 	if j.state == StatePending {
 		j.state = StateCancelled
 		j.finished = time.Now()
@@ -181,7 +234,7 @@ func (j *Job) cancelIfPending() bool {
 	}
 	j.state = StateCancelled
 	j.finished = time.Now()
-	j.cancel()
+	j.release()
 	subs := j.takeSubsLocked()
 	j.mu.Unlock()
 	notify(j, subs)
@@ -218,7 +271,7 @@ func (j *Job) finish(state JobState, result *JobResult, err error) bool {
 		subs = j.takeSubsLocked()
 	}
 	j.mu.Unlock()
-	j.cancel()
+	j.release()
 	notify(j, subs)
 	return settled
 }
@@ -238,7 +291,7 @@ func (j *Job) finishCached(result *JobResult) {
 		subs = j.takeSubsLocked()
 	}
 	j.mu.Unlock()
-	j.cancel()
+	j.release()
 	notify(j, subs)
 }
 
@@ -261,7 +314,7 @@ func (j *Job) finishRemote(result *JobResult) bool {
 	j.finished = time.Now()
 	subs := j.takeSubsLocked()
 	j.mu.Unlock()
-	j.cancel()
+	j.release()
 	notify(j, subs)
 	return true
 }
@@ -281,10 +334,10 @@ func (j *Job) Status() JobStatus {
 		ID:          j.ID,
 		State:       string(j.state),
 		Tenant:      j.tenant,
-		Backend:     j.spec.backend,
-		Config:      j.spec.cfg.Name(),
-		Pair:        j.spec.pair.Name(),
-		Model:       j.spec.cfg.ModelRef,
+		Backend:     j.backend,
+		Config:      j.config,
+		Pair:        j.pair,
+		Model:       j.model,
 		CacheKey:    j.key,
 		Cached:      j.cached,
 		Coalesced:   j.coalesced,

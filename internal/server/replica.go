@@ -79,12 +79,12 @@ func (s *Server) coalesceReplicaGroups(deferred []*Job) []*Job {
 			continue
 		}
 		if c, ok := carriers[job.group]; ok {
-			c.crew = append(c.crew, job)
+			c.exec.crew = append(c.exec.crew, job)
 			continue
 		}
 		c := newJob(fmt.Sprintf("replica-%06d", s.nextID.Add(1)), job.group.base, s.rootCtx)
 		c.setTenant(job.tenant, job.token, job.weight)
-		c.crew = []*Job{job}
+		c.exec.crew = []*Job{job}
 		carriers[job.group] = c
 		out = append(out, c)
 	}
@@ -92,11 +92,11 @@ func (s *Server) coalesceReplicaGroups(deferred []*Job) []*Job {
 	// do.
 	for i, job := range out {
 		switch {
-		case len(job.crew) == 0:
-		case len(job.crew) == 1:
+		case len(job.exec.crew) == 0:
+		case len(job.exec.crew) == 1:
 			// Alone after cache/coalesce attrition: run it as the plain
 			// member job it is.
-			out[i] = job.crew[0]
+			out[i] = job.exec.crew[0]
 		default:
 			s.armCarrier(job)
 		}
@@ -110,8 +110,8 @@ func (s *Server) coalesceReplicaGroups(deferred []*Job) []*Job {
 // worker slot; and a carrier cancelled before running (queue closed
 // under it) releases any members still pending.
 func (s *Server) armCarrier(carrier *Job) {
-	remaining := int64(len(carrier.crew))
-	for _, m := range carrier.crew {
+	remaining := int64(len(carrier.exec.crew))
+	for _, m := range carrier.exec.crew {
 		m.subscribe(func(*Job) {
 			if atomic.AddInt64(&remaining, -1) == 0 {
 				carrier.Cancel()
@@ -122,7 +122,7 @@ func (s *Server) armCarrier(carrier *Job) {
 		if state, _, _ := c.outcome(); state != StateCancelled {
 			return
 		}
-		for _, m := range c.crew {
+		for _, m := range c.exec.crew {
 			if m.cancelIfPending() {
 				s.metrics.jobCancelled(m.tenant)
 			}
@@ -144,7 +144,7 @@ func (s *Server) runReplicatedJob(carrier *Job) {
 	defer s.metrics.workerIdle()
 
 	var live []*Job
-	for _, m := range carrier.crew {
+	for _, m := range carrier.exec.crew {
 		if m.markRunning() {
 			live = append(live, m)
 		}
@@ -155,11 +155,11 @@ func (s *Server) runReplicatedJob(carrier *Job) {
 	}
 	seeds := make([]uint64, len(live))
 	for i, m := range live {
-		seeds[i] = m.spec.seed
+		seeds[i] = m.exec.spec.seed
 	}
 
-	spec := carrier.spec
-	ctx := carrier.ctx
+	spec := &carrier.exec.spec
+	ctx := carrier.exec.ctx
 	timeout := spec.timeout * time.Duration(len(live))
 	if spec.timeout > 0 {
 		// The carrier simulates len(live) seeds' worth of cycles, so its
@@ -183,7 +183,7 @@ func (s *Server) runReplicatedJob(carrier *Job) {
 			// invariant: a duplicate admitted after the flight entry drops
 			// must find the result in the cache.
 			s.store(m.key, payload)
-			if m.ctx.Err() != nil {
+			if m.exec.ctx.Err() != nil {
 				if m.finish(StateCancelled, nil, errors.New("cancelled while running")) {
 					s.metrics.jobCancelled(m.tenant)
 				}

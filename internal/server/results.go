@@ -81,7 +81,7 @@ func seriesRows(jobs []*Job) []SeriesRow {
 	series := make(map[string]*acc)
 	order := 0
 	for _, j := range jobs {
-		label := j.spec.label()
+		label := j.label
 		a, ok := series[label]
 		if !ok {
 			a = &acc{row: SeriesRow{Label: label}, order: order}
@@ -148,7 +148,7 @@ func (b *Batch) results() BatchResults {
 	for _, j := range jobs {
 		js := j.Status()
 		pr := PointResult{
-			Label:  j.spec.label(),
+			Label:  j.label,
 			Pair:   js.Pair,
 			State:  js.State,
 			Cached: js.Cached,

@@ -236,40 +236,60 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// buildJob constructs a job with the next id and its event ring
-// attached — every job has a feed, however briefly it lives. Jobs the
-// canary learns from get their window-sample observer here; it is
-// execution state, never part of the cache key.
-func (s *Server) buildJob(spec jobSpec) *Job {
-	if s.canary != nil {
-		spec.canarySample = s.canary.attach(spec)
-	}
-	job := newJob(fmt.Sprintf("job-%06d", s.nextID.Add(1)), spec, s.rootCtx)
-	job.events = newEventRing(s.opts.StreamRingCapacity)
+// buildJob constructs a job's record with the next id: identity and
+// tenant, no execution state. admit settles it from the cache or arms
+// it to run.
+func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant, token string) *Job {
+	job := newRecord(fmt.Sprintf("job-%06d", s.nextID.Add(1)), spec)
+	job.setTenant(tn.Name(), token, tn.Weight())
 	return job
 }
 
+// armJob attaches the execution state of a job the cache did not
+// settle: its spec and context, its event ring with the terminal "end"
+// frame, and the tenant's quota slot release on whatever terminal
+// transition it eventually takes. A batch member also feeds the batch's
+// ring, joins its cancel-on-first-error policy, and only then joins the
+// batch, fully armed. Jobs the canary learns from get their
+// window-sample observer here; it is execution state, never part of the
+// cache key.
+func (s *Server) armJob(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) {
+	if s.canary != nil {
+		spec.canarySample = s.canary.attach(spec)
+	}
+	job.arm(spec, s.rootCtx)
+	job.exec.events = newEventRing(s.opts.StreamRingCapacity)
+	job.subscribe(func(*Job) { tn.ReleaseSlot() })
+	s.closeFeedOnTerminal(job)
+	if b != nil {
+		job.exec.sinks = []*eventRing{b.events}
+		job.subscribe(func(j *Job) { b.noteTerminal(s, j) })
+		b.addJob(job)
+	}
+}
+
 // lookup checks the memory LRU, then the disk store; disk hits are
-// promoted into the LRU. The second return reports a disk-layer hit.
-// Disk corruption is tolerated as a miss (and counted) — the point
-// re-simulates and the atomic Put overwrites the bad file.
-func (s *Server) lookup(key string) (*JobResult, bool, bool) {
-	if result, ok := s.cache.Get(key); ok {
-		return result, false, true
+// promoted into the LRU. The entry's key is the LRU's copy of key. The
+// second return reports a disk-layer hit. Disk corruption is tolerated
+// as a miss (and counted) — the point re-simulates and the atomic Put
+// overwrites the bad file.
+func (s *Server) lookup(key string) (cacheEntry, bool, bool) {
+	if hit, ok := s.cache.Get(key); ok {
+		return hit, false, true
 	}
 	if s.disk == nil {
-		return nil, false, false
+		return cacheEntry{}, false, false
 	}
 	result, err := s.disk.Get(key)
 	if err != nil {
 		s.metrics.diskCacheError()
-		return nil, false, false
+		return cacheEntry{}, false, false
 	}
 	if result == nil {
-		return nil, false, false
+		return cacheEntry{}, false, false
 	}
 	s.cache.Put(key, result)
-	return result, true, true
+	return cacheEntry{key: key, result: result}, true, true
 }
 
 // store publishes a result to both cache layers.
@@ -359,10 +379,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobSubmitted(tn.Name())
-	job := s.buildJob(spec)
-	stampTenant(job, tn, bearerToken(r))
-	s.closeFeedOnTerminal(job)
-	switch s.admit(job, true) {
+	job := s.buildJob(&spec, tn, bearerToken(r))
+	switch s.admit(job, spec, tn, nil) {
 	case admitCached:
 		writeJSON(w, http.StatusOK, job.Status())
 	case admitRejected:

@@ -378,7 +378,7 @@ func (s *Server) feedBatchSharded(deferred []*Job) {
 func (s *Server) dispatchRemote(job *Job, peer *peerClient) {
 	select {
 	case s.shard.sem <- struct{}{}:
-	case <-job.ctx.Done():
+	case <-job.exec.ctx.Done():
 		return
 	}
 	err := s.runRemote(job, peer)
@@ -407,8 +407,8 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 	// The remote attempt gets the job's own wall-clock budget plus one
 	// request timeout of slack; past that the point falls back while it
 	// can still run locally.
-	budget := job.spec.timeout + peer.client.Timeout
-	ctx, cancel := context.WithTimeout(job.ctx, budget)
+	budget := job.exec.spec.timeout + peer.client.Timeout
+	ctx, cancel := context.WithTimeout(job.exec.ctx, budget)
 	defer cancel()
 	tok := s.shard.tokenFor(job)
 
@@ -419,7 +419,7 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 		return nil
 	}
 
-	wire, err := job.spec.wireRequest()
+	wire, err := job.exec.spec.wireRequest()
 	if err != nil {
 		return err
 	}
@@ -432,7 +432,7 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 			break
 		}
 		if errors.Is(err, errModelMissing) && !uploaded {
-			art := job.spec.artifact
+			art := job.exec.spec.artifact
 			if art == nil {
 				return err
 			}
@@ -557,13 +557,13 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid cache key %q", key)
 		return
 	}
-	result, _, ok := s.lookup(key)
+	hit, _, ok := s.lookup(key)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no cached entry for %s", key)
 		return
 	}
 	s.metrics.cacheExported()
-	writeJSON(w, http.StatusOK, CacheEntry{Key: key, Result: result})
+	writeJSON(w, http.StatusOK, CacheEntry{Key: key, Result: hit.result})
 }
 
 // handleCachePut is POST /v1/cache: the write side of the exchange.

@@ -512,8 +512,11 @@ func TestShardShipsModelArtifactsByHash(t *testing.T) {
 	// batch point local; drive one ML point remote directly so the
 	// miss -> upload -> resubmit protocol is always exercised.
 	spec := resolveSpec(t, sA, `{"preset":"ml-rw500","seed":123,"workload":{"cpu":"fmm","gpu":"Reduction"},"warmup_cycles":200,"measure_cycles":2000}`)
-	job := newJob("job-009999", spec, sA.rootCtx)
-	if got := sA.admit(job, false); got != admitDeferred {
+	anon := sA.tenants.Anonymous()
+	job := sA.buildJob(&spec, anon, "")
+	// A batch member is left for the feeder to enqueue; here the test
+	// dispatches it instead.
+	if got := sA.admit(job, spec, anon, &Batch{}); got != admitDeferred {
 		t.Fatalf("admit = %v, want admitDeferred", got)
 	}
 	if err := sA.runRemote(job, sA.shard.peers[0]); err != nil {

@@ -30,7 +30,16 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	s.serveStream(w, r, job.events)
+	if job.exec == nil {
+		// A cache hit keeps no ring: its feed is the one "end" frame it
+		// was born with, rebuilt from its unchanging status — seq 1,
+		// dropped 0, exactly as a ring would have held it.
+		ring := newEventRing(1)
+		ring.close(eventKindEnd, &JobEndEvent{Status: job.Status()})
+		s.serveStream(w, r, ring)
+		return
+	}
+	s.serveStream(w, r, job.exec.events)
 }
 
 // handleBatchEvents is GET /v1/batches/{id}/events.
@@ -129,8 +138,8 @@ func parseLastEventID(r *http.Request) uint64 {
 func (s *Server) emitWindow(job *Job, ws experiments.WindowStats) {
 	s.emitWindowEvent(job, WindowEvent{
 		JobID:       job.ID,
-		Label:       job.spec.label(),
-		Pair:        job.spec.pair.Name(),
+		Label:       job.label,
+		Pair:        job.pair,
 		WindowStats: ws,
 	})
 }
@@ -139,10 +148,10 @@ func (s *Server) emitWindow(job *Job, ws experiments.WindowStats) {
 // belongs; each ring stamps its own drop counter into its own copy.
 func (s *Server) emitWindowEvent(job *Job, ev WindowEvent) {
 	body := ev
-	if ok, dropped := job.events.append(eventKindWindow, &body); ok {
+	if ok, dropped := job.exec.events.append(eventKindWindow, &body); ok {
 		s.metrics.eventEmitted(job.tenant, dropped)
 	}
-	for _, sink := range job.sinks {
+	for _, sink := range job.exec.sinks {
 		cp := ev
 		if ok, dropped := sink.append(eventKindWindow, &cp); ok {
 			s.metrics.eventEmitted(job.tenant, dropped)
@@ -150,14 +159,16 @@ func (s *Server) emitWindowEvent(job *Job, ev WindowEvent) {
 	}
 }
 
-// closeFeedOnTerminal arranges the job feed's synthetic terminal
+// closeFeedOnTerminal arranges an armed job's synthetic terminal
 // frame: whatever path the job takes to a terminal state — simulated,
-// cache hit, coalesced, remote, failed, cancelled, never scheduled —
-// its feed ends with one "end" frame carrying the final status.
+// settled by the cache after all, coalesced, remote, failed, cancelled,
+// never scheduled — its feed ends with one "end" frame carrying the
+// final status. A cache hit at submission gets the same frame from
+// handleJobEvents.
 func (s *Server) closeFeedOnTerminal(job *Job) {
 	job.subscribe(func(j *Job) {
 		ev := JobEndEvent{Status: j.Status()}
-		if j.events.close(eventKindEnd, &ev) {
+		if j.exec.events.close(eventKindEnd, &ev) {
 			s.metrics.eventEmitted(j.tenant, false)
 		}
 	})

@@ -38,7 +38,7 @@ func (s *Server) worker() {
 // runJob drives one job from claimed to terminal, keeping the metrics
 // and result cache consistent with the observed outcome.
 func (s *Server) runJob(job *Job) {
-	if len(job.crew) > 0 {
+	if len(job.exec.crew) > 0 {
 		// A replica carrier: one lockstep run settles its whole crew.
 		s.runReplicatedJob(job)
 		return
@@ -50,14 +50,14 @@ func (s *Server) runJob(job *Job) {
 	s.metrics.jobStarted()
 	defer s.metrics.workerIdle()
 
-	ctx := job.ctx
-	if job.spec.timeout > 0 {
+	ctx := job.exec.ctx
+	if job.exec.spec.timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.spec.timeout)
+		ctx, cancel = context.WithTimeout(ctx, job.exec.spec.timeout)
 		defer cancel()
 	}
 	start := time.Now()
-	res, err := job.spec.run(ctx, func(ws experiments.WindowStats) { s.emitWindow(job, ws) })
+	res, err := job.exec.spec.run(ctx, func(ws experiments.WindowStats) { s.emitWindow(job, ws) })
 	elapsed := time.Since(start)
 
 	switch {
@@ -69,13 +69,13 @@ func (s *Server) runJob(job *Job) {
 		s.store(job.key, payload)
 		job.finish(StateDone, payload, nil)
 		s.metrics.jobCompleted(job.tenant, elapsed,
-			uint64(job.spec.warmup)+uint64(job.spec.measure))
-		s.metrics.controllerRun(job.tenant, job.spec.ctrlName, payload.StateResidency, job.spec.measure)
+			uint64(job.exec.spec.warmup)+uint64(job.exec.spec.measure))
+		s.metrics.controllerRun(job.tenant, job.exec.spec.ctrlName, payload.StateResidency, job.exec.spec.measure)
 	case errors.Is(err, context.Canceled):
 		job.finish(StateCancelled, nil, errors.New("cancelled while running"))
 		s.metrics.jobCancelled(job.tenant)
 	case errors.Is(err, context.DeadlineExceeded):
-		job.finish(StateFailed, nil, fmt.Errorf("timed out after %v", job.spec.timeout))
+		job.finish(StateFailed, nil, fmt.Errorf("timed out after %v", job.exec.spec.timeout))
 		s.metrics.jobFailed(job.tenant)
 	default:
 		job.finish(StateFailed, nil, err)

@@ -63,6 +63,23 @@ func (h *CycleHistogram) addSlow(v int64) {
 	h.dense[v]++
 }
 
+// Reset empties the histogram for reuse and keeps its storage. The
+// dense counters are cleared from 0 up to the largest value counted,
+// found by walking until every counted sample is accounted for, so a
+// reset costs the range of the samples it forgets, not the counters'
+// length, and Add pays nothing to track it. The overflow slice keeps its
+// capacity.
+func (h *CycleHistogram) Reset() {
+	left := h.n - int64(len(h.overflow))
+	for v := 0; left > 0; v++ {
+		left -= h.dense[v]
+		h.dense[v] = 0
+	}
+	h.overflow = h.overflow[:0]
+	h.sorted = false
+	h.n, h.sum = 0, 0
+}
+
 // N returns the total samples recorded.
 func (h *CycleHistogram) N() int64 { return h.n }
 

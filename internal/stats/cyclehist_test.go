@@ -110,6 +110,45 @@ func TestCycleHistogramMemoryBound(t *testing.T) {
 	}
 }
 
+// TestCycleHistogramReset: a histogram reset after arbitrary use
+// answers every later stream exactly like a fresh one, and keeps the
+// counters and overflow capacity it had grown.
+func TestCycleHistogramReset(t *testing.T) {
+	var h CycleHistogram
+	for _, v := range []int64{3, 2000, 0, 2000, denseLimit, 58487, 9000} {
+		h.Add(v)
+	}
+	h.Percentiles(queryPoints...) // leave the overflow sorted
+	dense, overflowCap := len(h.dense), cap(h.overflow)
+	for _, ops := range [][]int64{
+		nil,
+		{7},
+		{1, 1999, 64},
+		{denseLimit + 5, 4, denseLimit},
+		{9000, 1, 2, 3, 58487, 2000},
+	} {
+		h.Reset()
+		if len(h.dense) != dense || cap(h.overflow) != overflowCap {
+			t.Fatalf("reset shrank the storage: %d counters, overflow cap %d; want %d, %d",
+				len(h.dense), cap(h.overflow), dense, overflowCap)
+		}
+		var fresh CycleHistogram
+		ref := NewHistogram(0)
+		for _, v := range ops {
+			h.Add(v)
+			fresh.Add(v)
+			ref.Add(float64(v))
+		}
+		checkAgainstReference(t, &h, ref)
+		if !slices.Equal(h.Percentiles(queryPoints...), fresh.Percentiles(queryPoints...)) || h.Mean() != fresh.Mean() {
+			t.Fatalf("after reset, %v answers unlike a fresh histogram", ops)
+		}
+		if dirty := slices.IndexFunc(h.dense[len(fresh.dense):], func(c int64) bool { return c != 0 }); dirty >= 0 {
+			t.Fatalf("after reset, %v left counter %d set past what it wrote", ops, len(fresh.dense)+dirty)
+		}
+	}
+}
+
 // TestCycleHistogramLongHorizon pins this type's one behaviour change
 // over the raw-sample Histogram the simulator used before it: past
 // 1<<20 samples that one answered percentiles over the first 1<<20
