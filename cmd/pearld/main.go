@@ -17,13 +17,13 @@
 //
 // SIGINT/SIGTERM starts a graceful drain: intake stops (503), queued
 // jobs are cancelled, in-flight simulations finish (bounded by
-// -drain-grace), then the process exits. SIGHUP reloads the -tenants
+// -drain-grace), then the process exits; a second SIGINT/SIGTERM
+// cancels the in-flight simulations at once. SIGHUP reloads the -tenants
 // file in place without dropping queued or running jobs.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -176,13 +176,23 @@ func run(addr string, opts server.Options, warmCache string, drainGrace time.Dur
 
 	ctx, cancel := context.WithTimeout(context.Background(), drainGrace)
 	defer cancel()
+	// A second signal ends the grace period: Shutdown cancels the
+	// in-flight jobs at once and returns when the workers have exited.
+	go func() {
+		select {
+		case s := <-sig:
+			log.Printf("pearld: second %v received, cancelling in-flight jobs", s)
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
 	drainErr := daemon.Shutdown(ctx)
 	if drainErr != nil {
 		log.Printf("pearld: drain incomplete, in-flight jobs force-cancelled: %v", drainErr)
 	} else {
 		log.Printf("pearld: drained cleanly")
 	}
-	if err := httpServer.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if err := httpServer.Shutdown(ctx); err != nil && ctx.Err() == nil {
 		return err
 	}
 	return nil

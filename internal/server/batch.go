@@ -191,6 +191,9 @@ type Batch struct {
 	tenant string
 	events *eventRing
 	sealed atomic.Bool
+	// ended flips once, when the last member settles: the feed gets its
+	// end frame and the batch is filed for retirement.
+	ended atomic.Bool
 
 	mu        sync.Mutex
 	jobs      []*Job
@@ -201,6 +204,13 @@ func (b *Batch) addJob(j *Job) {
 	b.mu.Lock()
 	b.jobs = append(b.jobs, j)
 	b.mu.Unlock()
+}
+
+// size is the member count, fixed once the batch is sealed.
+func (b *Batch) size() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.jobs)
 }
 
 func (b *Batch) isCancelled() bool {
@@ -330,10 +340,16 @@ func (b *Batch) status(includePoints bool) BatchStatus {
 	return st
 }
 
-// batchRegistry is the id -> batch table.
+// batchRegistry is the id -> batch table. It holds every batch that has
+// not settled and the most recently settled ones (see retention.go):
+// filed lists those in settle order, members sums their member counts,
+// and retired counts the ones forgotten.
 type batchRegistry struct {
 	mu      sync.Mutex
 	batches map[string]*Batch
+	filed   fifo[*Batch]
+	members int
+	retired uint64
 }
 
 func newBatchRegistry() *batchRegistry {
@@ -448,7 +464,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	b := &Batch{
-		ID:            fmt.Sprintf("batch-%06d", s.nextBatchID.Add(1)),
+		ID:            formatID(batchIDPrefix, s.nextBatchID.Add(1)),
 		cancelOnError: req.CancelOnError,
 		submitted:     time.Now(),
 		skipped:       skipped,
@@ -483,7 +499,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			if b.isCancelled() {
 				// An earlier point already failed and cancel_on_error fired.
 				s.armJob(job, mspec, tn, b)
-				s.reg.add(job)
+				s.register(job, b)
 				job.finish(StateCancelled, nil, errors.New("batch cancelled before scheduling"))
 				s.metrics.jobCancelled(job.tenant)
 				allCached = false
@@ -526,18 +542,16 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batches.get(r.PathValue("id"))
+	b, ok := s.batchFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	writeJSON(w, http.StatusOK, b.status(true))
 }
 
 func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batches.get(r.PathValue("id"))
+	b, ok := s.batchFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	st := b.status(false)

@@ -66,14 +66,14 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 		job.finishCached(hit.result)
 		tn.ReleaseSlot()
 		s.metrics.eventEmitted(job.tenant, false)
-		s.reg.add(job)
+		s.register(job, b)
 		if b != nil {
 			b.addJob(job)
 		}
 		return admitCached
 	}
 	s.armJob(job, spec, tn, b)
-	s.reg.add(job)
+	s.register(job, b)
 	if s.testHookAfterCacheMiss != nil {
 		s.testHookAfterCacheMiss(job)
 	}

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"testing"
-	"time"
 )
 
 // newBareServer builds a daemon without an HTTP front end for tests
@@ -15,11 +13,7 @@ func newBareServer(t *testing.T, opts Options) *Server {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	t.Cleanup(func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
-	})
+	t.Cleanup(func() { forceShutdown(s) })
 	return s
 }
 

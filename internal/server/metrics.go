@@ -385,6 +385,12 @@ type MetricsSnapshot struct {
 	// in-flight work instead of simulating (singleflight).
 	JobsCoalesced    uint64 `json:"jobs_coalesced"`
 	BatchesSubmitted uint64 `json:"batches_submitted"`
+	// Retention: job and batch records the daemon holds, and settled ones
+	// retired past the retention bound (their ids answer 410).
+	JobsRetained    int    `json:"jobs_retained"`
+	JobsRetired     uint64 `json:"jobs_retired"`
+	BatchesRetained int    `json:"batches_retained"`
+	BatchesRetired  uint64 `json:"batches_retired"`
 	// Hosted-model registry: current catalogue size and lifetime uploads.
 	ModelsHosted uint64  `json:"models_hosted"`
 	ModelUploads uint64  `json:"model_uploads"`

@@ -360,11 +360,16 @@ func (j *Job) Status() JobStatus {
 // registry is the id -> job table plus the bounded intake queue.
 // Dispatch order is weighted fair-share across tenants (see
 // fairQueue); within a tenant it is FIFO. The queue's capacity is the
-// global bound shared by all tenants.
+// global bound shared by all tenants. The table holds every job that
+// is not terminal and the most recently settled ones (see
+// retention.go): filed lists those in settle order, and retired counts
+// the ones forgotten.
 type registry struct {
-	mu    sync.Mutex
-	jobs  map[string]*Job
-	queue *fairQueue
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	filed   fifo[*Job]
+	retired uint64
+	queue   *fairQueue
 }
 
 func newRegistry(depth int) *registry {

@@ -82,7 +82,10 @@ func (s *Server) coalesceReplicaGroups(deferred []*Job) []*Job {
 			c.exec.crew = append(c.exec.crew, job)
 			continue
 		}
-		c := newJob(fmt.Sprintf("replica-%06d", s.nextID.Add(1)), job.group.base, s.rootCtx)
+		// Named after its first member, not numbered: job ids stay one
+		// sequence with no gaps, which is what tells retired from never
+		// issued (see retention.go).
+		c := newJob("replica-"+job.ID, job.group.base, s.rootCtx)
 		c.setTenant(job.tenant, job.token, job.weight)
 		c.exec.crew = []*Job{job}
 		carriers[job.group] = c

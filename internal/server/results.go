@@ -165,9 +165,8 @@ func (b *Batch) results() BatchResults {
 
 // handleBatchResults is GET /v1/batches/{id}/results.
 func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batches.get(r.PathValue("id"))
+	b, ok := s.batchFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	writeJSON(w, http.StatusOK, b.results())

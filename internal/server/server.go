@@ -240,7 +240,7 @@ func New(opts Options) (*Server, error) {
 // tenant, no execution state. admit settles it from the cache or arms
 // it to run.
 func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant, token string) *Job {
-	job := newRecord(fmt.Sprintf("job-%06d", s.nextID.Add(1)), spec)
+	job := newRecord(formatID(jobIDPrefix, s.nextID.Add(1)), spec)
 	job.setTenant(tn.Name(), token, tn.Weight())
 	return job
 }
@@ -320,7 +320,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // Shutdown drains the daemon: intake closes immediately (new submits
 // get 503), still-queued jobs are cancelled, and in-flight simulations
 // run to completion. If ctx expires first, in-flight jobs are force-
-// cancelled and the context error returned once workers exit.
+// cancelled and the context error returned once workers exit; an
+// already-cancelled ctx therefore cancels them at once, then waits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -392,18 +393,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
+	job, ok := s.jobFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	writeJSON(w, http.StatusOK, job.Status())
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
+	job, ok := s.jobFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	result, done := job.Result()
@@ -415,9 +414,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
+	job, ok := s.jobFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	signalled, wasPending := job.Cancel()
@@ -446,8 +444,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		depths:     s.reg.queue.depths(),
 		inflight:   s.tenants.InFlight(),
 	}
-	writeJSON(w, http.StatusOK,
-		s.metrics.snapshot(s.reg.depth(), s.opts.QueueDepth, s.cache.Len(), s.models.Len(), disk, peers, tg))
+	snap := s.metrics.snapshot(s.reg.depth(), s.opts.QueueDepth, s.cache.Len(), s.models.Len(), disk, peers, tg)
+	snap.JobsRetained, snap.JobsRetired = s.reg.retention()
+	snap.BatchesRetained, snap.BatchesRetired = s.batches.retention()
+	writeJSON(w, http.StatusOK, snap)
 }
 
 // handleCanaryRefine triggers one canary refinement: package the

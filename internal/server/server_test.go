@@ -24,11 +24,17 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(func() {
 		ts.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		_ = s.Shutdown(ctx)
+		forceShutdown(s)
 	})
 	return s, ts
+}
+
+// forceShutdown cancels whatever s still runs, then waits for its
+// workers: a shutdown context that has already ended.
+func forceShutdown(s *Server) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_ = s.Shutdown(ctx)
 }
 
 func postJob(t *testing.T, ts *httptest.Server, body string) (int, JobStatus) {
@@ -165,8 +171,8 @@ func liveHeap() int64 {
 }
 
 // TestCacheHitJobRetention pins what a finished job leaves behind in
-// the daemon. The registry keeps every job until shutdown, so a cache
-// hit's footprint is what 20,000 requests an hour multiply. A hit is a
+// the daemon. The registry keeps the latest retainedRecords settled
+// jobs, so a cache hit's footprint is what that bound multiplies. A hit is a
 // compact record — identity, status and a result reference — measured
 // at about 430 B with its registry entry; it was 1.7 KB while every hit
 // also kept a context, an event ring holding its end frame, subscriber

@@ -151,6 +151,9 @@ var (
 	errPeerUnavailable = errors.New("peer unavailable")
 	errPeerRejected    = errors.New("peer rejected job")
 	errModelMissing    = errors.New("peer is missing the model artifact")
+	// errPeerRetired: the peer answered 410 for a job it issued, so the
+	// job settled there and its record has since been retired.
+	errPeerRetired = errors.New("peer retired the job")
 )
 
 // wireRequest re-encodes a resolved spec as the JobRequest a shard peer
@@ -293,7 +296,11 @@ func (pc *peerClient) jobStatus(ctx context.Context, id, tok string) (JobStatus,
 		return JobStatus{}, fmt.Errorf("%w: %v", errPeerUnavailable, err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	switch resp.StatusCode {
+	case http.StatusOK:
+	case http.StatusGone:
+		return JobStatus{}, errPeerRetired
+	default:
 		return JobStatus{}, fmt.Errorf("%w: status HTTP %d", errPeerUnavailable, resp.StatusCode)
 	}
 	var st JobStatus
@@ -468,9 +475,13 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 	go s.proxyPeerFeed(ctx, job, peer, st.ID, tok)
 
 	// Poll to terminal, tolerating transient status-poll failures up to
-	// the retry budget.
+	// the retry budget. A peer that retired the job (410) settled it
+	// before this poll could see how: if it completed, its result is in
+	// the peer's cache under our key, and a miss below falls back to
+	// local execution.
 	misses := 0
-	for !JobState(st.State).Terminal() {
+	retired := false
+	for !retired && !JobState(st.State).Terminal() {
 		select {
 		case <-ctx.Done():
 			// Release the peer's worker if our side gave up first.
@@ -481,16 +492,19 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 		case <-time.After(s.shard.pollInterval):
 		}
 		next, err := peer.jobStatus(ctx, st.ID, tok)
-		if err != nil {
+		switch {
+		case errors.Is(err, errPeerRetired):
+			retired = true
+		case err != nil:
 			if misses++; misses >= s.shard.retries {
 				return err
 			}
-			continue
+		default:
+			misses = 0
+			st = next
 		}
-		misses = 0
-		st = next
 	}
-	if st.State != string(StateDone) {
+	if !retired && st.State != string(StateDone) {
 		return fmt.Errorf("remote job %s on %s finished %s: %s", st.ID, peer.base, st.State, st.Error)
 	}
 	result, err := peer.fetchEntry(ctx, job.key, tok)
@@ -498,7 +512,7 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 		return err
 	}
 	if result == nil {
-		return fmt.Errorf("peer %s completed %s but serves no cache entry for it", peer.base, job.key)
+		return fmt.Errorf("peer %s settled job %s but serves no cache entry for %s", peer.base, st.ID, job.key)
 	}
 	s.importRemote(job, result)
 	return nil

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -460,6 +461,96 @@ func TestShardCorruptPeerEntryFallsBackLocal(t *testing.T) {
 	}
 	if m.JobsStarted != 8 {
 		t.Fatalf("daemon started %d simulations, want all 8 locally", m.JobsStarted)
+	}
+}
+
+// TestShardPeerRetiredJob: a peer that settles a point and retires its
+// record before the coordinator's first poll answers that poll 410. The
+// coordinator takes the point as settled there, not the peer as
+// unavailable: it polls once, imports the result by cache key, and runs
+// the point locally only when the peer's cache no longer holds it.
+func TestShardPeerRetiredJob(t *testing.T) {
+	for _, cached := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cached=%v", cached), func(t *testing.T) {
+			var (
+				mu             sync.Mutex
+				polls, fetches int
+			)
+			fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+					var req JobRequest
+					if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+						http.Error(w, err.Error(), http.StatusBadRequest)
+						return
+					}
+					spec, err := req.resolve(time.Minute, nil)
+					if err != nil {
+						http.Error(w, err.Error(), http.StatusBadRequest)
+						return
+					}
+					writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-000001", State: string(StatePending), CacheKey: spec.cacheKey()})
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
+					mu.Lock()
+					if r.URL.Path == "/v1/jobs/job-000001" {
+						polls++
+					}
+					mu.Unlock()
+					httpError(w, http.StatusGone, "job-000001 was retired")
+				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cache/"):
+					mu.Lock()
+					fetches++
+					precheck := fetches == 1
+					mu.Unlock()
+					if precheck || !cached {
+						http.NotFound(w, r)
+						return
+					}
+					writeJSON(w, http.StatusOK, CacheEntry{Key: strings.TrimPrefix(r.URL.Path, "/v1/cache/"), Result: testResult(7)})
+				case r.Method == http.MethodPost && r.URL.Path == "/v1/cache":
+					w.WriteHeader(http.StatusNoContent)
+				default:
+					http.NotFound(w, r)
+				}
+			}))
+			t.Cleanup(fake.Close)
+
+			s := newBareServer(t, shardedOptions(fake.URL))
+			spec := resolveSpec(t, s, quickJob)
+			anon := s.tenants.Anonymous()
+			job := s.buildJob(&spec, anon, "")
+			if got := s.admit(job, spec, anon, &Batch{}); got != admitDeferred {
+				t.Fatalf("admit = %v, want admitDeferred", got)
+			}
+			s.dispatchRemote(job, s.shard.peers[0])
+			for deadline := time.Now().Add(30 * time.Second); !JobState(job.Status().State).Terminal(); {
+				if time.Now().After(deadline) {
+					t.Fatalf("point never settled: %+v", job.Status())
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+
+			st, m := job.Status(), metricsOf(t, s)
+			mu.Lock()
+			defer mu.Unlock()
+			if polls != 1 {
+				t.Errorf("coordinator polled the retired job %d times, want 1", polls)
+			}
+			if st.State != string(StateDone) || st.Remote != cached {
+				t.Fatalf("point settled %s (remote %v, error %q), want done with remote %v", st.State, st.Remote, st.Error, cached)
+			}
+			wantServed, wantFallbacks := uint64(1), uint64(0)
+			if !cached {
+				wantServed, wantFallbacks = 0, 1
+			}
+			if m.ShardRemoteServed != wantServed || m.ShardLocalFallbacks != wantFallbacks || m.JobsStarted != wantFallbacks {
+				t.Errorf("remote served %d, fallbacks %d, started %d; want %d, %d, %d",
+					m.ShardRemoteServed, m.ShardLocalFallbacks, m.JobsStarted, wantServed, wantFallbacks, wantFallbacks)
+			}
+			if res, _ := job.Result(); cached && res.ThroughputBitsPerCycle != 7 {
+				t.Errorf("imported result throughput %v, want the peer's 7", res.ThroughputBitsPerCycle)
+			}
+		})
 	}
 }
 

@@ -25,9 +25,8 @@ const streamRetryAfter = time.Second
 
 // handleJobEvents is GET /v1/jobs/{id}/events.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.reg.get(r.PathValue("id"))
+	job, ok := s.jobFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	if job.exec == nil {
@@ -44,9 +43,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleBatchEvents is GET /v1/batches/{id}/events.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batches.get(r.PathValue("id"))
+	b, ok := s.batchFor(w, r)
 	if !ok {
-		httpError(w, http.StatusNotFound, "no such batch")
 		return
 	}
 	s.serveStream(w, r, b.events)
@@ -199,21 +197,23 @@ func (b *Batch) noteProgress(s *Server, j *Job) {
 	b.maybeCloseFeed(s)
 }
 
-// maybeCloseFeed seals the batch feed once every point is terminal.
-// Idempotent (ring close is); a no-op until the submit loop has sealed
-// the member list, so a cached prefix can never close the feed early.
+// maybeCloseFeed ends the batch once every point is terminal: it seals
+// the feed with the end frame and files the batch for retirement, once.
+// A no-op until the submit loop has sealed the member list, so a cached
+// prefix can never end the batch early.
 func (b *Batch) maybeCloseFeed(s *Server) {
 	if !b.sealed.Load() {
 		return
 	}
 	st := b.status(false)
-	if st.Done+st.Failed+st.Cancelled != st.Total {
+	if st.Done+st.Failed+st.Cancelled != st.Total || !b.ended.CompareAndSwap(false, true) {
 		return
 	}
 	ev := BatchEndEvent{Status: st, Series: seriesRows(b.snapshotJobs())}
 	if b.events.close(eventKindEnd, &ev) {
 		s.metrics.eventEmitted(b.tenant, false)
 	}
+	s.settleBatch(b)
 }
 
 // --- shard peer feed proxy ---
@@ -261,6 +261,10 @@ func (s *Server) streamPeerFeed(ctx context.Context, job *Job, peer *peerClient,
 		return false, err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusGone {
+		// The peer settled and retired the job: its feed is over.
+		return true, nil
+	}
 	if resp.StatusCode != http.StatusOK {
 		return false, errPeerUnavailable
 	}
