@@ -254,16 +254,13 @@ func (b *Batch) noteTerminal(s *Server, j *Job) {
 	b.cancelSiblings(s, j)
 }
 
-// cancelSiblings cancels every non-terminal point except skip,
-// counting queued-side cancellations (running ones are counted by
-// their worker, mirroring DELETE /v1/jobs/{id}).
+// cancelSiblings cancels every non-terminal point except skip, exactly
+// as DELETE /v1/jobs/{id} would: waiting points settle at once, running
+// ones are settled by their worker.
 func (b *Batch) cancelSiblings(s *Server, skip *Job) {
 	for _, sib := range b.snapshotJobs() {
-		if sib == skip {
-			continue
-		}
-		if signalled, wasPending := sib.Cancel(); signalled && wasPending {
-			s.metrics.jobCancelled(sib.tenant)
+		if sib != skip {
+			s.cancel(sib)
 		}
 	}
 }
@@ -393,12 +390,7 @@ func (s *Server) feedBatch(deferred []*Job) {
 				break
 			}
 			if closed {
-				// A cancelled replica carrier is bookkeeping, not a point:
-				// its crew members carry the per-tenant cancellation metric
-				// (armCarrier releases them when the carrier goes terminal).
-				if job.cancelIfPending() && len(job.exec.crew) == 0 {
-					s.metrics.jobCancelled(job.tenant)
-				}
+				s.settle(job, withdrawn)
 				break
 			}
 			select {
@@ -500,8 +492,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 				// An earlier point already failed and cancel_on_error fired.
 				s.armJob(job, mspec, tn, b)
 				s.register(job, b)
-				job.finish(StateCancelled, nil, errors.New("batch cancelled before scheduling"))
-				s.metrics.jobCancelled(job.tenant)
+				s.settle(job, outcome{state: StateCancelled, err: errors.New("batch cancelled before scheduling")})
 				allCached = false
 				continue
 			}

@@ -63,7 +63,7 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 	if hit, disk, ok := s.lookup(job.key); ok {
 		job.key = hit.key
 		s.metrics.cacheHit(job.tenant, disk)
-		job.finishCached(hit.result)
+		s.settle(job, outcome{state: StateDone, result: hit.result, via: cached})
 		tn.ReleaseSlot()
 		s.metrics.eventEmitted(job.tenant, false)
 		s.register(job, b)
@@ -100,7 +100,7 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 	if hit, disk, ok := s.lookup(job.key); ok {
 		s.flight.mu.Unlock()
 		s.metrics.cacheHit(job.tenant, disk)
-		job.finishCached(hit.result)
+		s.settle(job, outcome{state: StateDone, result: hit.result, via: cached})
 		return admitCached
 	}
 	// Only now is the submission definitively a miss; counting it any
@@ -114,8 +114,7 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 		return admitDeferred
 	}
 	if !s.reg.enqueue(job) {
-		s.metrics.jobRejected(job.tenant)
-		job.finish(StateFailed, nil, fmt.Errorf("queue full (%d jobs)", s.opts.QueueDepth))
+		s.settle(job, outcome{state: StateFailed, err: fmt.Errorf("queue full (%d jobs)", s.opts.QueueDepth), via: rejected})
 		return admitRejected
 	}
 	return admitQueued
@@ -124,18 +123,20 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 // settleFollower resolves a coalesced follower from its leader's
 // terminal outcome. Followers share the leader's fate: a cancelled or
 // failed leader cancels/fails them too (duplicates are one unit of
-// work by construction).
+// work by construction), and each follower counts in its own tenant.
 func (s *Server) settleFollower(follower, leader *Job) {
 	state, result, err := leader.outcome()
+	o := outcome{state: state, via: coalesced}
 	switch state {
 	case StateDone:
-		follower.finishCached(result)
+		o.result = result
 	case StateCancelled:
-		follower.finish(StateCancelled, nil, fmt.Errorf("coalesced with %s, which was cancelled", leader.ID))
+		o.err = fmt.Errorf("coalesced with %s, which was cancelled", leader.ID)
 	default:
 		if err == nil {
 			err = errors.New("unknown failure")
 		}
-		follower.finish(StateFailed, nil, fmt.Errorf("coalesced with %s, which failed: %w", leader.ID, err))
+		o.state, o.err = StateFailed, fmt.Errorf("coalesced with %s, which failed: %w", leader.ID, err)
 	}
+	s.settle(follower, o)
 }

@@ -10,7 +10,7 @@ import (
 func doneJob(t *testing.T, s *Server, id, body string, res *JobResult) *Job {
 	t.Helper()
 	j := newJob(id, resolveSpec(t, s, body), s.rootCtx)
-	j.finish(StateDone, res, nil)
+	s.settle(j, outcome{state: StateDone, result: res})
 	return j
 }
 
@@ -115,7 +115,7 @@ func TestBatchResultsAssembly(t *testing.T) {
 		t.Fatalf("pending point reported %+v", partial.Points[1])
 	}
 
-	pending.finish(StateDone, resultWith(5, 0.5, 300, 0, 20), nil)
+	s.settle(pending, outcome{state: StateDone, result: resultWith(5, 0.5, 300, 0, 20)})
 	full := b.results()
 	if !full.Complete || full.State != "done" {
 		t.Fatalf("finished batch reported complete=%v state=%q", full.Complete, full.State)

@@ -325,8 +325,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
-		for _, j := range s.reg.cancelPending() {
-			s.metrics.jobCancelled(j.tenant)
+		for _, j := range s.reg.snapshot() {
+			s.settle(j, withdrawn)
 		}
 		s.reg.close()
 	})
@@ -418,13 +418,9 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	signalled, wasPending := job.Cancel()
-	if !signalled {
+	if !s.cancel(job) {
 		writeJSON(w, http.StatusConflict, job.Status())
 		return
-	}
-	if wasPending {
-		s.metrics.jobCancelled(job.tenant)
 	}
 	writeJSON(w, http.StatusAccepted, job.Status())
 }

@@ -523,9 +523,7 @@ func (s *Server) runRemote(job *Job, peer *peerClient) error {
 // then the job settles as remotely served.
 func (s *Server) importRemote(job *Job, result *JobResult) {
 	s.store(job.key, result)
-	if job.finishRemote(result) {
-		s.metrics.shardServed()
-	}
+	s.settle(job, outcome{state: StateDone, result: result, via: remote})
 }
 
 // replicateOnDone pushes the job's entry to every peer once it

@@ -44,7 +44,7 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 	if !job.markRunning() {
-		// Cancelled while queued; already counted and terminal.
+		// Cancelled while queued; already settled.
 		return
 	}
 	s.metrics.jobStarted()
@@ -58,27 +58,29 @@ func (s *Server) runJob(job *Job) {
 	}
 	start := time.Now()
 	res, err := job.exec.spec.run(ctx, func(ws experiments.WindowStats) { s.emitWindow(job, ws) })
-	elapsed := time.Since(start)
-
-	switch {
-	case err == nil:
-		payload := newJobResult(res)
-		// Publish to the cache layers BEFORE finishing: finish fires the
+	o := ranOutcome(err, job.exec.spec.timeout)
+	o.elapsed = time.Since(start)
+	if err == nil {
+		o.result = newJobResult(res)
+		// Publish to the cache layers BEFORE settling: settle fires the
 		// flight-table removal, and any duplicate admitted after that
 		// must find the result in the cache (exactly-once invariant).
-		s.store(job.key, payload)
-		job.finish(StateDone, payload, nil)
-		s.metrics.jobCompleted(job.tenant, elapsed,
-			uint64(job.exec.spec.warmup)+uint64(job.exec.spec.measure))
-		s.metrics.controllerRun(job.tenant, job.exec.spec.ctrlName, payload.StateResidency, job.exec.spec.measure)
-	case errors.Is(err, context.Canceled):
-		job.finish(StateCancelled, nil, errors.New("cancelled while running"))
-		s.metrics.jobCancelled(job.tenant)
-	case errors.Is(err, context.DeadlineExceeded):
-		job.finish(StateFailed, nil, fmt.Errorf("timed out after %v", job.exec.spec.timeout))
-		s.metrics.jobFailed(job.tenant)
-	default:
-		job.finish(StateFailed, nil, err)
-		s.metrics.jobFailed(job.tenant)
+		s.store(job.key, o.result)
 	}
+	s.settle(job, o)
+}
+
+// ranOutcome classifies how a local run ended; timeout is the budget a
+// deadline error reports. A done outcome's result is the caller's to
+// fill in.
+func ranOutcome(err error, timeout time.Duration) outcome {
+	switch {
+	case err == nil:
+		return outcome{state: StateDone}
+	case errors.Is(err, context.Canceled):
+		return outcome{state: StateCancelled, err: errCancelledRunning}
+	case errors.Is(err, context.DeadlineExceeded):
+		return outcome{state: StateFailed, err: fmt.Errorf("timed out after %v", timeout)}
+	}
+	return outcome{state: StateFailed, err: err}
 }
