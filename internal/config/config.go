@@ -7,6 +7,7 @@ package config
 import (
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Architecture constants from Table I and §III.A of the paper.
@@ -245,7 +246,7 @@ type Config struct {
 
 	// ModelRef names the hosted trained model serving a PowerML run:
 	// a registry name (e.g. "rw500") or an artifact content hash. It
-	// participates in CanonicalString/Hash, so cached ML results are
+	// participates in CanonicalString, so cached ML results are
 	// keyed by the exact model version. Empty lets the serving layer
 	// pick its default ("rw<window>"); meaningless unless Power is
 	// PowerML.
@@ -438,29 +439,31 @@ func (c Config) TurnOnCycles() int {
 // Name returns a short identifier matching the paper's configuration
 // labels (e.g. "PEARL-Dyn(64WL)", "Dyn RW500", "ML RW500 no8WL").
 func (c Config) Name() string {
+	var family, suffix string
 	switch c.Power {
 	case PowerStatic:
-		base := "PEARL-Dyn"
+		base := "PEARL-Dyn("
 		if c.Bandwidth == PolicyFCFS {
-			base = "PEARL-FCFS"
+			base = "PEARL-FCFS("
 		}
-		return fmt.Sprintf("%s(%dWL)", base, c.StaticWavelengths)
+		return base + strconv.Itoa(c.StaticWavelengths) + "WL)"
 	case PowerReactive:
-		return fmt.Sprintf("Dyn RW%d", c.ReservationWindow)
+		family = "Dyn"
 	case PowerML:
-		if c.Allow8WL {
-			return fmt.Sprintf("ML RW%d", c.ReservationWindow)
+		family = "ML"
+		if !c.Allow8WL {
+			suffix = " no8WL"
 		}
-		return fmt.Sprintf("ML RW%d no8WL", c.ReservationWindow)
 	case PowerProteus:
-		return fmt.Sprintf("PROTEUS RW%d", c.ReservationWindow)
+		family = "PROTEUS"
 	case PowerD3NOC:
-		return fmt.Sprintf("D3NOC RW%d", c.ReservationWindow)
+		family = "D3NOC"
 	case PowerOnline:
-		return fmt.Sprintf("Online RW%d", c.ReservationWindow)
+		family = "Online"
 	case PowerRL:
-		return fmt.Sprintf("RL RW%d", c.ReservationWindow)
+		family = "RL"
 	default:
 		return "unknown"
 	}
+	return family + " RW" + strconv.Itoa(c.ReservationWindow) + suffix
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -164,6 +165,63 @@ func TestConfigNames(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.c.Name(); got != tc.want {
 			t.Errorf("Name() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
+// fmtName is the fmt rendering Config.Name was first written with,
+// kept here only as the reference the strconv version must match.
+func fmtName(c Config) string {
+	switch c.Power {
+	case PowerStatic:
+		base := "PEARL-Dyn"
+		if c.Bandwidth == PolicyFCFS {
+			base = "PEARL-FCFS"
+		}
+		return fmt.Sprintf("%s(%dWL)", base, c.StaticWavelengths)
+	case PowerReactive:
+		return fmt.Sprintf("Dyn RW%d", c.ReservationWindow)
+	case PowerML:
+		if c.Allow8WL {
+			return fmt.Sprintf("ML RW%d", c.ReservationWindow)
+		}
+		return fmt.Sprintf("ML RW%d no8WL", c.ReservationWindow)
+	case PowerProteus:
+		return fmt.Sprintf("PROTEUS RW%d", c.ReservationWindow)
+	case PowerD3NOC:
+		return fmt.Sprintf("D3NOC RW%d", c.ReservationWindow)
+	case PowerOnline:
+		return fmt.Sprintf("Online RW%d", c.ReservationWindow)
+	case PowerRL:
+		return fmt.Sprintf("RL RW%d", c.ReservationWindow)
+	default:
+		return "unknown"
+	}
+}
+
+// TestNameMatchesFmt compares Name with the fmt reference for every
+// preset under every power policy, an unregistered one included, both
+// bandwidth policies, with and without the 8-wavelength state, and at
+// every wavelength state and a spread of windows.
+func TestNameMatchesFmt(t *testing.T) {
+	for _, name := range PresetNames() {
+		base, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := PowerStatic; p <= PowerRL+1; p++ {
+			for _, bw := range []BandwidthPolicy{PolicyFCFS, PolicyDynamic} {
+				for _, allow := range []bool{false, true} {
+					for i, wl := range ValidWavelengths {
+						c := base
+						c.Power, c.Bandwidth, c.Allow8WL, c.StaticWavelengths = p, bw, allow, wl
+						c.ReservationWindow = []int{base.ReservationWindow, 1, 100, 99999, -7}[i]
+						if got, want := c.Name(), fmtName(c); got != want {
+							t.Errorf("%s with power %d: Name() = %q, fmt reference %q", name, p, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -30,6 +30,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
@@ -77,7 +78,7 @@ type JobRequest struct {
 	WarmupCycles  int64 `json:"warmup_cycles,omitempty"`
 	MeasureCycles int64 `json:"measure_cycles,omitempty"`
 	// LinkScale narrows CMESH links (bandwidth-matched baselines);
-	// ignored for the pearl backend.
+	// ignored for the pearl backend, whose cache key always carries 1.
 	LinkScale int `json:"link_scale,omitempty"`
 	// Model references the hosted trained model serving a PowerML
 	// configuration: a registry name or an artifact content hash.
@@ -161,7 +162,8 @@ func (r JobRequest) resolve(defaultTimeout time.Duration, reg *models.Registry) 
 		}
 	}
 	if len(r.Config) > 0 {
-		if err := applyOverrides(&cfg, r.Config); err != nil {
+		var err error
+		if cfg, err = applyOverrides(cfg, r.Config); err != nil {
 			return jobSpec{}, err
 		}
 	}
@@ -281,41 +283,63 @@ func (s jobSpec) finalize(defaultTimeout time.Duration, reg *models.Registry) (j
 	if s.seed == 0 {
 		s.seed = 2018
 	}
-	if s.linkScale <= 0 {
-		s.linkScale = 1
-	}
+	s.linkScale = linkScaleFor(s.backend, s.linkScale)
 	if s.timeout <= 0 {
 		s.timeout = defaultTimeout
 	}
 	return s, nil
 }
 
-// applyOverrides merges Go-field-named overrides into cfg via a strict
-// JSON round trip, so a typoed field name is a 400, not a silent no-op.
-func applyOverrides(cfg *config.Config, overrides map[string]any) error {
+// linkScaleFor is the link scale a spec carries: the electrical
+// baseline's link narrowing, at least 1. The photonic network has no
+// link scale, so a pearl spec always carries 1 and a pearl request
+// names the same cache entry whatever link_scale it sends.
+func linkScaleFor(backend string, scale int) int {
+	if backend == BackendPEARL || scale <= 0 {
+		return 1
+	}
+	return scale
+}
+
+// applyOverrides returns cfg with Go-field-named overrides merged in
+// via a strict JSON round trip, so a typoed field name is a 400, not a
+// silent no-op. cfg is taken and returned by value so that only a
+// request with overrides pays for the copy the decoder writes into.
+func applyOverrides(cfg config.Config, overrides map[string]any) (config.Config, error) {
 	raw, err := json.Marshal(overrides)
 	if err != nil {
-		return fmt.Errorf("config overrides: %w", err)
+		return cfg, fmt.Errorf("config overrides: %w", err)
 	}
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return fmt.Errorf("config overrides: %w", err)
+	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("config overrides: %w", err)
 	}
-	return nil
+	return cfg, nil
 }
 
 // cacheKey is the content address of the spec: any field that changes
 // the simulation's outcome is folded into the digest. Timeout is
-// deliberately excluded — it bounds wall-clock, not results.
+// deliberately excluded — it bounds wall-clock, not results. The
+// digested bytes are the lines backend, config (the canonical form),
+// cpu, gpu, seed, warmup, measure and link_scale, each "name=value";
+// caches on disk and on shard peers address results by this key, so
+// the bytes must not change.
 func (s jobSpec) cacheKey() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "backend=%s\n", s.backend)
-	fmt.Fprintf(h, "config=%s", s.cfg.CanonicalString())
-	fmt.Fprintf(h, "cpu=%s\ngpu=%s\n", s.pair.CPU.Name, s.pair.GPU.Name)
-	fmt.Fprintf(h, "seed=%d\nwarmup=%d\nmeasure=%d\nlink_scale=%d\n",
-		s.seed, s.warmup, s.measure, s.linkScale)
-	return hex.EncodeToString(h.Sum(nil)[:16])
+	var buf [512]byte
+	b := append(buf[:0], "backend="...)
+	b = append(b, s.backend...)
+	b = s.cfg.AppendCanonical(append(b, "\nconfig="...))
+	b = append(append(b, "cpu="...), s.pair.CPU.Name...)
+	b = append(append(b, "\ngpu="...), s.pair.GPU.Name...)
+	b = strconv.AppendUint(append(b, "\nseed="...), s.seed, 10)
+	b = strconv.AppendInt(append(b, "\nwarmup="...), s.warmup, 10)
+	b = strconv.AppendInt(append(b, "\nmeasure="...), s.measure, 10)
+	b = strconv.AppendInt(append(b, "\nlink_scale="...), int64(s.linkScale), 10)
+	sum := sha256.Sum256(append(b, '\n'))
+	var key [cacheKeyLen]byte
+	hex.Encode(key[:], sum[:cacheKeyLen/2])
+	return string(key[:])
 }
 
 // point is the spec as the experiments layer's description of a run.

@@ -7,7 +7,7 @@ import (
 
 // newBareServer builds a daemon without an HTTP front end for tests
 // that drive admit directly.
-func newBareServer(t *testing.T, opts Options) *Server {
+func newBareServer(t testing.TB, opts Options) *Server {
 	t.Helper()
 	s, err := New(opts)
 	if err != nil {
@@ -19,7 +19,7 @@ func newBareServer(t *testing.T, opts Options) *Server {
 
 // resolveSpec turns a JSON job body into the executable spec, exactly
 // as handleSubmit would.
-func resolveSpec(t *testing.T, s *Server, body string) jobSpec {
+func resolveSpec(t testing.TB, s *Server, body string) jobSpec {
 	t.Helper()
 	var req JobRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {

@@ -108,9 +108,9 @@ func newJob(id string, spec jobSpec, parent context.Context) *Job {
 // identity. It is all a cache hit ever carries.
 func newRecord(id string, spec *jobSpec) *Job {
 	config := spec.cfg.Name()
-	label := spec.label()
-	if label == config {
-		label = config // a photonic point's label is its config name: keep one copy
+	label := config // a photonic point's label is its config name: keep one copy
+	if spec.backend != BackendPEARL {
+		label = spec.label()
 	}
 	return &Job{
 		ID:        id,

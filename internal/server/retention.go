@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -27,14 +26,22 @@ import (
 // keeps.
 const retainedRecords = 4096
 
-// Id prefixes; a record's id is its prefix and its counter value as
-// %06d.
+// Id prefixes; a record's id is its prefix and its counter value in
+// decimal, zero-padded to at least six digits.
 const (
 	jobIDPrefix   = "job-"
 	batchIDPrefix = "batch-"
 )
 
-func formatID(prefix string, n uint64) string { return fmt.Sprintf("%s%06d", prefix, n) }
+// formatID renders the id of record n: the prefix, then n in decimal,
+// zero-padded to six digits.
+func formatID(prefix string, n uint64) string {
+	var digits, buf [24]byte
+	d := strconv.AppendUint(digits[:0], n, 10)
+	b := append(buf[:0], prefix...)
+	b = append(b, "000000"[min(len(d), 6):]...)
+	return string(append(b, d...))
+}
 
 // issued reports whether id is one formatID(prefix, n) has produced for
 // some n the counter has reached.

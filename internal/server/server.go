@@ -470,12 +470,11 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
+// writeJSON answers with payload as compact JSON on one line.
 func writeJSON(w http.ResponseWriter, code int, payload any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(payload)
+	_ = json.NewEncoder(w).Encode(payload)
 }
 
 // apiError is the structured error body every non-2xx response

@@ -25,9 +25,6 @@ func PointKey(backend string, cfg config.Config, pair traffic.Pair, seed uint64,
 	if seed == 0 {
 		seed = 2018
 	}
-	if linkScale <= 0 {
-		linkScale = 1
-	}
 	spec := jobSpec{
 		backend:   backend,
 		cfg:       cfg,
@@ -35,7 +32,7 @@ func PointKey(backend string, cfg config.Config, pair traffic.Pair, seed uint64,
 		seed:      seed,
 		warmup:    int64(cfg.WarmupCycles),
 		measure:   int64(cfg.MeasureCycles),
-		linkScale: linkScale,
+		linkScale: linkScaleFor(backend, linkScale),
 	}
 	return spec.cacheKey()
 }

@@ -167,17 +167,20 @@ func GPUProfiles() []Profile {
 	}
 }
 
+// profilesByName indexes both suites by benchmark name. Profiles are
+// plain values, so a lookup hands out a copy the caller cannot alias.
+var profilesByName = func() map[string]Profile {
+	m := make(map[string]Profile)
+	for _, p := range append(CPUProfiles(), GPUProfiles()...) {
+		m[p.Name] = p
+	}
+	return m
+}()
+
 // ProfileByName looks up a benchmark in either suite.
 func ProfileByName(name string) (Profile, error) {
-	for _, p := range CPUProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	for _, p := range GPUProfiles() {
-		if p.Name == name {
-			return p, nil
-		}
+	if p, ok := profilesByName[name]; ok {
+		return p, nil
 	}
 	return Profile{}, fmt.Errorf("traffic: unknown benchmark %q", name)
 }

@@ -82,6 +82,14 @@ func TestProfileByName(t *testing.T) {
 	if _, err := ProfileByName("nope"); err == nil {
 		t.Fatal("expected error for unknown benchmark")
 	}
+	// Every benchmark of both suites resolves to itself: no name is
+	// shared between suites.
+	for _, want := range append(CPUProfiles(), GPUProfiles()...) {
+		got, err := ProfileByName(want.Name)
+		if err != nil || got != want {
+			t.Fatalf("%s lookup: %+v %v, want %+v", want.Name, got, err, want)
+		}
+	}
 }
 
 func TestGPUProfilesAreBurstier(t *testing.T) {
