@@ -23,6 +23,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -32,6 +33,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/controller"
 	"repro/internal/experiments"
 	"repro/internal/models"
@@ -210,88 +212,76 @@ func loadModelArtifacts(list string) (map[int]*models.Artifact, error) {
 }
 
 // runSweep evaluates a named figure sweep and optionally exports the
-// results as a cache-warming artifact. Each point's config carries the
-// run lengths before keying, matching the invariant pearld's job
-// resolution enforces — that is what makes the exported keys collide
-// with the server's. ML points are served by -model artifacts: the
-// artifact's content hash is pinned into the point's ModelRef before
-// keying (mirroring pearld's resolution), so exported cache entries
-// match the server's keys for the same model version. ML points with
-// no matching-window artifact are skipped with a note, like a pearld
-// sweep over a registry that cannot serve them.
+// results as a cache-warming artifact. Each point runs and is keyed as
+// one normalized experiments.Spec — the identity pearld gives the
+// equivalent job — so the exported keys collide with the server's and
+// name exactly the runs behind their payloads.
 func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut string, arts map[int]*models.Artifact) error {
-	points, err := preparedSweepPoints(w, opts, name, policy, arts)
+	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	results, err := experiments.RunSweep(context.Background(), points, opts)
+	results, err := experiments.RunSweep(context.Background(), specs)
 	if err != nil {
 		return fmt.Errorf("sweep %s: %w", name, err)
 	}
-	entries := make([]server.CacheEntry, len(points))
-	for i, p := range points {
+	entries := make([]server.CacheEntry, len(specs))
+	for i, spec := range specs {
 		payload := server.ResultPayload(results[i])
-		entries[i] = server.CacheEntry{
-			Key:    server.PointKey(p.Backend, p.Config, p.Pair, opts.Seed, p.LinkScale),
-			Result: payload,
-		}
+		entries[i] = server.CacheEntry{Key: spec.Key(), Result: payload}
 		fmt.Fprintf(w, "%-28s %-12s %10.2f bits/cycle  %8.2f pJ/bit  %s\n",
-			p.Label, payload.Pair, payload.ThroughputBitsPerCycle,
+			spec.Label, payload.Pair, payload.ThroughputBitsPerCycle,
 			payload.EnergyPerBitPJ, entries[i].Key)
 	}
-	fmt.Fprintf(w, "sweep %s: %d points in %v\n", name, len(points), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(w, "sweep %s: %d points in %v\n", name, len(specs), time.Since(start).Round(time.Millisecond))
 	return writeCacheEntries(w, cacheOut, entries)
 }
 
-// preparedSweepPoints expands a named sweep, stamps the run lengths
-// into each point's config (the invariant that makes exported cache
-// keys collide with pearld's), applies the -policy override to photonic
-// points, and builds each point's controller — resolving model-needing
-// ones against the -model artifacts and skipping, with a note, the ones
-// no artifact can serve. The artifact's content hash is pinned into the
-// point's ModelRef before keying (mirroring pearld's resolution), so
-// exported cache entries match the server's keys for the same model
-// version.
-func preparedSweepPoints(w io.Writer, opts experiments.Options, name, policy string, arts map[int]*models.Artifact) ([]experiments.Point, error) {
-	all, err := experiments.FigureSweep(name, opts.Pairs)
+// errNoArtifact is sweepSpecs' model lookup failing: no -model artifact
+// serves the point's reservation window.
+var errNoArtifact = errors.New("no -model artifact")
+
+// sweepSpecs expands a named sweep into normalized, bound specs: each
+// point's config carries the run lengths, -policy overrides the
+// photonic points, and model-needing points bind the -model artifact
+// for their window (its content hash is pinned into the key, as pearld
+// pins its registry's). Points no artifact can serve are skipped with
+// a note, like a pearld sweep over a registry that cannot serve them.
+func sweepSpecs(w io.Writer, opts experiments.Options, name, policy string, arts map[int]*models.Artifact) ([]experiments.Spec, error) {
+	points, err := experiments.FigureSweep(name, opts.Pairs)
 	if err != nil {
 		return nil, err
 	}
-	points := all[:0]
-	for _, p := range all {
+	override, _ := controller.Lookup(policy) // realMain validated -policy
+	lookup := func(cfg config.Config) (*models.Artifact, error) {
+		if art, ok := arts[cfg.ReservationWindow]; ok {
+			return art, nil
+		}
+		return nil, fmt.Errorf("%w for RW%d", errNoArtifact, cfg.ReservationWindow)
+	}
+	specs := make([]experiments.Spec, 0, len(points))
+	for _, p := range points {
 		p.Config.WarmupCycles = int(opts.WarmupCycles)
 		p.Config.MeasureCycles = int(opts.MeasureCycles)
-		if p.Backend == server.BackendPEARL {
-			if policy != "" {
-				cspec, ok := controller.Lookup(policy)
-				if !ok {
-					return nil, fmt.Errorf("unknown -policy %q (registered: %s)", policy, strings.Join(controller.Names(), ", "))
-				}
-				p.Config.Power = cspec.Power
-				// The row now runs the override, not the figure's
-				// original policy — relabel so the table says so.
-				p.Label = p.Config.Name()
-			}
-			var art *models.Artifact
-			if cspec, ok := controller.ForPower(p.Config.Power); ok && cspec.Caps.NeedsModel {
-				art, ok = arts[p.Config.ReservationWindow]
-				if !ok {
-					fmt.Fprintf(w, "%-28s %-12s skipped: no -model artifact for RW%d\n",
-						p.Label, p.Pair.Name(), p.Config.ReservationWindow)
-					continue
-				}
-				p.Config.ModelRef = art.Hash
-			}
-			ctrl, err := controller.New(p.Config, art)
-			if err != nil {
-				return nil, fmt.Errorf("point %s: %w", p.Label, err)
-			}
-			p.Controller = ctrl
+		if policy != "" && p.Backend == experiments.BackendPEARL {
+			p.Config.Power = override.Power
+			// The row now runs the override, not the figure's original
+			// policy — relabel so the table says so.
+			p.Label = p.Config.Name()
 		}
-		points = append(points, p)
+		spec := experiments.Spec{Point: p, Seed: opts.Seed}
+		spec.Normalize()
+		if _, err := spec.Bind(lookup); err != nil {
+			if errors.Is(err, errNoArtifact) {
+				fmt.Fprintf(w, "%-28s %-12s skipped: %v\n", p.Label, p.Pair.Name(), err)
+				continue
+			}
+			return nil, fmt.Errorf("point %s: %w", p.Label, err)
+		}
+		specs = append(specs, spec)
 	}
-	return points, nil
+	return specs, nil
 }
 
 // writeCacheEntries writes a pearld cache-warming artifact; a no-op
@@ -325,7 +315,7 @@ func writeCacheEntries(w io.Writer, cacheOut string, entries []server.CacheEntry
 // CI over its seeds, and -cache-out exports one entry per (point,
 // seed), keys matching what a pearld seeds:n batch would publish.
 func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut, jsonOut string, arts map[int]*models.Artifact, n int) error {
-	points, err := preparedSweepPoints(w, opts, name, policy, arts)
+	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
 		return err
 	}
@@ -333,23 +323,25 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 	start := time.Now()
 	var entries []server.CacheEntry
 	var bench []benchRecord
-	for _, p := range points {
+	for _, spec := range specs {
+		p := spec.Point
 		// Derive the member seeds exactly as pearld's seeds:n batches do:
-		// fold the point's canonical name (not the sweep's display label)
-		// and the pair name, so the exported per-seed cache keys collide
-		// with the server's.
-		seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), n)
+		// from the normalized base seed, folding the point's canonical
+		// name (not the sweep's display label) and the pair name, so the
+		// exported per-seed cache keys collide with the server's.
+		seeds := experiments.ReplicaSeeds(spec.Seed, p.Name(), p.Pair.Name(), n)
+		base := spec.Options()
 
 		pstart := time.Now()
 		var results []experiments.Result
 		if rerr := experiments.CanReplicate(p); rerr == nil {
-			results, err = experiments.RunSeeds(ctx, p, opts, seeds)
+			results, err = experiments.RunSeeds(ctx, p, base, seeds)
 		} else {
 			fmt.Fprintf(w, "pearlbench: %s %s: lockstep replication unavailable (%v); running %d seeds sequentially\n",
 				p.Label, p.Pair.Name(), rerr, n)
 			results = make([]experiments.Result, 0, n)
 			for _, s := range seeds {
-				o := opts
+				o := base
 				o.Seed = s
 				var res experiments.Result
 				if res, err = experiments.Run(ctx, p, o); err != nil {
@@ -368,10 +360,9 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 			payload := server.ResultPayload(res)
 			tput.Add(payload.ThroughputBitsPerCycle)
 			epb.Add(payload.EnergyPerBitPJ)
-			entries = append(entries, server.CacheEntry{
-				Key:    server.PointKey(p.Backend, p.Config, p.Pair, seeds[i], p.LinkScale),
-				Result: payload,
-			})
+			member := spec
+			member.Seed = seeds[i]
+			entries = append(entries, server.CacheEntry{Key: member.Key(), Result: payload})
 		}
 		fmt.Fprintf(w, "%-28s %-12s %10.2f ±%-6.2f bits/cycle  %8.2f ±%-5.2f pJ/bit  (n=%d, 95%% CI)\n",
 			p.Label, p.Pair.Name(), tput.Mean(), tput.CI95(), epb.Mean(), epb.CI95(), n)
@@ -382,7 +373,7 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 		})
 	}
 	fmt.Fprintf(w, "sweep %s: %d points x %d seeds in %v\n",
-		name, len(points), n, time.Since(start).Round(time.Millisecond))
+		name, len(specs), n, time.Since(start).Round(time.Millisecond))
 	if jsonOut != "" {
 		if err := writeBenchJSON(jsonOut, bench); err != nil {
 			return fmt.Errorf("writing %s: %w", jsonOut, err)

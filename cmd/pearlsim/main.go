@@ -64,7 +64,7 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 	opts.WarmupCycles = warmup
 
 	if strings.EqualFold(configName, "cmesh") {
-		p := experiments.Point{Backend: "cmesh", Config: config.Default(), LinkScale: 1, Pair: pair}
+		p := experiments.Point{Backend: experiments.BackendCMESH, Config: config.Default(), LinkScale: 1, Pair: pair}
 		res, err := experiments.Run(context.Background(), p, opts)
 		if err != nil {
 			return err

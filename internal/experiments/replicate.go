@@ -77,7 +77,7 @@ func ReplicaSeeds(base uint64, configName, pairName string, n int) []uint64 {
 // The electrical CMESH baseline is always replicable. A single seed
 // needs no gate: Run accepts any controller.
 func CanReplicate(p Point) error {
-	if p.Backend == backendCMESH {
+	if p.Backend == BackendCMESH {
 		return nil
 	}
 	ctrl, err := p.controller()
@@ -124,7 +124,7 @@ func NewLockstep(p Point, opts Options, seeds []uint64) (*Lockstep, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("experiments: a run needs at least one seed")
 	}
-	if p.Backend != backendCMESH {
+	if p.Backend != BackendCMESH {
 		// One controller for the whole run; every replica mints its own
 		// policy from it.
 		ctrl, err := p.controller()

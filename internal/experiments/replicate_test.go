@@ -162,7 +162,7 @@ func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
 		{"reactive N=3", config.DynRW(500), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkOnePath(t, Point{Backend: backendPEARL, Config: tc.cfg, Pair: pair}, tc.n)
+			checkOnePath(t, Point{Backend: BackendPEARL, Config: tc.cfg, Pair: pair}, tc.n)
 		})
 	}
 }
@@ -179,7 +179,7 @@ func TestReplicatedMatchesSequentialCMESH(t *testing.T) {
 		{"linkScale 2 N=1", 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := Point{Backend: backendCMESH, Config: config.Default(), LinkScale: tc.linkScale, Pair: pair}
+			p := Point{Backend: BackendCMESH, Config: config.Default(), LinkScale: tc.linkScale, Pair: pair}
 			if want := CMESHName(tc.linkScale); p.Name() != want {
 				t.Fatalf("Name() = %q, want %q", p.Name(), want)
 			}
@@ -250,7 +250,7 @@ func TestCanReplicate(t *testing.T) {
 	if err := CanReplicate(Point{Config: config.PEARLDyn(), Pair: pair}); err != nil {
 		t.Errorf("static config's registered controller should replicate: %v", err)
 	}
-	if err := CanReplicate(Point{Backend: backendCMESH, Config: config.Default(), Pair: pair}); err != nil {
+	if err := CanReplicate(Point{Backend: BackendCMESH, Config: config.Default(), Pair: pair}); err != nil {
 		t.Errorf("the electrical baseline always replicates: %v", err)
 	}
 	if err := CanReplicate(Point{Config: ml, Pair: pair}); err == nil {

@@ -106,9 +106,9 @@ type Result struct {
 func (r Result) ThroughputBitsPerCycle() float64 { return r.Metrics.ThroughputBitsPerCycle() }
 
 // Point is the one description of a run: a (configuration, workload
-// pair) evaluation on one backend. It is what Run executes, what the
-// lockstep engine replicates, the unit pearld's batch endpoint schedules
-// and the unit `pearlbench -sweep` exports as cache-warming artifacts.
+// pair) evaluation on one backend. It is what Run executes and what the
+// lockstep engine replicates; with a seed it is a Spec, the identity
+// pearld caches and `pearlbench -sweep` exports.
 type Point struct {
 	// Label is the display label of the point's row in a figure (the
 	// paper's configuration label, sometimes annotated — "Dyn RW500 @
@@ -126,16 +126,16 @@ type Point struct {
 	Pair traffic.Pair
 	// Controller drives the point's wavelength-state policy. nil means
 	// the config's registered controller with no model artifact, so
-	// model-needing points must be filled by the caller (pearld resolves
-	// its registry; pearlbench loads -model files) or they fail at build
-	// time, before any simulation state exists.
+	// model-needing points must be bound by the caller (Spec.Bind) or
+	// they fail at build time, before any simulation state exists.
 	Controller controller.Controller
 }
 
-// The two backend names a Point carries.
+// The two backend names a Point carries: the photonic network and the
+// electrical baseline.
 const (
-	backendPEARL = "pearl"
-	backendCMESH = "cmesh"
+	BackendPEARL = "pearl"
+	BackendCMESH = "cmesh"
 )
 
 // Name is the point's canonical configuration name: what its Result
@@ -143,7 +143,7 @@ const (
 // the paper's configuration name for photonic points, CMESHName for
 // electrical ones.
 func (p Point) Name() string {
-	if p.Backend == backendCMESH {
+	if p.Backend == BackendCMESH {
 		return CMESHName(p.LinkScale)
 	}
 	return p.Config.Name()
@@ -226,7 +226,7 @@ func build(p Point, opts Options, measured bool, tab *traffic.ExpTable) (replica
 	// pair (paired comparison).
 	wseed := runSeed(opts.Seed, p.Pair.Name())
 	r := replica{engine: engine, name: p.Name(), pair: p.Pair}
-	if p.Backend == backendCMESH {
+	if p.Backend == BackendCMESH {
 		net, err := cmesh.New(engine, p.Config)
 		if err != nil {
 			return replica{}, err
@@ -346,24 +346,24 @@ func RunSeeds(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Res
 // RunPEARLCtx is Run for a photonic point. It keeps this exact signature
 // because the frozen benchmark/ harness calls it; new code calls Run.
 func RunPEARLCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	return Run(ctx, Point{Backend: backendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
+	return Run(ctx, Point{Backend: BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
 }
 
 // RunCMESHCtx is Run for an electrical-baseline point (linkScale 1 =
 // 64WL-equivalent bisection). Like RunPEARLCtx it is kept, signature
 // unchanged, for the frozen benchmark/ harness; new code calls Run.
 func RunCMESHCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	return Run(ctx, Point{Backend: backendCMESH, Config: cfg, Pair: pair, LinkScale: linkScale}, opts)
+	return Run(ctx, Point{Backend: BackendCMESH, Config: cfg, Pair: pair, LinkScale: linkScale}, opts)
 }
 
 // runPEARL and runCMESH are the figure code's shorthand for an
 // uncancellable single run on each backend.
 func runPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	return Run(context.Background(), Point{Backend: backendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
+	return Run(context.Background(), Point{Backend: BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
 }
 
 func runCMESH(pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	return Run(context.Background(), Point{Backend: backendCMESH, Config: config.Default(), Pair: pair, LinkScale: linkScale}, opts)
+	return Run(context.Background(), Point{Backend: BackendCMESH, Config: config.Default(), Pair: pair, LinkScale: linkScale}, opts)
 }
 
 // runSeed derives the workload seed of a run from the experiment seed

@@ -13,11 +13,11 @@ import (
 // pearlPoint and cmeshPoint are a sweep's configurations before pairs
 // are crossed in: Points with no Pair yet.
 func pearlPoint(cfg config.Config) Point {
-	return Point{Label: cfg.Name(), Backend: backendPEARL, Config: cfg, LinkScale: 1}
+	return Point{Label: cfg.Name(), Backend: BackendPEARL, Config: cfg, LinkScale: 1}
 }
 
 func cmeshPoint(scale int) Point {
-	return Point{Label: CMESHName(scale), Backend: backendCMESH, Config: config.Default(), LinkScale: scale}
+	return Point{Label: CMESHName(scale), Backend: BackendCMESH, Config: config.Default(), LinkScale: scale}
 }
 
 // sweepConfigs maps a sweep name to the configurations the paper's
@@ -123,12 +123,12 @@ func FigureSweep(name string, pairs []traffic.Pair) ([]Point, error) {
 	return points, nil
 }
 
-// RunSweep evaluates every point (in parallel, deterministically per
-// point) and returns results in point order. Each point runs with the
-// shared Options' seed and cycle counts, exactly as pearld's worker
-// would run the equivalent job.
-func RunSweep(ctx context.Context, points []Point, opts Options) ([]Result, error) {
-	return parallelMapCtx(ctx, len(points), func(ctx context.Context, i int) (Result, error) {
-		return Run(ctx, points[i], opts)
+// RunSweep evaluates every spec (in parallel, deterministically per
+// spec) and returns results in spec order. Each spec runs its Point
+// with its own Options, exactly as pearld's worker runs the equivalent
+// job.
+func RunSweep(ctx context.Context, specs []Spec) ([]Result, error) {
+	return parallelMapCtx(ctx, len(specs), func(ctx context.Context, i int) (Result, error) {
+		return Run(ctx, specs[i].Point, specs[i].Options())
 	})
 }

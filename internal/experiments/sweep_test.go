@@ -113,17 +113,27 @@ func TestSweepNamesAllExpand(t *testing.T) {
 	}
 }
 
+// sweepSpecs gives every point the run lengths and seed 2018.
+func sweepSpecs(points []Point, warmup, measure int) []Spec {
+	specs := make([]Spec, len(points))
+	for i, p := range points {
+		p.Config.WarmupCycles, p.Config.MeasureCycles = warmup, measure
+		specs[i] = Spec{Point: p, Seed: 2018}
+	}
+	return specs
+}
+
 func TestRunSweepDeterministic(t *testing.T) {
 	points, err := FigureSweep("fig4", traffic.TestPairs()[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Seed: 2018, WarmupCycles: 200, MeasureCycles: 2000}
-	first, err := RunSweep(context.Background(), points, opts)
+	specs := sweepSpecs(points, 200, 2000)
+	first, err := RunSweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunSweep(context.Background(), points, opts)
+	second, err := RunSweep(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestRunSweepHonoursCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSweep(ctx, points, Options{Seed: 2018, WarmupCycles: 200, MeasureCycles: 5_000_000}); err == nil {
+	if _, err := RunSweep(ctx, sweepSpecs(points, 200, 5_000_000)); err == nil {
 		t.Fatal("cancelled sweep returned no error")
 	}
 }

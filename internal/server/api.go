@@ -26,11 +26,8 @@ package server
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,8 +40,8 @@ import (
 
 // Backend names accepted by JobRequest.Backend.
 const (
-	BackendPEARL = "pearl"
-	BackendCMESH = "cmesh"
+	BackendPEARL = experiments.BackendPEARL
+	BackendCMESH = experiments.BackendCMESH
 )
 
 // WorkloadSpec names the benchmark pair driving the run.
@@ -60,7 +57,9 @@ type WorkloadSpec struct {
 // seed 2018, cycles from the resolved config, link_scale 1.
 type JobRequest struct {
 	// Backend selects the photonic network ("pearl") or the electrical
-	// baseline ("cmesh").
+	// baseline ("cmesh"), which reads only the buffer slots and run
+	// lengths of the configuration: its other fields, preset and policy
+	// leave a cmesh job's cache key and result unchanged.
 	Backend string `json:"backend,omitempty"`
 	// Preset optionally starts the configuration from a named paper
 	// configuration (config.ByName); Config fields then override it.
@@ -97,23 +96,12 @@ type JobRequest struct {
 }
 
 // jobSpec is a fully resolved, validated request — the unit of work the
-// queue carries and the cache key covers.
+// queue carries. Its identity, and so its cache key, is the embedded
+// experiments.Spec (normalized and bound by finalize); the other fields
+// are execution state.
 type jobSpec struct {
-	backend   string
-	cfg       config.Config
-	pair      traffic.Pair
-	seed      uint64
-	warmup    int64
-	measure   int64
-	linkScale int
-	timeout   time.Duration
-	// ctrl is the constructed wavelength-state controller for pearl
-	// specs. It is derived state, not identity: cfg.Power selects the
-	// controller family and cfg.ModelRef carries the model artifact's
-	// content hash, both covered by the cache key.
-	ctrl controller.Controller
-	// ctrlName is the registered controller name (metrics attribution).
-	ctrlName string
+	experiments.Spec
+	timeout time.Duration
 	// artifact is the resolved model artifact for model-needing
 	// controllers (nil otherwise); the shard dispatcher uploads it to
 	// peers on miss and the canary retrainer matches against its hash.
@@ -149,7 +137,8 @@ func validateCycleOverrides(warmup, measure int64) error {
 // executable spec or a client-facing error. PowerML specs are resolved
 // against the model registry.
 func (r JobRequest) resolve(defaultTimeout time.Duration, reg *models.Registry) (jobSpec, error) {
-	spec := jobSpec{backend: r.Backend, linkScale: r.LinkScale, seed: r.Seed}
+	var spec jobSpec
+	spec.Backend, spec.LinkScale, spec.Seed = r.Backend, r.LinkScale, r.Seed
 	if err := validateCycleOverrides(r.WarmupCycles, r.MeasureCycles); err != nil {
 		return jobSpec{}, err
 	}
@@ -184,7 +173,7 @@ func (r JobRequest) resolve(defaultTimeout time.Duration, reg *models.Registry) 
 	if r.Model != "" {
 		cfg.ModelRef = r.Model
 	}
-	spec.cfg = cfg
+	spec.Config = cfg
 
 	if r.Workload.CPU == "" || r.Workload.GPU == "" {
 		return jobSpec{}, fmt.Errorf("workload needs both cpu and gpu benchmark names")
@@ -197,13 +186,17 @@ func (r JobRequest) resolve(defaultTimeout time.Duration, reg *models.Registry) 
 	if err != nil {
 		return jobSpec{}, err
 	}
-	spec.pair = traffic.Pair{CPU: cpu, GPU: gpu}
+	spec.Pair = traffic.Pair{CPU: cpu, GPU: gpu}
 
 	if r.TimeoutMS > 0 {
 		spec.timeout = time.Duration(r.TimeoutMS) * time.Millisecond
 	}
 	return spec.finalize(defaultTimeout, reg)
 }
+
+// modelError is resolveModel's error: the registry cannot serve a
+// model-needing configuration. A sweep skips such a point.
+type modelError struct{ error }
 
 // resolveModel finds the hosted artifact serving a PowerML
 // configuration: cfg.ModelRef (name or content hash), defaulting to
@@ -220,85 +213,50 @@ func resolveModel(cfg config.Config, reg *models.Registry) (*models.Artifact, er
 		art, ok = reg.Resolve(ref)
 	}
 	if !ok {
-		return nil, fmt.Errorf("no hosted model %q for %s: train one (pearltrain -window %d -out %s.json), then upload it with POST /v1/models?name=%s or start pearld with -model-dir",
-			ref, cfg.Name(), cfg.ReservationWindow, ref, ref)
+		return nil, modelError{fmt.Errorf("no hosted model %q for %s: train one (pearltrain -window %d -out %s.json), then upload it with POST /v1/models?name=%s or start pearld with -model-dir",
+			ref, cfg.Name(), cfg.ReservationWindow, ref, ref)}
 	}
 	if art.Window != cfg.ReservationWindow {
-		return nil, fmt.Errorf("model %q was trained for RW%d but configuration %s uses RW%d",
-			ref, art.Window, cfg.Name(), cfg.ReservationWindow)
+		return nil, modelError{fmt.Errorf("model %q was trained for RW%d but configuration %s uses RW%d",
+			ref, art.Window, cfg.Name(), cfg.ReservationWindow)}
 	}
 	return art, nil
 }
 
 // finalize validates an assembled spec (from a job request or a batch
-// sweep point) against the server's policy and fills the derived and
-// defaulted fields. It is the single gate every executable spec passes
-// through. PowerML pearl specs resolve their model here: the artifact
-// becomes the spec's predictor and its content hash is pinned into
-// cfg.ModelRef, so the cache key tracks the exact model version (and a
-// name ref and its hash ref share one cache entry).
+// sweep point) against the server's policy, normalizes and binds its
+// identity (experiments.Spec: PowerML pearl specs resolve their model
+// against reg here, pinning its content hash into the key) and
+// defaults the timeout. It is the single gate every executable spec
+// passes through.
 func (s jobSpec) finalize(defaultTimeout time.Duration, reg *models.Registry) (jobSpec, error) {
-	switch s.backend {
-	case "":
-		s.backend = BackendPEARL
-	case BackendPEARL, BackendCMESH:
+	switch s.Backend {
+	case "", BackendPEARL, BackendCMESH:
 	default:
-		return jobSpec{}, fmt.Errorf("unknown backend %q (want %q or %q)", s.backend, BackendPEARL, BackendCMESH)
+		return jobSpec{}, fmt.Errorf("unknown backend %q (want %q or %q)", s.Backend, BackendPEARL, BackendCMESH)
 	}
-	if err := s.cfg.Validate(); err != nil {
+	if err := s.Config.Validate(); err != nil {
 		return jobSpec{}, err
 	}
-	if s.cfg.MeasureCycles > maxMeasureCycles {
-		return jobSpec{}, fmt.Errorf("measure cycles %d above server limit %d", s.cfg.MeasureCycles, maxMeasureCycles)
+	if s.Config.MeasureCycles > maxMeasureCycles {
+		return jobSpec{}, fmt.Errorf("measure cycles %d above server limit %d", s.Config.MeasureCycles, maxMeasureCycles)
 	}
-	if s.cfg.WarmupCycles > maxWarmupCycles {
-		return jobSpec{}, fmt.Errorf("warmup cycles %d above server limit %d", s.cfg.WarmupCycles, maxWarmupCycles)
+	if s.Config.WarmupCycles > maxWarmupCycles {
+		return jobSpec{}, fmt.Errorf("warmup cycles %d above server limit %d", s.Config.WarmupCycles, maxWarmupCycles)
 	}
-	if s.backend == BackendPEARL {
-		cspec, ok := controller.ForPower(s.cfg.Power)
-		if !ok {
-			return jobSpec{}, fmt.Errorf("no controller registered for power policy %s", s.cfg.Power)
-		}
-		s.ctrlName = cspec.Name
-		var art *models.Artifact
-		if cspec.Caps.NeedsModel {
-			var err error
-			if art, err = resolveModel(s.cfg, reg); err != nil {
-				return jobSpec{}, err
-			}
-			s.cfg.ModelRef = art.Hash
-			s.artifact = art
-		}
-		ctrl, err := controller.New(s.cfg, art)
-		if err != nil {
-			return jobSpec{}, err
-		}
-		s.ctrl = ctrl
-	}
-	s.warmup = int64(s.cfg.WarmupCycles)
-	s.measure = int64(s.cfg.MeasureCycles)
-	if s.pair.CPU.Name == "" || s.pair.GPU.Name == "" {
+	if s.Pair.CPU.Name == "" || s.Pair.GPU.Name == "" {
 		return jobSpec{}, fmt.Errorf("workload needs both cpu and gpu benchmark names")
 	}
-	if s.seed == 0 {
-		s.seed = 2018
+	s.Normalize()
+	art, err := s.Bind(func(cfg config.Config) (*models.Artifact, error) { return resolveModel(cfg, reg) })
+	if err != nil {
+		return jobSpec{}, err
 	}
-	s.linkScale = linkScaleFor(s.backend, s.linkScale)
+	s.artifact = art
 	if s.timeout <= 0 {
 		s.timeout = defaultTimeout
 	}
 	return s, nil
-}
-
-// linkScaleFor is the link scale a spec carries: the electrical
-// baseline's link narrowing, at least 1. The photonic network has no
-// link scale, so a pearl spec always carries 1 and a pearl request
-// names the same cache entry whatever link_scale it sends.
-func linkScaleFor(backend string, scale int) int {
-	if backend == BackendPEARL || scale <= 0 {
-		return 1
-	}
-	return scale
 }
 
 // applyOverrides returns cfg with Go-field-named overrides merged in
@@ -316,55 +274,6 @@ func applyOverrides(cfg config.Config, overrides map[string]any) (config.Config,
 		return cfg, fmt.Errorf("config overrides: %w", err)
 	}
 	return cfg, nil
-}
-
-// cacheKey is the content address of the spec: any field that changes
-// the simulation's outcome is folded into the digest. Timeout is
-// deliberately excluded — it bounds wall-clock, not results. The
-// digested bytes are the lines backend, config (the canonical form),
-// cpu, gpu, seed, warmup, measure and link_scale, each "name=value";
-// caches on disk and on shard peers address results by this key, so
-// the bytes must not change.
-func (s jobSpec) cacheKey() string {
-	var buf [512]byte
-	b := append(buf[:0], "backend="...)
-	b = append(b, s.backend...)
-	b = s.cfg.AppendCanonical(append(b, "\nconfig="...))
-	b = append(append(b, "cpu="...), s.pair.CPU.Name...)
-	b = append(append(b, "\ngpu="...), s.pair.GPU.Name...)
-	b = strconv.AppendUint(append(b, "\nseed="...), s.seed, 10)
-	b = strconv.AppendInt(append(b, "\nwarmup="...), s.warmup, 10)
-	b = strconv.AppendInt(append(b, "\nmeasure="...), s.measure, 10)
-	b = strconv.AppendInt(append(b, "\nlink_scale="...), int64(s.linkScale), 10)
-	sum := sha256.Sum256(append(b, '\n'))
-	var key [cacheKeyLen]byte
-	hex.Encode(key[:], sum[:cacheKeyLen/2])
-	return string(key[:])
-}
-
-// point is the spec as the experiments layer's description of a run.
-func (s jobSpec) point() experiments.Point {
-	return experiments.Point{
-		Backend:    s.backend,
-		Config:     s.cfg,
-		LinkScale:  s.linkScale,
-		Pair:       s.pair,
-		Controller: s.ctrl,
-	}
-}
-
-// label is the figure-style row label for the spec: the paper's
-// configuration name for photonic points, CMESH (with its bandwidth
-// scale) for electrical ones — the point's canonical name.
-func (s jobSpec) label() string { return s.point().Name() }
-
-// options converts the spec to an experiments option set.
-func (s jobSpec) options() experiments.Options {
-	return experiments.Options{
-		Seed:          s.seed,
-		WarmupCycles:  s.warmup,
-		MeasureCycles: s.measure,
-	}
 }
 
 // JobResult is the measurement payload of a completed job.

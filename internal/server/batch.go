@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/controller"
 	"repro/internal/experiments"
 	"repro/internal/models"
 	"repro/internal/traffic"
@@ -133,32 +132,25 @@ func (r BatchRequest) expandSweep(defaultTimeout time.Duration, reg *models.Regi
 	specs := make([]jobSpec, 0, len(points))
 	var skipped []SkippedPoint
 	for _, p := range points {
-		cfg := p.Config
 		if r.WarmupCycles > 0 {
-			cfg.WarmupCycles = int(r.WarmupCycles)
+			p.Config.WarmupCycles = int(r.WarmupCycles)
 		}
 		if r.MeasureCycles > 0 {
-			cfg.MeasureCycles = int(r.MeasureCycles)
+			p.Config.MeasureCycles = int(r.MeasureCycles)
 		}
-		spec := jobSpec{
-			backend:   p.Backend,
-			cfg:       cfg,
-			pair:      p.Pair,
-			linkScale: p.LinkScale,
-			seed:      r.Seed,
-		}
+		spec := jobSpec{Spec: experiments.Spec{Point: p, Seed: r.Seed}}
 		if r.TimeoutMS > 0 {
 			spec.timeout = time.Duration(r.TimeoutMS) * time.Millisecond
 		}
 		spec, err := spec.finalize(defaultTimeout, reg)
 		if err != nil {
 			// Sweep configurations are valid by construction, so a
-			// finalize error on a model-needing point means the registry
-			// cannot serve its model. Skip the point with the reason
-			// rather than failing the whole sweep — the registry is
-			// operator state, not part of the request.
-			cspec, registered := controller.ForPower(cfg.Power)
-			if p.Backend == BackendPEARL && registered && cspec.Caps.NeedsModel {
+			// model error means the registry cannot serve the point's
+			// model. Skip the point with the reason rather than failing
+			// the whole sweep — the registry is operator state, not part
+			// of the request.
+			var me modelError
+			if errors.As(err, &me) {
 				skipped = append(skipped, SkippedPoint{
 					Label:  p.Label,
 					Pair:   p.Pair.Name(),
@@ -470,20 +462,22 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	var deferred []*Job
 	allCached := true
 	for _, spec := range specs {
-		// A seeds:N point fans out into N member jobs with derived seeds,
-		// each a first-class point (own cache key, own lifecycle). Members
-		// of a replicable spec share a group so the feeder can coalesce
-		// whichever ones still need simulating into one lockstep run;
-		// non-replicable specs (ML without a replica-safe predictor)
-		// degrade gracefully to N independent sequential points.
+		// A seeds:N point fans out into N member jobs with derived seeds
+		// (experiments.ReplicaSeed), each a first-class point: own cache
+		// key — the one a standalone run of that seed has — and own
+		// lifecycle. Members of a replicable spec share a group so the
+		// feeder can coalesce whichever ones still need simulating into
+		// one lockstep run; non-replicable specs (ML without a
+		// replica-safe predictor) degrade gracefully to N independent
+		// sequential points.
 		var group *replicaGroup
-		if seeds > 1 && spec.canReplicate() == nil {
+		if seeds > 1 && experiments.CanReplicate(spec.Point) == nil {
 			group = newReplicaGroup(spec)
 		}
 		for i := 0; i < seeds; i++ {
 			mspec := spec
 			if seeds > 1 {
-				mspec.seed = spec.replicaSeed(i)
+				mspec.Seed = experiments.ReplicaSeed(spec.Seed, spec.Name(), spec.Pair.Name(), i)
 			}
 			s.metrics.jobSubmitted(tn.Name())
 			job := s.buildJob(&mspec, tn, token)

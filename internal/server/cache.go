@@ -6,7 +6,7 @@ import (
 )
 
 // resultCache is a content-addressed LRU of completed job results.
-// Keys are jobSpec.cacheKey() digests, so any request that would run an
+// Keys are experiments.Spec.Key digests, so any request that would run an
 // identical simulation resolves without executing it. Results are
 // immutable once stored; callers must not mutate returned payloads.
 type resultCache struct {

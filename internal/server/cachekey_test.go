@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -25,7 +26,7 @@ func TestCacheKeyPinned(t *testing.T) {
 		{`{"backend":"pearl","link_scale":4,"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`,
 			"5453dd3961bea7fe7ad6a23241e86691"},
 	} {
-		if got := resolveSpec(t, s, tc.body).cacheKey(); got != tc.key {
+		if got := resolveSpec(t, s, tc.body).Key(); got != tc.key {
 			t.Errorf("cache key %s, pinned %s, for %s", got, tc.key, tc.body)
 		}
 	}
@@ -33,7 +34,8 @@ func TestCacheKeyPinned(t *testing.T) {
 
 // TestPearlIgnoresLinkScale: a pearl resubmission at link scale 4 after
 // one at scale 1 is a cache hit under the same key with a byte-equal
-// result, and PointKey agrees; cmesh keys still differ per scale.
+// result, and the spec's own key agrees; cmesh keys still differ per
+// scale.
 func TestPearlIgnoresLinkScale(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	const at = `{"backend":"pearl","link_scale":%d,"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`
@@ -53,13 +55,14 @@ func TestPearlIgnoresLinkScale(t *testing.T) {
 		t.Fatalf("results differ:\nscale 1: %s\nscale 4: %s", a, b)
 	}
 	spec := resolveSpec(t, s, quickJob)
-	if got := PointKey(BackendPEARL, spec.cfg, spec.pair, 0, 4); got != first.CacheKey {
-		t.Fatalf("PointKey at pearl link scale 4 = %s, want %s", got, first.CacheKey)
+	spec.LinkScale = 4
+	if got := spec.Key(); got != first.CacheKey {
+		t.Fatalf("Spec key at pearl link scale 4 = %s, want %s", got, first.CacheKey)
 	}
 
 	seen := map[string]int{}
 	for _, scale := range []int{1, 2, 4} {
-		key := resolveSpec(t, s, fmt.Sprintf(`{"backend":"cmesh","link_scale":%d,"workload":{"cpu":"fmm","gpu":"DCT"}}`, scale)).cacheKey()
+		key := resolveSpec(t, s, fmt.Sprintf(`{"backend":"cmesh","link_scale":%d,"workload":{"cpu":"fmm","gpu":"DCT"}}`, scale)).Key()
 		if prev, dup := seen[key]; dup {
 			t.Fatalf("cmesh link scales %d and %d share key %s", prev, scale, key)
 		}
@@ -76,5 +79,50 @@ func TestFormatIDMatchesFmt(t *testing.T) {
 				t.Errorf("formatID(%q, %d) = %q, fmt reference %q", prefix, n, got, want)
 			}
 		}
+	}
+}
+
+// TestCMESHIgnoresPhotonicConfig: the electrical mesh reads only the
+// buffer slots and run lengths of its configuration, so cmesh requests
+// that differ only in photonic fields share one key, coalesce onto one
+// simulation and return byte-equal results, while a buffer-slot
+// override is a different key.
+func TestCMESHIgnoresPhotonicConfig(t *testing.T) {
+	s := newBareServer(t, Options{Workers: 1, QueueDepth: 8})
+	const at = `{"backend":"cmesh",%s"workload":{"cpu":"fmm","gpu":"DCT"},"warmup_cycles":200,"measure_cycles":2000}`
+	variants := []string{``, `"preset":"dyn-rw500",`, `"preset":"static-16",`, `"policy":"proteus",`}
+	blocker := pin(t, s, "")
+	var ids []string
+	var key string
+	for i, v := range variants {
+		body := fmt.Sprintf(at, v)
+		code, data := call(s, http.MethodPost, "/v1/jobs", "", body)
+		var st JobStatus
+		if err := json.Unmarshal(data, &st); err != nil || code != http.StatusAccepted {
+			t.Fatalf("POST %s: HTTP %d: %.300s", body, code, data)
+		}
+		if i == 0 {
+			key = st.CacheKey
+		} else if st.CacheKey != key || !st.Coalesced {
+			t.Fatalf("%s: key %s coalesced=%v, want a follower under %s", body, st.CacheKey, st.Coalesced, key)
+		}
+		ids = append(ids, st.ID)
+	}
+	cancelJob(t, s, "", blocker)
+	awaitJobs(t, s, terminal, ids...)
+	var first []byte
+	for _, id := range ids {
+		code, res := call(s, http.MethodGet, "/v1/jobs/"+id+"/result", "", "")
+		if code != http.StatusOK {
+			t.Fatalf("result %s: HTTP %d: %.300s", id, code, res)
+		}
+		if first == nil {
+			first = res
+		} else if !bytes.Equal(res, first) {
+			t.Fatalf("results differ:\n%s\n%s", first, res)
+		}
+	}
+	if got := resolveSpec(t, s, fmt.Sprintf(at, `"config":{"CPUBufferSlots":32},`)).Key(); got == key {
+		t.Fatalf("a cmesh buffer-slot override kept the default key %s", key)
 	}
 }

@@ -101,8 +101,8 @@ func newCanary(reg *models.Registry, alias string, minSamples, holdoutEvery int,
 // count with the PREVIOUS window's features, mirroring the offline
 // trainer's label construction (the model predicts the next window).
 func (c *canary) attach(spec jobSpec) func(routerID int, feats []float64, injected int64) {
-	if c == nil || spec.backend != BackendPEARL ||
-		spec.cfg.Power != config.PowerML || spec.cfg.ReservationWindow != c.window {
+	if c == nil || spec.Backend != BackendPEARL ||
+		spec.Config.Power != config.PowerML || spec.Config.ReservationWindow != c.window {
 		return nil
 	}
 	prev := make(map[int][]float64, config.NumRouters)

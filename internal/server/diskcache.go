@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // CacheEntry is the on-disk / warm-artifact envelope for one cached
@@ -22,15 +24,12 @@ type CacheEntry struct {
 	Result *JobResult `json:"result"`
 }
 
-// cacheKeyLen is the hex length of jobSpec.cacheKey digests.
-const cacheKeyLen = 32
-
 // validCacheKey reports whether s looks like one of our content
 // addresses: exactly 32 lowercase hex characters. Everything the disk
 // store touches is gated on this, so a corrupt or adversarial artifact
 // can never escape the cache directory or alias another entry.
 func validCacheKey(s string) bool {
-	if len(s) != cacheKeyLen {
+	if len(s) != experiments.KeyLen {
 		return false
 	}
 	for _, c := range s {

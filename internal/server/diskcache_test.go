@@ -6,13 +6,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // testKey returns a syntactically valid content hash varying in its
 // first characters.
 func testKey(i int) string {
 	const hexDigits = "0123456789abcdef"
-	return strings.Repeat(string(hexDigits[i%16]), 2) + strings.Repeat("0", cacheKeyLen-2)
+	return strings.Repeat(string(hexDigits[i%16]), 2) + strings.Repeat("0", experiments.KeyLen-2)
 }
 
 func testResult(throughput float64) *JobResult {
@@ -71,11 +73,11 @@ func TestDiskStoreRejectsInvalidKeys(t *testing.T) {
 	for _, key := range []string{
 		"",
 		"short",
-		strings.Repeat("g", cacheKeyLen),         // non-hex
-		strings.Repeat("A", cacheKeyLen),         // uppercase
-		"../../../../etc/passwd",                 // traversal
-		strings.Repeat("0", cacheKeyLen) + "0",   // too long
-		strings.Repeat("0", cacheKeyLen-1) + "/", // separator
+		strings.Repeat("g", experiments.KeyLen), // non-hex
+		strings.Repeat("A", experiments.KeyLen), // uppercase
+		"../../../../etc/passwd",                // traversal
+		strings.Repeat("0", experiments.KeyLen) + "0",   // too long
+		strings.Repeat("0", experiments.KeyLen-1) + "/", // separator
 	} {
 		if _, err := d.Get(key); err == nil {
 			t.Errorf("Get(%q) accepted an invalid key", key)

@@ -18,7 +18,7 @@ const hotJob = `{"backend":"pearl","preset":"pearl-dyn","workload":{"cpu":"fmm",
 func hitServer(tb testing.TB) *Server {
 	tb.Helper()
 	s := newBareServer(tb, Options{Workers: 1})
-	s.cache.Put(resolveSpec(tb, s, hotJob).cacheKey(), testResult(1))
+	s.cache.Put(resolveSpec(tb, s, hotJob).Key(), testResult(1))
 	for i := 0; i <= retainedRecords; i++ {
 		submitHit(tb, s)
 	}

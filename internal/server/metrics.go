@@ -236,16 +236,18 @@ func (m *metrics) settled(j *Job, o outcome) {
 		spec := &j.exec.spec
 		m.completed++
 		tc.completed++
-		tc.cycles += uint64(spec.warmup) + uint64(spec.measure)
+		measure := int64(spec.Config.MeasureCycles)
+		tc.cycles += uint64(spec.Config.WarmupCycles) + uint64(measure)
 		m.latency.Add(o.elapsed.Seconds())
-		if spec.ctrlName == "" {
+		if spec.Controller == nil {
 			return
 		}
-		controllerEntry(m.controllers, spec.ctrlName).addRun(o.result.StateResidency, spec.measure)
+		name := spec.Controller.Name()
+		controllerEntry(m.controllers, name).addRun(o.result.StateResidency, measure)
 		if tc.controllers == nil {
 			tc.controllers = make(map[string]*controllerCounters)
 		}
-		controllerEntry(tc.controllers, spec.ctrlName).addRun(o.result.StateResidency, spec.measure)
+		controllerEntry(tc.controllers, name).addRun(o.result.StateResidency, measure)
 	}
 }
 

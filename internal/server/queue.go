@@ -107,18 +107,18 @@ func newJob(id string, spec jobSpec, parent context.Context) *Job {
 // newRecord builds the part of a job every job has: id, content key and
 // identity. It is all a cache hit ever carries.
 func newRecord(id string, spec *jobSpec) *Job {
-	config := spec.cfg.Name()
+	config := spec.Config.Name()
 	label := config // a photonic point's label is its config name: keep one copy
-	if spec.backend != BackendPEARL {
-		label = spec.label()
+	if spec.Backend != BackendPEARL {
+		label = spec.Name()
 	}
 	return &Job{
 		ID:        id,
-		key:       spec.cacheKey(),
-		backend:   spec.backend,
+		key:       spec.Key(),
+		backend:   spec.Backend,
 		config:    config,
-		pair:      spec.pair.Name(),
-		model:     spec.cfg.ModelRef,
+		pair:      spec.Pair.Name(),
+		model:     spec.Config.ModelRef,
 		label:     label,
 		tenant:    tenant.AnonymousName,
 		weight:    1,

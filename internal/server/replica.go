@@ -29,7 +29,7 @@ type replicaGroup struct {
 }
 
 func newReplicaGroup(base jobSpec) *replicaGroup {
-	return &replicaGroup{base: base, key: base.cacheKey()}
+	return &replicaGroup{base: base, key: base.Key()}
 }
 
 // shardKey is the hash the shard router partitions the job by: the
@@ -42,25 +42,12 @@ func (j *Job) shardKey() string {
 	return j.key
 }
 
-// canReplicate reports whether the spec's backend/policy combination
-// supports lockstep replication (see experiments.CanReplicate).
-func (s jobSpec) canReplicate() error { return experiments.CanReplicate(s.point()) }
-
 // runReplicated executes one lockstep run over the given seeds, the
 // seed-fan counterpart of jobSpec.run. Results come back in seed order.
 func (s jobSpec) runReplicated(ctx context.Context, seeds []uint64, onWindow func(experiments.WindowStats)) ([]experiments.Result, error) {
-	opts := s.options()
+	opts := s.Options()
 	opts.OnWindow = onWindow
-	return experiments.RunSeeds(ctx, s.point(), opts, seeds)
-}
-
-// replicaSeed derives the base seed of the i-th member of a seeds:N
-// point (see experiments.ReplicaSeed for the schema and its cache-key
-// consequence: a derived seed is a first-class seed, so a member's
-// cache entry is exactly the one a standalone run of that seed would
-// produce).
-func (s jobSpec) replicaSeed(i int) uint64 {
-	return experiments.ReplicaSeed(s.seed, s.label(), s.pair.Name(), i)
+	return experiments.RunSeeds(ctx, s.Point, opts, seeds)
 }
 
 // coalesceReplicaGroups rewrites a deferred job list so that members of
@@ -155,7 +142,7 @@ func (s *Server) runReplicatedJob(carrier *Job) {
 	}
 	seeds := make([]uint64, len(live))
 	for i, m := range live {
-		seeds[i] = m.exec.spec.seed
+		seeds[i] = m.exec.spec.Seed
 	}
 
 	spec := &carrier.exec.spec

@@ -143,7 +143,7 @@ func TestReplicatedMemberMatchesStandaloneSeed(t *testing.T) {
 	if !ok {
 		t.Fatalf("member %s missing from registry", bst.Points[1].ID)
 	}
-	derived := member.exec.spec.seed
+	derived := member.exec.spec.Seed
 	if want := experiments.ReplicaSeed(2018, "PEARL-Dyn(64WL)", "fmm+DCT", 1); derived != want {
 		t.Fatalf("member seed %d, want ReplicaSeed derivation %d", derived, want)
 	}

@@ -18,7 +18,7 @@ import (
 func TestRetentionSoak(t *testing.T) {
 	s := newBareServer(t, Options{Workers: 1})
 	spec := resolveSpec(t, s, quickJob)
-	s.cache.Put(spec.cacheKey(), testResult(1))
+	s.cache.Put(spec.Key(), testResult(1))
 
 	const early, total = 20_000, 100_000
 	var atEarly int64

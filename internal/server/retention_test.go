@@ -96,7 +96,7 @@ func TestRetiredIDsAnswerGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		s.cache.Put(spec.cacheKey(), testResult(float64(i+1)))
+		s.cache.Put(spec.Key(), testResult(float64(i+1)))
 	}
 	const batches = retainedRecords/16 + 1 // one batch more than the bound holds
 	var second BatchStatus
@@ -111,7 +111,7 @@ func TestRetiredIDsAnswerGone(t *testing.T) {
 		}
 	}
 	spec := resolveSpec(t, s, quickJob)
-	s.cache.Put(spec.cacheKey(), testResult(99))
+	s.cache.Put(spec.Key(), testResult(99))
 	before := metricsOf(t, s)
 	settleHits(t, s, spec, 16)
 	after := metricsOf(t, s)
@@ -171,7 +171,7 @@ func TestRetiredIDsAnswerGone(t *testing.T) {
 func TestRetentionSparesLiveWork(t *testing.T) {
 	s := newBareServer(t, Options{Workers: 1, QueueDepth: 4})
 	spec := resolveSpec(t, s, quickJob)
-	s.cache.Put(spec.cacheKey(), testResult(1))
+	s.cache.Put(spec.Key(), testResult(1))
 
 	var running, queued JobStatus
 	serveJSON(t, s, http.MethodPost, "/v1/jobs", longJob, http.StatusAccepted, &running)
@@ -227,7 +227,7 @@ func TestRetentionSparesLiveWork(t *testing.T) {
 func TestRetirementRacesReaders(t *testing.T) {
 	s := newBareServer(t, Options{Workers: 1})
 	spec := resolveSpec(t, s, quickJob)
-	s.cache.Put(spec.cacheKey(), testResult(1))
+	s.cache.Put(spec.Key(), testResult(1))
 	live := map[route]int{
 		{http.MethodGet, ""}:        http.StatusOK,
 		{http.MethodGet, "/result"}: http.StatusOK,

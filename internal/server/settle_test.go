@@ -177,7 +177,7 @@ var settleRows = []settleRow{
 		}},
 	{name: "executed error", want: tally{failed: 1}, run: func(t *testing.T, s *Server) {
 		spec := resolveSpec(t, s, quickJob)
-		spec.ctrl = brokenController{}
+		spec.Controller = brokenController{}
 		awaitJobs(t, s, terminal, admitAnon(t, s, spec, nil, admitQueued).ID)
 	}},
 	{name: "queued DELETE", opts: Options{Workers: 1}, want: tally{cancelled: 1}, run: func(t *testing.T, s *Server) {
@@ -231,7 +231,7 @@ var settleRows = []settleRow{
 		}
 	}},
 	{name: "admit hit", run: func(t *testing.T, s *Server) {
-		s.cache.Put(resolveSpec(t, s, quickJob).cacheKey(), testResult(1))
+		s.cache.Put(resolveSpec(t, s, quickJob).Key(), testResult(1))
 		submit(t, s, "/v1/jobs", "", quickJob, http.StatusOK)
 	}},
 	{name: "recheck hit", run: func(t *testing.T, s *Server) {

@@ -162,7 +162,7 @@ var (
 // content hash by finalize — the name->hash agreement point between
 // shards), and seed, link scale and timeout ship explicitly.
 func (s jobSpec) wireRequest() (JobRequest, error) {
-	raw, err := json.Marshal(s.cfg)
+	raw, err := json.Marshal(s.Config)
 	if err != nil {
 		return JobRequest{}, fmt.Errorf("shard: encoding config: %w", err)
 	}
@@ -171,11 +171,11 @@ func (s jobSpec) wireRequest() (JobRequest, error) {
 		return JobRequest{}, fmt.Errorf("shard: encoding config: %w", err)
 	}
 	return JobRequest{
-		Backend:   s.backend,
+		Backend:   s.Backend,
 		Config:    cfg,
-		Workload:  WorkloadSpec{CPU: s.pair.CPU.Name, GPU: s.pair.GPU.Name},
-		Seed:      s.seed,
-		LinkScale: s.linkScale,
+		Workload:  WorkloadSpec{CPU: s.Pair.CPU.Name, GPU: s.Pair.GPU.Name},
+		Seed:      s.Seed,
+		LinkScale: s.LinkScale,
 		TimeoutMS: s.timeout.Milliseconds(),
 	}, nil
 }

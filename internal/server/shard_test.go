@@ -105,7 +105,7 @@ func TestWireRequestRoundTripsContentHash(t *testing.T) {
 		if err != nil {
 			t.Fatalf("peer-side resolve of wire request: %v", err)
 		}
-		if got, want := respec.cacheKey(), spec.cacheKey(); got != want {
+		if got, want := respec.Key(), spec.Key(); got != want {
 			t.Fatalf("wire round trip changed the content hash: %s -> %s (%s)", want, got, body)
 		}
 	}
@@ -124,7 +124,7 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 	// Import an entry keyed exactly as quickJob resolves; the later
 	// submission must then be served from the imported entry.
 	spec := resolveSpec(t, s, quickJob)
-	key := spec.cacheKey()
+	key := spec.Key()
 	want := testResult(42)
 	entry, err := encodeCacheEntry(CacheEntry{Key: key, Result: want})
 	if err != nil {
@@ -423,7 +423,7 @@ func TestShardCorruptPeerEntryFallsBackLocal(t *testing.T) {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-000001", State: string(StateDone), CacheKey: spec.cacheKey()})
+			writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-000001", State: string(StateDone), CacheKey: spec.Key()})
 		case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/cache/"):
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusOK)
@@ -489,7 +489,7 @@ func TestShardPeerRetiredJob(t *testing.T) {
 						http.Error(w, err.Error(), http.StatusBadRequest)
 						return
 					}
-					writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-000001", State: string(StatePending), CacheKey: spec.cacheKey()})
+					writeJSON(w, http.StatusAccepted, JobStatus{ID: "job-000001", State: string(StatePending), CacheKey: spec.Key()})
 				case r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/jobs/"):
 					mu.Lock()
 					if r.URL.Path == "/v1/jobs/job-000001" {

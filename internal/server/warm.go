@@ -7,35 +7,8 @@ import (
 	"path/filepath"
 	"sort"
 
-	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/traffic"
 )
-
-// PointKey computes the content address pearld assigns a job for the
-// given point: the key under which its result is cached, on disk and
-// in memory. cfg's own WarmupCycles/MeasureCycles are the run lengths
-// (exactly as a resolved job's are). Exported so offline sweeps
-// (`pearlbench -sweep -cache-out`) can emit artifacts whose keys match
-// the server's.
-func PointKey(backend string, cfg config.Config, pair traffic.Pair, seed uint64, linkScale int) string {
-	if backend == "" {
-		backend = BackendPEARL
-	}
-	if seed == 0 {
-		seed = 2018
-	}
-	spec := jobSpec{
-		backend:   backend,
-		cfg:       cfg,
-		pair:      pair,
-		seed:      seed,
-		warmup:    int64(cfg.WarmupCycles),
-		measure:   int64(cfg.MeasureCycles),
-		linkScale: linkScaleFor(backend, linkScale),
-	}
-	return spec.cacheKey()
-}
 
 // ResultPayload flattens an experiments.Result into the wire/cache
 // payload — the same conversion the worker applies to a finished job.

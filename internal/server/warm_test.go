@@ -8,11 +8,12 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/traffic"
 )
 
 // goldenSpec mirrors goldenJob for in-process key computation.
-func goldenSpec(t *testing.T) (config.Config, traffic.Pair) {
+func goldenSpec(t *testing.T) experiments.Spec {
 	t.Helper()
 	cfg, err := config.ByName("static-32")
 	if err != nil {
@@ -28,25 +29,26 @@ func goldenSpec(t *testing.T) (config.Config, traffic.Pair) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cfg, traffic.Pair{CPU: cpu, GPU: gpu}
+	return experiments.Spec{Point: experiments.Point{Config: cfg, Pair: traffic.Pair{CPU: cpu, GPU: gpu}}}
 }
 
-// TestPointKeyMatchesServerKey proves the exported key computation —
+// TestSpecKeyMatchesServerKey proves the key of an experiments.Spec —
 // what `pearlbench -cache-out` stamps on artifacts — agrees with the
 // content hash the server assigns the equivalent job submission.
-func TestPointKeyMatchesServerKey(t *testing.T) {
+func TestSpecKeyMatchesServerKey(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
 	code, st := postJob(t, ts, goldenJob)
 	if code != http.StatusOK && code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	cfg, pair := goldenSpec(t)
-	if key := PointKey(BackendPEARL, cfg, pair, 2018, 1); key != st.CacheKey {
-		t.Fatalf("PointKey %s != server key %s", key, st.CacheKey)
-	}
 	// Defaults normalize the same way the server's resolver does.
-	if key := PointKey("", cfg, pair, 0, 0); key != st.CacheKey {
-		t.Fatalf("defaulted PointKey %s != server key %s", key, st.CacheKey)
+	spec := goldenSpec(t)
+	if key := spec.Key(); key != st.CacheKey {
+		t.Fatalf("defaulted Spec key %s != server key %s", key, st.CacheKey)
+	}
+	spec.Backend, spec.Seed, spec.LinkScale = BackendPEARL, 2018, 1
+	if key := spec.Key(); key != st.CacheKey {
+		t.Fatalf("explicit Spec key %s != server key %s", key, st.CacheKey)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // fans). onWindow (may be nil) observes each reservation window live;
 // it never affects the result.
 func (s jobSpec) run(ctx context.Context, onWindow func(experiments.WindowStats)) (experiments.Result, error) {
-	opts := s.options()
+	opts := s.Options()
 	opts.OnWindow = onWindow
 	// nil unless this is a photonic ML run the canary learns from.
 	opts.OnWindowSample = s.canarySample
-	return experiments.Run(ctx, s.point(), opts)
+	return experiments.Run(ctx, s.Point, opts)
 }
 
 // worker drains the queue until it is closed; each claimed job runs to
