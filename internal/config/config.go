@@ -98,12 +98,12 @@ func TableII() AreaMM2 {
 // Total sums the chip-wide area: per-cluster items times 16 clusters,
 // per-router items times 17 routers, plus chip-total items.
 func (a AreaMM2) Total() float64 {
-	return a.ClusterCoresL1*NumClusterRouters +
-		a.L2PerCluster*NumClusterRouters +
+	return float64(a.ClusterCoresL1*NumClusterRouters) +
+		float64(a.L2PerCluster*NumClusterRouters) +
 		a.OpticalComponents +
 		a.L3Cache +
-		a.Router*NumRouters +
-		a.OnChipLaser*NumRouters +
+		float64(a.Router*NumRouters) +
+		float64(a.OnChipLaser*NumRouters) +
 		a.DynamicAllocation +
 		a.MachineLearning
 }

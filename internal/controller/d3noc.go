@@ -40,7 +40,7 @@ func (p *d3nocPolicy) NextState(w core.WindowInfo) photonic.WLState {
 		p.seen[id] = true
 		p.ewma[id] = demand
 	} else {
-		p.ewma[id] = d3nocAlpha*demand + (1-d3nocAlpha)*p.ewma[id]
+		p.ewma[id] = float64(d3nocAlpha*demand) + float64((1-d3nocAlpha)*p.ewma[id])
 	}
 	required := p.ewma[id] * d3nocMargin
 	for _, s := range photonicLadder {

@@ -172,7 +172,7 @@ func (r *Router) progressTransmissions(cycle int64) {
 		}
 		if acct != nil { // rings feed modulation accounting only
 			for c := range rings {
-				rings[c] = int(shares[c]*r.stateWLf + 0.5)
+				rings[c] = int(float64(shares[c]*r.stateWLf) + 0.5)
 			}
 		}
 	}

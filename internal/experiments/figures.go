@@ -164,7 +164,7 @@ func (s *Suite) Figure4() (Table, error) {
 		return Table{}, err
 	}
 	for _, res := range results {
-		cpu := res.InjectedCPUShare * 100
+		cpu := float64(res.InjectedCPUShare * 100)
 		t.Rows = append(t.Rows, Row{Label: res.Pair.Name(), Values: []float64{cpu, 100 - cpu}})
 	}
 	return t, nil

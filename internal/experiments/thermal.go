@@ -51,22 +51,22 @@ func (s *Suite) ThermalStudy() (Table, error) {
 					seconds / float64(config.NumRouters)
 			}
 			// Only the locally-coupled fraction heats the ring island.
-			activityPerRouter *= photonic.IslandCoupling
+			activityPerRouter = float64(activityPerRouter * photonic.IslandCoupling)
 			// Ungated: every router's full heater bank regulates against
 			// its (cooler) substrate.
-			ungated := thermal.SteadyStateHeaterW(activityPerRouter) * float64(config.NumRouters)
+			ungated := float64(thermal.SteadyStateHeaterW(activityPerRouter) * float64(config.NumRouters))
 			// Gated: only active banks are trimmed; heater need scales
 			// with the mean active-wavelength fraction from the run's
 			// state residency.
 			activeFraction := 0.0
 			res0 := res.Metrics.StateResidency
 			for _, wl := range res0.Keys() {
-				activeFraction += res0.Fraction(wl) * float64(wl) / config.MaxWavelengths
+				activeFraction += float64(res0.Fraction(wl) * float64(wl) / config.MaxWavelengths)
 			}
 			if len(res0.Keys()) == 0 {
 				activeFraction = 1
 			}
-			gated := ungated * activeFraction
+			gated := float64(ungated * activeFraction)
 			laserSum += laser
 			gatedSum += gated
 			ungatedSum += ungated

@@ -130,9 +130,9 @@ func fitScore(pred, target []float64) float64 {
 	var ssRes, ssTot float64
 	for i := range target {
 		d := pred[i] - target[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		v := target[i] - mean
-		ssTot += v * v
+		ssTot += float64(v * v)
 	}
 	if ssTot == 0 {
 		if ssRes == 0 {

@@ -92,7 +92,7 @@ func (m *Matrix) GramXTX() *Matrix {
 			gi := g.data[i*m.cols:]
 			vi := row[i]
 			for j := i; j < m.cols; j++ {
-				gi[j] += vi * row[j]
+				gi[j] += float64(vi * row[j])
 			}
 		}
 	}
@@ -118,7 +118,7 @@ func (m *Matrix) MulVecT(y []float64) []float64 {
 			continue
 		}
 		for j, v := range row {
-			out[j] += v * yk
+			out[j] += float64(v * yk)
 		}
 	}
 	return out
@@ -134,7 +134,7 @@ func (m *Matrix) MulVec(w []float64) []float64 {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		var s float64
 		for j, v := range row {
-			s += v * w[j]
+			s += float64(v * w[j])
 		}
 		out[i] = s
 	}
@@ -170,7 +170,7 @@ func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
 		for j := 0; j <= i; j++ {
 			sum := a.data[i*n+j]
 			for k := 0; k < j; k++ {
-				sum -= l[i*n+k] * l[j*n+k]
+				sum -= float64(l[i*n+k] * l[j*n+k])
 			}
 			if i == j {
 				if sum <= 0 {
@@ -187,7 +187,7 @@ func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
 	for i := 0; i < n; i++ {
 		sum := b[i]
 		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * z[k]
+			sum -= float64(l[i*n+k] * z[k])
 		}
 		z[i] = sum / l[i*n+i]
 	}
@@ -196,7 +196,7 @@ func CholeskySolve(a *Matrix, b []float64) ([]float64, error) {
 	for i := n - 1; i >= 0; i-- {
 		sum := z[i]
 		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * x[k]
+			sum -= float64(l[k*n+i] * x[k])
 		}
 		x[i] = sum / l[i*n+i]
 	}
@@ -210,7 +210,7 @@ func Dot(a, b []float64) float64 {
 	}
 	var s float64
 	for i := range a {
-		s += a[i] * b[i]
+		s += float64(a[i] * b[i])
 	}
 	return s
 }

@@ -28,7 +28,7 @@ func FitScaler(x *Matrix) *Scaler {
 	for i := 0; i < x.Rows(); i++ {
 		for j := 0; j < x.Cols(); j++ {
 			d := x.At(i, j) - s.Mean[j]
-			s.Std[j] += d * d
+			s.Std[j] += float64(d * d)
 		}
 	}
 	for j := range s.Std {

@@ -157,14 +157,14 @@ func (r *RLS) Update(x []float64, y float64) float64 {
 		row := r.p[i*d : (i+1)*d]
 		var s float64
 		for j, v := range ax {
-			s += row[j] * v
+			s += float64(row[j] * v)
 		}
 		px[i] = s
 	}
 	denom := r.Forgetting + Dot(ax, px)
 	err := y - Dot(ax, r.w)
 	for i := 0; i < d; i++ {
-		r.w[i] += px[i] / denom * err
+		r.w[i] += float64(px[i] / denom * err)
 	}
 	// P = (P - (Px)(Px)ᵀ/denom) / λ. The outer product is computed as
 	// px[i]*px[j]/denom — multiply before divide — so the update is

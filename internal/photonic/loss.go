@@ -43,10 +43,10 @@ func TableV() LossBudget {
 // TotalLossDB sums the worst-case path loss in dB.
 func (l LossBudget) TotalLossDB() float64 {
 	return l.ModulatorInsertionDB +
-		l.WaveguideDBPerCM*l.WaveguideLengthCM +
+		float64(l.WaveguideDBPerCM*l.WaveguideLengthCM) +
 		l.CouplerDB +
 		l.SplitterDB +
-		l.FilterThroughDB*float64(l.ThroughRings) +
+		float64(l.FilterThroughDB*float64(l.ThroughRings)) +
 		l.FilterDropDB +
 		l.PhotodetectorDB
 }

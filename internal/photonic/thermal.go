@@ -199,7 +199,7 @@ func (n *ThermalNode) MaxErrorK() float64 { return n.maxErrK }
 // activity power: heater + activity = conductance x (T - ambient) with
 // T regulated to the setpoint (when within the heater's range).
 func (c ThermalConfig) SteadyStateHeaterW(activityW float64) float64 {
-	needed := c.ConductanceWPerK*(c.SetpointC-AmbientC) - activityW
+	needed := float64(c.ConductanceWPerK*(c.SetpointC-AmbientC)) - activityW
 	if needed < 0 {
 		return 0
 	}

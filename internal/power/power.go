@@ -124,13 +124,13 @@ func (a *Account) AddCycle() { a.cycles++ }
 // AddModulation charges ring modulation power for transmitting bits
 // through nWavelengths active rings for cycles network cycles.
 func (a *Account) AddModulation(nWavelengths int, cycles int) {
-	a.modulationJ += float64(nWavelengths) * photonic.RingModulatingW *
-		float64(cycles) * a.dt
+	a.modulationJ += float64(float64(nWavelengths) * photonic.RingModulatingW *
+		float64(cycles) * a.dt)
 }
 
 // AddConversion charges E/O + O/E energy for bits crossing the link.
 func (a *Account) AddConversion(bits int) {
-	a.conversionJ += float64(bits) * (EOConversionJPerBit + OEConversionJPerBit)
+	a.conversionJ += float64(float64(bits) * (EOConversionJPerBit + OEConversionJPerBit))
 }
 
 // AddMLPrediction charges one ridge-regression inference.
@@ -147,7 +147,7 @@ func (a *Account) AddElectricalHop(bits int, traverseLink bool) {
 
 // AddElectricalLeakage charges leakage for n routers over one cycle.
 func (a *Account) AddElectricalLeakage(nRouters int) {
-	a.electricalLeakageJ += float64(nRouters) * CMESHLeakagePerRouterW * a.dt
+	a.electricalLeakageJ += float64(float64(nRouters) * CMESHLeakagePerRouterW * a.dt)
 }
 
 // AddDeliveredBits records payload bits that reached their destination;

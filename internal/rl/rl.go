@@ -145,7 +145,7 @@ func isL3Router(features []float64) bool {
 // are visible.
 func (a *Agent) reward(action int, betaNext float64) float64 {
 	powerCost := photonic.WLState(action).LaserPowerW() / photonic.WL64.LaserPowerW()
-	return -powerCost - a.cfg.Kappa*betaNext
+	return -powerCost - float64(a.cfg.Kappa*betaNext)
 }
 
 // NextState closes the previous decision's learning loop and picks the
@@ -161,7 +161,7 @@ func (a *Agent) NextState(w core.WindowInfo) photonic.WLState {
 				best = v
 			}
 		}
-		a.q[p.state][p.action] += a.cfg.Alpha * (r + a.cfg.Gamma*best - a.q[p.state][p.action])
+		a.q[p.state][p.action] += float64(a.cfg.Alpha * (r + float64(a.cfg.Gamma*best) - a.q[p.state][p.action]))
 	}
 
 	action := a.chooseAction(sNow)

@@ -377,7 +377,7 @@ func (s *Server) feedBatch(deferred []*Job) {
 			if state, _, _ := job.outcome(); state.Terminal() {
 				break
 			}
-			queued, closed := s.reg.tryEnqueue(job)
+			queued, closed := s.queue.enqueue(job)
 			if queued {
 				break
 			}
@@ -456,7 +456,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		events:        newEventRing(s.opts.StreamRingCapacity),
 	}
 	s.batches.add(b)
-	s.metrics.batchSubmitted()
+	s.metrics.inc(&s.metrics.totals.BatchesSubmitted)
 
 	token := bearerToken(r)
 	var deferred []*Job

@@ -232,7 +232,7 @@ func (c *canary) holdoutRMSE(predict func([]float64) float64) float64 {
 	var sum float64
 	for i := range c.holdout {
 		d := predict(c.holdout[i].feats[:]) - c.holdout[i].label
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return math.Sqrt(sum / float64(len(c.holdout)))
 }

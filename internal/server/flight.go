@@ -113,7 +113,7 @@ func (s *Server) admit(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) admi
 	if b != nil {
 		return admitDeferred
 	}
-	if !s.reg.enqueue(job) {
+	if queued, _ := s.queue.enqueue(job); !queued {
 		s.settle(job, outcome{state: StateFailed, err: fmt.Errorf("queue full (%d jobs)", s.opts.QueueDepth), via: rejected})
 		return admitRejected
 	}

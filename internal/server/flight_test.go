@@ -59,7 +59,7 @@ func TestAdmitRecheckHitCountsExactlyOneVerdict(t *testing.T) {
 	if st := job.Status(); st.State != string(StateDone) || !st.Cached {
 		t.Fatalf("recheck-hit job status %+v, want done+cached", st)
 	}
-	m := s.metrics.snapshot(0, 0, 0, 0, diskSnapshot{}, 0, tenantGauges{})
+	m := s.metrics.snapshot()
 	if m.CacheHits != 1 || m.CacheMisses != 0 {
 		t.Fatalf("recheck hit recorded hits=%d misses=%d, want 1/0 (a hit double-counted as a miss skews the hit rate)",
 			m.CacheHits, m.CacheMisses)
@@ -93,7 +93,7 @@ func TestAdmitRecheckConsultsDiskLayer(t *testing.T) {
 	if res, done := job.Result(); !done || res == nil || res.ThroughputBitsPerCycle != want.ThroughputBitsPerCycle {
 		t.Fatalf("job settled with (%+v, %v), want the disk entry", res, done)
 	}
-	m := s.metrics.snapshot(0, 0, 0, 0, diskSnapshot{}, 0, tenantGauges{})
+	m := s.metrics.snapshot()
 	if m.CacheHits != 1 || m.CacheDiskHits != 1 || m.CacheMisses != 0 {
 		t.Fatalf("disk recheck recorded hits=%d diskHits=%d misses=%d, want 1/1/0",
 			m.CacheHits, m.CacheDiskHits, m.CacheMisses)

@@ -1,167 +1,62 @@
 package server
 
 import (
+	"maps"
 	"sync"
 	"time"
 
 	"repro/internal/stats"
 )
 
-// metrics aggregates the daemon's operational counters. All fields are
-// guarded by mu; the latency histogram reuses internal/stats so the
-// endpoint reports the same nearest-rank quantiles the simulator does.
+// metrics is the daemon's ledger. Every counter is declared once, as a
+// field of the payload it is served in: the totals are a
+// MetricsSnapshot, each tenant's share a TenantSnapshot and each
+// controller family's a ControllerSnapshot, so adding a counter is one
+// field plus one increment. The gauges other layers own (queue, caches,
+// shard, retention, tenant lanes and quotas) stay zero here; the
+// metrics handler fills them in. All fields are guarded by mu; the
+// latency histogram reuses internal/stats so the endpoint reports the
+// same nearest-rank quantiles the simulator does.
 type metrics struct {
-	mu        sync.Mutex
-	submitted uint64
-	started   uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
-	rejected  uint64
-	coalesced uint64
-	batches   uint64
-	uploads   uint64
-	cacheHits uint64
-	cacheMiss uint64
-	diskHits  uint64
-	diskErrs  uint64
-	warmed    uint64
-	// Shard-layer counters: points handed to peers, remote completions
-	// imported, remote-owned points degraded to local execution, and
-	// cache-exchange traffic in both directions.
-	shardDispatch   uint64
-	shardRemote     uint64
-	shardFallback   uint64
-	shardRepl       uint64
-	shardReplErrs   uint64
-	cacheExportsCnt uint64
-	cacheImportsCnt uint64
-	throttled       uint64
-	// Streaming layer: frames appended across every job/batch event
-	// ring, frames evicted by ring overflow, and the live open-stream
-	// gauge.
-	eventsEmitted uint64
-	eventsDropped uint64
-	streamsOpen   int
-	// Replicated execution: lockstep groups run to completion and the
-	// seed members those runs settled.
-	replicaGroups uint64
-	replicaSeeds  uint64
-	busy          int
-	workers       int
-	latency       *stats.Histogram // seconds per completed job
-	upSince       time.Time
+	mu     sync.Mutex
+	totals MetricsSnapshot
 	// tenants attributes traffic to the authenticated principal that
 	// caused it; keys are tenant names, created on first touch.
-	tenants map[string]*tenantCounters
-	// controllers attributes completed pearl runs to the registered
-	// controller that drove them; keys are controller names.
-	controllers map[string]*controllerCounters
-	// Canary retraining loop: window samples consumed, RLS updates
-	// applied, refinements attempted, promotions that improved the
-	// holdout, and the promoted artifact's content hash.
-	canarySamples    uint64
-	canaryUpdates    uint64
-	canaryRefines    uint64
-	canaryPromotions uint64
-	canaryLastHash   string
-}
-
-// controllerCounters is one controller family's execution ledger:
-// completed runs and wavelength-state residency (measured cycles spent
-// in each state, summed over runs). Learning controllers additionally
-// accumulate online update counts and the hash of the last model
-// version their updates promoted.
-type controllerCounters struct {
-	runs      uint64
-	residency map[int]uint64
-	updates   uint64
-	promoted  string
-}
-
-func (c *controllerCounters) addRun(residency map[int]float64, measure int64) {
-	c.runs++
-	if len(residency) == 0 || measure <= 0 {
-		return
-	}
-	if c.residency == nil {
-		c.residency = make(map[int]uint64, len(residency))
-	}
-	for wl, frac := range residency {
-		c.residency[wl] += uint64(frac * float64(measure))
-	}
-}
-
-// controllerSnapshot renders the ledger for the metrics payload;
-// callers hold m.mu.
-func (c *controllerCounters) snapshot() ControllerSnapshot {
-	cs := ControllerSnapshot{
-		Runs:              c.runs,
-		OnlineUpdates:     c.updates,
-		LastPromotedModel: c.promoted,
-	}
-	if len(c.residency) > 0 {
-		cs.StateResidencyCycles = make(map[int]uint64, len(c.residency))
-		for wl, cyc := range c.residency {
-			cs.StateResidencyCycles[wl] = cyc
-		}
-	}
-	return cs
-}
-
-// snapshotControllers renders a whole ledger map; callers hold m.mu.
-func snapshotControllers(set map[string]*controllerCounters) map[string]ControllerSnapshot {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make(map[string]ControllerSnapshot, len(set))
-	for name, cc := range set {
-		out[name] = cc.snapshot()
-	}
-	return out
-}
-
-// tenantCounters is one tenant's share of the global counters, plus
-// the tenant-only ones (throttled 429s, simulated cycles consumed).
-type tenantCounters struct {
-	submitted uint64
-	completed uint64
-	failed    uint64
-	cancelled uint64
-	rejected  uint64
-	throttled uint64
-	coalesced uint64
-	cacheHits uint64
-	cacheMiss uint64
-	cycles    uint64
-	// Streaming attribution: frames emitted by the tenant's jobs,
-	// frames its rings dropped, and its live open-stream gauge.
-	eventsEmitted uint64
-	eventsDropped uint64
-	streamsOpen   int
-	// controllers is the tenant's slice of the per-controller ledger.
-	controllers map[string]*controllerCounters
+	tenants map[string]*TenantSnapshot
+	latency *stats.Histogram // seconds per completed local run
+	upSince time.Time
 }
 
 func newMetrics(workers int) *metrics {
-	return &metrics{
-		workers:     workers,
-		latency:     stats.NewHistogram(1 << 16),
-		upSince:     time.Now(),
-		tenants:     make(map[string]*tenantCounters),
-		controllers: make(map[string]*controllerCounters),
+	m := &metrics{
+		latency: stats.NewHistogram(1 << 16),
+		upSince: time.Now(),
+		tenants: make(map[string]*TenantSnapshot),
 	}
+	m.totals.Workers = workers
+	m.totals.Controllers = make(map[string]ControllerSnapshot)
+	return m
 }
 
-// controllerEntry returns a ledger entry, creating it on first touch;
-// callers hold m.mu.
-func controllerEntry(set map[string]*controllerCounters, name string) *controllerCounters {
-	cc, ok := set[name]
-	if !ok {
-		cc = &controllerCounters{}
-		set[name] = cc
+// addRun books one completed run into a controller ledger: the run and
+// its wavelength-state residency in measured cycles. It creates the
+// entry, and the ledger itself, on first touch; callers hold m.mu.
+func addRun(set map[string]ControllerSnapshot, name string, residency map[int]float64, measure int64) map[string]ControllerSnapshot {
+	if set == nil {
+		set = make(map[string]ControllerSnapshot)
 	}
-	return cc
+	c := set[name]
+	c.Runs++
+	if len(residency) > 0 && measure > 0 {
+		if c.StateResidencyCycles == nil {
+			c.StateResidencyCycles = make(map[int]uint64, len(residency))
+		}
+		for wl, frac := range residency {
+			c.StateResidencyCycles[wl] += uint64(float64(frac * float64(measure)))
+		}
+	}
+	set[name] = c
+	return set
 }
 
 // canaryObserved accumulates the retraining feed: raw window samples
@@ -169,9 +64,11 @@ func controllerEntry(set map[string]*controllerCounters, name string) *controlle
 // serving path the canary refines.
 func (m *metrics) canaryObserved(ctrlName string, samples, updates uint64) {
 	m.mu.Lock()
-	m.canarySamples += samples
-	m.canaryUpdates += updates
-	controllerEntry(m.controllers, ctrlName).updates += updates
+	m.totals.CanarySamples += samples
+	m.totals.CanaryUpdates += updates
+	c := m.totals.Controllers[ctrlName]
+	c.OnlineUpdates += updates
+	m.totals.Controllers[ctrlName] = c
 	m.mu.Unlock()
 }
 
@@ -180,29 +77,38 @@ func (m *metrics) canaryObserved(ctrlName string, samples, updates uint64) {
 // holdout (promoted), empty otherwise.
 func (m *metrics) canaryRefined(ctrlName string, promoted bool, hash string) {
 	m.mu.Lock()
-	m.canaryRefines++
+	m.totals.CanaryRefinements++
 	if promoted {
-		m.canaryPromotions++
-		m.canaryLastHash = hash
-		controllerEntry(m.controllers, ctrlName).promoted = hash
+		m.totals.CanaryPromotions++
+		m.totals.CanaryLastPromoted = hash
+		c := m.totals.Controllers[ctrlName]
+		c.LastPromotedModel = hash
+		m.totals.Controllers[ctrlName] = c
 	}
 	m.mu.Unlock()
 }
 
 // forTenant returns the tenant's counter block; callers hold m.mu.
-func (m *metrics) forTenant(name string) *tenantCounters {
-	tc, ok := m.tenants[name]
+func (m *metrics) forTenant(name string) *TenantSnapshot {
+	t, ok := m.tenants[name]
 	if !ok {
-		tc = &tenantCounters{}
-		m.tenants[name] = tc
+		t = &TenantSnapshot{}
+		m.tenants[name] = t
 	}
-	return tc
+	return t
+}
+
+// inc adds one to a counter of the totals that no tenant shares.
+func (m *metrics) inc(c *uint64) {
+	m.mu.Lock()
+	*c++
+	m.mu.Unlock()
 }
 
 func (m *metrics) jobSubmitted(tn string) {
 	m.mu.Lock()
-	m.submitted++
-	m.forTenant(tn).submitted++
+	m.totals.JobsSubmitted++
+	m.forTenant(tn).JobsSubmitted++
 	m.mu.Unlock()
 }
 
@@ -216,45 +122,42 @@ func (m *metrics) settled(j *Job, o outcome) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tc := m.forTenant(j.tenant)
+	t := m.forTenant(j.tenant)
 	switch {
 	case o.state == StateCancelled:
-		m.cancelled++
-		tc.cancelled++
+		m.totals.JobsCancelled++
+		t.JobsCancelled++
 	case o.state == StateFailed && o.via == rejected:
-		m.rejected++
-		tc.rejected++
+		m.totals.JobsRejected++
+		t.JobsRejected++
 	case o.state == StateFailed:
-		m.failed++
-		tc.failed++
+		m.totals.JobsFailed++
+		t.JobsFailed++
 	case o.via == remote:
-		m.shardRemote++
+		m.totals.ShardRemoteServed++
 	default:
 		// A local run, alone or in a lockstep crew: latency, the
 		// simulated cycles billed to the tenant, and the controller
 		// ledger (cmesh runs have no controller).
 		spec := &j.exec.spec
-		m.completed++
-		tc.completed++
+		m.totals.JobsCompleted++
+		t.JobsCompleted++
 		measure := int64(spec.Config.MeasureCycles)
-		tc.cycles += uint64(spec.Config.WarmupCycles) + uint64(measure)
+		t.CyclesSimulated += uint64(spec.Config.WarmupCycles) + uint64(measure)
 		m.latency.Add(o.elapsed.Seconds())
 		if spec.Controller == nil {
 			return
 		}
 		name := spec.Controller.Name()
-		controllerEntry(m.controllers, name).addRun(o.result.StateResidency, measure)
-		if tc.controllers == nil {
-			tc.controllers = make(map[string]*controllerCounters)
-		}
-		controllerEntry(tc.controllers, name).addRun(o.result.StateResidency, measure)
+		m.totals.Controllers = addRun(m.totals.Controllers, name, o.result.StateResidency, measure)
+		t.Controllers = addRun(t.Controllers, name, o.result.StateResidency, measure)
 	}
 }
 
 func (m *metrics) jobCoalesced(tn string) {
 	m.mu.Lock()
-	m.coalesced++
-	m.forTenant(tn).coalesced++
+	m.totals.JobsCoalesced++
+	m.forTenant(tn).JobsCoalesced++
 	m.mu.Unlock()
 }
 
@@ -262,8 +165,8 @@ func (m *metrics) jobCoalesced(tn string) {
 // by the tenant's rate limit or in-flight quota.
 func (m *metrics) tenantThrottled(tn string) {
 	m.mu.Lock()
-	m.throttled++
-	m.forTenant(tn).throttled++
+	m.totals.JobsThrottled++
+	m.forTenant(tn).JobsThrottled++
 	m.mu.Unlock()
 }
 
@@ -271,12 +174,12 @@ func (m *metrics) tenantThrottled(tn string) {
 // marks appends that evicted an older frame to make room.
 func (m *metrics) eventEmitted(tn string, dropped bool) {
 	m.mu.Lock()
-	m.eventsEmitted++
-	tc := m.forTenant(tn)
-	tc.eventsEmitted++
+	m.totals.EventsEmitted++
+	t := m.forTenant(tn)
+	t.EventsEmitted++
 	if dropped {
-		m.eventsDropped++
-		tc.eventsDropped++
+		m.totals.EventsDropped++
+		t.EventsDropped++
 	}
 	m.mu.Unlock()
 }
@@ -284,57 +187,42 @@ func (m *metrics) eventEmitted(tn string, dropped bool) {
 // streamOpened/streamClosed track the live SSE stream gauge.
 func (m *metrics) streamOpened(tn string) {
 	m.mu.Lock()
-	m.streamsOpen++
-	m.forTenant(tn).streamsOpen++
+	m.totals.StreamsOpen++
+	m.forTenant(tn).StreamsOpen++
 	m.mu.Unlock()
 }
 
 func (m *metrics) streamClosed(tn string) {
 	m.mu.Lock()
-	m.streamsOpen--
-	m.forTenant(tn).streamsOpen--
+	m.totals.StreamsOpen--
+	m.forTenant(tn).StreamsOpen--
 	m.mu.Unlock()
 }
-
-func (m *metrics) batchSubmitted() { m.mu.Lock(); m.batches++; m.mu.Unlock() }
 
 // replicaGroupDone records one lockstep group run to successful
 // completion with the given number of live seed members.
 func (m *metrics) replicaGroupDone(seeds int) {
 	m.mu.Lock()
-	m.replicaGroups++
-	m.replicaSeeds += uint64(seeds)
+	m.totals.ReplicaGroupsExecuted++
+	m.totals.ReplicaSeedsSimulated += uint64(seeds)
 	m.mu.Unlock()
 }
-func (m *metrics) modelUploaded() { m.mu.Lock(); m.uploads++; m.mu.Unlock() }
 
 func (m *metrics) cacheMissed(tn string) {
 	m.mu.Lock()
-	m.cacheMiss++
-	m.forTenant(tn).cacheMiss++
+	m.totals.CacheMisses++
+	m.forTenant(tn).CacheMisses++
 	m.mu.Unlock()
 }
-
-func (m *metrics) diskCacheError() { m.mu.Lock(); m.diskErrs++; m.mu.Unlock() }
-
-// Shard counters. shardDispatched marks a point handed to a peer;
-// shardFellBack a remote-owned point degraded to local execution (a
-// remote completion imported is counted by settled).
-func (m *metrics) shardDispatched()      { m.mu.Lock(); m.shardDispatch++; m.mu.Unlock() }
-func (m *metrics) shardFellBack()        { m.mu.Lock(); m.shardFallback++; m.mu.Unlock() }
-func (m *metrics) shardReplicated()      { m.mu.Lock(); m.shardRepl++; m.mu.Unlock() }
-func (m *metrics) shardReplicateFailed() { m.mu.Lock(); m.shardReplErrs++; m.mu.Unlock() }
-func (m *metrics) cacheExported()        { m.mu.Lock(); m.cacheExportsCnt++; m.mu.Unlock() }
-func (m *metrics) cacheImported()        { m.mu.Lock(); m.cacheImportsCnt++; m.mu.Unlock() }
 
 // cacheHit records a result served without simulating; disk marks hits
 // the memory LRU missed but the persistent store satisfied.
 func (m *metrics) cacheHit(tn string, disk bool) {
 	m.mu.Lock()
-	m.cacheHits++
-	m.forTenant(tn).cacheHits++
+	m.totals.CacheHits++
+	m.forTenant(tn).CacheHits++
 	if disk {
-		m.diskHits++
+		m.totals.CacheDiskHits++
 	}
 	m.mu.Unlock()
 }
@@ -342,21 +230,21 @@ func (m *metrics) cacheHit(tn string, disk bool) {
 // cacheWarmed accumulates entries preloaded by WarmCache.
 func (m *metrics) cacheWarmed(n int) {
 	m.mu.Lock()
-	m.warmed += uint64(n)
+	m.totals.CacheWarmed += uint64(n)
 	m.mu.Unlock()
 }
 
 func (m *metrics) jobStarted() {
 	m.mu.Lock()
-	m.started++
-	m.busy++
+	m.totals.JobsStarted++
+	m.totals.WorkersBusy++
 	m.mu.Unlock()
 }
 
 // workerIdle releases a busy slot regardless of job outcome.
 func (m *metrics) workerIdle() {
 	m.mu.Lock()
-	m.busy--
+	m.totals.WorkersBusy--
 	m.mu.Unlock()
 }
 
@@ -481,124 +369,43 @@ type TenantSnapshot struct {
 	Controllers map[string]ControllerSnapshot `json:"controllers,omitempty"`
 }
 
-// diskSnapshot carries the disk store's live footprint into snapshot.
-type diskSnapshot struct {
-	entries    int
-	bytes      int64
-	touchFails uint64
-}
-
-// tenantGauges carries the live per-tenant gauges (scheduler lane
-// depths, quota in-flight counts) into snapshot alongside the counters.
-type tenantGauges struct {
-	configured int
-	depths     map[string]int
-	inflight   map[string]int
-}
-
-// snapshot captures a consistent view for the metrics endpoint.
-func (m *metrics) snapshot(queueDepth, queueCap, cacheEntries, modelsHosted int, disk diskSnapshot, shardPeers int, tg tenantGauges) MetricsSnapshot {
+// snapshot copies the ledger for the metrics endpoint: the totals by
+// value, the tenant, controller and residency maps cloned so the copy
+// shares nothing with the live counters, and the hit rate, utilisation
+// and latency quantiles derived from them. The gauges other layers own
+// are the caller's to fill in.
+func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	s := m.totals
+	s.UptimeSeconds = time.Since(m.upSince).Seconds()
+	if s.Workers > 0 {
+		s.WorkerUtilization = float64(s.WorkersBusy) / float64(s.Workers)
+	}
+	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
+		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
+	}
 	q := m.latency.Percentiles(50, 99)
-	s := MetricsSnapshot{
-		UptimeSeconds:          time.Since(m.upSince).Seconds(),
-		QueueDepth:             queueDepth,
-		QueueCapacity:          queueCap,
-		Workers:                m.workers,
-		WorkersBusy:            m.busy,
-		JobsSubmitted:          m.submitted,
-		JobsStarted:            m.started,
-		JobsCompleted:          m.completed,
-		JobsFailed:             m.failed,
-		JobsCancelled:          m.cancelled,
-		JobsRejected:           m.rejected,
-		JobsCoalesced:          m.coalesced,
-		BatchesSubmitted:       m.batches,
-		ModelsHosted:           uint64(modelsHosted),
-		ModelUploads:           m.uploads,
-		CacheHits:              m.cacheHits,
-		CacheMisses:            m.cacheMiss,
-		CacheEntries:           cacheEntries,
-		CacheDiskHits:          m.diskHits,
-		CacheDiskEntries:       disk.entries,
-		CacheDiskBytes:         disk.bytes,
-		CacheDiskErrors:        m.diskErrs,
-		CacheDiskTouchFailures: disk.touchFails,
-		CacheWarmed:            m.warmed,
-
-		ShardPeers:            shardPeers,
-		ShardRemoteDispatched: m.shardDispatch,
-		ShardRemoteServed:     m.shardRemote,
-		ShardLocalFallbacks:   m.shardFallback,
-		ShardReplicated:       m.shardRepl,
-		ShardReplicateErrors:  m.shardReplErrs,
-		CacheExports:          m.cacheExportsCnt,
-		CacheImports:          m.cacheImportsCnt,
-
-		JobLatencyMeanS: m.latency.Mean(),
-		JobLatencyP50S:  q[0],
-		JobLatencyP99S:  q[1],
-
-		EventsEmitted: m.eventsEmitted,
-		EventsDropped: m.eventsDropped,
-		StreamsOpen:   m.streamsOpen,
-
-		ReplicaGroupsExecuted: m.replicaGroups,
-		ReplicaSeedsSimulated: m.replicaSeeds,
-
-		TenantsConfigured: tg.configured,
-		JobsThrottled:     m.throttled,
-
-		Controllers:        snapshotControllers(m.controllers),
-		CanarySamples:      m.canarySamples,
-		CanaryUpdates:      m.canaryUpdates,
-		CanaryRefinements:  m.canaryRefines,
-		CanaryPromotions:   m.canaryPromotions,
-		CanaryLastPromoted: m.canaryLastHash,
-	}
-	if m.workers > 0 {
-		s.WorkerUtilization = float64(m.busy) / float64(m.workers)
-	}
-	if lookups := m.cacheHits + m.cacheMiss; lookups > 0 {
-		s.CacheHitRate = float64(m.cacheHits) / float64(lookups)
-	}
-	// Union of every tenant seen by the counters and the live gauges.
-	names := make(map[string]bool, len(m.tenants))
-	for n := range m.tenants {
-		names[n] = true
-	}
-	for n := range tg.depths {
-		names[n] = true
-	}
-	for n := range tg.inflight {
-		names[n] = true
-	}
-	if len(names) > 0 {
-		s.Tenants = make(map[string]TenantSnapshot, len(names))
-		for n := range names {
-			ts := TenantSnapshot{
-				QueueDepth: tg.depths[n],
-				InFlight:   tg.inflight[n],
-			}
-			if tc, ok := m.tenants[n]; ok {
-				ts.JobsSubmitted = tc.submitted
-				ts.JobsCompleted = tc.completed
-				ts.JobsFailed = tc.failed
-				ts.JobsCancelled = tc.cancelled
-				ts.JobsRejected = tc.rejected
-				ts.JobsThrottled = tc.throttled
-				ts.JobsCoalesced = tc.coalesced
-				ts.CacheHits = tc.cacheHits
-				ts.CacheMisses = tc.cacheMiss
-				ts.CyclesSimulated = tc.cycles
-				ts.EventsEmitted = tc.eventsEmitted
-				ts.EventsDropped = tc.eventsDropped
-				ts.StreamsOpen = tc.streamsOpen
-				ts.Controllers = snapshotControllers(tc.controllers)
-			}
-			s.Tenants[n] = ts
-		}
+	s.JobLatencyMeanS, s.JobLatencyP50S, s.JobLatencyP99S = m.latency.Mean(), q[0], q[1]
+	s.Controllers = cloneLedger(m.totals.Controllers)
+	s.Tenants = make(map[string]TenantSnapshot, len(m.tenants))
+	for name, t := range m.tenants {
+		ts := *t
+		ts.Controllers = cloneLedger(t.Controllers)
+		s.Tenants[name] = ts
 	}
 	return s
+}
+
+// cloneLedger deep-copies a controller ledger; callers hold m.mu.
+func cloneLedger(set map[string]ControllerSnapshot) map[string]ControllerSnapshot {
+	if len(set) == 0 {
+		return nil
+	}
+	out := make(map[string]ControllerSnapshot, len(set))
+	for name, c := range set {
+		c.StateResidencyCycles = maps.Clone(c.StateResidencyCycles)
+		out[name] = c
+	}
+	return out
 }

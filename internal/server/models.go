@@ -36,7 +36,7 @@ func (s *Server) handleModelUpload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "storing model: %v", err)
 		return
 	}
-	s.metrics.modelUploaded()
+	s.metrics.inc(&s.metrics.totals.ModelUploads)
 	writeJSON(w, http.StatusCreated, models.Entry{
 		Name:          name,
 		Hash:          art.Hash,

@@ -351,26 +351,19 @@ func (j *Job) Status() JobStatus {
 	return st
 }
 
-// registry is the id -> job table plus the bounded intake queue.
-// Dispatch order is weighted fair-share across tenants (see
-// fairQueue); within a tenant it is FIFO. The queue's capacity is the
-// global bound shared by all tenants. The table holds every job that
-// is not terminal and the most recently settled ones (see
-// retention.go): filed lists those in settle order, and retired counts
-// the ones forgotten.
+// registry is the id -> job table. It holds every job that is not
+// terminal and the most recently settled ones (see retention.go):
+// filed lists those in settle order, and retired counts the ones
+// forgotten.
 type registry struct {
 	mu      sync.Mutex
 	jobs    map[string]*Job
 	filed   fifo[*Job]
 	retired uint64
-	queue   *fairQueue
 }
 
-func newRegistry(depth int) *registry {
-	return &registry{
-		jobs:  make(map[string]*Job),
-		queue: newFairQueue(depth),
-	}
+func newRegistry() *registry {
+	return &registry{jobs: make(map[string]*Job)}
 }
 
 // add registers the job under its ID.
@@ -388,33 +381,6 @@ func (r *registry) get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// enqueue offers the job to the bounded queue without blocking;
-// false means the queue is full or draining (callers answer 503).
-func (r *registry) enqueue(j *Job) bool {
-	queued, _ := r.tryEnqueue(j)
-	return queued
-}
-
-// tryEnqueue is enqueue with the failure cause split out: closed means
-// the daemon is draining and the job will never be accepted, while
-// !queued && !closed is transient queue-full pressure a batch feeder
-// may retry.
-func (r *registry) tryEnqueue(j *Job) (queued, closed bool) {
-	return r.queue.enqueue(j)
-}
-
-// dequeue blocks for the fair-share scheduler's next job; ok false
-// means the queue is closed and drained, so the worker should exit.
-func (r *registry) dequeue() (*Job, bool) {
-	return r.queue.dequeue()
-}
-
-// close stops intake; subsequent enqueues fail and workers exit once
-// the queue drains. Idempotent.
-func (r *registry) close() {
-	r.queue.close()
-}
-
 // snapshot copies the registered jobs out from under the lock.
 func (r *registry) snapshot() []*Job {
 	r.mu.Lock()
@@ -425,6 +391,3 @@ func (r *registry) snapshot() []*Job {
 	}
 	return jobs
 }
-
-// depth reports queued-but-unclaimed jobs.
-func (r *registry) depth() int { return r.queue.depth() }

@@ -1,13 +1,6 @@
 package server
 
-import (
-	"context"
-	"errors"
-	"sync/atomic"
-	"time"
-
-	"repro/internal/experiments"
-)
+import "sync/atomic"
 
 // Server-side replicated execution: a batch point with seeds: N expands
 // into N member jobs — one per derived seed, each with its own
@@ -40,14 +33,6 @@ func (j *Job) shardKey() string {
 		return j.group.key
 	}
 	return j.key
-}
-
-// runReplicated executes one lockstep run over the given seeds, the
-// seed-fan counterpart of jobSpec.run. Results come back in seed order.
-func (s jobSpec) runReplicated(ctx context.Context, seeds []uint64, onWindow func(experiments.WindowStats)) ([]experiments.Result, error) {
-	opts := s.Options()
-	opts.OnWindow = onWindow
-	return experiments.RunSeeds(ctx, s.Point, opts, seeds)
 }
 
 // coalesceReplicaGroups rewrites a deferred job list so that members of
@@ -115,67 +100,4 @@ func (s *Server) armCarrier(carrier *Job) {
 			s.settle(m, withdrawn)
 		}
 	})
-}
-
-// runReplicatedJob drives one carrier from claimed to terminal: a
-// single lockstep simulation whose per-seed results settle every live
-// member (and publish every member's per-seed cache entry). Members
-// cancelled before the run starts are skipped; members cancelled
-// mid-run still get their result cached — the simulation ran — but
-// finish cancelled.
-func (s *Server) runReplicatedJob(carrier *Job) {
-	if !carrier.markRunning() {
-		return
-	}
-	s.metrics.jobStarted()
-	defer s.metrics.workerIdle()
-
-	var live []*Job
-	for _, m := range carrier.exec.crew {
-		if m.markRunning() {
-			live = append(live, m)
-		}
-	}
-	if len(live) == 0 {
-		s.settle(carrier, outcome{state: StateCancelled, err: errors.New("every replica member settled before the run started")})
-		return
-	}
-	seeds := make([]uint64, len(live))
-	for i, m := range live {
-		seeds[i] = m.exec.spec.Seed
-	}
-
-	spec := &carrier.exec.spec
-	ctx := carrier.exec.ctx
-	timeout := spec.timeout * time.Duration(len(live))
-	if spec.timeout > 0 {
-		// The carrier simulates len(live) seeds' worth of cycles, so its
-		// wall-clock budget scales with the crew.
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	start := time.Now()
-	results, err := spec.runReplicated(ctx, seeds,
-		func(ws experiments.WindowStats) { s.emitWindow(live[0], ws) })
-	o := ranOutcome(err, timeout)
-	o.elapsed = time.Since(start) / time.Duration(len(live))
-	if err == nil {
-		s.metrics.replicaGroupDone(len(live))
-	}
-	for i, m := range live {
-		mo := o
-		if err == nil {
-			mo.result = newJobResult(results[i])
-			// Publish BEFORE settling, mirroring runJob's exactly-once
-			// invariant: a duplicate admitted after the flight entry drops
-			// must find the result in the cache.
-			s.store(m.key, mo.result)
-			if m.exec.ctx.Err() != nil {
-				mo = outcome{state: StateCancelled, err: errCancelledRunning}
-			}
-		}
-		s.settle(m, mo)
-	}
-	s.settle(carrier, outcome{state: o.state, err: o.err})
 }

@@ -194,7 +194,7 @@ func TestBatchSeedsValidation(t *testing.T) {
 }
 
 func TestBatchSeedsCancelledMidRunPublishesNothing(t *testing.T) {
-	// Pins runReplicatedJob's context.Canceled branch: a lockstep run
+	// Pins runJob's context.Canceled branch for a replica crew: a lockstep run
 	// aborted mid-chunk must NOT publish per-seed cache entries (the
 	// simulation never finished, so there is no result to address), and
 	// every member must settle cancelled exactly once in the metrics —

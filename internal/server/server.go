@@ -132,8 +132,13 @@ func (o Options) withDefaults() Options {
 // Server is the pearld daemon core: job registry, bounded queue, worker
 // pool, result cache and metrics, exposed as an http.Handler.
 type Server struct {
-	opts    Options
-	reg     *registry
+	opts Options
+	reg  *registry
+	// queue is the bounded intake behind the worker pool. Dispatch
+	// order is weighted fair-share across tenants (see fairQueue);
+	// within a tenant it is FIFO. Its capacity is the global bound
+	// shared by all tenants.
+	queue   *fairQueue
 	cache   *resultCache
 	disk    *diskStore // nil without Options.CacheDir
 	flight  *flightTable
@@ -168,7 +173,8 @@ func New(opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		reg:        newRegistry(opts.QueueDepth),
+		reg:        newRegistry(),
+		queue:      newFairQueue(opts.QueueDepth),
 		cache:      newResultCache(opts.CacheCapacity),
 		flight:     newFlightTable(),
 		batches:    newBatchRegistry(),
@@ -282,7 +288,7 @@ func (s *Server) lookup(key string) (cacheEntry, bool, bool) {
 	}
 	result, err := s.disk.Get(key)
 	if err != nil {
-		s.metrics.diskCacheError()
+		s.metrics.inc(&s.metrics.totals.CacheDiskErrors)
 		return cacheEntry{}, false, false
 	}
 	if result == nil {
@@ -297,7 +303,7 @@ func (s *Server) store(key string, result *JobResult) {
 	s.cache.Put(key, result)
 	if s.disk != nil {
 		if err := s.disk.Put(key, result); err != nil {
-			s.metrics.diskCacheError()
+			s.metrics.inc(&s.metrics.totals.CacheDiskErrors)
 		}
 	}
 }
@@ -328,7 +334,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		for _, j := range s.reg.snapshot() {
 			s.settle(j, withdrawn)
 		}
-		s.reg.close()
+		s.queue.close()
 	})
 	done := make(chan struct{})
 	go func() {
@@ -426,21 +432,28 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var disk diskSnapshot
+	snap := s.metrics.snapshot()
+	// The gauges the metrics ledger does not own.
+	snap.QueueDepth, snap.QueueCapacity = s.queue.depth(), s.opts.QueueDepth
+	snap.CacheEntries, snap.ModelsHosted = s.cache.Len(), uint64(s.models.Len())
 	if s.disk != nil {
-		disk.entries, disk.bytes = s.disk.stats()
-		disk.touchFails = s.disk.touchFailures()
+		snap.CacheDiskEntries, snap.CacheDiskBytes = s.disk.stats()
+		snap.CacheDiskTouchFailures = s.disk.touchFailures()
 	}
-	peers := 0
 	if s.shard != nil {
-		peers = len(s.shard.peers)
+		snap.ShardPeers = len(s.shard.peers)
 	}
-	tg := tenantGauges{
-		configured: s.tenants.Len(),
-		depths:     s.reg.queue.depths(),
-		inflight:   s.tenants.InFlight(),
+	snap.TenantsConfigured = s.tenants.Len()
+	for name, n := range s.queue.depths() {
+		t := snap.Tenants[name]
+		t.QueueDepth = n
+		snap.Tenants[name] = t
 	}
-	snap := s.metrics.snapshot(s.reg.depth(), s.opts.QueueDepth, s.cache.Len(), s.models.Len(), disk, peers, tg)
+	for name, n := range s.tenants.InFlight() {
+		t := snap.Tenants[name]
+		t.InFlight = n
+		snap.Tenants[name] = t
+	}
 	snap.JobsRetained, snap.JobsRetired = s.reg.retention()
 	snap.BatchesRetained, snap.BatchesRetired = s.batches.retention()
 	writeJSON(w, http.StatusOK, snap)

@@ -220,7 +220,7 @@ var settleRows = []settleRow{
 		awaitJobs(t, s, terminal, pinned, queued)
 	}},
 	{name: "closed feeder", want: tally{cancelled: 1}, run: func(t *testing.T, s *Server) {
-		s.reg.close()
+		s.queue.close()
 		awaitBatch(t, s, submit(t, s, "/v1/batches", "", onePointBatch, http.StatusAccepted))
 	}},
 	{name: "queue full", opts: Options{Workers: 1, QueueDepth: 1}, want: tally{rejected: 1}, run: func(t *testing.T, s *Server) {
@@ -296,7 +296,7 @@ var settleRows = []settleRow{
 	{name: "carrier", want: tally{cancelled: 2}, run: func(t *testing.T, s *Server) {
 		// The closed feeder withdraws the carrier, which counts nothing,
 		// and the carrier releases its two members, which count.
-		s.reg.close()
+		s.queue.close()
 		awaitBatch(t, s, submit(t, s, "/v1/batches", "", seedsBatch2, http.StatusAccepted))
 	}},
 }
@@ -313,7 +313,7 @@ func TestSettleAccounting(t *testing.T) {
 			s := newBareServer(t, opts)
 			row.run(t, s)
 
-			m := s.metrics.snapshot(0, 0, 0, 0, diskSnapshot{}, 0, tenantGauges{})
+			m := s.metrics.snapshot()
 			got := tally{m.JobsCompleted, m.JobsFailed, m.JobsCancelled, m.JobsRejected}
 			if got != row.want || m.ShardRemoteServed != row.remote || m.ReplicaGroupsExecuted != row.groups {
 				t.Errorf("global %+v remote=%d groups=%d, want %+v remote=%d groups=%d",
@@ -355,7 +355,7 @@ func checkSettledIdentity(t *testing.T, s *Server) {
 			t.Errorf("job %s still %s at quiescence", st.ID, st.State)
 		}
 	}
-	m := s.metrics.snapshot(0, 0, 0, 0, diskSnapshot{}, 0, tenantGauges{})
+	m := s.metrics.snapshot()
 	for name, ts := range m.Tenants {
 		if ts.JobsCancelled != cancelled[name] || ts.JobsFailed+ts.JobsRejected != failed[name] {
 			t.Errorf("tenant %s: cancelled=%d failed+rejected=%d, but %d statuses read cancelled and %d read failed",
@@ -429,7 +429,7 @@ func TestSettleCountsBeforeNotify(t *testing.T) {
 			seen := map[string]uint64{}
 			s.testHookAfterCacheMiss = func(j *Job) {
 				j.subscribe(func(j *Job) {
-					n := tc.counter(s.metrics.snapshot(0, 0, 0, 0, diskSnapshot{}, 0, tenantGauges{}))
+					n := tc.counter(s.metrics.snapshot())
 					mu.Lock()
 					seen[j.ID] = n
 					mu.Unlock()

@@ -371,7 +371,7 @@ func (s *Server) feedBatchSharded(deferred []*Job) {
 			local = append(local, job)
 			continue
 		}
-		s.metrics.shardDispatched()
+		s.metrics.inc(&s.metrics.totals.ShardRemoteDispatched)
 		go s.dispatchRemote(job, peer)
 	}
 	if len(local) > 0 {
@@ -398,7 +398,7 @@ func (s *Server) dispatchRemote(job *Job, peer *peerClient) {
 		// in flight; nothing left to run.
 		return
 	}
-	s.metrics.shardFellBack()
+	s.metrics.inc(&s.metrics.totals.ShardLocalFallbacks)
 	// The fallback execution still replicates, so the surviving peers
 	// converge even on points whose owner is down.
 	s.replicateOnDone(job)
@@ -550,9 +550,9 @@ func (s *Server) replicate(key string, result *JobResult, tok string) {
 		err := pc.pushEntry(ctx, key, result, tok)
 		cancel()
 		if err != nil {
-			s.metrics.shardReplicateFailed()
+			s.metrics.inc(&s.metrics.totals.ShardReplicateErrors)
 		} else {
-			s.metrics.shardReplicated()
+			s.metrics.inc(&s.metrics.totals.ShardReplicated)
 		}
 	}
 }
@@ -574,7 +574,7 @@ func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "no cached entry for %s", key)
 		return
 	}
-	s.metrics.cacheExported()
+	s.metrics.inc(&s.metrics.totals.CacheExports)
 	writeJSON(w, http.StatusOK, CacheEntry{Key: key, Result: hit.result})
 }
 
@@ -594,6 +594,6 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.store(entry.Key, entry.Result)
-	s.metrics.cacheImported()
+	s.metrics.inc(&s.metrics.totals.CacheImports)
 	w.WriteHeader(http.StatusNoContent)
 }

@@ -152,8 +152,9 @@ func TestCycleHistogramReset(t *testing.T) {
 // TestCycleHistogramLongHorizon pins this type's one behaviour change
 // over the raw-sample Histogram the simulator used before it: past
 // 1<<20 samples that one answered percentiles over the first 1<<20
-// only. The stream's tail is larger than its head, so the truncated
-// answer is wrong at both p50 and p99.
+// only. Histogram now keeps the most recent 1<<20 instead, which drops
+// samples all the same: the truncated answer is wrong at both p50 and
+// p99.
 func TestCycleHistogramLongHorizon(t *testing.T) {
 	const head, tail = 1 << 20, 200000
 	var h CycleHistogram
@@ -181,7 +182,7 @@ func TestCycleHistogramLongHorizon(t *testing.T) {
 			t.Errorf("p%v = %v, nearest rank over all %d samples is %v", p, got, len(all), want)
 		}
 		if first := truncated.Percentile(p); first == want {
-			t.Errorf("p%v: the first-2^20 answer %v equals the exact one; the stream does not show the difference", p, first)
+			t.Errorf("p%v: the truncated answer %v equals the exact one; the stream does not show the difference", p, first)
 		}
 	}
 	if got, want := h.Percentile(100), float64(all[len(all)-1]); got != want {

@@ -59,20 +59,22 @@ func (s *Summary) Min() float64 { return s.min }
 func (s *Summary) Max() float64 { return s.max }
 
 // Histogram is a float64 sample distribution with percentile support
-// via a bounded reservoir of raw samples. Simulated latencies (whole
-// cycles) go to CycleHistogram instead; this type serves the daemon's
-// wall-clock job latencies and is CycleHistogram's reference in tests.
+// over a bounded ring of the most recent raw samples. Simulated
+// latencies (whole cycles) go to CycleHistogram instead; this type
+// serves the daemon's wall-clock job latencies and is CycleHistogram's
+// reference in tests.
 type Histogram struct {
 	samples []float64
-	sorted  bool
+	next    int // the slot the next Add overwrites once samples is full
 	limit   int
 	sum     float64
 	n       int64
 }
 
-// NewHistogram returns a histogram retaining at most limit raw samples
-// (first-N retention keeps determinism; measured windows are bounded in
-// this codebase, so truncation is rare and noted by Truncated).
+// NewHistogram returns a histogram retaining the most recent limit raw
+// samples (1<<20 when limit <= 0): once full, each Add overwrites the
+// oldest, so percentiles follow the latest samples while N and Mean
+// cover every one. Truncated reports whether any were overwritten.
 func NewHistogram(limit int) *Histogram {
 	if limit <= 0 {
 		limit = 1 << 20
@@ -86,8 +88,10 @@ func (h *Histogram) Add(x float64) {
 	h.sum += x
 	if len(h.samples) < h.limit {
 		h.samples = append(h.samples, x)
-		h.sorted = false
+		return
 	}
+	h.samples[h.next] = x
+	h.next = (h.next + 1) % h.limit
 }
 
 // N returns the total samples recorded.
@@ -102,31 +106,12 @@ func (h *Histogram) Mean() float64 {
 }
 
 // Truncated reports whether samples beyond the retention limit were
-// dropped from percentile computation.
+// overwritten and so dropped from percentile computation.
 func (h *Histogram) Truncated() bool { return h.n > int64(len(h.samples)) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of retained
 // samples using nearest-rank; 0 when empty.
-func (h *Histogram) Percentile(p float64) float64 {
-	if len(h.samples) == 0 {
-		return 0
-	}
-	if !h.sorted {
-		sort.Float64s(h.samples)
-		h.sorted = true
-	}
-	if p <= 0 {
-		return h.samples[0]
-	}
-	if p >= 100 {
-		return h.samples[len(h.samples)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(h.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return h.samples[rank-1]
-}
+func (h *Histogram) Percentile(p float64) float64 { return h.Percentiles(p)[0] }
 
 // Percentiles returns the requested percentiles (each 0..100,
 // nearest-rank) computed over a sorted copy of the retained samples,

@@ -116,6 +116,37 @@ func TestHistogramInterleavedAddPercentile(t *testing.T) {
 	}
 }
 
+// TestHistogramKeepsMostRecent: past the limit each sample overwrites
+// the oldest, so a daemon's latency quantiles follow its latest runs
+// instead of freezing on its first ones, while the mean covers all.
+func TestHistogramKeepsMostRecent(t *testing.T) {
+	const limit = 1 << 16
+	h := NewHistogram(limit)
+	for i := 0; i < limit; i++ {
+		h.Add(1)
+	}
+	for i := 0; i < limit; i++ {
+		h.Add(2)
+	}
+	if got := h.Percentiles(0, 50, 99); !slices.Equal(got, []float64{2, 2, 2}) {
+		t.Fatalf("p0/p50/p99 = %v after %d ones then %d twos, want all 2", got, limit, limit)
+	}
+	if p50 := h.Percentile(50); p50 != 2 {
+		t.Fatalf("p50 = %v, want 2", p50)
+	}
+	if !h.Truncated() || h.N() != 2*limit || h.Mean() != 1.5 {
+		t.Fatalf("truncated=%v n=%d mean=%v, want true, %d, 1.5", h.Truncated(), h.N(), h.Mean(), 2*limit)
+	}
+	// Half a limit of threes replaces the oldest twos: the ring's order
+	// survives the queries above.
+	for i := 0; i < limit/2; i++ {
+		h.Add(3)
+	}
+	if got := h.Percentiles(49, 51); !slices.Equal(got, []float64{2, 3}) {
+		t.Fatalf("p49/p51 = %v, want [2 3]", got)
+	}
+}
+
 func TestClassCounts(t *testing.T) {
 	var c ClassCounts
 	c.Add(0, 128)

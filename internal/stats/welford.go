@@ -19,7 +19,7 @@ func (w *Welford) Add(x float64) {
 	w.n++
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
-	w.m2 += delta * (x - w.mean)
+	w.m2 += float64(delta * (x - w.mean))
 }
 
 // Merge folds another accumulator's state into this one, as if every

@@ -140,7 +140,7 @@ func (t *Tenant) AllowRequest(now time.Time) (bool, time.Duration) {
 		return true, 0
 	}
 	if dt := now.Sub(t.last); dt > 0 {
-		t.tokens += dt.Seconds() * t.limits.RatePerSec
+		t.tokens += float64(dt.Seconds() * t.limits.RatePerSec)
 		if t.tokens > t.limits.Burst {
 			t.tokens = t.limits.Burst
 		}

@@ -129,7 +129,7 @@ func (g *generator) tickDemand() int {
 			g.level = 0
 		}
 	}
-	rate := g.profile.BaseRate + g.level*g.rateSpan
+	rate := g.profile.BaseRate + float64(g.level*g.rateSpan)
 	if rate != g.expFor {
 		g.expFor = rate
 		e := &g.expTab[(math.Float64bits(rate)*0x9E3779B97F4A7C15)>>(64-expTabBits)]
