@@ -176,10 +176,14 @@ type Batch struct {
 	skipped []SkippedPoint
 	// tenant is the submitting tenant (event attribution); events is
 	// the batch's live feed, fed by every member job's window frames
-	// plus per-point progress frames. sealed flips once the submit loop
-	// has added every member — before that the feed must not close,
-	// however many early points are already terminal (cache hits fire
-	// their subscribers inline during submission).
+	// plus per-point progress frames. It is created under mu by the
+	// first armed member, or by a reader arriving while the batch is
+	// still being submitted (feed), and is fixed once the batch is
+	// sealed; a batch whose every member was a cache hit is born
+	// terminal and never has one (see renderFeed). sealed flips once
+	// the submit loop has added every member — before that the feed
+	// must not close, however many early points are already terminal
+	// (cache hits fire their subscribers inline during submission).
 	tenant string
 	events *eventRing
 	sealed atomic.Bool
@@ -196,6 +200,31 @@ func (b *Batch) addJob(j *Job) {
 	b.mu.Lock()
 	b.jobs = append(b.jobs, j)
 	b.mu.Unlock()
+}
+
+// feed returns the batch's ring, creating it while the batch is still
+// being submitted; nil for a batch born terminal.
+func (b *Batch) feed(capacity int) *eventRing {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.events == nil && !b.sealed.Load() {
+		b.events = newEventRing(capacity)
+	}
+	return b.events
+}
+
+// sealBornTerminal seals the batch as born terminal when the submit
+// loop is over and nothing has created its ring: every member was a
+// cache hit and no reader came while it was submitted. It reports
+// whether it did.
+func (b *Batch) sealBornTerminal() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.events != nil {
+		return false
+	}
+	b.sealed.Store(true)
+	return true
 }
 
 // size is the member count, fixed once the batch is sealed.
@@ -280,9 +309,17 @@ type BatchStatus struct {
 	Skipped []SkippedPoint `json:"skipped,omitempty"`
 }
 
-// status aggregates the batch's point states.
+// status aggregates the batch's point states, with every point's
+// status when includePoints is set.
 func (b *Batch) status(includePoints bool) BatchStatus {
-	jobs := b.snapshotJobs()
+	return b.statusOf(b.snapshotJobs(), includePoints)
+}
+
+// statusOf aggregates jobs, the batch's members. Without points it only
+// counts (state, cached) pairs, read under each job's lock: the batch
+// feed counts on every settled point, so formatting every member's
+// status there would cost N² formatted statuses per N-point batch.
+func (b *Batch) statusOf(jobs []*Job, includePoints bool) BatchStatus {
 	st := BatchStatus{
 		ID:          b.ID,
 		Total:       len(jobs),
@@ -290,8 +327,16 @@ func (b *Batch) status(includePoints bool) BatchStatus {
 		Skipped:     b.skipped,
 	}
 	for _, j := range jobs {
-		js := j.Status()
-		switch JobState(js.State) {
+		var state JobState
+		var cached bool
+		if includePoints {
+			js := j.Status()
+			st.Points = append(st.Points, js)
+			state, cached = JobState(js.State), js.Cached
+		} else {
+			state, cached = j.stateCached()
+		}
+		switch state {
 		case StatePending:
 			st.Pending++
 		case StateRunning:
@@ -303,11 +348,8 @@ func (b *Batch) status(includePoints bool) BatchStatus {
 		case StateCancelled:
 			st.Cancelled++
 		}
-		if js.Cached {
+		if cached {
 			st.Cached++
-		}
-		if includePoints {
-			st.Points = append(st.Points, js)
 		}
 	}
 	terminal := st.Done + st.Failed + st.Cancelled
@@ -453,7 +495,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		submitted:     time.Now(),
 		skipped:       skipped,
 		tenant:        tn.Name(),
-		events:        newEventRing(s.opts.StreamRingCapacity),
 	}
 	s.batches.add(b)
 	s.metrics.inc(&s.metrics.totals.BatchesSubmitted)
@@ -500,16 +541,20 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	// Progress subscribers attach only after every member exists, so
-	// frames fired here by already-terminal points (cache hits) carry
-	// the full batch totals; sealing afterwards lets the last terminal
-	// point — or this very call, for a fully-warm batch — close the
-	// feed.
-	for _, job := range b.snapshotJobs() {
-		job.subscribe(func(j *Job) { b.noteProgress(s, j) })
+	if b.sealBornTerminal() {
+		s.settleBornTerminal(b)
+	} else {
+		// Progress subscribers attach only after every member exists, so
+		// frames fired here by already-terminal points (cache hits)
+		// carry the full batch totals; sealing afterwards lets the last
+		// terminal point — or this very call, when none is left running
+		// — close the feed.
+		for _, job := range b.snapshotJobs() {
+			job.subscribe(func(j *Job) { b.noteProgress(s, j) })
+		}
+		b.sealed.Store(true)
+		b.maybeCloseFeed(s, b.view())
 	}
-	b.sealed.Store(true)
-	b.maybeCloseFeed(s)
 	if len(deferred) > 0 {
 		if s.shard != nil {
 			go s.feedBatchSharded(deferred)

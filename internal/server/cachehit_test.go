@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -35,13 +36,41 @@ func sixteenPairBatch() string {
 	return b.String()
 }
 
+// sixteenPairResults maps the cache key of every point of
+// sixteenPairBatch to a distinct stand-in result.
+func sixteenPairResults(tb testing.TB, s *Server) map[string]*JobResult {
+	tb.Helper()
+	var req BatchRequest
+	if err := json.Unmarshal([]byte(sixteenPairBatch()), &req); err != nil {
+		tb.Fatal(err)
+	}
+	specs, _, err := req.expand(s.opts.DefaultTimeout, s.models)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	results := make(map[string]*JobResult, len(specs))
+	for i, spec := range specs {
+		results[spec.Key()] = testResult(float64(i + 1))
+	}
+	return results
+}
+
+// submitCachedBatch posts sixteenPairBatch through Server.ServeHTTP and
+// fails unless every point is answered from the cache.
+func submitCachedBatch(tb testing.TB, s *Server) {
+	if code, body := serve(s, http.MethodPost, "/v1/batches", sixteenPairBatch()); code != http.StatusOK {
+		tb.Fatalf("POST /v1/batches: HTTP %d, want a 200 fully cached batch: %.300s", code, body)
+	}
+}
+
 // TestCacheHitBatchRetention is TestCacheHitJobRetention for batches: a
 // fully cached figure sweep resubmitted over and over keeps one Batch
-// (its status, member list and a feed of 16 progress frames plus the
-// end frame) and 16 hit records per request. About 1.6 KB per member
-// is measured, most of it the batch feed's frames, each of which
-// carries the growing series table; 3.0 KB per member when every hit
-// member also kept a context, ring and spec copy. The bar sits between.
+// (its status and member list, no feed: the batch is born terminal and
+// its frames are rendered on request) and 16 hit records per request.
+// About 440–490 B per member is measured. It was 1.6 KB while the batch
+// kept a ring of 16 progress frames plus the end frame, each carrying
+// the whole series table, and 3.0 KB when every hit member also kept a
+// context, ring and spec copy. The bar is 640 B.
 func TestCacheHitBatchRetention(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 32})
 	body := sixteenPairBatch()
@@ -66,8 +95,8 @@ func TestCacheHitBatchRetention(t *testing.T) {
 	}
 	perMember := (liveHeap() - before) / (batches * 16)
 	t.Logf("each cached batch member retains %d B", perMember)
-	if perMember > 2<<10 {
-		t.Fatalf("each cached batch member retains %d B of live heap, want under 2048", perMember)
+	if perMember > 640 {
+		t.Fatalf("each cached batch member retains %d B of live heap, want at most 640", perMember)
 	}
 }
 
@@ -172,6 +201,175 @@ func TestCacheHitCounters(t *testing.T) {
 	}
 	if got := after.Tenants["anonymous"].InFlight; got != 0 {
 		t.Errorf("tenant in-flight %d after hits, want 0", got)
+	}
+}
+
+// cachedBatchPair submits sixteenPairBatch twice to a fresh daemon. The
+// first time every point misses, is armed, and is then settled from the
+// cache by admit's under-lock recheck: the batch keeps a live ring fed
+// by progress subscribers. The second time every point is a cache hit
+// and the batch is born terminal. It returns both batch ids and what
+// each submission moved events_emitted and events_dropped by, in total
+// and for the tenant.
+func cachedBatchPair(t *testing.T, opts Options) (s *Server, ts *httptest.Server, live, born string, liveMoved, bornMoved [4]uint64) {
+	t.Helper()
+	s, ts = newTestServer(t, opts)
+	results := sixteenPairResults(t, s)
+	s.testHookAfterCacheMiss = func(j *Job) { s.cache.Put(j.key, results[j.key]) }
+	submit := func() (string, [4]uint64) {
+		t.Helper()
+		before := snapshotMetrics(t, ts)
+		code, st := postBatch(t, ts, sixteenPairBatch())
+		if code != http.StatusOK || st.Cached != len(results) {
+			t.Fatalf("batch submit: HTTP %d, %d of %d cached", code, st.Cached, len(results))
+		}
+		after := snapshotMetrics(t, ts)
+		tb, ta := before.Tenants["anonymous"], after.Tenants["anonymous"]
+		return st.ID, [4]uint64{
+			after.EventsEmitted - before.EventsEmitted, after.EventsDropped - before.EventsDropped,
+			ta.EventsEmitted - tb.EventsEmitted, ta.EventsDropped - tb.EventsDropped,
+		}
+	}
+	live, liveMoved = submit()
+	born, bornMoved = submit()
+	lb, _ := s.batches.get(live)
+	bb, _ := s.batches.get(born)
+	if lb.events == nil || bb.events != nil {
+		t.Fatalf("batch rings: live path %v, fully cached %v; want a ring and none", lb.events != nil, bb.events != nil)
+	}
+	return s, ts, live, born, liveMoved, bornMoved
+}
+
+// batchIDs matches batch ids, which differ between two submissions of
+// the same batch.
+var batchIDs = regexp.MustCompile(`batch-\d+`)
+
+// feedBytes reads a finished feed verbatim, resuming after lastID when
+// it is non-zero, with ids and timestamps blanked.
+func feedBytes(t *testing.T, url string, lastID uint64) []byte {
+	t.Helper()
+	resp := openStream(t, url, "", lastID)
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, data)
+	}
+	return batchIDs.ReplaceAll(volatile.ReplaceAll(data, nil), nil)
+}
+
+// TestCachedBatchFeedMatchesLivePath: the feed a born-terminal batch
+// renders on request is, apart from ids and timestamps, the one the
+// same batch's live ring holds when its members take the armed path —
+// with the default ring, with a ring too small for its 17 frames, and
+// resumed with Last-Event-ID. Both submissions move events_emitted and
+// events_dropped alike.
+func TestCachedBatchFeedMatchesLivePath(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		capacity int
+		frames   int
+	}{
+		{"default ring", 0, 17},
+		{"ring of 5", 5, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, ts, live, born, liveMoved, bornMoved := cachedBatchPair(t, Options{Workers: 1, StreamRingCapacity: c.capacity})
+			if liveMoved != bornMoved {
+				t.Errorf("events_emitted, events_dropped (total, tenant) moved by %v on the live path, %v born terminal", liveMoved, bornMoved)
+			}
+			for _, last := range []uint64{0, 14} {
+				a := feedBytes(t, ts.URL+"/v1/batches/"+live+"/events", last)
+				b := feedBytes(t, ts.URL+"/v1/batches/"+born+"/events", last)
+				if !bytes.Equal(a, b) {
+					t.Errorf("feed after id %d differs:\nlive path:     %s\nborn terminal: %s", last, a, b)
+				}
+				want := c.frames
+				if last > 0 {
+					want = 17 - int(last)
+				}
+				if got := bytes.Count(b, []byte("\nevent: ")); got != want {
+					t.Errorf("feed after id %d has %d frames, want %d:\n%s", last, got, want, b)
+				}
+			}
+		})
+	}
+}
+
+// TestCachedBatchCountersAndLifecycle: a born-terminal 16-point batch
+// moves events_emitted by 33 at submission — its 16 progress frames
+// and end frame, and the end frame of each member's own feed — and by
+// nothing when its feed is read. It answers DELETE with 409, and 410
+// once retired.
+func TestCachedBatchCountersAndLifecycle(t *testing.T) {
+	s, ts, _, born, _, moved := cachedBatchPair(t, Options{Workers: 1})
+	if want := [4]uint64{33, 0, 33, 0}; moved != want {
+		t.Errorf("events_emitted, events_dropped (total, tenant) moved by %v, want %v", moved, want)
+	}
+	before := snapshotMetrics(t, ts)
+	getRaw(t, ts.URL+"/v1/batches/"+born+"/events")
+	getRaw(t, ts.URL+"/v1/batches/"+born+"/results")
+	if after := snapshotMetrics(t, ts); after.EventsEmitted != before.EventsEmitted ||
+		after.Tenants["anonymous"].EventsEmitted != before.Tenants["anonymous"].EventsEmitted {
+		t.Errorf("reading the feed moved events_emitted by %d", after.EventsEmitted-before.EventsEmitted)
+	}
+	var st BatchStatus
+	serveJSON(t, s, http.MethodDelete, "/v1/batches/"+born, "", http.StatusConflict, &st)
+	if st.State != "done" || st.Done != 16 || st.Cached != 16 {
+		t.Fatalf("DELETE answered %+v, want the done batch", st)
+	}
+	for i := 0; i <= retainedRecords/16; i++ {
+		submitCachedBatch(t, s)
+	}
+	for _, path := range []string{"", "/events", "/results"} {
+		if code, body := serve(s, http.MethodGet, "/v1/batches/"+born+path, ""); code != http.StatusGone {
+			t.Errorf("GET retired batch%s: HTTP %d, want 410: %s", path, code, body)
+		}
+	}
+}
+
+// TestCachedBatchFeedReadersDuringSubmit opens the feed of each fully
+// cached batch from several goroutines while it is being submitted.
+// A reader that arrives mid-submission creates the batch's ring, so
+// the batch takes the live path; one that arrives later gets the
+// rendered feed. Either way every reader gets the 16 progress frames
+// and the end frame, and none hangs. Meant for -race.
+func TestCachedBatchFeedReadersDuringSubmit(t *testing.T) {
+	s := newBareServer(t, Options{Workers: 1})
+	for key, res := range sixteenPairResults(t, s) {
+		s.cache.Put(key, res)
+	}
+	for round := 0; round < 20; round++ {
+		path := "/v1/batches/" + formatID(batchIDPrefix, s.nextBatchID.Load()+1) + "/events"
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// 404 before the id is drawn, 410 between drawing it and
+				// registering the batch; nothing is retired here.
+				code, body := serve(s, http.MethodGet, path, "")
+				for code == http.StatusNotFound || code == http.StatusGone {
+					code, body = serve(s, http.MethodGet, path, "")
+				}
+				var kinds []string
+				if err := DecodeSSE(bytes.NewReader(body), func(fr SSEFrame) error {
+					kinds = append(kinds, fr.Event)
+					return nil
+				}); err != nil || code != http.StatusOK {
+					t.Errorf("GET %s: HTTP %d, %v", path, code, err)
+					return
+				}
+				want := strings.Repeat(eventKindProgress+" ", 16) + eventKindEnd
+				if got := strings.Join(kinds, " "); got != want {
+					t.Errorf("GET %s: frames %s, want %s", path, got, want)
+				}
+			}()
+		}
+		submitCachedBatch(t, s)
+		wg.Wait()
 	}
 }
 

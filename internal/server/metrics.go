@@ -173,14 +173,22 @@ func (m *metrics) tenantThrottled(tn string) {
 // eventEmitted counts one frame appended to an event ring; dropped
 // marks appends that evicted an older frame to make room.
 func (m *metrics) eventEmitted(tn string, dropped bool) {
-	m.mu.Lock()
-	m.totals.EventsEmitted++
-	t := m.forTenant(tn)
-	t.EventsEmitted++
+	var d uint64
 	if dropped {
-		m.totals.EventsDropped++
-		t.EventsDropped++
+		d = 1
 	}
+	m.eventsEmitted(tn, 1, d)
+}
+
+// eventsEmitted counts n frames at once, dropped of which evicted an
+// older frame.
+func (m *metrics) eventsEmitted(tn string, n, dropped uint64) {
+	m.mu.Lock()
+	m.totals.EventsEmitted += n
+	m.totals.EventsDropped += dropped
+	t := m.forTenant(tn)
+	t.EventsEmitted += n
+	t.EventsDropped += dropped
 	m.mu.Unlock()
 }
 

@@ -313,6 +313,14 @@ func (s *Server) cancel(j *Job) bool {
 	return true
 }
 
+// stateCached reads what a batch's counts need of the job: its state
+// and whether it was served without running here.
+func (j *Job) stateCached() (JobState, bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.state, j.cached
+}
+
 // Result returns the payload and whether the job is done.
 func (j *Job) Result() (*JobResult, bool) {
 	j.mu.Lock()

@@ -135,7 +135,7 @@ func seriesRows(jobs []*Job) []SeriesRow {
 // snapshot.
 func (b *Batch) results() BatchResults {
 	jobs := b.snapshotJobs()
-	st := b.status(false)
+	st := b.statusOf(jobs, false)
 	out := BatchResults{
 		ID:          b.ID,
 		State:       st.State,

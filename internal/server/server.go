@@ -255,10 +255,10 @@ func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant, token string) *Job {
 // settle: its spec and context, its event ring with the terminal "end"
 // frame, and the tenant's quota slot release on whatever terminal
 // transition it eventually takes. A batch member also feeds the batch's
-// ring, joins its cancel-on-first-error policy, and only then joins the
-// batch, fully armed. Jobs the canary learns from get their
-// window-sample observer here; it is execution state, never part of the
-// cache key.
+// ring, created with the batch's first armed member, joins its
+// cancel-on-first-error policy, and only then joins the batch, fully
+// armed. Jobs the canary learns from get their window-sample observer
+// here; it is execution state, never part of the cache key.
 func (s *Server) armJob(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) {
 	if s.canary != nil {
 		spec.canarySample = s.canary.attach(spec)
@@ -268,7 +268,7 @@ func (s *Server) armJob(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) {
 	job.subscribe(func(*Job) { tn.ReleaseSlot() })
 	s.closeFeedOnTerminal(job)
 	if b != nil {
-		job.exec.sinks = []*eventRing{b.events}
+		job.exec.sinks = []*eventRing{b.feed(s.opts.StreamRingCapacity)}
 		job.subscribe(func(j *Job) { b.noteTerminal(s, j) })
 		b.addJob(job)
 	}

@@ -47,7 +47,11 @@ func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.serveStream(w, r, b.events)
+	ring := b.feed(s.opts.StreamRingCapacity)
+	if ring == nil {
+		ring = b.renderFeed(s.opts.StreamRingCapacity)
+	}
+	s.serveStream(w, r, ring)
 }
 
 // serveStream runs one SSE connection against a ring. The handler
@@ -172,6 +176,47 @@ func (s *Server) closeFeedOnTerminal(job *Job) {
 	})
 }
 
+// feedView is one reading of a batch for its feed: its members, their
+// counts and the series table, taken once and shared by every frame
+// built from it.
+type feedView struct {
+	batchID string
+	jobs    []*Job
+	status  BatchStatus
+	series  []SeriesRow
+}
+
+// view reads the batch's members once for the feed frames.
+func (b *Batch) view() feedView {
+	jobs := b.snapshotJobs()
+	return feedView{batchID: b.ID, jobs: jobs, status: b.statusOf(jobs, false), series: seriesRows(jobs)}
+}
+
+// terminal reports whether every member had settled when v was read.
+func (v *feedView) terminal() bool {
+	return v.status.Done+v.status.Failed+v.status.Cancelled == v.status.Total
+}
+
+// progress is the "progress" frame for member j.
+func (v *feedView) progress(j *Job) *BatchProgressEvent {
+	return &BatchProgressEvent{
+		BatchID:   v.batchID,
+		Point:     j.Status(),
+		Total:     v.status.Total,
+		Done:      v.status.Done,
+		Failed:    v.status.Failed,
+		Cancelled: v.status.Cancelled,
+		Cached:    v.status.Cached,
+		Progress:  v.status.Progress,
+		Series:    v.series,
+	}
+}
+
+// end is the feed's terminal "end" frame.
+func (v *feedView) end() *BatchEndEvent {
+	return &BatchEndEvent{Status: v.status, Series: v.series}
+}
+
 // noteProgress is subscribed to every batch member: each terminal
 // point appends a progress frame (batch counters + incremental series
 // means), and the last one seals the feed with the end frame. Only
@@ -179,41 +224,53 @@ func (s *Server) closeFeedOnTerminal(job *Job) {
 // inline-fired subscribers (fully cached points) emit progress but
 // leave closing to handleSubmitBatch's final maybeCloseFeed.
 func (b *Batch) noteProgress(s *Server, j *Job) {
-	st := b.status(false)
-	ev := BatchProgressEvent{
-		BatchID:   b.ID,
-		Point:     j.Status(),
-		Total:     st.Total,
-		Done:      st.Done,
-		Failed:    st.Failed,
-		Cancelled: st.Cancelled,
-		Cached:    st.Cached,
-		Progress:  st.Progress,
-		Series:    seriesRows(b.snapshotJobs()),
-	}
-	if ok, dropped := b.events.append(eventKindProgress, &ev); ok {
+	v := b.view()
+	if ok, dropped := b.events.append(eventKindProgress, v.progress(j)); ok {
 		s.metrics.eventEmitted(j.tenant, dropped)
 	}
-	b.maybeCloseFeed(s)
+	b.maybeCloseFeed(s, v)
 }
 
-// maybeCloseFeed ends the batch once every point is terminal: it seals
-// the feed with the end frame and files the batch for retirement, once.
-// A no-op until the submit loop has sealed the member list, so a cached
-// prefix can never end the batch early.
-func (b *Batch) maybeCloseFeed(s *Server) {
-	if !b.sealed.Load() {
+// maybeCloseFeed ends the batch if every point was terminal when v was
+// read: it seals the feed with the end frame and files the batch for
+// retirement, once. A no-op until the submit loop has sealed the member
+// list, so a cached prefix can never end the batch early.
+func (b *Batch) maybeCloseFeed(s *Server, v feedView) {
+	if !b.sealed.Load() || !v.terminal() || !b.ended.CompareAndSwap(false, true) {
 		return
 	}
-	st := b.status(false)
-	if st.Done+st.Failed+st.Cancelled != st.Total || !b.ended.CompareAndSwap(false, true) {
-		return
-	}
-	ev := BatchEndEvent{Status: st, Series: seriesRows(b.snapshotJobs())}
-	if b.events.close(eventKindEnd, &ev) {
+	if b.events.close(eventKindEnd, v.end()) {
 		s.metrics.eventEmitted(b.tenant, false)
 	}
 	s.settleBatch(b)
+}
+
+// settleBornTerminal ends a batch whose every member was a cache hit at
+// submission. It keeps no ring and no subscriber: its feed is rendered
+// on request (renderFeed). The frames that feed consists of count now,
+// as the live path would have counted them: one progress frame per
+// member, each evicting once the ring is full, and the end frame, whose
+// eviction the live close does not count.
+func (s *Server) settleBornTerminal(b *Batch) {
+	n := uint64(b.size())
+	dropped := n - min(n, uint64(s.opts.StreamRingCapacity))
+	s.metrics.eventsEmitted(b.tenant, n+1, dropped)
+	s.settleBatch(b)
+}
+
+// renderFeed rebuilds the feed of a batch born terminal into a fresh
+// ring of the given capacity: one progress frame per member in member
+// order, then the end frame. These are the frames, sequence numbers and
+// drop counts the live ring would have held, since every member was
+// terminal before the first progress frame.
+func (b *Batch) renderFeed(capacity int) *eventRing {
+	ring := newEventRing(capacity)
+	v := b.view()
+	for _, j := range v.jobs {
+		ring.append(eventKindProgress, v.progress(j))
+	}
+	ring.close(eventKindEnd, v.end())
+	return ring
 }
 
 // --- shard peer feed proxy ---
