@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"strconv"
 
 	"repro/internal/config"
@@ -26,6 +27,9 @@ const EjectPerClassPerCycle = 4
 // every configuration carries the identical constant bias.
 const L3SendChannels = 8
 
+// A bank's serializers are one bit each in a uint16 (Router.busyTx).
+const _ uint16 = 1<<L3SendChannels - 1
+
 // transmitter is one serializer driving the router's send waveguide for
 // one class. Serialization is fluid: every cycle the in-flight packet
 // advances by the class's current share of the active wavelengths, so
@@ -40,9 +44,6 @@ type transmitter struct {
 	remaining float64
 	elapsed   int
 }
-
-// busy reports whether a packet is being serialized.
-func (t *transmitter) busyNow() bool { return t.pkt != nil }
 
 // Router is one PEARL cluster (or L3) router on the optical crossbar.
 type Router struct {
@@ -62,6 +63,10 @@ type Router struct {
 	// tx holds the per-class transmitters; the L3 router gets
 	// L3SendChannels per class.
 	tx [noc.NumClasses][]transmitter
+	// busyTx[bank] has bit i set while tx[bank][i] carries a packet, so
+	// the progress and start scans visit only busy or only free
+	// serializers, in index order.
+	busyTx [noc.NumClasses]uint16
 	// txActive counts busy transmitters per packet class (indexed by the
 	// in-flight packet's class, not the serializer bank — FCFS serializes
 	// both classes through tx[0]). It makes txBusy/linkBusy O(1) and lets
@@ -83,6 +88,11 @@ type Router struct {
 	nextWindowEnd int64
 
 	alloc Allocation
+	// rates and rings memoise progressTransmissions' per-class serializer
+	// rate (bits per cycle) and modulating ring count; they depend only
+	// on alloc and the WL state, so setAlloc and setState refresh them.
+	rates [noc.NumClasses]float64
+	rings [noc.NumClasses]int
 	// lastBetaCPU/lastBetaGPU memoize the occupancies Allocate last ran
 	// on; Allocate is a pure function of them (bounds and step are fixed
 	// per run), so identical betas reuse the previous allocation. -1 is
@@ -107,6 +117,9 @@ func newRouter(id int, net *Network) *Router {
 		r.tx[c] = make([]transmitter, channels)
 	}
 	r.collector = features.NewCollector(id == config.L3RouterID)
+	if cfg.Bandwidth == config.PolicyFCFS {
+		r.alloc = Allocation{CPUShare: 1, GPUShare: 1} // one merged transmitter takes the link
+	}
 	r.setState(net.initialState)
 	r.lastBetaCPU, r.lastBetaGPU = -1, -1
 	r.nextWindowEnd = int64(id*cfg.FeatureOffsetCycles + cfg.ReservationWindow)
@@ -123,6 +136,26 @@ func (r *Router) setState(s photonic.WLState) {
 	r.stateWL = s.Wavelengths()
 	r.stateWLf = float64(r.stateWL)
 	r.stateBits = s.BitsPerCycle()
+	r.refreshRates()
+}
+
+// setAlloc installs a bandwidth split, refreshing the memoised rates only
+// when the split actually changed.
+func (r *Router) setAlloc(a Allocation) {
+	if a != r.alloc {
+		r.alloc = a
+		r.refreshRates()
+	}
+}
+
+// refreshRates recomputes the per-class serializer rates and ring counts
+// from the current shares and WL state.
+func (r *Router) refreshRates() {
+	shares := r.currentShares()
+	for c := range r.rates {
+		r.rates[c] = shares[c] * r.stateBits
+		r.rings[c] = int(float64(shares[c]*r.stateWLf) + 0.5)
+	}
 }
 
 // CoreOccupancy returns the Eq. 1/2 occupancy fraction for a class.
@@ -146,6 +179,11 @@ func (r *Router) tick(cycle int64) {
 	if cycle == r.nextWindowEnd {
 		r.windowBoundary(cycle)
 	}
+	if r.idle() {
+		r.collector.ObserveIdle(r.stateWL)
+		r.countCycle()
+		return
+	}
 	r.ejectArrivals(cycle)
 	r.allocateBandwidth()
 	r.progressTransmissions(cycle)
@@ -153,42 +191,33 @@ func (r *Router) tick(cycle int64) {
 	r.observe(cycle)
 }
 
+// idle reports whether this cycle's eject, allocate, progress and start
+// steps would all do nothing: no packet buffered or in flight, and the
+// allocator already memoised on the two zero occupancies it would read
+// (FCFS never reallocates). An idle router's cycle only counts.
+func (r *Router) idle() bool {
+	return r.txActive[noc.ClassCPU]+r.txActive[noc.ClassGPU] == 0 &&
+		r.coreIn[noc.ClassCPU].Len()+r.coreIn[noc.ClassGPU].Len()+
+			r.netIn[noc.ClassCPU].Len()+r.netIn[noc.ClassGPU].Len() == 0 &&
+		(r.lastBetaCPU == 0 && r.lastBetaGPU == 0 || r.net.cfg.Bandwidth == config.PolicyFCFS)
+}
+
 // progressTransmissions advances every in-flight packet by its class's
-// current bandwidth share and completes those whose last bit left. The
-// per-class rate and ring count are invariant across the serializer banks,
-// so they are computed once per cycle instead of once per transmitter.
+// current bandwidth share and completes those whose last bit left, at the
+// memoised per-class rates (zero while the laser stabilises).
 func (r *Router) progressTransmissions(cycle int64) {
 	if r.txActive[noc.ClassCPU]+r.txActive[noc.ClassGPU] == 0 {
 		return // idle router: nothing in flight, skip the scan
 	}
-	stalled := cycle < r.stallUntil
-	shares := r.currentShares()
-	var rates [noc.NumClasses]float64
-	var rings [noc.NumClasses]int
-	acct := r.net.acct
-	if !stalled {
-		for c := range rates {
-			rates[c] = shares[c] * r.stateBits
-		}
-		if acct != nil { // rings feed modulation accounting only
-			for c := range rings {
-				rings[c] = int(float64(shares[c]*r.stateWLf) + 0.5)
-			}
-		}
+	rates, rings := r.rates, r.rings
+	if cycle < r.stallUntil {
+		rates = [noc.NumClasses]float64{}
 	}
-	fcfs := r.net.cfg.Bandwidth == config.PolicyFCFS
-	for c := range r.tx {
-		// Dynamic-bandwidth mode keeps bank c strictly class-c, so an
-		// idle class skips its bank; FCFS mixes classes through bank 0
-		// and must always scan it.
-		if !fcfs && r.txActive[c] == 0 {
-			continue
-		}
-		for i := range r.tx[c] {
-			t := &r.tx[c][i]
-			if !t.busyNow() {
-				continue
-			}
+	acct := r.net.acct
+	for bank := range r.tx {
+		for busy := r.busyTx[bank]; busy != 0; busy &= busy - 1 {
+			i := bits.TrailingZeros16(busy)
+			t := &r.tx[bank][i]
 			rate := rates[t.class]
 			t.remaining -= rate
 			t.elapsed++
@@ -196,27 +225,26 @@ func (r *Router) progressTransmissions(cycle int64) {
 				acct.AddModulation(rings[t.class], 1)
 			}
 			if t.remaining <= 0 && t.elapsed >= photonic.FrameCycles {
-				r.finish(t, cycle)
+				r.finish(bank, i, cycle)
 			}
 		}
 	}
 }
 
-// currentShares resolves this cycle's per-class bandwidth shares.
+// currentShares returns the per-class bandwidth shares as an array.
 func (r *Router) currentShares() [noc.NumClasses]float64 {
-	if r.net.cfg.Bandwidth == config.PolicyFCFS {
-		return [noc.NumClasses]float64{1, 1}
-	}
 	return [noc.NumClasses]float64{r.alloc.CPUShare, r.alloc.GPUShare}
 }
 
 // finish releases the serializer and launches the packet toward its
 // destination (pipeline latency covers reservation, crossbar,
 // propagation and O/E).
-func (r *Router) finish(t *transmitter, cycle int64) {
+func (r *Router) finish(bank, i int, cycle int64) {
+	t := &r.tx[bank][i]
 	p := t.pkt
 	class := t.class
 	t.pkt = nil
+	r.busyTx[bank] &^= 1 << i
 	r.txActive[class]--
 	p.DepartCycle = cycle
 	// Typed payload event instead of a closure: scheduling the arrival
@@ -246,8 +274,7 @@ func (r *Router) ejectArrivals(cycle int64) {
 // the exclusive 100/0 cases never freeze an in-flight transmission.
 func (r *Router) allocateBandwidth() {
 	if r.net.cfg.Bandwidth == config.PolicyFCFS {
-		r.alloc = Allocation{CPUShare: 1, GPUShare: 1} // one merged transmitter takes the link
-		return
+		return // the full-link split set at construction never changes
 	}
 	betaCPU := r.CoreOccupancy(noc.ClassCPU)
 	betaGPU := r.CoreOccupancy(noc.ClassGPU)
@@ -262,11 +289,11 @@ func (r *Router) allocateBandwidth() {
 		return // same inputs, same allocation
 	}
 	r.lastBetaCPU, r.lastBetaGPU = betaCPU, betaGPU
-	r.alloc = Allocate(
+	r.setAlloc(Allocate(
 		betaCPU, betaGPU,
 		r.net.cfg.CPUUpperBound, r.net.cfg.GPUUpperBound,
 		r.net.cfg.BandwidthStep,
-	)
+	))
 }
 
 // txBusy reports whether any serializer is carrying a packet of the
@@ -293,16 +320,12 @@ func (r *Router) startTransmissions(cycle int64) {
 		if shares[class] <= 0 {
 			continue
 		}
-		for i := range r.tx[class] {
-			t := &r.tx[class][i]
-			if t.busyNow() {
-				continue
-			}
+		for free := r.freeTx(class); free != 0; free &= free - 1 {
 			p := r.coreIn[class].Front()
 			if p == nil {
 				break
 			}
-			if !r.startOn(t, p, noc.Class(class)) {
+			if !r.startOn(class, bits.TrailingZeros16(free), p, noc.Class(class)) {
 				break // destination full: head-of-line stall for this class
 			}
 		}
@@ -313,11 +336,7 @@ func (r *Router) startTransmissions(cycle int64) {
 // full link rate — the PEARL-FCFS baseline, where a long GPU burst blocks
 // CPU packets behind it.
 func (r *Router) startFCFS(int64) {
-	for i := range r.tx[0] {
-		t := &r.tx[0][i]
-		if t.busyNow() {
-			continue
-		}
+	for free := r.freeTx(0); free != 0; free &= free - 1 {
 		cpu := r.coreIn[noc.ClassCPU].Front()
 		gpu := r.coreIn[noc.ClassGPU].Front()
 		var p *noc.Packet
@@ -330,17 +349,22 @@ func (r *Router) startFCFS(int64) {
 		default:
 			p, class = gpu, noc.ClassGPU
 		}
-		if !r.startOn(t, p, class) {
+		if !r.startOn(0, bits.TrailingZeros16(free), p, class) {
 			return
 		}
 	}
 }
 
-// startOn attempts to begin transmitting p on transmitter t. It reserves
-// destination buffer space first; false means the destination cannot
-// accept the packet this cycle. Serialization progress happens in
+// freeTx returns the idle serializers of a bank as a bit set.
+func (r *Router) freeTx(bank int) uint16 {
+	return ^r.busyTx[bank] & (1<<len(r.tx[bank]) - 1)
+}
+
+// startOn attempts to begin transmitting p on serializer i of a bank. It
+// reserves destination buffer space first; false means the destination
+// cannot accept the packet this cycle. Serialization progress happens in
 // progressTransmissions from the next cycle on.
-func (r *Router) startOn(t *transmitter, p *noc.Packet, class noc.Class) bool {
+func (r *Router) startOn(bank, i int, p *noc.Packet, class noc.Class) bool {
 	dst := r.net.routers[p.Dst]
 	flits := p.Flits(config.FlitBits)
 	if dst.netIn[class].Free()-dst.reserved[class] < flits {
@@ -351,10 +375,12 @@ func (r *Router) startOn(t *transmitter, p *noc.Packet, class noc.Class) bool {
 	if popped != p {
 		panic("core: transmitter lost the head packet")
 	}
+	t := &r.tx[bank][i]
 	t.pkt = p
 	t.class = class
 	t.remaining = float64(p.SizeBits)
 	t.elapsed = 0
+	r.busyTx[bank] |= 1 << i
 	r.txActive[class]++
 	r.collector.CountSend(p)
 	if acct := r.net.acct; acct != nil {
@@ -377,13 +403,20 @@ func (r *Router) observe(int64) {
 		total := r.coreIn[noc.ClassCPU].Capacity() + r.coreIn[noc.ClassGPU].Capacity()
 		r.betaSum += float64(used) / float64(total)
 	}
-	r.betaCycles++
-
 	r.collector.ObserveCycle(
 		r.coreIn[noc.ClassCPU].Occupancy(), r.netIn[noc.ClassCPU].Occupancy(),
 		r.coreIn[noc.ClassGPU].Occupancy(), r.netIn[noc.ClassGPU].Occupancy(),
 		r.linkBusy(), r.stateWL,
 	)
+	r.countCycle()
+}
+
+// countCycle is the part of a cycle's observation that does not read the
+// buffers or the link: the window's cycle count, state residency and the
+// power account's router cycle. An idle router's cycle is only this and
+// Collector.ObserveIdle.
+func (r *Router) countCycle() {
+	r.betaCycles++
 	if r.net.measuring {
 		r.net.metrics.StateResidency.Add(r.stateWL, 1)
 	}

@@ -122,6 +122,15 @@ func (c *Collector) ObserveCycle(cpuCore, cpuNet, gpuCore, gpuNet float64, linkB
 	c.wavelengthSum += int64(wavelengths)
 }
 
+// ObserveIdle records a cycle of a router with empty buffers and an idle
+// link: ObserveCycle(0, 0, 0, 0, false, wavelengths) without the four
+// additions of +0.0, which leave the occupancy sums bit-identical (they
+// start at +0 and only ever grow by non-negative values).
+func (c *Collector) ObserveIdle(wavelengths int) {
+	c.cycles++
+	c.wavelengthSum += int64(wavelengths)
+}
+
 // CountInjection records a packet entering the network from the local
 // cores (or the L3 cache at the L3 router).
 func (c *Collector) CountInjection(p *noc.Packet) {

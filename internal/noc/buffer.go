@@ -19,6 +19,10 @@ type Buffer struct {
 	capacity int // capacity in flit slots
 	flitBits int
 	used     int // occupied flit slots
+	// occ caches float64(used)/float64(capacity): Push and Pop set it, so
+	// the per-cycle occupancy reads of the allocator and the feature
+	// gauges pay no division.
+	occ float64
 
 	// queue is the circular packet store: count packets starting at head,
 	// wrapping modulo len(queue) (== capacity).
@@ -69,14 +73,8 @@ func (b *Buffer) Free() int { return b.capacity - b.used }
 func (b *Buffer) Len() int { return b.count }
 
 // Occupancy returns used/capacity in [0,1]; this is the β term of
-// Eq. 1-2. The zero fast path returns exactly what the division would
-// (+0.0) without paying for it; most buffers are empty most cycles.
-func (b *Buffer) Occupancy() float64 {
-	if b.used == 0 {
-		return 0
-	}
-	return float64(b.used) / float64(b.capacity)
-}
+// Eq. 1-2.
+func (b *Buffer) Occupancy() float64 { return b.occ }
 
 // CanPush reports whether the packet's flits fit.
 func (b *Buffer) CanPush(p *Packet) bool {
@@ -92,6 +90,7 @@ func (b *Buffer) Push(p *Packet) bool {
 		return false
 	}
 	b.used += need
+	b.occ = float64(b.used) / float64(b.capacity)
 	if b.used > b.peakUsed {
 		b.peakUsed = b.used
 	}
@@ -125,6 +124,7 @@ func (b *Buffer) Pop() *Packet {
 	}
 	b.count--
 	b.used -= p.Flits(b.flitBits)
+	b.occ = float64(b.used) / float64(b.capacity)
 	return p
 }
 

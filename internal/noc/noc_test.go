@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -228,6 +229,35 @@ func TestBufferConservationProperty(t *testing.T) {
 		return b.Used() == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestBufferOccupancyCacheProperty(t *testing.T) {
+	// Property: Occupancy() is the cached ratio Push and Pop maintain, so
+	// after every operation, rejected pushes and empty pops included, it
+	// must equal float64(Used())/float64(Capacity()) bit for bit. Odd
+	// capacities make the ratio inexact; multi-flit sizes make pushes
+	// fail on slots as well as on queue length.
+	f := func(capacity uint8, ops []uint16) bool {
+		b := NewBuffer("occ", int(capacity%37)+1, 128)
+		for i, op := range ops {
+			if op&1 == 0 {
+				p := NewRequest(uint64(i), 0, 1, ClassCPU, SrcCPUL1D, 0)
+				p.SizeBits = int(op>>1)%(5*128) + 1 // 1-5 flits
+				b.Push(p)
+			} else {
+				b.Pop()
+			}
+			want := float64(b.Used()) / float64(b.Capacity())
+			if math.Float64bits(b.Occupancy()) != math.Float64bits(want) {
+				t.Logf("op %d: Occupancy() = %v, want %v (%d/%d slots)", i, b.Occupancy(), want, b.Used(), b.Capacity())
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -92,8 +92,8 @@ func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sim: Intn with non-positive n")
 	}
-	// Lemire-style bounded generation without modulo bias for the sizes
-	// used here (n is tiny compared to 2^64, so one multiply suffices).
+	// A plain modulo of the top 31 bits: it is biased, but for the
+	// NoC-scale n used here (tens of routers) the bias is below 2^-31.
 	return int((r.Uint64() >> 33) % uint64(n)) //nolint:gosec // bias < 2^-31 for NoC-scale n
 }
 
@@ -106,6 +106,39 @@ func (r *RNG) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
+}
+
+// BernoulliThreshold is Bernoulli(p) as an integer compare on one 53-bit
+// draw m = Uint64()>>11, for hot loops that run the same test every
+// cycle. When draws is true, Bernoulli(p) consumes one Uint64 and reports
+// m < t; when draws is false it consumes nothing and reports t != 0.
+// Float64() < p is m/2^53 < p; p·2^53 is exact (a power-of-two scale) and
+// m is an integer, so that is m < ⌈p·2^53⌉.
+func BernoulliThreshold(p float64) (t uint64, draws bool) {
+	switch {
+	case p <= 0:
+		return 0, false
+	case p >= 1:
+		return 1 << 53, false
+	case p != p: // NaN: Float64() < NaN never holds
+		return 0, true
+	}
+	return uint64(math.Ceil(p * (1 << 53))), true
+}
+
+// PoissonZeroThreshold is the k = 0 test of PoissonExp's first step as an
+// integer compare: Float64() <= expNegMean holds exactly when the same
+// draw's m = Uint64()>>11 is below the returned t. m/2^53 <= l is
+// m <= ⌊l·2^53⌋, i.e. m < ⌊l·2^53⌋+1; l >= 1 admits every m, and a
+// negative or NaN l admits none.
+func PoissonZeroThreshold(expNegMean float64) uint64 {
+	switch {
+	case expNegMean >= 1:
+		return 1 << 53
+	case expNegMean < 0, expNegMean != expNegMean:
+		return 0
+	}
+	return uint64(math.Floor(expNegMean*(1<<53))) + 1
 }
 
 // Exp returns an exponentially distributed value with the given rate
@@ -160,12 +193,23 @@ func (r *RNG) PoissonExp(mean, expNegMean float64) int {
 		}
 		return n
 	}
-	l := expNegMean
-	k := 0
-	p := 1.0
+	u := r.Float64()
+	if u <= expNegMean {
+		return 0
+	}
+	return r.PoissonTail(u, expNegMean)
+}
+
+// PoissonTail finishes Knuth's method after a first uniform u that failed
+// the k = 0 test (u > expNegMean): it returns the same k >= 1 as
+// PoissonExp and consumes the same draws. A caller that ran the k = 0
+// test itself (see PoissonZeroThreshold) resumes here.
+func (r *RNG) PoissonTail(u, expNegMean float64) int {
+	k := 1
+	p := u
 	for {
 		p *= r.Float64()
-		if p <= l {
+		if p <= expNegMean {
 			return k
 		}
 		k++

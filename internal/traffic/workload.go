@@ -69,7 +69,57 @@ type generator struct {
 	// every cycle, just cheaper.
 	rampStep float64
 	rateSpan float64
+
+	// wakeDemand is the demand of the cycle a draw-ahead stopped at (see
+	// drawAhead); the workload keeps that cycle in its wake array.
+	wakeDemand int
+
+	// quiet and full are the integer forms of a cycle at the two levels
+	// the burst chain rests at: quiet (not bursting, level 0) and full
+	// (bursting, level 1).
+	quiet, full steady
 }
+
+// steady is one cycle of a generator whose burst level does not move, as
+// two integer compares on tickDemand's own draws. The first draw is the
+// chain's leave test (burst entry when quiet, burst exit when full):
+// m < leaveT. A cycle that stays draws its Poisson demand at the state's
+// fixed rate, where k = 0 is m < zeroT on the second draw (see
+// sim.BernoulliThreshold and sim.PoissonZeroThreshold). ok is false when
+// either test is not a plain one-draw compare for the profile, and the
+// state then takes the ordinary code.
+type steady struct {
+	ok     bool
+	leaveT uint64
+	zeroT  uint64
+	exp    float64 // exp(-rate) at the state's rate
+}
+
+// newSteady builds the steady form of a state whose leave test is
+// Bernoulli(leave) and whose Poisson rate is rate.
+func newSteady(leave, rate float64) steady {
+	var s steady
+	var draws bool
+	s.leaveT, draws = sim.BernoulliThreshold(leave)
+	s.ok = draws && rate > 0 && rate <= 30 // PoissonExp's one-uniform first step
+	if s.ok {
+		s.exp = math.Exp(-rate)
+		s.zeroT = sim.PoissonZeroThreshold(s.exp)
+	}
+	return s
+}
+
+// numGenerators is the workload's generator count; Tick's due set is a
+// uint64 with one bit per generator.
+const numGenerators = config.NumClusterRouters * noc.NumClasses
+
+const _ uint64 = 1 << (numGenerators - 1) // does not compile past 64 generators
+
+// drawAheadHorizon bounds one draw-ahead: a generator whose next demand
+// lies further out stops there and draws ahead again at that cycle. It
+// also bounds the draws wasted past the end of a run, at most this many
+// cycles per generator.
+const drawAheadHorizon = 4096
 
 // expEntry is one slot of the direct-mapped exp(-rate) cache. The zero
 // value is safe: a stored rate of 0 can never be read back wrongly because
@@ -103,8 +153,13 @@ func NewExpTable() *ExpTable {
 // tickDemand advances the burst chain and returns this cycle's new
 // demands. Bursts ramp to full intensity over RampCycles (kernels
 // announce themselves through partial activity) and collapse twice as
-// fast when they end.
+// fast when they end. A generator at rest takes the steady form of the
+// same draws.
 func (g *generator) tickDemand() int {
+	if s := g.steadyState(); s != nil {
+		_, d := g.steadyRun(s, 1)
+		return d
+	}
 	if g.bursting {
 		if g.rng.Bernoulli(g.profile.BurstExit) {
 			g.bursting = false
@@ -112,6 +167,48 @@ func (g *generator) tickDemand() int {
 	} else if g.rng.Bernoulli(g.profile.BurstEntry) {
 		g.bursting = true
 	}
+	return g.rampDemand()
+}
+
+// steadyState returns the steady form of the generator's state, or nil
+// while its burst level is moving or the form does not apply.
+func (g *generator) steadyState() *steady {
+	switch {
+	case !g.bursting && g.level == 0 && g.quiet.ok:
+		return &g.quiet
+	case g.bursting && g.level == 1 && g.full.ok:
+		return &g.full
+	}
+	return nil
+}
+
+// steadyRun steps a generator in steady state s for up to n cycles. It
+// returns how many cycles stayed in s with no demand; if that is less
+// than n, the next cycle left s or drew a demand, and d is its demand,
+// finished by the ordinary code from the draw it stopped at. A cycle that
+// leaves s flips the chain and ramps exactly as tickDemand would: a full
+// burst's level never exceeds 1, and a quiet one's never moves.
+func (g *generator) steadyRun(s *steady, n int64) (stayed int64, d int) {
+	rng := g.rng
+	for ; stayed < n; stayed++ {
+		if rng.Uint64()>>11 < s.leaveT {
+			g.rng = rng
+			g.bursting = !g.bursting
+			return stayed, g.rampDemand()
+		}
+		if m := rng.Uint64() >> 11; m >= s.zeroT {
+			d = rng.PoissonTail(float64(m)/(1<<53), s.exp)
+			g.rng = rng
+			return stayed, d
+		}
+	}
+	g.rng = rng
+	return stayed, 0
+}
+
+// rampDemand is tickDemand after the burst chain has moved: it steps the
+// burst level and draws the cycle's Poisson demand at the resulting rate.
+func (g *generator) rampDemand() int {
 	if g.profile.RampCycles == 0 {
 		if g.bursting {
 			g.level = 1
@@ -142,6 +239,37 @@ func (g *generator) tickDemand() int {
 	return g.rng.PoissonExp(rate, g.expNegRate)
 }
 
+// drawAhead runs the cycles after cycle, as tickDemand would, until one
+// yields a non-zero demand or horizon cycles have passed (Tick passes
+// drawAheadHorizon). It returns the cycle it stopped at and leaves that
+// cycle's demand in wakeDemand; every cycle before it has zero demand.
+// The caller must hold pending == 0: only tickDemand and drain draw from
+// the generator's stream, and drain draws only while demands are
+// pending, so until the next non-zero demand the stream does not depend
+// on the network and the draws happen in the same order they would one
+// cycle at a time.
+func (g *generator) drawAhead(cycle, horizon int64) (wake int64) {
+	end := cycle + horizon
+	for c := cycle + 1; c <= end; c++ {
+		var demand int
+		if s := g.steadyState(); s != nil {
+			stayed, d := g.steadyRun(s, end-c+1)
+			if c += stayed; c > end {
+				break
+			}
+			demand = d
+		} else {
+			demand = g.tickDemand()
+		}
+		if demand != 0 {
+			g.wakeDemand = demand
+			return c
+		}
+	}
+	g.wakeDemand = 0
+	return end
+}
+
 // Workload wires a benchmark pair onto a network target: it owns the 32
 // per-router per-class generators, schedules memory-side responses through
 // the engine, releases MSHR credits on response delivery, and tallies the
@@ -155,7 +283,13 @@ type Workload struct {
 	// demand-process state (burst chains, MSHR windows, embedded RNG
 	// streams) per workload, which is what lets a replicated run lay N
 	// seeds' traffic state out back to back.
-	gens   [config.NumClusterRouters][noc.NumClasses]generator
+	gens [config.NumClusterRouters][noc.NumClasses]generator
+	// wake[r*NumClasses+class] is the cycle generator (r, class) drew
+	// ahead to: it has no demand before then and nothing pending, so Tick
+	// skips it. A wake before the current cycle means no draw-ahead is
+	// held. The cycles live here rather than in the generators so the
+	// per-cycle scan reads one contiguous block.
+	wake   [numGenerators]int64
 	rng    *sim.RNG
 	nextID uint64
 
@@ -211,6 +345,9 @@ func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed 
 		tab = NewExpTable()
 	}
 	w := &Workload{engine: engine, target: target, pair: pair, rng: sim.NewRNG(seed)}
+	for i := range w.wake {
+		w.wake[i] = -1
+	}
 	for r := 0; r < config.NumClusterRouters; r++ {
 		w.gens[r][noc.ClassCPU].init(r, pair.CPU, w.rng.Fork(), tab)
 		w.gens[r][noc.ClassGPU].init(r, pair.GPU, w.rng.Fork(), tab)
@@ -231,6 +368,9 @@ func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab *ExpTabl
 		g.rampStep = 1 / float64(profile.RampCycles)
 	}
 	g.rateSpan = profile.BurstRate - profile.BaseRate
+	// The rates tickDemand computes at level 0 and level 1, bit for bit.
+	g.quiet = newSteady(profile.BurstEntry, profile.BaseRate+float64(0*g.rateSpan))
+	g.full = newSteady(profile.BurstExit, profile.BaseRate+float64(1*g.rateSpan))
 }
 
 // StartMeasurement begins counting injections (end of warmup).
@@ -243,19 +383,33 @@ func (w *Workload) StopMeasurement() { w.measuring = false }
 // as many packets as credits and buffer space allow.
 func (w *Workload) Tick(cycle int64) {
 	w.drainResponses(cycle)
-	for r := 0; r < config.NumClusterRouters; r++ {
-		for class := 0; class < noc.NumClasses; class++ {
-			g := &w.gens[r][class]
-			demand := g.tickDemand()
-			g.pending += demand
-			if over := g.pending - g.profile.MaxPending; over > 0 {
-				g.pending = g.profile.MaxPending
-				g.shed += uint64(over)
-				if w.measuring {
-					w.Shed += uint64(over)
-				}
+	// A generator drawn ahead past this cycle has no demand and nothing
+	// pending to drain, so only the others are due; the mask keeps their
+	// (router, class) order.
+	var due uint64
+	for i, wake := range &w.wake {
+		due |= uint64(wake-cycle-1) >> 63 << i // sign bit: wake <= cycle, without a branch
+	}
+	for ; due != 0; due &= due - 1 {
+		i := bits.TrailingZeros64(due)
+		g := &w.gens[i/noc.NumClasses][i%noc.NumClasses]
+		var demand int
+		if w.wake[i] == cycle {
+			demand = g.wakeDemand // the cycle a draw-ahead stopped at
+		} else {
+			demand = g.tickDemand()
+		}
+		g.pending += demand
+		if over := g.pending - g.profile.MaxPending; over > 0 {
+			g.pending = g.profile.MaxPending
+			g.shed += uint64(over)
+			if w.measuring {
+				w.Shed += uint64(over)
 			}
-			w.drain(g, cycle)
+		}
+		w.drain(g, cycle)
+		if g.pending == 0 {
+			w.wake[i] = g.drawAhead(cycle, drawAheadHorizon)
 		}
 	}
 }
