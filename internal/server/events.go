@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 
 	"repro/internal/experiments"
@@ -25,14 +26,21 @@ const (
 	eventKindEnd      = "end"
 )
 
-// streamEvent is one buffered frame: its ring sequence number, kind,
-// and the marshalled JSON body (marshalled at append time under the
-// ring lock, so the embedded dropped counter is consistent with the
-// ring state the moment the frame was created).
+// streamEvent is one frame as since hands it to a reader: its ring
+// sequence number, kind and marshalled JSON body.
 type streamEvent struct {
 	seq  uint64
 	kind string
 	data []byte
+}
+
+// ringEntry is one buffered frame. A window frame is kept as its
+// sample and marshalled only when since hands it to a reader; its seq
+// and drop stamp follow from its place in the ring. Any other frame is
+// marshalled at append, under the ring lock, and kept whole.
+type ringEntry struct {
+	sample windowSample
+	frame  *streamEvent // nil for a window sample
 }
 
 // frameMeta is embedded by every event body so the ring can stamp its
@@ -58,6 +66,44 @@ type WindowEvent struct {
 	Label string `json:"label"`
 	Pair  string `json:"pair"`
 	experiments.WindowStats
+}
+
+// windowSample is what a ring keeps of a window frame: the measurement
+// (80 B) and the job whose identity the frame carries, about a quarter
+// of the marshalled frame it stands for. It stores no drop stamp: the
+// ring derives it from the frame's seq (see stamp).
+type windowSample struct {
+	job   *Job
+	stats experiments.WindowStats
+}
+
+// setDropped makes a sample a framePayload; its stamp is not stored.
+func (*windowSample) setDropped(uint64) {}
+
+// marshal is the frame body the sample stands for, stamped with
+// dropped. It cannot fail: push refused non-finite samples, and nothing
+// else in a WindowEvent can.
+func (w *windowSample) marshal(dropped uint64) []byte {
+	data, _ := json.Marshal(WindowEvent{
+		frameMeta:   frameMeta{Dropped: dropped},
+		JobID:       w.job.ID,
+		Label:       w.job.label,
+		Pair:        w.job.pair,
+		WindowStats: w.stats,
+	})
+	return data
+}
+
+// finite reports whether json.Marshal would accept the sample: NaN and
+// ±Inf are the only values in a WindowEvent it refuses.
+func (w *windowSample) finite() bool {
+	ws := &w.stats
+	for _, f := range [...]float64{ws.ThroughputBitsPerCycle, ws.LatencyP50Cycles, ws.LatencyP99Cycles, ws.WavelengthsOn, ws.PowerW} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // JobEndEvent is the body of a job feed's terminal "end" frame. Every
@@ -100,11 +146,10 @@ type BatchEndEvent struct {
 // leak — "unsubscribing" is simply returning.
 type eventRing struct {
 	mu       sync.Mutex
-	buf      []streamEvent // grows by append up to capacity, ring-indexed once full
-	capacity int           // bound on len(buf)
-	head     int           // index of the oldest buffered event (0 until full)
-	nextSeq  uint64        // next sequence number (first event gets 1)
-	dropped  uint64
+	buf      []ringEntry // grows by append up to capacity, ring-indexed once full
+	capacity int         // bound on len(buf)
+	head     int         // index of the oldest buffered event (0 until full)
+	nextSeq  uint64      // next sequence number (first event gets 1)
 	closed   bool
 	notify   chan struct{} // closed+replaced on every append/close
 }
@@ -125,8 +170,9 @@ func newEventRing(capacity int) *eventRing {
 
 // append buffers one frame, evicting the oldest on overflow. Returns
 // whether the frame was accepted (false once the ring is closed) and
-// whether an old frame was evicted to make room. Never blocks. A nil
-// ring (a job constructed without a feed) swallows the frame.
+// whether an old frame was evicted to make room. Never blocks. A
+// *windowSample body is a window frame whatever the kind. A nil ring (a
+// job constructed without a feed) swallows the frame.
 func (r *eventRing) append(kind string, body framePayload) (appended, evicted bool) {
 	if r == nil {
 		return false, false
@@ -139,36 +185,46 @@ func (r *eventRing) append(kind string, body framePayload) (appended, evicted bo
 	return r.push(kind, body)
 }
 
-// push marshals and stores one frame; callers hold mu. Nothing is ever
-// removed except by eviction, so every slot of buf is live: the ring
-// appends until it reaches capacity and from then on overwrites the
-// oldest frame in place.
+// push stamps and stores one frame; callers hold mu. Nothing is ever
+// removed except by eviction, so every slot of buf is live and the
+// buffered seqs are consecutive: the ring appends until it reaches
+// capacity and from then on overwrites the oldest frame in place.
 func (r *eventRing) push(kind string, body framePayload) (appended, evicted bool) {
+	var e ringEntry
+	if w, ok := body.(*windowSample); ok {
+		if !w.finite() {
+			// Refused here as its marshalled frame would have been.
+			return false, false
+		}
+		e.sample = *w
+	} else {
+		body.setDropped(r.stamp(r.nextSeq))
+		data, err := json.Marshal(body)
+		if err != nil {
+			// An unmarshalable frame is worth neither a seq gap nor an
+			// eviction.
+			return false, false
+		}
+		e.frame = &streamEvent{seq: r.nextSeq, kind: kind, data: data}
+	}
 	evicted = len(r.buf) == r.capacity
-	dropped := r.dropped
 	if evicted {
-		dropped++
-	}
-	body.setDropped(dropped)
-	data, err := json.Marshal(body)
-	if err != nil {
-		// Event bodies are plain structs of scalars; this cannot happen,
-		// and an unmarshalable frame is worth neither a seq gap nor an
-		// eviction.
-		return false, false
-	}
-	r.dropped = dropped
-	ev := streamEvent{seq: r.nextSeq, kind: kind, data: data}
-	if evicted {
-		r.buf[r.head] = ev
+		r.buf[r.head] = e
 		r.head = (r.head + 1) % len(r.buf)
 	} else {
-		r.buf = append(r.buf, ev)
+		r.buf = append(r.buf, e)
 	}
 	r.nextSeq++
 	close(r.notify)
 	r.notify = make(chan struct{})
 	return true, evicted
+}
+
+// stamp is the drop counter frame seq carries: every append beyond the
+// first capacity frames evicts exactly one, so when frame seq was
+// appended the ring had discarded seq-capacity frames, if any.
+func (r *eventRing) stamp(seq uint64) uint64 {
+	return seq - min(seq, uint64(r.capacity))
 }
 
 // close appends the terminal frame and seals the ring: subsequent
@@ -185,27 +241,51 @@ func (r *eventRing) close(kind string, body framePayload) bool {
 	}
 	ok, _ := r.push(kind, body)
 	r.closed = true
+	if cap(r.buf) > len(r.buf) {
+		// Sealed: drop the slack append growth left behind.
+		r.buf = append(make([]ringEntry, 0, len(r.buf)), r.buf...)
+	}
 	return ok
 }
 
 // since returns the buffered events with seq > after, whether the ring
 // is sealed, and a channel that closes on the next append — the
-// reader's park signal. The returned slice aliases immutable frames
-// (frames are never mutated after append), so no copy is needed. A nil
-// ring reads as empty and sealed.
+// reader's park signal. Buffered seqs are consecutive, so the first
+// newer frame is found by index, not by a scan. The entries are copied
+// under the lock and window samples marshalled after it is released,
+// so an append never waits behind a reader's JSON. A nil ring reads as
+// empty and sealed.
 func (r *eventRing) since(after uint64) (evs []streamEvent, closed bool, wait <-chan struct{}) {
 	if r == nil {
 		return nil, true, nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for i := range r.buf {
-		ev := r.buf[(r.head+i)%len(r.buf)]
-		if ev.seq > after {
-			evs = append(evs, ev)
-		}
+	oldest := r.nextSeq - uint64(len(r.buf))
+	skip := 0
+	if after >= oldest {
+		skip = int(min(after-oldest+1, uint64(len(r.buf))))
 	}
-	return evs, r.closed, r.notify
+	entries := make([]ringEntry, len(r.buf)-skip)
+	for i := range entries {
+		entries[i] = r.buf[(r.head+skip+i)%len(r.buf)]
+	}
+	closed, wait = r.closed, r.notify
+	r.mu.Unlock()
+
+	if len(entries) == 0 {
+		return nil, closed, wait
+	}
+	first := oldest + uint64(skip)
+	evs = make([]streamEvent, len(entries))
+	for i, e := range entries {
+		if e.frame != nil {
+			evs[i] = *e.frame
+			continue
+		}
+		seq := first + uint64(i)
+		evs[i] = streamEvent{seq: seq, kind: eventKindWindow, data: e.sample.marshal(r.stamp(seq))}
+	}
+	return evs, closed, wait
 }
 
 // stats snapshots the ring's lifetime accounting for tests/metrics.
@@ -215,5 +295,5 @@ func (r *eventRing) stats() (appended, dropped uint64, closed bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.nextSeq - 1, r.dropped, r.closed
+	return r.nextSeq - 1, r.stamp(r.nextSeq - 1), r.closed
 }

@@ -202,6 +202,42 @@ func TestCacheHitJobRetention(t *testing.T) {
 	}
 }
 
+// TestExecutedJobRetention is TestCacheHitJobRetention for jobs that
+// ran: a settled 20k-cycle dyn-rw500 job keeps its record, its cached
+// result and a feed ring of 41 frames (40 windows and the end frame)
+// until the registry retires it. The ring keeps each window as its
+// measurement and source job, marshalled only when a reader asks; while
+// it kept each frame's JSON a job retained 18–19 KB, about 17 KB of it
+// in frames. The bar is 10 KB.
+func TestExecutedJobRetention(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 1})
+	seed := 0
+	run := func() {
+		t.Helper()
+		seed++
+		code, st := postJob(t, ts, fmt.Sprintf(`{"preset":"dyn-rw500","workload":{"cpu":"fmm","gpu":"DCT"},"seed":%d,"warmup_cycles":200,"measure_cycles":20000}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("seed %d: HTTP %d, want 202 (a fresh run)", seed, code)
+		}
+		pollUntil(t, ts, st.ID, func(s JobStatus) bool { return s.State == string(StateDone) }, 60*time.Second)
+	}
+	// Let connection pools, maps, the cache and the HTTP server reach
+	// their steady size before the first reading.
+	for i := 0; i < 8; i++ {
+		run()
+	}
+	const jobs = 64
+	before := liveHeap()
+	for i := 0; i < jobs; i++ {
+		run()
+	}
+	perJob := (liveHeap() - before) / jobs
+	t.Logf("each executed job retains %d B", perJob)
+	if perJob > 10<<10 {
+		t.Fatalf("each executed job retains %d B of live heap, want under 10 KB", perJob)
+	}
+}
+
 // resultsEqual compares payloads including the residency map.
 func resultsEqual(a, b JobResult) bool {
 	ja, _ := json.Marshal(a)

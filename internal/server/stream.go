@@ -136,26 +136,16 @@ func parseLastEventID(r *http.Request) uint64 {
 
 // emitWindow fans one live window sample out to the job's feed and any
 // batch feeds the job belongs to. Called from the simulation goroutine:
-// ring appends never block, so the kernel never waits on a consumer.
+// ring appends never block and marshal nothing (each ring keeps the
+// sample, and a reader marshals the frame), so the kernel never waits
+// on a consumer.
 func (s *Server) emitWindow(job *Job, ws experiments.WindowStats) {
-	s.emitWindowEvent(job, WindowEvent{
-		JobID:       job.ID,
-		Label:       job.label,
-		Pair:        job.pair,
-		WindowStats: ws,
-	})
-}
-
-// emitWindowEvent appends a prepared window frame everywhere it
-// belongs; each ring stamps its own drop counter into its own copy.
-func (s *Server) emitWindowEvent(job *Job, ev WindowEvent) {
-	body := ev
-	if ok, dropped := job.exec.events.append(eventKindWindow, &body); ok {
+	sample := windowSample{job: job, stats: ws}
+	if ok, dropped := job.exec.events.append(eventKindWindow, &sample); ok {
 		s.metrics.eventEmitted(job.tenant, dropped)
 	}
 	for _, sink := range job.exec.sinks {
-		cp := ev
-		if ok, dropped := sink.append(eventKindWindow, &cp); ok {
+		if ok, dropped := sink.append(eventKindWindow, &sample); ok {
 			s.metrics.eventEmitted(job.tenant, dropped)
 		}
 	}
@@ -336,9 +326,8 @@ func (s *Server) streamPeerFeed(ctx context.Context, job *Job, peer *peerClient,
 				return nil
 			}
 			// Local identity, remote measurement: consumers of this
-			// daemon's feeds see this daemon's job ids.
-			ev.JobID = job.ID
-			s.emitWindowEvent(job, ev)
+			// daemon's feeds see this daemon's job id, label and pair.
+			s.emitWindow(job, ev.WindowStats)
 		case eventKindEnd:
 			done = true
 			return ErrSSEStop

@@ -561,3 +561,128 @@ func TestStreamDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatalf("event stream depends on GOMAXPROCS:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 	}
 }
+
+// readLive reads an open feed to its end frame as it is written,
+// calling each (if set) on every frame.
+func readLive(t *testing.T, resp *http.Response, each func(SSEFrame)) []SSEFrame {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: HTTP %d", resp.StatusCode)
+	}
+	var frames []SSEFrame
+	if err := DecodeSSE(resp.Body, func(fr SSEFrame) error {
+		frames = append(frames, fr)
+		if each != nil {
+			each(fr)
+		}
+		return nil
+	}); err != nil {
+		t.Fatalf("decoding stream: %v", err)
+	}
+	checkFeedShape(t, frames)
+	return frames
+}
+
+// matchFinishedFeed reopens a settled feed whose ring overflowed, once
+// from the start and once from the middle of what it still holds, and
+// requires both byte-equal to what the live reader got under the same
+// ids. The ring retains the feed's last capacity frames, and a live
+// reader gets those however far it fell behind; a window frame among
+// them must carry a drop stamp. It returns them.
+func matchFinishedFeed(t *testing.T, url string, live []SSEFrame, capacity int) []SSEFrame {
+	t.Helper()
+	whole := collectFrames(t, openStream(t, url, "", 0))
+	if len(whole) != capacity || len(live) < capacity {
+		t.Fatalf("reopened feed holds %d frames and the live one %d; want a ring of %d that overflowed",
+			len(whole), len(live), capacity)
+	}
+	if want := live[len(live)-capacity:]; fmt.Sprint(whole) != fmt.Sprint(want) {
+		t.Fatalf("reopened feed differs from the live one:\ngot  %q\nwant %q", whole, want)
+	}
+	stamped := false
+	for _, ev := range windowFrames(t, whole) {
+		stamped = stamped || ev.Dropped > 0
+	}
+	if !stamped {
+		t.Fatal("no retained window frame carries a non-zero dropped stamp")
+	}
+	mid := len(whole) / 2
+	resumeID, _ := strconv.ParseUint(whole[mid].ID, 10, 64)
+	resumed := collectFrames(t, openStream(t, url, "", resumeID))
+	if fmt.Sprint(resumed) != fmt.Sprint(whole[mid+1:]) {
+		t.Fatalf("resume after %d:\ngot  %q\nwant %q", resumeID, resumed, whole[mid+1:])
+	}
+	return whole
+}
+
+// holdWorker occupies a one-worker server with a long job and returns
+// the call that cancels it, so that a job submitted next waits in the
+// queue until a reader has attached to its feed.
+func holdWorker(t *testing.T, s *Server, ts *httptest.Server) (release func()) {
+	t.Helper()
+	_, blocker := postJob(t, ts, longJob)
+	pollUntil(t, ts, blocker.ID, func(st JobStatus) bool { return st.State == string(StateRunning) }, 30*time.Second)
+	return func() { cancelJob(t, s, "", blocker.ID) }
+}
+
+// TestFinishedFeedMatchesLiveFeed: a ring keeps window samples and
+// marshals a frame when a reader asks for it, so a feed read after its
+// job settled must be the very bytes a live reader got — ids, kinds,
+// drop stamps and bodies — for a job that ran to the end, a job
+// cancelled mid-run, and a batch feed interleaving two members'
+// windows.
+func TestFinishedFeedMatchesLiveFeed(t *testing.T) {
+	const capacity = 5
+	t.Run("done", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{Workers: 1, StreamRingCapacity: capacity})
+		release := holdWorker(t, s, ts)
+		_, st := postJob(t, ts, shortWindowJob) // 20 windows
+		url := ts.URL + "/v1/jobs/" + st.ID + "/events"
+		resp := openStream(t, url, "", 0)
+		release()
+		matchFinishedFeed(t, url, readLive(t, resp, nil), capacity)
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		s, ts := newTestServer(t, Options{Workers: 1, StreamRingCapacity: capacity})
+		_, st := postJob(t, ts, `{"workload":{"cpu":"canneal","gpu":"MatrixMultiply"},"config":{"ReservationWindow":100},"warmup_cycles":200,"measure_cycles":5000000}`)
+		url := ts.URL + "/v1/jobs/" + st.ID + "/events"
+		windows := 0
+		live := readLive(t, openStream(t, url, "", 0), func(fr SSEFrame) {
+			if fr.Event == eventKindWindow {
+				if windows++; windows == 17 {
+					cancelJob(t, s, "", st.ID)
+				}
+			}
+		})
+		var end JobEndEvent
+		if err := json.Unmarshal(live[len(live)-1].Data, &end); err != nil || end.Status.State != string(StateCancelled) {
+			t.Fatalf("end frame %s, want a cancelled job (err %v)", live[len(live)-1].Data, err)
+		}
+		matchFinishedFeed(t, url, live, capacity)
+	})
+	t.Run("batch", func(t *testing.T) {
+		// Two members run one after the other with 20 windows each: 43
+		// frames, of which a 30-frame ring keeps the last 7 of the first
+		// member and everything of the second.
+		const batchCapacity = 30
+		s, ts := newTestServer(t, Options{Workers: 1, StreamRingCapacity: batchCapacity})
+		release := holdWorker(t, s, ts)
+		code, bst := postBatch(t, ts, `{"config":{"ReservationWindow":100},"warmup_cycles":200,"measure_cycles":2000,
+			"workloads":[{"cpu":"fmm","gpu":"DCT"},{"cpu":"canneal","gpu":"MatrixMultiply"}]}`)
+		if code != http.StatusAccepted || bst.Total != 2 {
+			t.Fatalf("batch submit: HTTP %d, %d points", code, bst.Total)
+		}
+		url := ts.URL + "/v1/batches/" + bst.ID + "/events"
+		resp := openStream(t, url, "", 0)
+		release()
+		live := readLive(t, resp, nil)
+		members := map[string]bool{}
+		for _, ev := range windowFrames(t, matchFinishedFeed(t, url, live, batchCapacity)) {
+			members[ev.JobID] = true
+		}
+		if len(members) != 2 {
+			t.Fatalf("retained batch frames carry windows of %d members, want 2", len(members))
+		}
+	})
+}
