@@ -60,6 +60,14 @@ const (
 	numNeighborPorts
 )
 
+// opposite[p] is the port a flit sent out of port p arrives on.
+var opposite = [numNeighborPorts]int{
+	portNorth: portSouth,
+	portSouth: portNorth,
+	portEast:  portWest,
+	portWest:  portEast,
+}
+
 // flit is one 128-bit slice of a packet in flight.
 type flit struct {
 	pkt    *noc.Packet
@@ -84,8 +92,13 @@ type flitRing struct {
 	n    int
 }
 
-func newFlitRing(capacity int) flitRing {
-	return flitRing{buf: make([]timedFlit, capacity)}
+// newFlitRing takes a ring of the given capacity from the front of
+// *backing: a router's rings share one array, so its buffered flits sit
+// together in memory.
+func newFlitRing(backing *[]timedFlit, capacity int) flitRing {
+	q := flitRing{buf: (*backing)[:capacity:capacity]}
+	*backing = (*backing)[capacity:]
+	return q
 }
 
 func (q *flitRing) len() int { return q.n }
@@ -141,55 +154,77 @@ func localInput(c noc.Class) int     { return numNeighborPorts*VCsPerPort + int(
 // outVCState is sender-side bookkeeping for one downstream VC.
 type outVCState struct {
 	owner   *noc.Packet // packet holding the VC until its tail passes
+	holder  int         // the owner's input index in this router
 	credits int         // free slots in the downstream buffer
 }
 
-// router is one CMESH node.
+// router is one CMESH node. The state a tick reads on every cycle the
+// router has work comes first, so the masks, link timers, round-robin
+// pointers and front-flit arrival cycles share a few cache lines.
 type router struct {
+	// Masks over inputs (bit i = inputs[i]), kept current wherever the
+	// state they summarise changes, so the tick visits only VCs with
+	// work instead of probing all of them for every port:
+	//
+	//   occupied  the VC buffers at least one flit
+	//   wants[o]  the VC holds a routed packet bound for output port o
+	//   settled   routed, and ejecting or already holding a downstream
+	//             VC: route compute and VC allocation have nothing to do
+	//   starved   the downstream VC it holds has no credit
+	occupied uint32
+	settled  uint32
+	starved  uint32
+	wants    [numNeighborPorts + 1]uint32
+
+	// free[port] has bit v set when out[port][v] can be allocated: no
+	// owner and at least one credit.
+	free [numNeighborPorts]uint8
+
+	// outBusyUntil serialises narrow links: an output port is busy for
+	// linkCyclesPerFlit cycles per flit.
+	outBusyUntil [numNeighborPorts + 1]int64
+
+	// rr rotates arbitration priority per output port (local ejection
+	// included): the index into inputs the next scan starts from.
+	rr [numNeighborPorts + 1]int
+
+	// ready[i] is the link-arrival cycle of input i's front flit, valid
+	// while bit i of occupied is set. It is written where the front
+	// changes: a push into an empty VC and a pop that leaves flits
+	// behind.
+	ready [numInputs]int64
+
 	id   int
 	x, y int
+
+	// nb is the router across each neighbor port, nil at the mesh edge.
+	nb [numNeighborPorts]*router
+
+	// out tracks downstream VC ownership and credits: [port][vc].
+	out [numNeighborPorts][VCsPerPort]outVCState
 
 	// in holds neighbor input VCs: [port][vc].
 	in [numNeighborPorts][VCsPerPort]inVC
 	// local holds the two class injection queues, treated as two extra
 	// input VCs whose capacity matches the PEARL core buffers.
 	local [noc.NumClasses]inVC
-	// localSlotsUsed tracks flit occupancy of each class queue.
-	localSlotsUsed [noc.NumClasses]int
-
-	// out tracks downstream VC ownership and credits: [port][vc].
-	out [numNeighborPorts][VCsPerPort]outVCState
-
-	// rr rotates arbitration priority per output port (local ejection
-	// included): the index into inputs the next scan starts from.
-	rr [numNeighborPorts + 1]int
-
-	// outBusyUntil serialises narrow links: an output port is busy for
-	// linkCyclesPerFlit cycles per flit.
-	outBusyUntil [numNeighborPorts + 1]int64
 
 	// inputs caches the fixed input-VC reference list (built once).
 	inputs [numInputs]inputRef
-
-	// Occupancy masks over inputs (bit i = inputs[i]), kept current
-	// wherever the state they summarise changes, so the tick visits only
-	// VCs with work instead of probing all of them for every port:
-	//
-	//   occupied  the VC buffers at least one flit
-	//   wants[o]  the VC holds a routed packet bound for output port o
-	//   settled   routed, and ejecting or already holding a downstream
-	//             VC: route compute and VC allocation have nothing to do
-	occupied uint32
-	wants    [numNeighborPorts + 1]uint32
-	settled  uint32
 }
 
 // Network is the electrical CMESH under the same Target interface as the
 // photonic network.
 type Network struct {
 	engine  *sim.Engine
-	cfg     config.Config
 	routers [NumNodes]*router
+
+	// classSlots is each class injection queue's flit capacity, and
+	// slotsUsed[node][class] the flits each node's queue holds. They live
+	// here rather than in the routers so that Admits, which most due
+	// generators ask every cycle, reads one small array.
+	classSlots [noc.NumClasses]int
+	slotsUsed  [NumNodes][noc.NumClasses]int
 
 	acct      *power.Account
 	metrics   *stats.Network
@@ -217,27 +252,39 @@ func New(engine *sim.Engine, cfg config.Config) (*Network, error) {
 	}
 	n := &Network{
 		engine:            engine,
-		cfg:               cfg,
+		classSlots:        [noc.NumClasses]int{noc.ClassCPU: cfg.CPUBufferSlots, noc.ClassGPU: cfg.GPUBufferSlots},
 		metrics:           stats.NewNetwork(),
 		linkCyclesPerFlit: 1,
 	}
 	for i := range n.routers {
 		r := &router{id: i, x: i % Width, y: i / Width}
+		backing := make([]timedFlit, numNeighborPorts*VCsPerPort*SlotsPerVC+cfg.CPUBufferSlots+cfg.GPUBufferSlots)
 		for p := 0; p < numNeighborPorts; p++ {
 			for v := 0; v < VCsPerPort; v++ {
 				r.out[p][v].credits = SlotsPerVC
-				r.in[p][v].q = newFlitRing(SlotsPerVC)
+				r.in[p][v].q = newFlitRing(&backing, SlotsPerVC)
 			}
+			r.free[p] = 1<<VCsPerPort - 1
 		}
 		for c := 0; c < noc.NumClasses; c++ {
-			slots := cfg.CPUBufferSlots
-			if noc.Class(c) == noc.ClassGPU {
-				slots = cfg.GPUBufferSlots
-			}
-			r.local[c].q = newFlitRing(slots)
+			r.local[c].q = newFlitRing(&backing, n.classSlots[c])
 		}
 		r.inputs = buildInputs(r)
 		n.routers[i] = r
+	}
+	for _, r := range n.routers {
+		if r.y > 0 {
+			r.nb[portNorth] = n.routers[r.id-Width]
+		}
+		if r.y < Width-1 {
+			r.nb[portSouth] = n.routers[r.id+Width]
+		}
+		if r.x < Width-1 {
+			r.nb[portEast] = n.routers[r.id+1]
+		}
+		if r.x > 0 {
+			r.nb[portWest] = n.routers[r.id-1]
+		}
 	}
 	return n, nil
 }
@@ -283,9 +330,25 @@ func (n *Network) StopMeasurement(measuredCycles int64) {
 	n.metrics.MeasuredCycles = measuredCycles
 }
 
+// nodeTable[id][other] is nearestNode(id, other) for every pair of
+// crossbar router ids, built once: Inject, Admits and every head's route
+// compute look it up instead of scanning the L3 attachment points.
+var nodeTable = func() (t [config.NumRouters][config.NumRouters]int) {
+	for id := range t {
+		for other := range t[id] {
+			t[id][other] = nearestNode(id, other)
+		}
+	}
+	return t
+}()
+
 // nodeFor maps a crossbar router id (0-15 clusters, 16 = L3) onto a mesh
 // node; L3 traffic lands on the attachment point nearest to other.
-func nodeFor(id, other int) int {
+func nodeFor(id, other int) int { return nodeTable[id][other] }
+
+// nearestNode is nodeFor computed: the attachment point nearest to
+// other, the first of the four on a tie.
+func nearestNode(id, other int) int {
 	if id != config.L3RouterID {
 		return id
 	}
@@ -320,20 +383,14 @@ func hopDistance(a, b int) int {
 // capacity matches the PEARL class buffers so both networks see identical
 // injection backpressure.
 func (n *Network) Inject(p *noc.Packet) bool {
-	if p.Src < 0 || p.Src > config.L3RouterID || p.Dst < 0 || p.Dst > config.L3RouterID || p.Src == p.Dst {
-		panic(fmt.Sprintf("cmesh: bad endpoints %d->%d", p.Src, p.Dst))
-	}
-	src := nodeFor(p.Src, p.Dst)
-	r := n.routers[src]
-	capSlots := n.cfg.CPUBufferSlots
-	if p.Class == noc.ClassGPU {
-		capSlots = n.cfg.GPUBufferSlots
-	}
+	checkEndpoints(p.Src, p.Dst)
+	node := nodeFor(p.Src, p.Dst)
 	flits := p.Flits(FlitBits)
-	if r.localSlotsUsed[p.Class]+flits > capSlots {
+	if n.slotsUsed[node][p.Class]+flits > n.classSlots[p.Class] {
 		return false
 	}
-	r.localSlotsUsed[p.Class] += flits
+	n.slotsUsed[node][p.Class] += flits
+	r := n.routers[node]
 	now := n.engine.Cycle()
 	p.EnqueueCycle = now
 	vc := &r.local[p.Class]
@@ -343,14 +400,32 @@ func (n *Network) Inject(p *noc.Packet) bool {
 			readyAt: now,
 		})
 	}
-	r.occupied |= 1 << localInput(p.Class)
+	in := localInput(p.Class)
+	if r.occupied&(1<<in) == 0 {
+		r.ready[in] = now
+	}
+	r.occupied |= 1 << in
 	return true
+}
+
+// Admits reports whether Inject would accept a packet of bits bits from
+// src to dst in class this cycle, changing nothing: its flits fit the
+// free slots of the class queue at src's mesh node.
+func (n *Network) Admits(src, dst int, class noc.Class, bits int) bool {
+	checkEndpoints(src, dst)
+	return n.slotsUsed[nodeFor(src, dst)][class]+(bits+FlitBits-1)/FlitBits <= n.classSlots[class]
+}
+
+func checkEndpoints(src, dst int) {
+	if src < 0 || src > config.L3RouterID || dst < 0 || dst > config.L3RouterID || src == dst {
+		panic(fmt.Sprintf("cmesh: bad endpoints %d->%d", src, dst))
+	}
 }
 
 // Tick advances every router: route compute + VC allocation + switch
 // arbitration, then one flit per output port per router.
 func (n *Network) Tick(cycle int64) {
-	for _, r := range n.routers {
+	for _, r := range &n.routers {
 		n.tickRouter(r, cycle)
 	}
 	if n.acct != nil {
@@ -377,9 +452,19 @@ func (n *Network) tickRouter(r *router, cycle int64) {
 		return
 	}
 	n.routeAndAllocate(r, cycle)
-	// Arbitrate each output port (including local ejection) round-robin.
+	// Arbitrate each output port (including local ejection) round-robin,
+	// skipping a port that has no candidate or whose link is still
+	// serialising the previous flit. A candidate is a flit buffered,
+	// routed to the port and, for a neighbor port, holding a downstream
+	// VC (settled means exactly that for a packet that is not ejecting)
+	// with a credit (not starved). A forward changes only its own
+	// input's bits, and an input wants one port, so a port's candidates
+	// do not move while the ports before it arbitrate.
+	cand := r.settled & r.occupied &^ r.starved
 	for out := 0; out <= portLocal; out++ {
-		n.arbitrate(r, out, cycle)
+		if m := r.wants[out] & cand; m != 0 && cycle >= r.outBusyUntil[out] {
+			n.arbitrate(r, out, m, cycle)
+		}
 	}
 }
 
@@ -389,11 +474,11 @@ func (n *Network) tickRouter(r *router, cycle int64) {
 func (n *Network) routeAndAllocate(r *router, cycle int64) {
 	for m := r.occupied &^ r.settled; m != 0; m &= m - 1 {
 		i := bits.TrailingZeros32(m)
-		vc := r.inputs[i].vc
-		head := vc.q.front()
-		if head.readyAt > cycle {
+		if r.ready[i] > cycle {
 			continue // still crossing the link
 		}
+		vc := r.inputs[i].vc
+		head := vc.q.front()
 		if head.f.isHead && !vc.routed {
 			vc.outPort = n.route(r, head.f.pkt)
 			vc.routed = true
@@ -406,17 +491,17 @@ func (n *Network) routeAndAllocate(r *router, cycle int64) {
 		if !vc.routed || vc.outPort == portLocal {
 			continue
 		}
-		// VC allocation: claim a free downstream VC on the chosen port.
-		// (An unsettled neighbor-bound packet holds none yet.)
-		for v := 0; v < VCsPerPort; v++ {
+		// VC allocation: claim the lowest free downstream VC on the
+		// chosen port. (An unsettled neighbor-bound packet holds none
+		// yet.)
+		if f := r.free[vc.outPort]; f != 0 {
+			v := bits.TrailingZeros8(f)
 			st := &r.out[vc.outPort][v]
-			if st.owner == nil && st.credits > 0 {
-				st.owner = head.f.pkt
-				vc.outVC = v
-				vc.hasVC = true
-				r.settled |= 1 << i
-				break
-			}
+			st.owner, st.holder = head.f.pkt, i
+			r.free[vc.outPort] &^= 1 << v
+			vc.outVC = v
+			vc.hasVC = true
+			r.settled |= 1 << i
 		}
 	}
 }
@@ -440,31 +525,18 @@ func (n *Network) route(r *router, p *noc.Packet) int {
 	}
 }
 
-// arbitrate forwards at most one flit through the given output port:
-// the first eligible candidate in round-robin order from rr[out], that
-// is inputs rr[out]..numInputs-1 and then 0..rr[out]-1.
-func (n *Network) arbitrate(r *router, out int, cycle int64) {
-	if cycle < r.outBusyUntil[out] {
-		return // narrow link still serialising the previous flit
-	}
-	// Candidates: a flit buffered, routed to this port and, for a
-	// neighbor port, a downstream VC held (settled means exactly that
-	// for a packet that is not ejecting).
-	m := r.wants[out] & r.settled & r.occupied
-	if m == 0 {
-		return
-	}
+// arbitrate forwards at most one flit through the given output port,
+// whose link is free: the first of the candidates m whose flit has
+// arrived, in round-robin order from rr[out], that is inputs
+// rr[out]..numInputs-1 and then 0..rr[out]-1.
+func (n *Network) arbitrate(r *router, out int, m uint32, cycle int64) {
 	// Round-robin order: candidates at or above the pointer in the low
 	// word, those below it in the high word, lowest bit first.
 	below := uint32(1)<<r.rr[out] - 1
 	for w := uint64(m&^below) | uint64(m&below)<<32; w != 0; w &= w - 1 {
 		i := bits.TrailingZeros64(w) & 31
-		vc := r.inputs[i].vc
-		if vc.q.front().readyAt > cycle {
+		if r.ready[i] > cycle {
 			continue // still crossing the link
-		}
-		if out != portLocal && r.out[out][vc.outVC].credits <= 0 {
-			continue
 		}
 		n.forward(r, i, cycle)
 		r.rr[out] = (i + 1) % numInputs
@@ -480,9 +552,11 @@ func (n *Network) forward(r *router, i int, cycle int64) {
 	vc.q.pop()
 	if vc.q.len() == 0 {
 		r.occupied &^= 1 << i
+	} else {
+		r.ready[i] = vc.q.front().readyAt
 	}
 	if ref.local {
-		r.localSlotsUsed[ref.class]--
+		n.slotsUsed[r.id][ref.class]--
 	}
 	if n.acct != nil {
 		n.acct.AddElectricalHop(FlitBits, vc.outPort != portLocal)
@@ -493,15 +567,25 @@ func (n *Network) forward(r *router, i int, cycle int64) {
 	} else {
 		st := &r.out[vc.outPort][vc.outVC]
 		st.credits--
-		nb := n.neighbor(r, vc.outPort)
-		in := oppositePort(vc.outPort)
-		nb.in[in][vc.outVC].q.push(timedFlit{f: f, readyAt: cycle + n.linkCyclesPerFlit + RouterPipelineCycles})
-		nb.occupied |= 1 << neighborInput(in, vc.outVC)
+		nb := r.neighbor(vc.outPort)
+		in := opposite[vc.outPort]
+		readyAt := cycle + n.linkCyclesPerFlit + RouterPipelineCycles
+		nb.in[in][vc.outVC].q.push(timedFlit{f: f, readyAt: readyAt})
+		j := neighborInput(in, vc.outVC)
+		if nb.occupied&(1<<j) == 0 {
+			nb.ready[j] = readyAt
+		}
+		nb.occupied |= 1 << j
 		if f.isHead {
 			f.pkt.Hops++
 		}
 		if f.isTail {
 			st.owner = nil
+			if st.credits > 0 {
+				r.free[vc.outPort] |= 1 << vc.outVC
+			}
+		} else if st.credits == 0 {
+			r.starved |= 1 << i
 		}
 	}
 	if f.isTail {
@@ -514,49 +598,34 @@ func (n *Network) forward(r *router, i int, cycle int64) {
 	// buffer; the credit for it belongs to the upstream sender and is
 	// returned at once (see returnCredit).
 	if !ref.local {
-		n.returnCredit(r, ref)
+		r.returnCredit(ref)
 	}
 }
 
 // returnCredit frees one credit at the upstream router feeding the given
 // neighbor input VC: the sender's out[][] entry for the link into it.
-func (n *Network) returnCredit(r *router, ref *inputRef) {
-	st := &n.neighbor(r, ref.port).out[oppositePort(ref.port)][ref.vcIndex]
+func (r *router) returnCredit(ref *inputRef) {
+	up, port := r.neighbor(ref.port), opposite[ref.port]
+	st := &up.out[port][ref.vcIndex]
 	st.credits++
 	if st.credits > SlotsPerVC {
 		panic("cmesh: credit overflow")
 	}
-}
-
-// neighbor returns the router across the given port.
-func (n *Network) neighbor(r *router, port int) *router {
-	switch port {
-	case portNorth:
-		return n.routers[r.id-Width]
-	case portSouth:
-		return n.routers[r.id+Width]
-	case portEast:
-		return n.routers[r.id+1]
-	case portWest:
-		return n.routers[r.id-1]
-	default:
-		panic(fmt.Sprintf("cmesh: neighbor of port %d", port))
+	if st.owner == nil {
+		up.free[port] |= 1 << ref.vcIndex
+	} else {
+		up.starved &^= 1 << st.holder
 	}
 }
 
-func oppositePort(port int) int {
-	switch port {
-	case portNorth:
-		return portSouth
-	case portSouth:
-		return portNorth
-	case portEast:
-		return portWest
-	case portWest:
-		return portEast
-	default:
-		panic(fmt.Sprintf("cmesh: opposite of port %d", port))
+// neighbor returns the router across the given port; there is none past
+// the mesh edge.
+func (r *router) neighbor(port int) *router {
+	nb := r.nb[port]
+	if nb == nil {
+		panic(fmt.Sprintf("cmesh: router %d has no neighbor on port %d", r.id, port))
 	}
+	return nb
 }
 
 // eject accumulates flits at the local port and delivers the packet when

@@ -405,7 +405,7 @@ func refForward(n *Network, r *router, ref inputRef, f flit, cycle int64) {
 	vc := ref.vc
 	vc.q.pop()
 	if ref.local {
-		r.localSlotsUsed[ref.class]--
+		n.slotsUsed[r.id][ref.class]--
 	}
 	if n.acct != nil {
 		n.acct.AddElectricalHop(FlitBits, vc.outPort != portLocal)
@@ -416,8 +416,8 @@ func refForward(n *Network, r *router, ref inputRef, f flit, cycle int64) {
 	} else {
 		st := &r.out[vc.outPort][vc.outVC]
 		st.credits--
-		nb := n.neighbor(r, vc.outPort)
-		dvc := &nb.in[oppositePort(vc.outPort)][vc.outVC]
+		nb := refNeighbor(n, r, vc.outPort)
+		dvc := &nb.in[refOpposite(vc.outPort)][vc.outVC]
 		dvc.q.push(timedFlit{f: f, readyAt: cycle + n.linkCyclesPerFlit + RouterPipelineCycles})
 		if f.isHead {
 			f.pkt.Hops++
@@ -439,9 +439,9 @@ func refReturnCredit(n *Network, r *router, vc *inVC) {
 	for p := 0; p < numNeighborPorts; p++ {
 		for v := 0; v < VCsPerPort; v++ {
 			if &r.in[p][v] == vc {
-				up := n.neighbor(r, p)
-				up.out[oppositePort(p)][v].credits++
-				if up.out[oppositePort(p)][v].credits > SlotsPerVC {
+				up := refNeighbor(n, r, p)
+				up.out[refOpposite(p)][v].credits++
+				if up.out[refOpposite(p)][v].credits > SlotsPerVC {
 					panic("cmesh: credit overflow")
 				}
 				return
@@ -451,8 +451,43 @@ func refReturnCredit(n *Network, r *router, vc *inVC) {
 	panic("cmesh: credit return for unknown VC")
 }
 
-// checkMasks asserts that every router's occupancy masks say exactly
-// what its input VCs' own state says.
+// refNeighbor and refOpposite are the mesh geometry computed from router
+// coordinates, against which the tick's neighbor and port tables are
+// held.
+func refNeighbor(n *Network, r *router, port int) *router {
+	switch port {
+	case portNorth:
+		return n.routers[r.id-Width]
+	case portSouth:
+		return n.routers[r.id+Width]
+	case portEast:
+		return n.routers[r.id+1]
+	case portWest:
+		return n.routers[r.id-1]
+	default:
+		panic(fmt.Sprintf("cmesh: neighbor of port %d", port))
+	}
+}
+
+func refOpposite(port int) int {
+	switch port {
+	case portNorth:
+		return portSouth
+	case portSouth:
+		return portNorth
+	case portEast:
+		return portWest
+	case portWest:
+		return portEast
+	default:
+		panic(fmt.Sprintf("cmesh: opposite of port %d", port))
+	}
+}
+
+// checkMasks asserts that every router's input masks, the front-flit
+// arrival cycle it keeps for each occupied input, the holder of each
+// downstream VC and its free-VC masks say exactly what its VCs' own
+// state says.
 func checkMasks(t *testing.T, n *Network, cycle int64) {
 	t.Helper()
 	for _, r := range n.routers {
@@ -461,6 +496,9 @@ func checkMasks(t *testing.T, n *Network, cycle int64) {
 			if got, want := r.occupied&bit != 0, vc.q.len() > 0; got != want {
 				t.Fatalf("cycle %d router %d input %d: occupied=%v with %d flits buffered", cycle, r.id, i, got, vc.q.len())
 			}
+			if vc.q.len() > 0 && r.ready[i] != vc.q.front().readyAt {
+				t.Fatalf("cycle %d router %d input %d: ready=%d, front flit arrives at %d", cycle, r.id, i, r.ready[i], vc.q.front().readyAt)
+			}
 			for out := range r.wants {
 				if got, want := r.wants[out]&bit != 0, vc.routed && vc.outPort == out; got != want {
 					t.Fatalf("cycle %d router %d input %d: wants[%d]=%v, routed=%v outPort=%d", cycle, r.id, i, out, got, vc.routed, vc.outPort)
@@ -468,6 +506,20 @@ func checkMasks(t *testing.T, n *Network, cycle int64) {
 			}
 			if got, want := r.settled&bit != 0, vc.routed && (vc.outPort == portLocal || vc.hasVC); got != want {
 				t.Fatalf("cycle %d router %d input %d: settled=%v, routed=%v outPort=%d hasVC=%v", cycle, r.id, i, got, vc.routed, vc.outPort, vc.hasVC)
+			}
+			holds := vc.routed && vc.outPort != portLocal && vc.hasVC
+			if got, want := r.starved&bit != 0, holds && r.out[vc.outPort][vc.outVC].credits == 0; got != want {
+				t.Fatalf("cycle %d router %d input %d: starved=%v, holds VC %v", cycle, r.id, i, got, holds)
+			}
+			if holds && r.out[vc.outPort][vc.outVC].holder != i {
+				t.Fatalf("cycle %d router %d input %d: holds out[%d][%d], whose holder is %d", cycle, r.id, i, vc.outPort, vc.outVC, r.out[vc.outPort][vc.outVC].holder)
+			}
+		}
+		for p := range r.out {
+			for v, st := range r.out[p] {
+				if got, want := r.free[p]&(1<<v) != 0, st.owner == nil && st.credits > 0; got != want {
+					t.Fatalf("cycle %d router %d out[%d][%d]: free=%v, owner %d credits %d", cycle, r.id, p, v, got, ownerID(st.owner), st.credits)
+				}
 			}
 		}
 		if r.occupied>>numInputs != 0 {
@@ -531,8 +583,8 @@ func compareMeshes(t *testing.T, got, want *Network, cycle int64) {
 		if g.outBusyUntil != w.outBusyUntil {
 			t.Fatalf("cycle %d router %d: outBusyUntil %v, reference %v", cycle, id, g.outBusyUntil, w.outBusyUntil)
 		}
-		if g.localSlotsUsed != w.localSlotsUsed {
-			t.Fatalf("cycle %d router %d: localSlotsUsed %v, reference %v", cycle, id, g.localSlotsUsed, w.localSlotsUsed)
+		if gu, wu := got.slotsUsed[id], want.slotsUsed[id]; gu != wu {
+			t.Fatalf("cycle %d router %d: slotsUsed %v, reference %v", cycle, id, gu, wu)
 		}
 		for p := 0; p < numNeighborPorts; p++ {
 			for v := 0; v < VCsPerPort; v++ {

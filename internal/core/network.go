@@ -130,13 +130,27 @@ func (n *Network) StopMeasurement(measuredCycles int64) {
 // Inject enqueues a packet at its source router's class buffer. It
 // reports false when the buffer is full this cycle.
 func (n *Network) Inject(p *noc.Packet) bool {
-	if p.Src < 0 || p.Src >= config.NumRouters {
-		panic(fmt.Sprintf("core: inject with bad source %d", p.Src))
-	}
-	if p.Dst < 0 || p.Dst >= config.NumRouters || p.Dst == p.Src {
-		panic(fmt.Sprintf("core: inject with bad destination %d (src %d)", p.Dst, p.Src))
-	}
+	checkEndpoints(p.Src, p.Dst)
 	return n.routers[p.Src].inject(p, n.engine.Cycle())
+}
+
+// Admits reports whether Inject would accept a packet of bits bits from
+// src to dst in class this cycle, changing nothing: its flits fit the
+// class buffer's free slots and the buffer holds fewer packets than
+// slots, the two tests noc.Buffer.Push makes.
+func (n *Network) Admits(src, dst int, class noc.Class, bits int) bool {
+	checkEndpoints(src, dst)
+	b := n.routers[src].coreIn[class]
+	return (bits+config.FlitBits-1)/config.FlitBits <= b.Free() && b.Len() < b.Capacity()
+}
+
+func checkEndpoints(src, dst int) {
+	if src < 0 || src >= config.NumRouters {
+		panic(fmt.Sprintf("core: inject with bad source %d", src))
+	}
+	if dst < 0 || dst >= config.NumRouters || dst == src {
+		panic(fmt.Sprintf("core: inject with bad destination %d (src %d)", dst, src))
+	}
 }
 
 // Tick advances every router one cycle in index order, then global

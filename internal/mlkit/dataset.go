@@ -92,7 +92,11 @@ func (d *Dataset) Select(cols []int) *Dataset {
 // TuneLambda fits one ridge model per candidate λ on the training set and
 // returns the model scoring the best NRMSE-style fit on the validation
 // set, along with its λ and score. This is the paper's validation
-// protocol for the regularisation coefficient (§IV.A).
+// protocol for the regularisation coefficient (§IV.A). What does not
+// depend on λ is computed once: the training design's scaler, Gram
+// matrix and right-hand side, and the standardised validation matrix.
+// The models share the scaler; each result is bit-identical to fitting
+// the candidate on its own and predicting with PredictAll.
 func TuneLambda(train, val *Dataset, lambdas []float64) (*Ridge, float64, float64, error) {
 	if len(lambdas) == 0 {
 		return nil, 0, 0, errors.New("mlkit: no lambda candidates")
@@ -102,15 +106,29 @@ func TuneLambda(train, val *Dataset, lambdas []float64) (*Ridge, float64, float6
 	}
 	xt, yt := train.Design()
 	xv, yv := val.Design()
+	var (
+		design *ridgeDesign
+		xvs    *Matrix // xv standardised by the training scaler
+	)
 	var best *Ridge
 	bestLambda := 0.0
 	bestScore := math.Inf(-1)
 	for _, l := range lambdas {
+		if l < 0 {
+			return nil, 0, 0, errNegativeLambda
+		}
+		if design == nil {
+			var err error
+			if design, err = newRidgeDesign(xt, yt); err != nil {
+				return nil, 0, 0, err
+			}
+			xvs = design.scaler.Transform(xv)
+		}
 		m := &Ridge{Lambda: l}
-		if err := m.Fit(xt, yt); err != nil {
+		if err := m.fitDesign(design); err != nil {
 			return nil, 0, 0, err
 		}
-		score := fitScore(m.PredictAll(xv), yv)
+		score := fitScore(addScalar(xvs.MulVec(m.weights), m.bias), yv)
 		if score > bestScore {
 			best, bestLambda, bestScore = m, l, score
 		}

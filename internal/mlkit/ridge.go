@@ -80,33 +80,59 @@ type Ridge struct {
 	bias    float64
 }
 
+var errNegativeLambda = errors.New("mlkit: negative lambda")
+
 // Fit solves the ridge system for the design matrix x (one example per
 // row) and labels y.
 func (r *Ridge) Fit(x *Matrix, y []float64) error {
 	if r.Lambda < 0 {
-		return errors.New("mlkit: negative lambda")
+		return errNegativeLambda
 	}
+	d, err := newRidgeDesign(x, y)
+	if err != nil {
+		return err
+	}
+	return r.fitDesign(d)
+}
+
+// ridgeDesign is the part of a ridge fit that depends only on the
+// training data, not on λ: the scaler, the Gram matrix ΦᵀΦ and the
+// right-hand side Φᵀt of the standardised design, and the label mean.
+// TuneLambda prepares it once for all its candidates.
+type ridgeDesign struct {
+	scaler *Scaler
+	gram   *Matrix // before λI; fitDesign adds it to a copy
+	rhs    []float64
+	yMean  float64
+}
+
+func newRidgeDesign(x *Matrix, y []float64) (*ridgeDesign, error) {
 	if x.Rows() != len(y) {
-		return fmt.Errorf("mlkit: %d examples but %d labels", x.Rows(), len(y))
+		return nil, fmt.Errorf("mlkit: %d examples but %d labels", x.Rows(), len(y))
 	}
 	if x.Rows() < 2 {
-		return errors.New("mlkit: need at least 2 examples")
+		return nil, errors.New("mlkit: need at least 2 examples")
 	}
-	r.scaler = FitScaler(x)
-	xs := r.scaler.Transform(x)
+	d := &ridgeDesign{scaler: FitScaler(x)}
+	xs := d.scaler.Transform(x)
 
 	// Centre the targets so the unregularised bias is just their mean.
-	var yMean float64
 	for _, t := range y {
-		yMean += t
+		d.yMean += t
 	}
-	yMean /= float64(len(y))
+	d.yMean /= float64(len(y))
 	yc := make([]float64, len(y))
 	for i, t := range y {
-		yc[i] = t - yMean
+		yc[i] = t - d.yMean
 	}
+	d.gram = xs.GramXTX()
+	d.rhs = xs.MulVecT(yc)
+	return d, nil
+}
 
-	gram := xs.GramXTX()
+// fitDesign solves the ridge system at r.Lambda for a prepared design.
+func (r *Ridge) fitDesign(d *ridgeDesign) error {
+	gram := d.gram.Clone()
 	// Guarantee positive definiteness even at lambda 0 on rank-deficient
 	// designs with a tiny jitter.
 	jitter := r.Lambda
@@ -114,13 +140,13 @@ func (r *Ridge) Fit(x *Matrix, y []float64) error {
 		jitter = 1e-10
 	}
 	gram.AddDiagonal(jitter)
-	rhs := xs.MulVecT(yc)
-	w, err := CholeskySolve(gram, rhs)
+	w, err := CholeskySolve(gram, d.rhs)
 	if err != nil {
 		return fmt.Errorf("mlkit: ridge solve failed: %w", err)
 	}
+	r.scaler = d.scaler
 	r.weights = w
-	r.bias = yMean
+	r.bias = d.yMean
 	return nil
 }
 

@@ -29,12 +29,53 @@ type Target interface {
 	Inject(p *noc.Packet) bool
 }
 
+// admitter is the optional half of a Target: Admits reports, without
+// changing anything, whether Inject would accept a packet of bits bits
+// from src to dst in class this cycle. The workload asks it before
+// building a packet, so a refused injection costs a compare instead of
+// a packet built and recycled. A target without it takes the
+// build-and-refuse path, with the same results.
+type admitter interface {
+	Admits(src, dst int, class noc.Class, bits int) bool
+}
+
+// coin is a Bernoulli(p) test as an integer compare on one draw's top 53
+// bits: m < t equals Float64() < p (sim.BernoulliThreshold). A p at or
+// outside [0, 1] draws nothing and answers t != 0, as RNG.Bernoulli
+// does.
+type coin struct {
+	t     uint64
+	draws bool
+}
+
+func newCoin(p float64) coin {
+	t, draws := sim.BernoulliThreshold(p)
+	return coin{t: t, draws: draws}
+}
+
+func (c coin) flip(rng *sim.RNG) bool {
+	if !c.draws {
+		return c.t != 0
+	}
+	return rng.Uint64()>>11 < c.t
+}
+
+// The request-source split of requestSource as thresholds on the top 53
+// bits of one draw: Float64() < p is m < ⌈p·2⁵³⌉.
+var (
+	cpuL1IT = newCoin(0.20).t
+	cpuL1DT = newCoin(0.70).t
+	gpuL1T  = newCoin(0.60).t
+)
+
 // generator drives one traffic class at one cluster router: a two-state
 // Markov-modulated Poisson demand process in front of a bounded MSHR
 // window.
 type generator struct {
-	router  int
-	profile Profile
+	// The fields a due cycle reads come first: the stream, the chain and
+	// MSHR state, the steady and per-packet tests and the bounds, in the
+	// first 192 bytes of the generator's slot, the rest after them.
+
 	// rng is embedded by value: the 32 generators of a workload live in
 	// one contiguous array (see Workload.gens), so a replica's whole
 	// traffic state walks the cache linearly instead of chasing per-
@@ -45,7 +86,29 @@ type generator struct {
 	level       float64 // burst intensity in [0,1], ramping up/down
 	pending     int     // demands waiting for an MSHR slot
 	outstanding int     // requests in flight awaiting responses
-	shed        uint64
+
+	// quiet and full are the integer forms of a cycle at the two levels
+	// the burst chain rests at: quiet (not bursting, level 0) and full
+	// (bursting, level 1).
+	quiet, full steady
+
+	// writeback and l3 are the profile's per-packet WriteFraction and
+	// L3Fraction tests as integer compares.
+	writeback, l3 coin
+
+	// class, maxPending and maxOutstanding copy the profile's Class,
+	// MaxPending and MaxOutstanding next to the state they bound.
+	class          noc.Class
+	maxPending     int
+	maxOutstanding int
+	router         int
+
+	profile Profile
+	shed    uint64
+
+	// wakeDemand is the demand of the cycle a draw-ahead stopped at (see
+	// drawAhead); the workload keeps that cycle in its wake array.
+	wakeDemand int
 
 	// expFor/expNegRate cache exp(-rate) for the Poisson sampler. The rate
 	// only changes while a burst ramps, so in steady state the exponential
@@ -69,15 +132,6 @@ type generator struct {
 	// every cycle, just cheaper.
 	rampStep float64
 	rateSpan float64
-
-	// wakeDemand is the demand of the cycle a draw-ahead stopped at (see
-	// drawAhead); the workload keeps that cycle in its wake array.
-	wakeDemand int
-
-	// quiet and full are the integer forms of a cycle at the two levels
-	// the burst chain rests at: quiet (not bursting, level 0) and full
-	// (bursting, level 1).
-	quiet, full steady
 }
 
 // steady is one cycle of a generator whose burst level does not move, as
@@ -157,8 +211,15 @@ func NewExpTable() *ExpTable {
 // same draws.
 func (g *generator) tickDemand() int {
 	if s := g.steadyState(); s != nil {
-		_, d := g.steadyRun(s, 1)
-		return d
+		// steadyRun(s, 1), without copying the stream in and out.
+		if g.rng.Uint64()>>11 < s.leaveT {
+			g.bursting = !g.bursting
+			return g.rampDemand()
+		}
+		if m := g.rng.Uint64() >> 11; m >= s.zeroT {
+			return g.rng.PoissonTail(float64(m)/(1<<53), s.exp)
+		}
+		return 0
 	}
 	if g.bursting {
 		if g.rng.Bernoulli(g.profile.BurstExit) {
@@ -277,7 +338,10 @@ func (g *generator) drawAhead(cycle, horizon int64) (wake int64) {
 type Workload struct {
 	engine *sim.Engine
 	target Target
-	pair   Pair
+	// admits is target's admission check, or nil when it has none.
+	admits admitter
+	// mem is each class's MemFraction test as an integer compare.
+	mem [noc.NumClasses]coin
 
 	// gens holds the generators by value: one contiguous block of
 	// demand-process state (burst chains, MSHR windows, embedded RNG
@@ -344,7 +408,10 @@ func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed 
 	if tab == nil {
 		tab = NewExpTable()
 	}
-	w := &Workload{engine: engine, target: target, pair: pair, rng: sim.NewRNG(seed)}
+	w := &Workload{engine: engine, target: target, rng: sim.NewRNG(seed)}
+	w.admits, _ = target.(admitter)
+	w.mem[noc.ClassCPU] = newCoin(pair.CPU.MemFraction)
+	w.mem[noc.ClassGPU] = newCoin(pair.GPU.MemFraction)
 	for i := range w.wake {
 		w.wake[i] = -1
 	}
@@ -361,6 +428,9 @@ func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed 
 func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab *ExpTable) {
 	g.router = router
 	g.profile = profile
+	g.class = profile.Class
+	g.maxPending = profile.MaxPending
+	g.maxOutstanding = profile.MaxOutstanding
 	g.rng = *rng
 	g.expFor = math.NaN()
 	g.expTab = tab.slots
@@ -371,6 +441,8 @@ func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab *ExpTabl
 	// The rates tickDemand computes at level 0 and level 1, bit for bit.
 	g.quiet = newSteady(profile.BurstEntry, profile.BaseRate+float64(0*g.rateSpan))
 	g.full = newSteady(profile.BurstExit, profile.BaseRate+float64(1*g.rateSpan))
+	g.writeback = newCoin(profile.WriteFraction)
+	g.l3 = newCoin(profile.L3Fraction)
 }
 
 // StartMeasurement begins counting injections (end of warmup).
@@ -400,8 +472,8 @@ func (w *Workload) Tick(cycle int64) {
 			demand = g.tickDemand()
 		}
 		g.pending += demand
-		if over := g.pending - g.profile.MaxPending; over > 0 {
-			g.pending = g.profile.MaxPending
+		if over := g.pending - g.maxPending; over > 0 {
+			g.pending = g.maxPending
 			g.shed += uint64(over)
 			if w.measuring {
 				w.Shed += uint64(over)
@@ -415,15 +487,34 @@ func (w *Workload) Tick(cycle int64) {
 }
 
 // drain issues pending demands until an MSHR or buffer limit stops it.
+// Each attempt makes all of a packet's draws, in the order writeback,
+// L3, destination, request source, and takes its packet ID, accepted or
+// not; when the target has an admission check, a packet it would refuse
+// is never built.
 func (w *Workload) drain(g *generator, cycle int64) {
 	for g.pending > 0 {
-		isWriteback := g.rng.Bernoulli(g.profile.WriteFraction)
-		if !isWriteback && g.outstanding >= g.profile.MaxOutstanding {
+		isWriteback := g.writeback.flip(&g.rng)
+		if !isWriteback && g.outstanding >= g.maxOutstanding {
 			return
 		}
-		p := w.buildPacket(g, isWriteback, cycle)
+		w.nextID++
+		dst := g.destination()
+		class := g.class
+		src, bits := writebackSource(class), noc.ResponseBits
+		if !isWriteback {
+			src, bits = g.requestSource(), noc.RequestBits
+		}
+		if w.admits != nil && !w.admits.Admits(g.router, dst, class, bits) {
+			return // buffer full; fresh draws next cycle
+		}
+		var p *noc.Packet
+		if isWriteback {
+			p = w.pool.GetResponse(w.nextID, g.router, dst, class, src, cycle)
+		} else {
+			p = w.pool.GetRequest(w.nextID, g.router, dst, class, src, cycle)
+		}
 		if !w.target.Inject(p) {
-			w.pool.Put(p) // buffer full; rebuild (fresh draws) next cycle
+			w.pool.Put(p)
 			return
 		}
 		g.pending--
@@ -436,39 +527,34 @@ func (w *Workload) drain(g *generator, cycle int64) {
 	}
 }
 
-// buildPacket assembles a request or writeback from the generator's
-// profile.
-func (w *Workload) buildPacket(g *generator, writeback bool, cycle int64) *noc.Packet {
-	w.nextID++
-	dst := config.L3RouterID
-	if !g.rng.Bernoulli(g.profile.L3Fraction) {
-		dst = g.rng.Intn(config.NumClusterRouters - 1)
-		if dst >= g.router {
-			dst++ // skip self
-		}
+// destination draws a packet's destination router: the L3 with
+// probability L3Fraction, otherwise a uniformly chosen peer cluster.
+func (g *generator) destination() int {
+	if g.l3.flip(&g.rng) {
+		return config.L3RouterID
 	}
-	class := g.profile.Class
-	if writeback {
-		return w.pool.GetResponse(w.nextID, g.router, dst, class, writebackSource(class), cycle)
+	dst := g.rng.Intn(config.NumClusterRouters - 1)
+	if dst >= g.router {
+		dst++ // skip self
 	}
-	return w.pool.GetRequest(w.nextID, g.router, dst, class, w.requestSource(g), cycle)
+	return dst
 }
 
 // requestSource picks the cache level labelling a request, matching the
 // Table III feature taxonomy.
-func (w *Workload) requestSource(g *generator) noc.Source {
-	u := g.rng.Float64()
-	if g.profile.Class == noc.ClassCPU {
+func (g *generator) requestSource() noc.Source {
+	m := g.rng.Uint64() >> 11
+	if g.class == noc.ClassCPU {
 		switch {
-		case u < 0.20:
+		case m < cpuL1IT:
 			return noc.SrcCPUL1I
-		case u < 0.70:
+		case m < cpuL1DT:
 			return noc.SrcCPUL1D
 		default:
 			return noc.SrcCPUL2Down
 		}
 	}
-	if u < 0.60 {
+	if m < gpuL1T {
 		return noc.SrcGPUL1
 	}
 	return noc.SrcGPUL2Down
@@ -527,11 +613,7 @@ func (w *Workload) scheduleResponse(req *noc.Packet, cycle int64) {
 	}
 	if req.Dst == config.L3RouterID {
 		latency = L3HitCycles
-		memFrac := w.pair.CPU.MemFraction
-		if req.Class == noc.ClassGPU {
-			memFrac = w.pair.GPU.MemFraction
-		}
-		if w.rng.Bernoulli(memFrac) {
+		if w.mem[req.Class].flip(w.rng) {
 			latency += MemExtraCycles
 		}
 		src = noc.SrcL3
@@ -555,8 +637,9 @@ func (w *Workload) HandleEvent(cycle int64, ptr any, _ int64) {
 }
 
 // drainResponses injects queued responses FIFO, stopping per queue at the
-// first buffer-full rejection. Ascending bit order visits (router, class)
-// pairs exactly as the full nested scan would.
+// first buffer-full rejection, which the target's admission check (when
+// it has one) answers without an Inject. Ascending bit order visits
+// (router, class) pairs exactly as the full nested scan would.
 func (w *Workload) drainResponses(int64) {
 	for mask := w.respMask; mask != 0; {
 		b := uint(bits.TrailingZeros64(mask))
@@ -565,6 +648,9 @@ func (w *Workload) drainResponses(int64) {
 		q := w.respQ[r][class]
 		n := 0
 		for _, p := range q {
+			if w.admits != nil && !w.admits.Admits(p.Src, p.Dst, p.Class, p.SizeBits) {
+				break
+			}
 			if !w.target.Inject(p) {
 				break
 			}

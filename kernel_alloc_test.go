@@ -21,7 +21,7 @@ import (
 // TestKernelSteadyStateZeroAllocs drives each warmed kernel — PEARL-Dyn
 // with all 17 routers injecting under the fmm/DCT workload, saturating
 // the arbiter every cycle, the same with the measurement layer on, and
-// the CMESH baseline at link scale 1 under the same workload — and
+// the CMESH baseline at link scales 1 and 4 under the same workload — and
 // asserts that stepping allocates nothing. After warmup every structure
 // the kernel touches (ring-calendar slots, circular-queue buffers, flit
 // rings, the packet pool, response queues) has reached its high-water
@@ -37,6 +37,7 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		{"PEARL-Dyn", buildPEARLKernel, 0},
 		{"PEARL-Dyn measured", buildPEARLKernelMeasured, 20000},
 		{"CMESH", buildCMESHKernel, 0},
+		{"CMESH saturated", buildCMESHKernelSaturated, 0},
 	} {
 		t.Run(k.name, func(t *testing.T) {
 			engine := k.build(t)

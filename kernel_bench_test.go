@@ -122,13 +122,22 @@ func BenchmarkKernelReplicated(b *testing.B) {
 // buildCMESHKernel wires the electrical baseline at link scale 1 under
 // the same workload, seed and warm-up as buildPEARLKernel, and is shared
 // with the allocation test the same way.
-func buildCMESHKernel(b testing.TB) *sim.Engine {
+func buildCMESHKernel(b testing.TB) *sim.Engine { return buildCMESH(b, 1) }
+
+// buildCMESHKernelSaturated is the same mesh at link scale 4, the
+// Figure 5 point where the links, not the generators, set the pace:
+// class queues stay full and most injections and queued responses are
+// refused.
+func buildCMESHKernelSaturated(b testing.TB) *sim.Engine { return buildCMESH(b, 4) }
+
+func buildCMESH(b testing.TB, linkScale int) *sim.Engine {
 	b.Helper()
 	engine := sim.NewEngine()
 	net, err := cmesh.New(engine, config.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
+	net.SetLinkScale(linkScale)
 	w, err := traffic.NewWorkload(engine, net, traffic.TestPairs()[0], 2018)
 	if err != nil {
 		b.Fatal(err)
@@ -143,3 +152,6 @@ func buildCMESHKernel(b testing.TB) *sim.Engine {
 // BenchmarkKernelCMESH times the electrical baseline's cycle loop, which
 // shares the engine, buffers and workload with the photonic kernel.
 func BenchmarkKernelCMESH(b *testing.B) { benchmarkSteps(b, buildCMESHKernel(b)) }
+
+// BenchmarkKernelCMESHSaturated times the saturated mesh (link scale 4).
+func BenchmarkKernelCMESHSaturated(b *testing.B) { benchmarkSteps(b, buildCMESHKernelSaturated(b)) }
