@@ -324,10 +324,11 @@ func (n *Network) SetDeliveryHandler(h func(p *noc.Packet, cycle int64)) { n.onD
 // StartMeasurement begins recording statistics.
 func (n *Network) StartMeasurement() { n.measuring = true }
 
-// StopMeasurement freezes statistics.
+// StopMeasurement freezes statistics and seals the latency histograms.
 func (n *Network) StopMeasurement(measuredCycles int64) {
 	n.measuring = false
 	n.metrics.MeasuredCycles = measuredCycles
+	n.metrics.Seal()
 }
 
 // nodeTable[id][other] is nearestNode(id, other) for every pair of
@@ -651,7 +652,6 @@ func (n *Network) eject(f flit, cycle int64) {
 	if n.measuring {
 		n.metrics.Delivered.Add(int(p.Class), p.SizeBits)
 		lat := cycle - p.InjectCycle
-		n.metrics.Latency.Add(lat)
 		if p.Class == noc.ClassCPU {
 			n.metrics.CPULatency.Add(lat)
 		} else {

@@ -121,10 +121,12 @@ func (n *Network) SetStatePolicy(p StatePolicy) { n.policy = p }
 // residency (end of warmup).
 func (n *Network) StartMeasurement() { n.measuring = true }
 
-// StopMeasurement freezes statistics and stamps the measured duration.
+// StopMeasurement freezes statistics, stamps the measured duration and
+// seals the latency histograms.
 func (n *Network) StopMeasurement(measuredCycles int64) {
 	n.measuring = false
 	n.metrics.MeasuredCycles = measuredCycles
+	n.metrics.Seal()
 }
 
 // Inject enqueues a packet at its source router's class buffer. It
@@ -193,7 +195,6 @@ func (n *Network) deliver(p *noc.Packet, cycle int64) {
 	if n.measuring {
 		n.metrics.Delivered.Add(int(p.Class), p.SizeBits)
 		lat := cycle - p.InjectCycle
-		n.metrics.Latency.Add(lat)
 		if p.Class == noc.ClassCPU {
 			n.metrics.CPULatency.Add(lat)
 		} else {

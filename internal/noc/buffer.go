@@ -32,12 +32,6 @@ type Buffer struct {
 
 	// drops counts packets rejected because the buffer was full.
 	drops uint64
-	// peakUsed tracks the high-water mark in slots.
-	peakUsed int
-	// occupancySum accumulates used-slots per Observe call, for windowed
-	// means.
-	occupancySum uint64
-	observations uint64
 }
 
 // NewBuffer returns an empty buffer holding capacitySlots flit slots of
@@ -76,11 +70,6 @@ func (b *Buffer) Len() int { return b.count }
 // Eq. 1-2.
 func (b *Buffer) Occupancy() float64 { return b.occ }
 
-// CanPush reports whether the packet's flits fit.
-func (b *Buffer) CanPush(p *Packet) bool {
-	return p.Flits(b.flitBits) <= b.Free() && b.count < len(b.queue)
-}
-
 // Push appends the packet if it fits and reports success. A rejected push
 // is counted as a drop.
 func (b *Buffer) Push(p *Packet) bool {
@@ -91,9 +80,6 @@ func (b *Buffer) Push(p *Packet) bool {
 	}
 	b.used += need
 	b.occ = float64(b.used) / float64(b.capacity)
-	if b.used > b.peakUsed {
-		b.peakUsed = b.used
-	}
 	tail := b.head + b.count
 	if tail >= len(b.queue) {
 		tail -= len(b.queue)
@@ -128,34 +114,8 @@ func (b *Buffer) Pop() *Packet {
 	return p
 }
 
-// Observe records the current occupancy into the windowed accumulator.
-// Call once per cycle.
-func (b *Buffer) Observe() {
-	b.occupancySum += uint64(b.used)
-	b.observations++
-}
-
-// WindowMeanOccupancy returns the mean occupancy fraction since the last
-// ResetWindow, or 0 with no observations.
-func (b *Buffer) WindowMeanOccupancy() float64 {
-	if b.observations == 0 {
-		return 0
-	}
-	return float64(b.occupancySum) / float64(b.observations) / float64(b.capacity)
-}
-
-// ResetWindow clears the windowed occupancy accumulator (end of a
-// reservation window).
-func (b *Buffer) ResetWindow() {
-	b.occupancySum = 0
-	b.observations = 0
-}
-
 // Drops returns how many pushes were rejected.
 func (b *Buffer) Drops() uint64 { return b.drops }
-
-// PeakUsed returns the high-water mark in slots.
-func (b *Buffer) PeakUsed() int { return b.peakUsed }
 
 func (b *Buffer) String() string {
 	return fmt.Sprintf("buf[%s %d/%d slots, %d pkts]", b.name, b.used, b.capacity, b.count)

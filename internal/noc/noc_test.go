@@ -155,30 +155,6 @@ func TestBufferOccupancy(t *testing.T) {
 	}
 }
 
-func TestBufferWindowMean(t *testing.T) {
-	b := NewBuffer("test", 10, 128)
-	b.Observe() // 0 slots
-	b.Push(NewResponse(1, 0, 1, ClassGPU, SrcL3, 0))
-	b.Observe() // 5 slots
-	if got := b.WindowMeanOccupancy(); got != 0.25 {
-		t.Fatalf("window mean = %v, want 0.25", got)
-	}
-	b.ResetWindow()
-	if b.WindowMeanOccupancy() != 0 {
-		t.Fatal("window mean should reset to 0")
-	}
-}
-
-func TestBufferPeak(t *testing.T) {
-	b := NewBuffer("test", 10, 128)
-	b.Push(NewResponse(1, 0, 1, ClassCPU, SrcL3, 0))
-	b.Pop()
-	b.Push(NewRequest(2, 0, 1, ClassCPU, SrcCPUL1D, 0))
-	if b.PeakUsed() != 5 {
-		t.Fatalf("peak = %d, want 5", b.PeakUsed())
-	}
-}
-
 func TestBufferConstructorPanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { NewBuffer("x", 0, 128) },

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sort"
 )
 
 // denseLimit bounds the counted value range of a CycleHistogram: one
@@ -18,15 +19,16 @@ const denseLimit = 4096
 // CycleHistogram is an exact latency distribution over whole cycles.
 // Memory is bounded by the value range and the sample count together:
 // at most denseLimit counters plus 8 bytes per sample at or above
-// denseLimit, whatever the run length. The zero value is ready to use.
+// denseLimit, whatever the run length. Seal trims both to what was
+// counted once recording is over. The zero value is ready to use.
 type CycleHistogram struct {
 	// dense[v] counts the samples equal to v; it grows on demand to the
 	// next power of two above the largest value seen, up to denseLimit.
 	dense []int64
 	// overflow holds the samples >= denseLimit, sorted lazily at the
-	// first percentile query after an Add.
+	// first percentile query after an Add that left them unsorted.
 	overflow []int64
-	sorted   bool
+	unsorted bool
 	n, sum   int64
 }
 
@@ -50,7 +52,7 @@ func (h *CycleHistogram) addSlow(v int64) {
 	}
 	if v >= denseLimit {
 		h.overflow = append(h.overflow, v)
-		h.sorted = false
+		h.unsorted = true
 		return
 	}
 	size := 64
@@ -76,8 +78,34 @@ func (h *CycleHistogram) Reset() {
 		h.dense[v] = 0
 	}
 	h.overflow = h.overflow[:0]
-	h.sorted = false
+	h.unsorted = false
 	h.n, h.sum = 0, 0
+}
+
+// Seal ends recording: the dense counters are cut to the largest value
+// counted + 1 and the overflow is sorted into an exactly sized slice,
+// so a histogram a finished run keeps holds what it counted and no
+// growth headroom. A sealed histogram's reads write nothing, so any
+// number of goroutines may query it at once. Add and Reset still work
+// afterwards; the first Add past the trimmed storage grows it again.
+func (h *CycleHistogram) Seal() {
+	top := len(h.dense)
+	for top > 0 && h.dense[top-1] == 0 {
+		top--
+	}
+	h.dense = exact(h.dense[:top])
+	h.overflow = exact(h.sortedOverflow())
+}
+
+// exact returns a copy of s with no spare capacity, or nil when s is
+// empty, so nothing of s's backing array stays reachable through it.
+func exact(s []int64) []int64 {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]int64, len(s))
+	copy(out, s)
+	return out
 }
 
 // N returns the total samples recorded.
@@ -86,18 +114,71 @@ func (h *CycleHistogram) N() int64 { return h.n }
 // Mean returns the mean over all recorded samples (0 when empty). The
 // integer sum is exact, so the result equals a float64 accumulation of
 // the same samples for any sum below 2^53.
-func (h *CycleHistogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.n)
-}
+func (h *CycleHistogram) Mean() float64 { return mean(h.sum, h.n) }
 
 // Percentile returns the p-th percentile over every recorded sample by
 // nearest rank (rank = ceil(p/100*n)); p <= 0 gives the minimum,
 // p >= 100 the maximum, an empty histogram 0.
-func (h *CycleHistogram) Percentile(p float64) float64 {
-	if h.n == 0 {
+func (h *CycleHistogram) Percentile(p float64) float64 { return percentile(p, h, &emptyHist) }
+
+// Percentiles returns Percentile(p) for each requested p.
+func (h *CycleHistogram) Percentiles(ps ...float64) []float64 {
+	return percentiles(ps, h, &emptyHist)
+}
+
+// sortedOverflow returns the overflow samples in ascending order,
+// sorting them first only if an Add left them unsorted.
+func (h *CycleHistogram) sortedOverflow() []int64 {
+	if h.unsorted {
+		slices.Sort(h.overflow)
+		h.unsorted = false
+	}
+	return h.overflow
+}
+
+// emptyHist is the second operand of a single histogram's rank walk.
+// Nothing adds to it, so reading it writes nothing.
+var emptyHist CycleHistogram
+
+// HistogramUnion is the read-only distribution of two CycleHistograms'
+// samples together, answered from their storage without a copy. It
+// reads the histograms it was built over, so it follows their later
+// Adds.
+type HistogramUnion struct{ a, b *CycleHistogram }
+
+// N returns the samples recorded in both histograms.
+func (u HistogramUnion) N() int64 { return u.a.n + u.b.n }
+
+// Mean returns the mean over both histograms' samples (0 when empty).
+func (u HistogramUnion) Mean() float64 { return mean(u.a.sum+u.b.sum, u.a.n+u.b.n) }
+
+// Percentile returns the p-th percentile over both histograms' samples,
+// by nearest rank as CycleHistogram.Percentile.
+func (u HistogramUnion) Percentile(p float64) float64 { return percentile(p, u.a, u.b) }
+
+// Percentiles returns Percentile(p) for each requested p.
+func (u HistogramUnion) Percentiles(ps ...float64) []float64 { return percentiles(ps, u.a, u.b) }
+
+func mean(sum, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
+}
+
+func percentiles(ps []float64, a, b *CycleHistogram) []float64 {
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		out[i] = percentile(p, a, b)
+	}
+	return out
+}
+
+// percentile is the one nearest-rank query: the p-th percentile of the
+// samples of a and b together.
+func percentile(p float64, a, b *CycleHistogram) float64 {
+	n := a.n + b.n
+	if n == 0 {
 		return 0
 	}
 	var rank int64
@@ -105,40 +186,56 @@ func (h *CycleHistogram) Percentile(p float64) float64 {
 	case p <= 0:
 		rank = 1
 	case p >= 100:
-		rank = h.n
+		rank = n
 	default:
 		// NaN lands here; its conversion is implementation-defined and
 		// the clamp sends it to the minimum.
-		rank = int64(math.Ceil(p / 100 * float64(h.n)))
+		rank = int64(math.Ceil(p / 100 * float64(n)))
 		if rank < 1 {
 			rank = 1
 		}
 	}
-	return float64(h.atRank(rank))
+	return float64(atRank(rank, a, b))
 }
 
-// Percentiles returns Percentile(p) for each requested p.
-func (h *CycleHistogram) Percentiles(ps ...float64) []float64 {
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = h.Percentile(p)
+// atRank returns the rank-th smallest sample (1-based) of a and b
+// together: a prefix walk over their summed dense counters, then a pick
+// from their merged sorted overflows.
+func atRank(rank int64, a, b *CycleHistogram) int64 {
+	long, short := a.dense, b.dense
+	if len(long) < len(short) {
+		long, short = short, long
 	}
-	return out
-}
-
-// atRank returns the rank-th smallest sample (1-based): a prefix walk
-// over the dense counters, then an index into the sorted overflow.
-func (h *CycleHistogram) atRank(rank int64) int64 {
 	var seen int64
-	for v, c := range h.dense {
+	for v, c := range long {
+		if v < len(short) {
+			c += short[v]
+		}
 		seen += c
 		if seen >= rank {
 			return int64(v)
 		}
 	}
-	if !h.sorted {
-		slices.Sort(h.overflow)
-		h.sorted = true
+	return mergedAt(a.sortedOverflow(), b.sortedOverflow(), int(rank-seen-1))
+}
+
+// mergedAt returns element k (0-based) of the ascending merge of the
+// sorted slices x and y without merging them. It binary-searches i, how
+// many of the k+1 smallest come from x: the least i for which the last
+// of the k+1-i taken from y does not exceed x[i].
+func mergedAt(x, y []int64, k int) int64 {
+	lo, hi := max(0, k+1-len(y)), min(k+1, len(x))
+	i := lo + sort.Search(hi-lo, func(d int) bool {
+		i := lo + d
+		return y[k-i] <= x[i]
+	})
+	j := k + 1 - i
+	switch {
+	case i == 0:
+		return y[j-1]
+	case j == 0:
+		return x[i-1]
+	default:
+		return max(x[i-1], y[j-1])
 	}
-	return h.overflow[rank-seen-1]
 }

@@ -1,24 +1,34 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 )
 
 // queryPoints are the percentiles every differential check compares:
 // both clamps, the p→0⁺ rank-0 hazard, the figures' p50/p99, a rank
-// that lands on the last sample, and an out-of-range p.
-var queryPoints = []float64{0, 1e-9, 50, 99, 99.999, 100, 250}
+// that lands on the last sample, out-of-range p on both sides, and NaN.
+var queryPoints = []float64{0, 1e-9, 50, 99, 99.999, 100, 250, -5, math.NaN()}
 
 // query is the table's marker for "compare against the reference now";
 // any other negative value would make Add panic.
 const query = -1
 
+// distribution is what CycleHistogram and HistogramUnion both answer.
+type distribution interface {
+	N() int64
+	Mean() float64
+	Percentile(p float64) float64
+	Percentiles(ps ...float64) []float64
+}
+
 // checkAgainstReference asserts h and the raw-sample Histogram agree on
 // N, the mean's bit pattern and every query point, and that asking
 // twice gives the same answers.
-func checkAgainstReference(t *testing.T, h *CycleHistogram, ref *Histogram) {
+func checkAgainstReference(t *testing.T, h distribution, ref *Histogram) {
 	t.Helper()
 	if ref.Truncated() {
 		t.Fatal("reference dropped samples; the stream is too long for it")
@@ -203,18 +213,165 @@ func FuzzCycleHistogram(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := make([]int64, 0, len(data)/3)
 		for ; len(data) >= 3; data = data[3:] {
-			arg := int64(data[1])<<8 | int64(data[2])
-			switch data[0] % 8 {
-			case 0:
-				ops = append(ops, query)
-			case 1, 2, 3:
-				ops = append(ops, arg%denseLimit)
-			case 4, 5:
-				ops = append(ops, denseLimit-2+arg%5)
-			default:
-				ops = append(ops, denseLimit+arg*8)
-			}
+			ops = append(ops, decodeOp(data[0], data[1], data[2]))
 		}
 		runDifferential(t, ops)
 	})
+}
+
+// decodeOp turns three fuzz bytes into query or a small,
+// limit-straddling or overflow value, chosen by the low three bits of
+// sel.
+func decodeOp(sel, hi, lo byte) int64 {
+	arg := int64(hi)<<8 | int64(lo)
+	switch sel % 8 {
+	case 0:
+		return query
+	case 1, 2, 3:
+		return arg % denseLimit
+	case 4, 5:
+		return denseLimit - 2 + arg%5
+	default:
+		return denseLimit + arg*8
+	}
+}
+
+// FuzzLatencyUnion feeds decoded values to one of two histograms, the
+// side picked by bit 3 of each selector byte, and checks their union
+// against the raw-sample reference over the concatenated samples at
+// every query, at the end, and again once both are sealed.
+func FuzzLatencyUnion(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 7, 0, 0, 0})                     // one side empty
+	f.Add([]byte{9, 0, 7, 14, 0, 9, 0, 0, 0})           // the other side empty
+	f.Add([]byte{6, 0, 3, 14, 0, 3, 6, 0, 1, 14, 0, 9}) // tied overflow on both sides
+	f.Add([]byte{1, 0, 86, 9, 0, 86, 1, 0, 85, 9, 0, 87, 0, 0, 0})
+	f.Add([]byte{2, 3, 200, 14, 255, 255, 0, 0, 0, 11, 0, 1, 4, 0, 3, 12, 0, 4, 6, 0, 0})
+	f.Add([]byte{6, 255, 255, 6, 0, 0, 9, 0, 1, 0, 0, 0, 14, 0, 0, 1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var a, b CycleHistogram
+		u := HistogramUnion{&a, &b}
+		ref := NewHistogram(0)
+		for ; len(data) >= 3; data = data[3:] {
+			v := decodeOp(data[0], data[1], data[2])
+			if v == query {
+				checkAgainstReference(t, u, ref)
+				continue
+			}
+			side := &a
+			if data[0]&8 != 0 {
+				side = &b
+			}
+			side.Add(v)
+			ref.Add(float64(v))
+		}
+		checkAgainstReference(t, u, ref)
+		a.Seal()
+		b.Seal()
+		checkAgainstReference(t, u, ref)
+	})
+}
+
+// TestCycleHistogramSeal: sealing keeps every answer bit-equal, cuts
+// the counters to the largest value counted + 1 and the overflow to an
+// exactly sized sorted slice, and Add and Reset afterwards still agree
+// with the reference.
+func TestCycleHistogramSeal(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		before, after []int64
+		counters      int // len(dense) once sealed
+	}{
+		{"empty", nil, []int64{5, denseLimit}, 0},
+		{"only zero", []int64{0, 0}, []int64{1}, 1},
+		{"dense", []int64{3, 63, 64, 1, 339, 65, 0}, []int64{2000, 7}, 340},
+		{"largest value at the limit", []int64{denseLimit - 1, 2}, []int64{denseLimit - 1}, denseLimit},
+		{"only overflow", []int64{58487, denseLimit, 9000, 9000, 1 << 40}, []int64{3, denseLimit + 1}, 0},
+		{"both", []int64{9000, 7, denseLimit, 300, 58487, 0, 9000}, []int64{70000, 301, 5}, 301},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var h CycleHistogram
+			ref := NewHistogram(0)
+			add := func(vs []int64) {
+				for _, v := range vs {
+					h.Add(v)
+					ref.Add(float64(v))
+				}
+			}
+			add(tc.before)
+			n, mean, ps := h.N(), h.Mean(), h.Percentiles(queryPoints...)
+			h.Seal()
+			if h.N() != n || math.Float64bits(h.Mean()) != math.Float64bits(mean) {
+				t.Fatalf("sealing moved N, Mean from %d, %v to %d, %v", n, mean, h.N(), h.Mean())
+			}
+			if got := h.Percentiles(queryPoints...); !slices.Equal(got, ps) {
+				t.Fatalf("sealing moved Percentiles from %v to %v", ps, got)
+			}
+			if len(h.dense) != tc.counters || cap(h.dense) != len(h.dense) {
+				t.Fatalf("sealed: %d counters (cap %d), want %d", len(h.dense), cap(h.dense), tc.counters)
+			}
+			if cap(h.overflow) != len(h.overflow) || !slices.IsSorted(h.overflow) || h.unsorted {
+				t.Fatalf("sealed overflow %v (cap %d) is not an exactly sized sorted slice", h.overflow, cap(h.overflow))
+			}
+			checkAgainstReference(t, &h, ref)
+
+			add(tc.after)
+			checkAgainstReference(t, &h, ref)
+
+			h.Seal()
+			h.Reset()
+			ref = NewHistogram(0)
+			add(tc.after)
+			checkAgainstReference(t, &h, ref)
+		})
+	}
+}
+
+// TestSealedHistogramConcurrentReads: a sealed histogram with overflow
+// and the union over two of them answer concurrent readers, and none of
+// their reads writes (under -race an unsealed histogram's lazy sort
+// fails this). The expected answers come from the reference, so no read
+// of the histograms happens before the readers start.
+func TestSealedHistogramConcurrentReads(t *testing.T) {
+	n := NewNetwork()
+	cpuRef, allRef := NewHistogram(0), NewHistogram(0)
+	for i := int64(0); i < 6000; i++ {
+		v := i * 7919 % 9001 // scrambled, a third of it overflow
+		if i%3 == 0 {
+			n.GPULatency.Add(v)
+		} else {
+			n.CPULatency.Add(v)
+			cpuRef.Add(float64(v))
+		}
+		allRef.Add(float64(v))
+	}
+	n.Seal()
+	wantCPU, wantAll := cpuRef.Percentiles(queryPoints...), allRef.Percentiles(queryPoints...)
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 20; r++ {
+				if got := n.CPULatency.Percentiles(queryPoints...); !slices.Equal(got, wantCPU) {
+					errs <- fmt.Sprintf("CPU percentiles %v, want %v", got, wantCPU)
+					return
+				}
+				if got := n.Latency.Percentiles(queryPoints...); !slices.Equal(got, wantAll) {
+					errs <- fmt.Sprintf("union percentiles %v, want %v", got, wantAll)
+					return
+				}
+				if n.CPULatency.Mean() != cpuRef.Mean() || n.Latency.Mean() != allRef.Mean() {
+					errs <- "mean moved"
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }

@@ -238,10 +238,12 @@ type Network struct {
 	// Injected counts packets created by the generators during the
 	// measurement phase.
 	Injected ClassCounts
-	// Latency is end-to-end packet latency in cycles.
-	Latency *CycleHistogram
-	// CPULatency and GPULatency split latency by class.
+	// CPULatency and GPULatency are end-to-end packet latency in cycles,
+	// by class: each delivered packet is recorded once, in its class.
 	CPULatency, GPULatency *CycleHistogram
+	// Latency is the end-to-end latency of every delivered packet: the
+	// read-only union of CPULatency and GPULatency.
+	Latency HistogramUnion
 	// StateResidency tracks wavelength-state time across all routers.
 	StateResidency Residency
 	// MeasuredCycles is the length of the measurement phase.
@@ -250,11 +252,16 @@ type Network struct {
 
 // NewNetwork returns an empty metric set.
 func NewNetwork() *Network {
-	return &Network{
-		Latency:    new(CycleHistogram),
-		CPULatency: new(CycleHistogram),
-		GPULatency: new(CycleHistogram),
-	}
+	cpu, gpu := new(CycleHistogram), new(CycleHistogram)
+	return &Network{CPULatency: cpu, GPULatency: gpu, Latency: HistogramUnion{cpu, gpu}}
+}
+
+// Seal ends latency recording at the end of measurement: it seals both
+// class histograms (see CycleHistogram.Seal), so a finished run keeps
+// only what it counted and its reads write nothing.
+func (n *Network) Seal() {
+	n.CPULatency.Seal()
+	n.GPULatency.Seal()
 }
 
 // ThroughputBitsPerCycle returns delivered bits per network cycle.
