@@ -33,25 +33,9 @@ type benchBaseline struct {
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
 }
 
-// speedupGate is the cross-benchmark speedup gate on the lockstep
-// replica engine: the gated benchmark (one op = one replica-cycle) must
-// deliver at least MinAggregateSpeedup over the sequential reference
-// when the runner has 2+ processors to spread replicas across. On a
-// single processor parallel execution cannot beat sequential — the gate
-// degrades to SingleProcFloor, a no-pathological-regression bound on
-// the same ratio (lockstep sync plus the cache footprint of N replica
-// stacks on one core).
-type speedupGate struct {
-	Benchmark           string  `json:"benchmark"`
-	Reference           string  `json:"reference"`
-	MinAggregateSpeedup float64 `json:"min_aggregate_speedup"`
-	SingleProcFloor     float64 `json:"single_proc_floor"`
-}
-
 // baselineFile is the subset of BENCH_kernel.json the gate reads.
 type baselineFile struct {
-	After          map[string]benchBaseline `json:"after"`
-	ReplicatedGate *speedupGate             `json:"replicated_gate"`
+	After map[string]benchBaseline `json:"after"`
 }
 
 // sample is one parsed benchmark result line.
@@ -115,8 +99,8 @@ func realMain() int {
 	return 0
 }
 
-// check gates every baseline in sorted name order, then the replica
-// speedup ratio, and returns how many gates ran and how many failed. A
+// check gates every baseline in sorted name order and returns how many
+// gates ran and how many failed. A
 // benchmark the baseline names but the input lacks fails its gate: a
 // deleted or renamed benchmark must take its baseline with it rather
 // than leave a stale entry that passes by never being looked at.
@@ -142,8 +126,8 @@ func check(w io.Writer, base baselineFile, results map[string][]sample, toleranc
 			status = "FAIL"
 			failed++
 		}
-		fmt.Fprintf(w, "%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%)  %s\n",
-			name, s.nsPerOp, b.NsPerCycle, limit, 100*(s.nsPerOp/b.NsPerCycle-1), status)
+		fmt.Fprintf(w, "%-24s ns/op %9.0f  baseline %9.0f  limit %9.0f  (%+.1f%%, procs=%d)  %s\n",
+			name, s.nsPerOp, b.NsPerCycle, limit, 100*(s.nsPerOp/b.NsPerCycle-1), s.procs, status)
 		if s.hasAllocs {
 			allocLimit := b.AllocsPerCycle + allocSlack
 			status = "ok"
@@ -155,39 +139,6 @@ func check(w io.Writer, base baselineFile, results map[string][]sample, toleranc
 				name, s.allocsPerOp, b.AllocsPerCycle, allocLimit, status)
 		}
 	}
-	g := base.ReplicatedGate
-	if g == nil {
-		return checked, failed
-	}
-	checked++
-	gated, haveGated := results[g.Benchmark]
-	ref, haveRef := results[g.Reference]
-	if !haveGated || !haveRef {
-		failed++
-		fmt.Fprintf(w, "%-24s speedup gate needs %s and %s in the input  FAIL\n",
-			g.Benchmark, g.Benchmark, g.Reference)
-		return checked, failed
-	}
-	r, s := mean(ref), mean(gated)
-	// Both sides count ns per (replica-)cycle, so the sequential
-	// reference's ns/op over the gated ns/op is the aggregate
-	// cycles/sec speedup directly.
-	speedup := r.nsPerOp / s.nsPerOp
-	required := g.MinAggregateSpeedup
-	kind := "aggregate speedup"
-	if s.procs < 2 {
-		// A single-core runner cannot parallelise anything; hold
-		// the floor instead of the speedup target.
-		required = g.SingleProcFloor
-		kind = "single-proc floor"
-	}
-	status := "ok"
-	if speedup < required {
-		status = "FAIL"
-		failed++
-	}
-	fmt.Fprintf(w, "%-24s %.2fx vs %s (procs=%d, %s >= %.2fx)  %s\n",
-		g.Benchmark, speedup, g.Reference, s.procs, kind, required, status)
 	return checked, failed
 }
 
@@ -207,7 +158,7 @@ func parseBench(r io.Reader) (map[string][]sample, error) {
 		var s sample
 		if i := strings.LastIndex(name, "-"); i > 0 {
 			// The suffix is the GOMAXPROCS the benchmark ran under; the
-			// replicated gate scales its expectation by it.
+			// report prints it next to the baseline it is held to.
 			if n, err := strconv.Atoi(name[i+1:]); err == nil {
 				s.procs = n
 			}

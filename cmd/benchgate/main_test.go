@@ -66,20 +66,14 @@ func TestParseBench(t *testing.T) {
 func TestCheck(t *testing.T) {
 	base := baselineFile{
 		After: map[string]benchBaseline{
-			"BenchmarkKernel":           {NsPerCycle: 1000, AllocsPerCycle: 0},
-			"BenchmarkKernelReplicated": {NsPerCycle: 800, AllocsPerCycle: 0},
-		},
-		ReplicatedGate: &speedupGate{
-			Benchmark:           "BenchmarkKernelReplicated",
-			Reference:           "BenchmarkKernel",
-			MinAggregateSpeedup: 1.2,
-			SingleProcFloor:     0.65,
+			"BenchmarkKernel":      {NsPerCycle: 1000, AllocsPerCycle: 0},
+			"BenchmarkKernelCMESH": {NsPerCycle: 2000, AllocsPerCycle: 0},
 		},
 	}
-	run := func(kernelNs, kernelAllocs, replNs float64, procs int) map[string][]sample {
+	run := func(kernelNs, kernelAllocs float64) map[string][]sample {
 		return map[string][]sample{
-			"BenchmarkKernel":           {{nsPerOp: kernelNs, allocsPerOp: kernelAllocs, hasAllocs: true, procs: procs}},
-			"BenchmarkKernelReplicated": {{nsPerOp: replNs, hasAllocs: true, procs: procs}},
+			"BenchmarkKernel":      {{nsPerOp: kernelNs, allocsPerOp: kernelAllocs, hasAllocs: true, procs: 2}},
+			"BenchmarkKernelCMESH": {{nsPerOp: 2000, hasAllocs: true, procs: 2}},
 		}
 	}
 	tests := []struct {
@@ -91,23 +85,17 @@ func TestCheck(t *testing.T) {
 		wantFailed  int
 		wantOutput  string
 	}{
-		{name: "within limits", results: run(1100, 0, 800, 2), tolerance: 0.2, wantChecked: 3},
-		{name: "ns/op past tolerance", results: run(1300, 0, 800, 2), tolerance: 0.2, wantChecked: 3, wantFailed: 1},
-		{name: "allocs past baseline", results: run(1000, 1, 800, 2), tolerance: 0.2, wantChecked: 3, wantFailed: 1},
-		{name: "alloc slack absorbs growth", results: run(1000, 1, 800, 2), tolerance: 0.2, allocSlack: 1, wantChecked: 3},
-		{name: "multi-proc speedup below target", results: run(1000, 0, 900, 2), tolerance: 0.2, wantChecked: 3, wantFailed: 1,
-			wantOutput: "aggregate speedup >= 1.20x"},
-		{name: "single proc holds the floor only", results: run(1000, 0, 950, 1), tolerance: 0.2, wantChecked: 3,
-			wantOutput: "single-proc floor >= 0.65x"},
-		{name: "single proc below the floor", results: run(500, 0, 950, 1), tolerance: 0.2, wantChecked: 3, wantFailed: 1},
+		{name: "within limits", results: run(1100, 0), tolerance: 0.2, wantChecked: 2, wantOutput: "procs=2"},
+		{name: "ns/op past tolerance", results: run(1300, 0), tolerance: 0.2, wantChecked: 2, wantFailed: 1},
+		{name: "allocs past baseline", results: run(1000, 1), tolerance: 0.2, wantChecked: 2, wantFailed: 1},
+		{name: "alloc slack absorbs growth", results: run(1000, 1), tolerance: 0.2, allocSlack: 1, wantChecked: 2},
 		{
-			// A deleted benchmark must not leave its baseline "passing":
-			// the after row and the ratio gate both fail.
+			// A deleted benchmark must not leave its baseline "passing".
 			name: "stale baseline",
 			results: map[string][]sample{
 				"BenchmarkKernel": {{nsPerOp: 1000, hasAllocs: true, procs: 2}},
 			},
-			tolerance: 0.2, wantChecked: 3, wantFailed: 2,
+			tolerance: 0.2, wantChecked: 2, wantFailed: 1,
 			wantOutput: "missing from the input",
 		},
 	}

@@ -57,7 +57,7 @@ func realMain() int {
 		jsonOut    = flag.String("json", "", "write machine-readable per-artifact benchmark records (name, iters, ns/op, bytes/op) to this file")
 		md         = flag.Bool("md", false, "emit a single Markdown report (all artifacts + shape checks)")
 		seed       = flag.Uint64("seed", 2018, "experiment seed")
-		seeds      = flag.Int("seeds", 1, "with -sweep: replicate every point over N derived seeds (lockstep when the backend supports it) and report mean ± 95% CI")
+		seeds      = flag.Int("seeds", 1, "with -sweep: run every point over N derived seeds, one independent run each, and report mean ± 95% CI")
 		sweep      = flag.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
 		policy     = flag.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
 		cacheOut   = flag.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
@@ -307,13 +307,11 @@ func writeCacheEntries(w io.Writer, cacheOut string, entries []server.CacheEntry
 	return nil
 }
 
-// runSweepSeeds is runSweep with every point replicated over n derived
-// seeds: points that support it run all n as one lockstep simulation
-// (experiments.RunSeeds); the rest fall back, with a
-// warning, to running the same derived seeds sequentially — same
-// aggregates and cache keys, just slower. Each point prints mean ± 95%
-// CI over its seeds, and -cache-out exports one entry per (point,
-// seed), keys matching what a pearld seeds:n batch would publish.
+// runSweepSeeds is runSweep with every point run over n derived seeds,
+// one independent run per seed (experiments.RunSeeds). Each point
+// prints mean ± 95% CI over its seeds, and -cache-out exports one entry
+// per (point, seed), keys matching what a pearld seeds:n batch would
+// publish.
 func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut, jsonOut string, arts map[int]*models.Artifact, n int) error {
 	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
@@ -330,26 +328,9 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 		// name (not the sweep's display label) and the pair name, so the
 		// exported per-seed cache keys collide with the server's.
 		seeds := experiments.ReplicaSeeds(spec.Seed, p.Name(), p.Pair.Name(), n)
-		base := spec.Options()
 
 		pstart := time.Now()
-		var results []experiments.Result
-		if rerr := experiments.CanReplicate(p); rerr == nil {
-			results, err = experiments.RunSeeds(ctx, p, base, seeds)
-		} else {
-			fmt.Fprintf(w, "pearlbench: %s %s: lockstep replication unavailable (%v); running %d seeds sequentially\n",
-				p.Label, p.Pair.Name(), rerr, n)
-			results = make([]experiments.Result, 0, n)
-			for _, s := range seeds {
-				o := base
-				o.Seed = s
-				var res experiments.Result
-				if res, err = experiments.Run(ctx, p, o); err != nil {
-					break
-				}
-				results = append(results, res)
-			}
-		}
+		results, err := experiments.RunSeeds(ctx, p, spec.Options(), seeds)
 		if err != nil {
 			return fmt.Errorf("sweep %s point %s %s: %w", name, p.Label, p.Pair.Name(), err)
 		}

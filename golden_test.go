@@ -59,10 +59,10 @@ func TestGoldenDynRW500(t *testing.T) {
 	}
 }
 
-// TestGoldenReplicaZero pins the replicated engine's byte-identity
-// contract: replica 0 of a multi-seed lockstep run carries the base
-// seed unchanged and must reproduce the single-run golden values
-// exactly — same numbers, same cache identity.
+// TestGoldenReplicaZero pins the seed fan's byte-identity contract:
+// seed 0 of a multi-seed RunSeeds carries the base seed unchanged and
+// must reproduce the single-run golden values exactly — same numbers,
+// same cache identity.
 func TestGoldenReplicaZero(t *testing.T) {
 	p, opts := goldenPoint(config.PEARLDyn()), goldenOptions()
 	seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), 3)

@@ -30,7 +30,7 @@ const onlineForgetting = 0.995
 
 // ridgePredictor wraps an artifact's ridge model with per-instance
 // scratch so steady-state prediction allocates nothing. Each Policy()
-// call mints a fresh instance, so replicas never share the scratch.
+// call mints a fresh instance, so concurrent runs never share the scratch.
 type ridgePredictor struct {
 	ridge   *mlkit.Ridge
 	scratch [core.FeatureCount]float64
@@ -46,7 +46,6 @@ func init() {
 	Register(Spec{
 		Name:        "static",
 		Power:       config.PowerStatic,
-		Caps:        Capabilities{ReplicaSafe: true},
 		Description: "fixed wavelength state (PEARL-Dyn / PEARL-FCFS baselines)",
 		Factory: func(cfg config.Config, _ *models.Artifact) (Controller, error) {
 			s, err := photonic.StateForWavelengths(cfg.StaticWavelengths)
@@ -56,7 +55,6 @@ func init() {
 			pol := core.StaticPolicy{State: s}
 			return simple{
 				name: "static",
-				caps: Capabilities{ReplicaSafe: true},
 				mint: func(uint64) (core.StatePolicy, error) { return pol, nil },
 			}, nil
 		},
@@ -65,13 +63,11 @@ func init() {
 	Register(Spec{
 		Name:        "reactive",
 		Power:       config.PowerReactive,
-		Caps:        Capabilities{ReplicaSafe: true},
 		Description: "Algorithm 1 occupancy-threshold scaling",
 		Factory: func(cfg config.Config, _ *models.Artifact) (Controller, error) {
 			pol := core.ReactivePolicy{Thresholds: cfg.Thresholds, Allow8WL: cfg.Allow8WL}
 			return simple{
 				name: "reactive",
-				caps: Capabilities{ReplicaSafe: true},
 				mint: func(uint64) (core.StatePolicy, error) { return pol, nil },
 			}, nil
 		},
@@ -80,16 +76,16 @@ func init() {
 	Register(Spec{
 		Name:        "ml",
 		Power:       config.PowerML,
-		Caps:        Capabilities{ReplicaSafe: true, NeedsModel: true},
+		Caps:        Capabilities{NeedsModel: true},
 		Description: "offline-trained ridge prediction mapped through Eq. 7 (§III.D)",
 		Factory: func(cfg config.Config, art *models.Artifact) (Controller, error) {
 			allow8 := cfg.Allow8WL
 			ridge := art.Ridge()
 			return simple{
 				name: "ml",
-				caps: Capabilities{ReplicaSafe: true, NeedsModel: true},
+				caps: Capabilities{NeedsModel: true},
 				mint: func(uint64) (core.StatePolicy, error) {
-					// Fresh predictor (and scratch) per mint keeps replicas
+					// Fresh predictor (and scratch) per mint keeps runs
 					// independent; the artifact itself is immutable.
 					return core.MLPolicy{Model: &ridgePredictor{ridge: ridge}, Allow8WL: allow8}, nil
 				},

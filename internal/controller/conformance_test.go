@@ -7,15 +7,16 @@ package controller_test
 //  1. Determinism: the same (config, pair, seed) produces bit-identical
 //     results regardless of GOMAXPROCS. pearld's content-addressed
 //     result cache and the shard layer both assume it.
-//  2. Honest capability declarations: a controller's ReplicaSafe bit
-//     must agree with what experiments.CanReplicate enforces — the
-//     lockstep engine trusts the declaration.
+//  2. Independent runs: every Policy call mints its own instance, so
+//     the concurrent runs of a seed fan (experiments.RunSeeds) equal
+//     the same seeds run one at a time.
 //  3. Steady-state allocation discipline: non-learning controllers
 //     decide every reservation window on the hot path; their policies
 //     must not allocate per decision.
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -152,19 +153,36 @@ func TestControllerDeterminismAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestReplicaSafetyDeclarationMatchesGate pins each controller's
-// ReplicaSafe capability to what the lockstep gate enforces: the
-// declaration IS the contract, so the two may never drift.
-func TestReplicaSafetyDeclarationMatchesGate(t *testing.T) {
+// TestSeedFanMatchesSequentialRuns runs each registered controller's
+// three-seed fan and then each seed alone. The fan's runs share one
+// controller and call Policy concurrently, so a controller that hands
+// two runs one stateful instance shows up as a mismatch here, or as a
+// data race under -race.
+func TestSeedFanMatchesSequentialRuns(t *testing.T) {
+	pair := traffic.TestPairs()[0]
+	opts := experiments.Options{Seed: 2018, WarmupCycles: 200, MeasureCycles: 2000}
+	ctx := context.Background()
 	for _, spec := range controller.Specs() {
-		cfg, ctrl := build(t, spec)
-		err := experiments.CanReplicate(experiments.Point{Config: cfg, Controller: ctrl})
-		if spec.Caps.ReplicaSafe && err != nil {
-			t.Errorf("%s declares ReplicaSafe but CanReplicate rejects it: %v", spec.Name, err)
-		}
-		if !spec.Caps.ReplicaSafe && err == nil {
-			t.Errorf("%s declares ReplicaSafe=false but CanReplicate admits it", spec.Name)
-		}
+		t.Run(spec.Name, func(t *testing.T) {
+			cfg, ctrl := build(t, spec)
+			p := experiments.Point{Config: cfg, Pair: pair, Controller: ctrl}
+			seeds := experiments.ReplicaSeeds(opts.Seed, p.Name(), pair.Name(), 3)
+			fan, err := experiments.RunSeeds(ctx, p, opts, seeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, seed := range seeds {
+				o := opts
+				o.Seed = seed
+				one, err := experiments.Run(ctx, p, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(one, fan[i]) {
+					t.Errorf("seed %d: the fan's run differs from a standalone run", i)
+				}
+			}
+		})
 	}
 }
 

@@ -21,14 +21,6 @@ import (
 // Capabilities declares what a controller supports; the experiment and
 // serving layers gate features on these instead of type assertions.
 type Capabilities struct {
-	// ReplicaSafe controllers may drive lockstep replicated runs: every
-	// Policy call returns an independent instance (or a stateless one),
-	// so replica N is bit-identical to a standalone run of its seed.
-	// Online learners are deliberately not replica-safe — a seed fan
-	// estimates workload variance under a fixed policy function, and a
-	// within-run learning trajectory would fold learning variance into
-	// the confidence intervals.
-	ReplicaSafe bool
 	// NeedsModel controllers require a trained model artifact at
 	// construction (the offline-ML path).
 	NeedsModel bool
@@ -45,9 +37,9 @@ type Controller interface {
 	Capabilities() Capabilities
 	// Policy returns a fresh state policy for one run. Stateful
 	// controllers must return an independent instance per call — the
-	// lockstep engine calls Policy once per replica — and deterministic
-	// controllers must yield the same decisions for the same seed.
-	// Stateless controllers ignore the seed.
+	// runs of a seed fan call Policy concurrently, one call each — and
+	// deterministic controllers must yield the same decisions for the
+	// same seed. Stateless controllers ignore the seed.
 	Policy(seed uint64) (core.StatePolicy, error)
 }
 

@@ -62,13 +62,11 @@ func init() {
 	Register(Spec{
 		Name:        "d3noc",
 		Power:       config.PowerD3NOC,
-		Caps:        Capabilities{ReplicaSafe: true},
 		Description: "data-driven reconfiguration from a per-router demand EWMA",
 		Factory: func(cfg config.Config, _ *models.Artifact) (Controller, error) {
 			allow8 := cfg.Allow8WL
 			return simple{
 				name: "d3noc",
-				caps: Capabilities{ReplicaSafe: true},
 				mint: func(uint64) (core.StatePolicy, error) {
 					return &d3nocPolicy{allow8: allow8}, nil
 				},

@@ -61,16 +61,14 @@ func init() {
 	Register(Spec{
 		Name:        "proteus",
 		Power:       config.PowerProteus,
-		Caps:        Capabilities{ReplicaSafe: true},
 		Description: "rule-based loss-aware laser power/performance co-management",
 		Factory: func(cfg config.Config, _ *models.Artifact) (Controller, error) {
 			allow8 := cfg.Allow8WL
 			return simple{
 				name: "proteus",
-				caps: Capabilities{ReplicaSafe: true},
 				mint: func(uint64) (core.StatePolicy, error) {
-					// Fresh hysteresis state per replica; the rules are
-					// deterministic, so each replica matches a standalone run.
+					// Fresh hysteresis state per run; the rules are
+					// deterministic.
 					return &proteusPolicy{allow8: allow8}, nil
 				},
 			}, nil

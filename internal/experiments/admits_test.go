@@ -35,7 +35,7 @@ func (h injectOnly) Inject(p *noc.Packet) bool {
 // with the workload's target either the bare network or injectOnly, and
 // the delivered packets' IDs and cycles folded into ids.
 type admitSide struct {
-	rep     replica
+	rep     stack
 	refused int
 	ids     uint64
 }
@@ -45,7 +45,7 @@ func newAdmitSide(t *testing.T, p Point, opts Options, hide bool) *admitSide {
 	s := &admitSide{}
 	engine := sim.NewEngine()
 	wseed := runSeed(opts.Seed, p.Pair.Name())
-	r := replica{engine: engine, name: p.Name(), pair: p.Pair}
+	r := stack{engine: engine, name: p.Name(), pair: p.Pair}
 	if p.Backend == BackendCMESH {
 		net, err := cmesh.New(engine, p.Config)
 		if err != nil {

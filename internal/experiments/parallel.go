@@ -20,8 +20,10 @@ func parallelMap[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 // stops as soon as any worker fails or ctx is cancelled, so a long sweep
 // does not keep burning cores after its outcome is already decided.
 // Indices already dispatched run to completion; their results are
-// discarded on error. When no worker failed but ctx was cancelled, the
-// context error is returned.
+// discarded on error. When no worker failed but ctx was cancelled
+// before every index was dispatched, the context error is returned; a
+// cancellation after that leaves every result computed, so they are
+// returned.
 func parallelMapCtx[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
@@ -49,10 +51,11 @@ func parallelMapCtx[T any](ctx context.Context, n int, fn func(ctx context.Conte
 			}
 		}()
 	}
+	dispatched := 0
 dispatch:
-	for i := 0; i < n; i++ {
+	for ; dispatched < n; dispatched++ {
 		select {
-		case next <- i:
+		case next <- dispatched:
 		case <-done:
 			break dispatch
 		case <-ctx.Done():
@@ -66,8 +69,8 @@ dispatch:
 			return nil, err
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if dispatched < n {
+		return nil, ctx.Err()
 	}
 	return results, nil
 }

@@ -9,6 +9,8 @@ import (
 	"repro/internal/config"
 	"repro/internal/controller"
 	"repro/internal/core"
+	"repro/internal/mlkit"
+	"repro/internal/models"
 	"repro/internal/traffic"
 )
 
@@ -79,12 +81,12 @@ func sameResult(t *testing.T, label string, got, want Result) {
 	}
 }
 
-// checkOnePath asserts that the single-run and replicated entry points
+// checkOnePath asserts that the single-run and seed-fan entry points
 // are one path. For every seed of the point's n-seed fan, Run, RunSeeds
-// with that one seed, and element i of the n-seed lockstep run must
-// agree by reflect.DeepEqual over the whole Result — with and without an
+// with that one seed, and element i of the n-seed RunSeeds must agree
+// by reflect.DeepEqual over the whole Result — with and without an
 // OnWindow hook, which must not change any result and must see the same
-// frames from a single run as from replica 0 of the fan.
+// frames from a single run as from seed 0 of the fan.
 func checkOnePath(t *testing.T, p Point, n int) {
 	t.Helper()
 	ctx := context.Background()
@@ -139,30 +141,65 @@ func checkOnePath(t *testing.T, p Point, n int) {
 		if !reflect.DeepEqual(fan, bare) {
 			t.Error("an OnWindow hook changed the results")
 		}
-		// Calls were: the fan (observing replica 0), then Run and RunSeeds
+		// Calls were: the fan (observing seed 0), then Run and RunSeeds
 		// per seed; the first three all ran seeds[0].
 		if len(frames[0]) == 0 {
 			t.Fatal("the hook saw no windows")
 		}
 		if !reflect.DeepEqual(frames[1], frames[0]) || !reflect.DeepEqual(frames[2], frames[0]) {
-			t.Error("Run, one-seed RunSeeds and replica 0 of the fan streamed different windows")
+			t.Error("Run, one-seed RunSeeds and seed 0 of the fan streamed different windows")
 		}
 	}
 }
 
+// mlController is the registered ml controller over a one-weight model
+// artifact (identity scaler, inFromCores weighted).
+func mlController(t *testing.T, cfg config.Config) controller.Controller {
+	t.Helper()
+	params := mlkit.RidgeParams{
+		Mean:    make([]float64, core.FeatureCount),
+		Std:     make([]float64, core.FeatureCount),
+		Weights: make([]float64, core.FeatureCount),
+		Bias:    1,
+	}
+	for i := range params.Std {
+		params.Std[i] = 1
+	}
+	params.Weights[8] = 0.5
+	art, err := models.New(cfg.ReservationWindow, 0.1, 0, params, models.Meta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := controller.New(cfg, art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl
+}
+
 func TestReplicatedMatchesSequentialPEARL(t *testing.T) {
 	pair := traffic.TestPairs()[0]
+	ml := config.MLRW(500, true)
+	online, err := config.ByName("online-rw500")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		cfg  config.Config
+		ctrl controller.Controller
 		n    int
 	}{
-		{"static N=3", config.PEARLDyn(), 3},
-		{"static N=1", config.PEARLDyn(), 1},
-		{"reactive N=3", config.DynRW(500), 3},
+		{"static N=3", config.PEARLDyn(), nil, 3},
+		{"static N=1", config.PEARLDyn(), nil, 1},
+		{"reactive N=3", config.DynRW(500), nil, 3},
+		// Every registered controller mints a fresh policy per Policy
+		// call, so learners fan out like the rest.
+		{"ml N=4", ml, mlController(t, ml), 4},
+		{"online N=3", online, nil, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			checkOnePath(t, Point{Backend: BackendPEARL, Config: tc.cfg, Pair: pair}, tc.n)
+			checkOnePath(t, Point{Backend: BackendPEARL, Config: tc.cfg, Pair: pair, Controller: tc.ctrl}, tc.n)
 		})
 	}
 }
@@ -194,7 +231,7 @@ func TestReplicatedGOMAXPROCSInvariance(t *testing.T) {
 	opts.MeasureCycles = 3000
 	seeds := ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), 4)
 
-	// One lane steps every replica inline; four lanes use the worker pool.
+	// One goroutine runs every seed in turn; four run them side by side.
 	prev := runtime.GOMAXPROCS(1)
 	one, err1 := RunSeeds(context.Background(), p, opts, seeds)
 	runtime.GOMAXPROCS(4)
@@ -213,89 +250,6 @@ func TestReplicatedCancellation(t *testing.T) {
 	cancel()
 	p := Point{Config: config.PEARLDyn(), Pair: traffic.TestPairs()[0]}
 	if _, err := RunSeeds(ctx, p, tiny(), []uint64{1, 2}); err == nil {
-		t.Fatal("cancelled context should abort the replicated run")
-	}
-}
-
-// stubController is a hand-built controller for gate tests: the
-// capability declaration, not the policy it mints, is what CanReplicate
-// judges.
-type stubController struct {
-	name string
-	caps controller.Capabilities
-	mint func(seed uint64) (core.StatePolicy, error)
-}
-
-func (c stubController) Name() string                          { return c.name }
-func (c stubController) Capabilities() controller.Capabilities { return c.caps }
-func (c stubController) Policy(seed uint64) (core.StatePolicy, error) {
-	return c.mint(seed)
-}
-
-func TestCanReplicate(t *testing.T) {
-	flat := core.PredictorFunc(func([]float64) float64 { return 1 })
-	ml := config.MLRW(500, true)
-	safe := stubController{
-		name: "stub-safe",
-		caps: controller.Capabilities{ReplicaSafe: true, NeedsModel: true},
-		mint: func(uint64) (core.StatePolicy, error) {
-			return core.MLPolicy{Model: flat, Allow8WL: true}, nil
-		},
-	}
-	unsafe := safe
-	unsafe.name = "stub-unsafe"
-	unsafe.caps.ReplicaSafe = false
-
-	pair := traffic.TestPairs()[0]
-	if err := CanReplicate(Point{Config: config.PEARLDyn(), Pair: pair}); err != nil {
-		t.Errorf("static config's registered controller should replicate: %v", err)
-	}
-	if err := CanReplicate(Point{Backend: BackendCMESH, Config: config.Default(), Pair: pair}); err != nil {
-		t.Errorf("the electrical baseline always replicates: %v", err)
-	}
-	if err := CanReplicate(Point{Config: ml, Pair: pair}); err == nil {
-		t.Error("ML config without a model artifact must not replicate (controller construction fails)")
-	}
-	if err := CanReplicate(Point{Config: ml, Pair: pair, Controller: unsafe}); err == nil {
-		t.Error("controller declaring ReplicaSafe=false must not replicate")
-	}
-	if err := CanReplicate(Point{Config: ml, Pair: pair, Controller: safe}); err != nil {
-		t.Errorf("replica-safe controller rejected: %v", err)
-	}
-	// The replica-safe controller must drive a real replicated ML run end
-	// to end.
-	ctx := context.Background()
-	opts := tiny()
-	opts.MeasureCycles = 2000
-	if _, err := RunSeeds(ctx, Point{Config: ml, Pair: pair, Controller: safe}, opts, []uint64{opts.Seed, opts.Seed + 1}); err != nil {
-		t.Errorf("replicated ML run with safe controller: %v", err)
-	}
-
-	// The gate guards replication only. A controller that is not
-	// replica-safe (an online learner) runs as a single seed through Run
-	// and through the one-seed lockstep engine, and is refused two.
-	online, err := config.ByName("online-rw500")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Point{Config: online, Pair: pair}
-	if err := CanReplicate(p); err == nil {
-		t.Fatal("online-rw500 must not be replica-safe")
-	}
-	res, err := Run(ctx, p, opts)
-	if err != nil {
-		t.Fatalf("a single run needs no replica-safe controller: %v", err)
-	}
-	if res.Metrics.Delivered.TotalPackets() == 0 {
-		t.Error("online-rw500 single run delivered nothing")
-	}
-	if _, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed}); err != nil {
-		t.Errorf("one seed needs no replica-safe controller: %v", err)
-	}
-	if _, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed, opts.Seed + 1}); err == nil {
-		t.Error("two seeds under a controller that is not replica-safe must be refused")
-	}
-	if _, err := RunSeeds(ctx, p, opts, nil); err == nil {
-		t.Error("a run with no seeds must be refused")
+		t.Fatal("cancelled context should abort the seed fan")
 	}
 }

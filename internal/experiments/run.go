@@ -106,9 +106,9 @@ type Result struct {
 func (r Result) ThroughputBitsPerCycle() float64 { return r.Metrics.ThroughputBitsPerCycle() }
 
 // Point is the one description of a run: a (configuration, workload
-// pair) evaluation on one backend. It is what Run executes and what the
-// lockstep engine replicates; with a seed it is a Spec, the identity
-// pearld caches and `pearlbench -sweep` exports.
+// pair) evaluation on one backend. It is what Run executes, once per
+// seed in a RunSeeds fan; with a seed it is a Spec, the identity pearld
+// caches and `pearlbench -sweep` exports.
 type Point struct {
 	// Label is the display label of the point's row in a figure (the
 	// paper's configuration label, sometimes annotated — "Dyn RW500 @
@@ -172,7 +172,8 @@ func (p Point) controller() (controller.Controller, error) {
 // for the in-package passes that hand-pick a policy (the training
 // pipeline's data collection, the label-choice and online-learner
 // comparisons). Every Policy call returns the same instance, so it
-// declares no capabilities — in particular it is not replica-safe.
+// declares no capabilities and drives one Run at a time: a RunSeeds fan
+// would hand that one instance to concurrent seeds.
 type fixedPolicy struct{ policy core.StatePolicy }
 
 func (fixedPolicy) Name() string                          { return "fixed" }
@@ -192,11 +193,11 @@ type network interface {
 	StopMeasurement(measured int64)
 }
 
-// replica is one fully constructed simulation stack — engine, network,
+// stack is one fully constructed simulation — engine, network,
 // workload, and for measured stacks a power account and an optional
 // window sampler — ready to run. Every simulation in this package runs
-// on one: a single run is a lockstep engine stepping one replica.
-type replica struct {
+// on one.
+type stack struct {
 	engine *sim.Engine
 	net    network
 	// photonic is net on the pearl backend and nil on cmesh: the window
@@ -212,35 +213,36 @@ type replica struct {
 // build constructs the one simulation stack this package runs: engine,
 // network, wavelength-state policy (photonic) or link scale
 // (electrical), power account and window sampler, workload, engine
-// registration. A photonic point arrives with its Controller resolved
-// (NewLockstep does it once for all replicas); opts.Seed is used as-is
-// (the lockstep engine substitutes each replica's seed before calling);
-// tab, when non-nil, shares an exp(-rate) memo with other replicas on
-// the same goroutine. The data
-// collection passes build with measured false: no power account and no
-// window sampler, so they cost what they always have.
-func build(p Point, opts Options, measured bool, tab *traffic.ExpTable) (replica, error) {
+// registration. A photonic point without a Controller gets its
+// configuration's registered one. The data collection passes build
+// with measured false: no power account and no window sampler, so they
+// cost what they always have.
+func build(p Point, opts Options, measured bool) (stack, error) {
 	engine := sim.NewEngine()
 	// The configuration name is deliberately not folded into the workload
 	// seed: every configuration sees the same demand sequence for a given
 	// pair (paired comparison).
 	wseed := runSeed(opts.Seed, p.Pair.Name())
-	r := replica{engine: engine, name: p.Name(), pair: p.Pair}
+	r := stack{engine: engine, name: p.Name(), pair: p.Pair}
 	if p.Backend == BackendCMESH {
 		net, err := cmesh.New(engine, p.Config)
 		if err != nil {
-			return replica{}, err
+			return stack{}, err
 		}
 		net.SetLinkScale(max(p.LinkScale, 1))
 		r.net = net
 	} else {
 		net, err := core.New(engine, p.Config)
 		if err != nil {
-			return replica{}, err
+			return stack{}, err
 		}
-		pol, err := p.Controller.Policy(wseed)
+		ctrl, err := p.controller()
 		if err != nil {
-			return replica{}, err
+			return stack{}, err
+		}
+		pol, err := ctrl.Policy(wseed)
+		if err != nil {
+			return stack{}, err
 		}
 		net.SetStatePolicy(pol)
 		if sample := opts.OnWindowSample; sample != nil {
@@ -254,9 +256,9 @@ func build(p Point, opts Options, measured bool, tab *traffic.ExpTable) (replica
 		r.acct = power.NewAccount(config.NetworkFrequencyHz)
 		r.net.SetAccount(r.acct)
 	}
-	w, err := traffic.NewWorkloadWithExpTable(engine, r.net, p.Pair, wseed, tab)
+	w, err := traffic.NewWorkload(engine, r.net, p.Pair, wseed)
 	if err != nil {
-		return replica{}, err
+		return stack{}, err
 	}
 	r.workload = w
 	deliver := w.OnDeliver
@@ -278,7 +280,7 @@ func build(p Point, opts Options, measured bool, tab *traffic.ExpTable) (replica
 	return r, nil
 }
 
-func (r *replica) startMeasure() {
+func (r *stack) startMeasure() {
 	r.net.StartMeasurement()
 	r.workload.StartMeasurement()
 	if r.sampler != nil {
@@ -286,7 +288,7 @@ func (r *replica) startMeasure() {
 	}
 }
 
-func (r *replica) stopMeasure(measured int64) {
+func (r *stack) stopMeasure(measured int64) {
 	r.net.StopMeasurement(measured)
 	r.workload.StopMeasurement()
 	if r.sampler != nil {
@@ -294,7 +296,7 @@ func (r *replica) stopMeasure(measured int64) {
 	}
 }
 
-func (r *replica) finalize() Result {
+func (r *stack) finalize() Result {
 	res := Result{
 		Name:             r.name,
 		Pair:             r.pair,
@@ -309,38 +311,63 @@ func (r *replica) finalize() Result {
 	return res
 }
 
-// Run simulates one point: RunSeeds with the single seed opts.Seed, so
-// it is the N=1 case of the lockstep engine, stepped inline on the
+// runCtxChunk is how many cycles execute between context checks: small
+// enough that cancellation lands well inside a client poll interval,
+// large enough to stay off the hot path.
+const runCtxChunk = 1024
+
+// runCtx steps the stack n cycles in bounded chunks, checking ctx
+// between chunks so a cancelled or timed-out run stops within
+// ~runCtxChunk cycles instead of completing the whole phase.
+func (r *stack) runCtx(ctx context.Context, n int64) error {
+	for remaining := n; remaining > 0; {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		step := min(int64(runCtxChunk), remaining)
+		r.engine.Run(step)
+		remaining -= step
+	}
+	// Every cycle ran: the result is fully computed, so a cancellation
+	// that lands between the final chunk and this return must not
+	// discard it.
+	return nil
+}
+
+// Run simulates one point with seed opts.Seed, stepped inline on the
 // calling goroutine. The simulation aborts between cycle chunks once ctx
 // is cancelled or its deadline passes, returning the context error.
-// Any controller may drive a single run; the replica-safety gate (see
-// CanReplicate) applies only to more than one seed.
 func Run(ctx context.Context, p Point, opts Options) (Result, error) {
-	results, err := RunSeeds(ctx, p, opts, []uint64{opts.Seed})
+	r, err := build(p, opts, true)
 	if err != nil {
 		return Result{}, err
 	}
-	return results[0], nil
+	if err := r.runCtx(ctx, opts.WarmupCycles); err != nil {
+		return Result{}, err
+	}
+	r.startMeasure()
+	if err := r.runCtx(ctx, opts.MeasureCycles); err != nil {
+		return Result{}, err
+	}
+	r.stopMeasure(opts.MeasureCycles)
+	return r.finalize(), nil
 }
 
-// RunSeeds runs one replica of the point per seed in lockstep and
-// returns their Results in seed order. seeds[i] replaces opts.Seed for
-// replica i — callers wanting the standard fan use ReplicaSeeds — and
-// results[i] is bit-identical to Run with opts.Seed = seeds[i].
+// RunSeeds runs the point once per seed, as independent runs spread
+// over GOMAXPROCS goroutines, and returns their Results in seed order.
+// seeds[i] replaces opts.Seed for run i — callers wanting the standard
+// fan use ReplicaSeeds — so results[i] is Run with opts.Seed = seeds[i].
+// opts.OnWindow and opts.OnWindowSample, if set, observe seeds[0]'s run
+// only, from whichever goroutine steps it.
 func RunSeeds(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Result, error) {
-	l, err := NewLockstep(p, opts, seeds)
-	if err != nil {
-		return nil, err
-	}
-	defer l.Close()
-	if err := l.runCtx(ctx, opts.WarmupCycles); err != nil {
-		return nil, err
-	}
-	l.StartMeasurement()
-	if err := l.runCtx(ctx, opts.MeasureCycles); err != nil {
-		return nil, err
-	}
-	return l.FinishMeasurement(opts.MeasureCycles), nil
+	return parallelMapCtx(ctx, len(seeds), func(ctx context.Context, i int) (Result, error) {
+		o := opts
+		o.Seed = seeds[i]
+		if i != 0 {
+			o.OnWindow, o.OnWindowSample = nil, nil
+		}
+		return Run(ctx, p, o)
+	})
 }
 
 // RunPEARLCtx is Run for a photonic point. It keeps this exact signature

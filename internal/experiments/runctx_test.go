@@ -22,30 +22,45 @@ func TestRunCyclesCompletedRunSurvivesLateCancel(t *testing.T) {
 	// Three full windows and one chunk boundary inside the measurement
 	// phase; the third window closes on the run's final cycle.
 	opts.WarmupCycles, opts.MeasureCycles = 500, 1500
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	windows := 0
-	opts.OnWindow = func(WindowStats) {
-		if windows++; windows == 3 {
-			cancel()
-		}
-	}
-	res, err := Run(ctx, p, opts)
-	if err != nil {
-		t.Fatalf("Run returned %v after completing every cycle", err)
-	}
-	if ctx.Err() == nil {
-		t.Fatal("the hook never cancelled: the test did not exercise the race")
-	}
-	if res.Metrics == nil || res.Metrics.MeasuredCycles != opts.MeasureCycles {
-		t.Fatalf("result not finalised over %d measured cycles: %+v", opts.MeasureCycles, res.Metrics)
-	}
-	opts.OnWindow = nil
 	want, err := Run(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "late cancel", res, want)
+	// Run, and a one-seed fan, which must keep the rule too.
+	for _, run := range []struct {
+		name string
+		run  func(ctx context.Context, o Options) (Result, error)
+	}{
+		{"Run", func(ctx context.Context, o Options) (Result, error) { return Run(ctx, p, o) }},
+		{"RunSeeds", func(ctx context.Context, o Options) (Result, error) {
+			res, err := RunSeeds(ctx, p, o, []uint64{o.Seed})
+			if err != nil {
+				return Result{}, err
+			}
+			return res[0], nil
+		}},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		windows := 0
+		o := opts
+		o.OnWindow = func(WindowStats) {
+			if windows++; windows == 3 {
+				cancel()
+			}
+		}
+		res, err := run.run(ctx, o)
+		if err != nil {
+			t.Fatalf("%s returned %v after completing every cycle", run.name, err)
+		}
+		if ctx.Err() == nil {
+			t.Fatal("the hook never cancelled: the test did not exercise the race")
+		}
+		if res.Metrics == nil || res.Metrics.MeasuredCycles != opts.MeasureCycles {
+			t.Fatalf("%s: result not finalised over %d measured cycles: %+v", run.name, opts.MeasureCycles, res.Metrics)
+		}
+		sameResult(t, run.name+" late cancel", res, want)
+	}
 }
 
 func TestRunCyclesCancelledMidRunStillErrors(t *testing.T) {
@@ -74,31 +89,5 @@ func TestRunCyclesCancelledMidRunStillErrors(t *testing.T) {
 	}
 	if chunkWindows := runCtxChunk/500 + 1; windows > chunkWindows {
 		t.Fatalf("run went on for %d windows after the cancel; the chunk in flight holds at most %d", windows, chunkWindows)
-	}
-}
-
-func TestLockstepRunCtxCompletedRunSurvivesLateCancel(t *testing.T) {
-	p := Point{Config: config.PEARLDyn(), Pair: traffic.TestPairs()[0]}
-	opts := Quick()
-	for _, n := range []int{1, 2} {
-		l, err := NewLockstep(p, opts, ReplicaSeeds(opts.Seed, p.Name(), p.Pair.Name(), n))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		const cycles = 64
-		// Replica 0's engine fires the cancel inside the final (only) chunk.
-		l.replicas[0].engine.Schedule(cycles-1, func(int64) { cancel() })
-		if err := l.runCtx(ctx, cycles); err != nil {
-			t.Fatalf("n=%d: runCtx returned %v after completing all %d cycles", n, err, cycles)
-		}
-		for i := range l.replicas {
-			if got := l.replicas[i].engine.Cycle(); got != cycles {
-				t.Fatalf("n=%d: replica %d stopped at cycle %d, want %d", n, i, got, cycles)
-			}
-		}
 	}
 }

@@ -66,7 +66,7 @@ func CollectDataset(pairs []traffic.Pair, window int, opts Options, policy core.
 // measurement phase.
 func collectExamples(ds *mlkit.Dataset, pair traffic.Pair, window int, opts Options, policy core.StatePolicy, seed uint64, label func(injected int64, beta float64) float64) error {
 	opts.Seed = seed
-	r, err := build(Point{Config: config.MLRW(window, false), Pair: pair, Controller: fixedPolicy{policy}}, opts, false, nil)
+	r, err := build(Point{Config: config.MLRW(window, false), Pair: pair, Controller: fixedPolicy{policy}}, opts, false)
 	if err != nil {
 		return err
 	}

@@ -18,6 +18,9 @@ import (
 // (9 configurations x 16 pairs for Figure 5) fits comfortably.
 const maxBatchPoints = 256
 
+// maxSeedsPerPoint bounds one batch point's seed fan-out.
+const maxSeedsPerPoint = 32
+
 // BatchRequest is the POST /v1/batches body: one shared configuration
 // (preset + overrides, exactly as in JobRequest) fanned out over a
 // list of workload pairs, or a named figure sweep (see
@@ -52,10 +55,9 @@ type BatchRequest struct {
 	Workloads []WorkloadSpec `json:"workloads,omitempty"`
 	// Seeds fans every point out over N derived seeds (see
 	// experiments.ReplicaSeed; 0 or 1 means the single base seed). Each
-	// seed is its own point with its own content-addressed cache entry,
-	// but the members of one (config, pair) execute as a single lockstep
-	// replicated simulation when the backend supports it, and the
-	// results endpoint reports mean ± stderr/CI95 per series.
+	// seed is its own point: its own job, run and content-addressed
+	// cache entry. The results endpoint reports mean ± stderr/CI95 per
+	// series.
 	Seeds int `json:"seeds,omitempty"`
 	// CancelOnError cancels every unfinished point as soon as any
 	// point fails.
@@ -413,7 +415,6 @@ const feedRetryInterval = 2 * time.Millisecond
 // shutdown it observes the closed queue within one retry interval and
 // exits on its own.
 func (s *Server) feedBatch(deferred []*Job) {
-	deferred = s.coalesceReplicaGroups(deferred)
 	for _, job := range deferred {
 		for {
 			if state, _, _ := job.outcome(); state.Terminal() {
@@ -506,15 +507,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		// A seeds:N point fans out into N member jobs with derived seeds
 		// (experiments.ReplicaSeed), each a first-class point: own cache
 		// key — the one a standalone run of that seed has — and own
-		// lifecycle. Members of a replicable spec share a group so the
-		// feeder can coalesce whichever ones still need simulating into
-		// one lockstep run; non-replicable specs (ML without a
-		// replica-safe predictor) degrade gracefully to N independent
-		// sequential points.
-		var group *replicaGroup
-		if seeds > 1 && experiments.CanReplicate(spec.Point) == nil {
-			group = newReplicaGroup(spec)
-		}
+		// lifecycle.
 		for i := 0; i < seeds; i++ {
 			mspec := spec
 			if seeds > 1 {
@@ -522,7 +515,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			}
 			s.metrics.jobSubmitted(tn.Name())
 			job := s.buildJob(&mspec, tn, token)
-			job.group = group
 			if b.isCancelled() {
 				// An earlier point already failed and cancel_on_error fired.
 				s.armJob(job, mspec, tn, b)

@@ -114,10 +114,9 @@ func (m *metrics) jobSubmitted(tn string) {
 
 // settled counts one job's terminal outcome. Server.settle is its only
 // caller, holding the job's lock, so it runs once per job. A done cache
-// hit or follower counts nothing here (admit books its verdict), and a
-// carrier counts nothing at all: its crew carries the outcome.
+// hit or follower counts nothing here (admit books its verdict).
 func (m *metrics) settled(j *Job, o outcome) {
-	if o.via == carrier || o.state == StateDone && (o.via == cached || o.via == coalesced) {
+	if o.state == StateDone && (o.via == cached || o.via == coalesced) {
 		return
 	}
 	m.mu.Lock()
@@ -136,9 +135,9 @@ func (m *metrics) settled(j *Job, o outcome) {
 	case o.via == remote:
 		m.totals.ShardRemoteServed++
 	default:
-		// A local run, alone or in a lockstep crew: latency, the
-		// simulated cycles billed to the tenant, and the controller
-		// ledger (cmesh runs have no controller).
+		// A local run: latency, the simulated cycles billed to the
+		// tenant, and the controller ledger (cmesh runs have no
+		// controller).
 		spec := &j.exec.spec
 		m.totals.JobsCompleted++
 		t.JobsCompleted++
@@ -204,15 +203,6 @@ func (m *metrics) streamClosed(tn string) {
 	m.mu.Lock()
 	m.totals.StreamsOpen--
 	m.forTenant(tn).StreamsOpen--
-	m.mu.Unlock()
-}
-
-// replicaGroupDone records one lockstep group run to successful
-// completion with the given number of live seed members.
-func (m *metrics) replicaGroupDone(seeds int) {
-	m.mu.Lock()
-	m.totals.ReplicaGroupsExecuted++
-	m.totals.ReplicaSeedsSimulated += uint64(seeds)
 	m.mu.Unlock()
 }
 
@@ -317,10 +307,6 @@ type MetricsSnapshot struct {
 	EventsEmitted uint64 `json:"events_emitted"`
 	EventsDropped uint64 `json:"events_dropped"`
 	StreamsOpen   int    `json:"streams_open"`
-	// Replicated execution: seeds:N groups run as one lockstep
-	// simulation, and the per-seed members those runs settled.
-	ReplicaGroupsExecuted uint64 `json:"replica_groups_executed"`
-	ReplicaSeedsSimulated uint64 `json:"replica_seeds_simulated"`
 	// Multi-tenant attribution: configured tenant count, lifetime 429s,
 	// and the per-tenant breakdown keyed by tenant name.
 	TenantsConfigured int                       `json:"tenants_configured"`

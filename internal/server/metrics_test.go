@@ -97,7 +97,6 @@ func TestMetricsWireShape(t *testing.T) {
 			"jobs_cancelled", "jobs_coalesced", "jobs_completed", "jobs_failed", "jobs_rejected",
 			"jobs_retained", "jobs_retired", "jobs_started", "jobs_submitted", "jobs_throttled",
 			"model_uploads", "models_hosted", "queue_capacity", "queue_depth",
-			"replica_groups_executed", "replica_seeds_simulated",
 			"shard_local_fallbacks", "shard_peers", "shard_remote_dispatched", "shard_remote_served",
 			"shard_replicate_errors", "shard_replicated_entries", "streams_open",
 			"tenants", "tenants_configured", "uptime_seconds",

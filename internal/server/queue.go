@@ -58,11 +58,6 @@ type Job struct {
 	// exec is nil on a job settled from the cache at submission.
 	exec *execution
 
-	// group links a seeds:N batch member to its replica group (nil for
-	// ordinary jobs). Fixed before the job is shared with any other
-	// goroutine, so it needs no lock.
-	group *replicaGroup
-
 	mu        sync.Mutex
 	state     JobState
 	err       error
@@ -91,17 +86,6 @@ type execution struct {
 	// themselves are concurrency-safe.
 	events *eventRing
 	sinks  []*eventRing
-
-	// crew, on a replica-carrier job, lists the member jobs one lockstep
-	// run settles.
-	crew []*Job
-}
-
-// newJob builds a runnable job: identity plus execution state.
-func newJob(id string, spec jobSpec, parent context.Context) *Job {
-	j := newRecord(id, &spec)
-	j.arm(spec, parent)
-	return j
 }
 
 // newRecord builds the part of a job every job has: id, content key and
@@ -217,8 +201,8 @@ func (j *Job) markRunning() bool {
 type provenance uint8
 
 const (
-	// executed: the job's own lifecycle — run by a worker or by its
-	// carrier's lockstep run, or cancelled or failed before it ran.
+	// executed: the job's own lifecycle — run by a worker, or
+	// cancelled or failed before it ran.
 	executed provenance = iota
 	// cached: served from the result cache at admission.
 	cached
@@ -226,9 +210,6 @@ const (
 	coalesced
 	// remote: run by a shard peer and imported.
 	remote
-	// carrier: a replica carrier, which is bookkeeping and counts
-	// nothing. settle assigns it to any job with a crew.
-	carrier
 	// rejected: refused at admission because the queue was full.
 	rejected
 )
@@ -256,9 +237,8 @@ type outcome struct {
 	guard   guard
 }
 
-// withdrawn cancels a job only while it still waits its turn: drain,
-// the closed batch feeder and carrier release withdraw work that never
-// started.
+// withdrawn cancels a job only while it still waits its turn: drain
+// and the closed batch feeder withdraw work that never started.
 var withdrawn = outcome{state: StateCancelled, guard: pendingOnly}
 
 // errCancelledRunning is the error of a run stopped by its context.
@@ -278,9 +258,6 @@ func (s *Server) settle(j *Job, o outcome) bool {
 		o.guard == pendingOnly && j.follower {
 		j.mu.Unlock()
 		return false
-	}
-	if j.exec != nil && len(j.exec.crew) > 0 {
-		o.via = carrier
 	}
 	j.state, j.result, j.err = o.state, o.result, o.err
 	j.finished = time.Now()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -12,8 +13,7 @@ import (
 )
 
 // seedsBatch is one quick (config, pair) point fanned out over 3
-// derived seeds — the smallest batch that exercises the lockstep
-// carrier path end to end.
+// derived seeds: three member jobs, each run on its own.
 const seedsBatch = `{"workloads":[{"cpu":"fmm","gpu":"DCT"}],"warmup_cycles":200,"measure_cycles":2000,"seeds":3}`
 
 func TestBatchSeedsRunsLockstepAndCachesPerSeed(t *testing.T) {
@@ -40,14 +40,11 @@ func TestBatchSeedsRunsLockstepAndCachesPerSeed(t *testing.T) {
 		t.Fatalf("distinct cache keys %d, want 3 (per-seed entries)", len(keys))
 	}
 
+	// Every member ran as a job of its own.
 	var m MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.ReplicaGroupsExecuted != 1 || m.ReplicaSeedsSimulated != 3 {
-		t.Fatalf("replica counters groups=%d seeds=%d, want 1/3",
-			m.ReplicaGroupsExecuted, m.ReplicaSeedsSimulated)
-	}
-	if m.JobsCompleted != 3 || m.CacheEntries != 3 {
-		t.Fatalf("completed=%d cache entries=%d, want 3/3", m.JobsCompleted, m.CacheEntries)
+	if m.JobsStarted != 3 || m.JobsCompleted != 3 || m.CacheEntries != 3 {
+		t.Fatalf("started=%d completed=%d cache entries=%d, want 3/3/3", m.JobsStarted, m.JobsCompleted, m.CacheEntries)
 	}
 
 	// The figure-shaped reduction now carries dispersion columns.
@@ -69,7 +66,7 @@ func TestBatchSeedsRunsLockstepAndCachesPerSeed(t *testing.T) {
 }
 
 func TestBatchSeedsResubmitFullyCached(t *testing.T) {
-	s, ts := newTestServer(t, Options{Workers: 1})
+	_, ts := newTestServer(t, Options{Workers: 1})
 	_, first := postBatch(t, ts, seedsBatch)
 	pollBatch(t, ts, first.ID, func(b BatchStatus) bool { return b.State == "done" }, 60*time.Second)
 
@@ -96,10 +93,9 @@ func TestBatchSeedsResubmitFullyCached(t *testing.T) {
 
 	var m MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.ReplicaGroupsExecuted != 1 {
-		t.Fatalf("replica groups %d, want 1 (resubmits simulate nothing)", m.ReplicaGroupsExecuted)
+	if m.JobsStarted != 3 || m.JobsCompleted != 3 {
+		t.Fatalf("started=%d completed=%d, want 3/3 (resubmits simulate nothing)", m.JobsStarted, m.JobsCompleted)
 	}
-	_ = s
 }
 
 func TestBatchSeedsSupersetRunsOnlyMissingMember(t *testing.T) {
@@ -108,8 +104,8 @@ func TestBatchSeedsSupersetRunsOnlyMissingMember(t *testing.T) {
 	_, first := postBatch(t, ts, two)
 	pollBatch(t, ts, first.ID, func(b BatchStatus) bool { return b.State == "done" }, 60*time.Second)
 
-	// seeds:3 over the same base: two members hit the cache, the group
-	// shrinks to one live member and runs as a plain job, not a carrier.
+	// seeds:3 over the same base: two members hit the cache and only
+	// the third runs.
 	code, st := postBatch(t, ts, seedsBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("superset: HTTP %d, want 202 (one member still needs simulating)", code)
@@ -120,9 +116,8 @@ func TestBatchSeedsSupersetRunsOnlyMissingMember(t *testing.T) {
 	}
 	var m MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.ReplicaGroupsExecuted != 1 || m.ReplicaSeedsSimulated != 2 {
-		t.Fatalf("replica counters groups=%d seeds=%d, want 1/2 (the straggler ran solo)",
-			m.ReplicaGroupsExecuted, m.ReplicaSeedsSimulated)
+	if m.JobsStarted != 3 {
+		t.Fatalf("jobs started %d, want 3 (two members, then the missing one)", m.JobsStarted)
 	}
 	if m.CacheEntries != 3 {
 		t.Fatalf("cache entries %d, want 3", m.CacheEntries)
@@ -158,7 +153,7 @@ func TestReplicatedMemberMatchesStandaloneSeed(t *testing.T) {
 	}
 
 	// And the payload matches a from-scratch run of that seed on an
-	// independent daemon (replica bit-identity through the full stack).
+	// independent daemon (bit-identity through the full stack).
 	var viaReplica JobResult
 	getJSON(t, ts.URL+"/v1/jobs/"+js.ID+"/result", &viaReplica)
 	_, ts2 := newTestServer(t, Options{Workers: 1})
@@ -167,7 +162,7 @@ func TestReplicatedMemberMatchesStandaloneSeed(t *testing.T) {
 	var standalone JobResult
 	getJSON(t, ts2.URL+"/v1/jobs/"+solo.ID+"/result", &standalone)
 	if !resultsEqual(viaReplica, standalone) {
-		t.Fatalf("replicated member result differs from standalone run:\n%+v\n%+v", viaReplica, standalone)
+		t.Fatalf("batch member result differs from standalone run:\n%+v\n%+v", viaReplica, standalone)
 	}
 }
 
@@ -194,26 +189,24 @@ func TestBatchSeedsValidation(t *testing.T) {
 }
 
 func TestBatchSeedsCancelledMidRunPublishesNothing(t *testing.T) {
-	// Pins runJob's context.Canceled branch for a replica crew: a lockstep run
-	// aborted mid-chunk must NOT publish per-seed cache entries (the
+	// Pins runJob's context.Canceled branch for a seeds batch: a member
+	// run aborted mid-chunk must NOT publish a cache entry (the
 	// simulation never finished, so there is no result to address), and
-	// every member must settle cancelled exactly once in the metrics —
-	// finish() returning false on an already-terminal member is what
-	// keeps the counters from double-attributing.
+	// every member, running or queued, must settle cancelled exactly
+	// once in the metrics.
 	s, ts := newTestServer(t, Options{Workers: 1})
 	long := `{"workloads":[{"cpu":"fmm","gpu":"DCT"}],"warmup_cycles":200,"measure_cycles":5000000,"seeds":3}`
 	code, st := postBatch(t, ts, long)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d, want 202", code)
 	}
-	// All three members flip running when the carrier claims the worker
-	// slot; from then on the run is inside the lockstep chunk loop.
-	pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.Running == 3 }, 30*time.Second)
+	// The first member holds the one worker; the other two wait queued.
+	pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.Running == 1 }, 30*time.Second)
 
 	// A drain with an already-expired context is the force-cancel path:
-	// rootCancel fires immediately and the lockstep engine observes it
-	// at the next chunk boundary — tens of milliseconds into a run that
-	// would otherwise take tens of seconds.
+	// rootCancel fires immediately, the queued members are withdrawn and
+	// the running one observes it at the next chunk boundary — tens of
+	// milliseconds into a run that would otherwise take tens of seconds.
 	expired, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.Shutdown(expired); !errors.Is(err, context.Canceled) {
@@ -233,9 +226,8 @@ func TestBatchSeedsCancelledMidRunPublishesNothing(t *testing.T) {
 	if m.JobsCancelled != 3 {
 		t.Fatalf("cancellations counted %d, want exactly 3 (once per member)", m.JobsCancelled)
 	}
-	if m.JobsCompleted != 0 || m.ReplicaGroupsExecuted != 0 || m.ReplicaSeedsSimulated != 0 {
-		t.Fatalf("aborted run leaked success metrics: completed=%d groups=%d seeds=%d",
-			m.JobsCompleted, m.ReplicaGroupsExecuted, m.ReplicaSeedsSimulated)
+	if m.JobsCompleted != 0 || m.JobsStarted != 1 {
+		t.Fatalf("aborted run: completed=%d started=%d, want 0/1", m.JobsCompleted, m.JobsStarted)
 	}
 }
 
@@ -244,7 +236,7 @@ func TestBatchSeedsCancelledWhileQueuedSkipsCarrier(t *testing.T) {
 	_, running := postJob(t, ts, longJob)
 	pollUntil(t, ts, running.ID, func(s JobStatus) bool { return s.State == string(StateRunning) }, 10*time.Second)
 
-	// The worker is pinned, so the seeds batch sits queued as a carrier.
+	// The worker is pinned, so the seeds batch's members sit queued.
 	code, st := postBatch(t, ts, seedsBatch)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
@@ -260,7 +252,7 @@ func TestBatchSeedsCancelledWhileQueuedSkipsCarrier(t *testing.T) {
 		t.Fatalf("cancelled members %d/3: %+v", done.Cancelled, done)
 	}
 
-	// Unblock the pinned worker and confirm no lockstep run ever fired.
+	// Unblock the pinned worker and confirm no member ever ran.
 	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+running.ID, nil)
 	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
@@ -268,7 +260,78 @@ func TestBatchSeedsCancelledWhileQueuedSkipsCarrier(t *testing.T) {
 	pollUntil(t, ts, running.ID, func(s JobStatus) bool { return JobState(s.State).Terminal() }, 5*time.Second)
 	var m MetricsSnapshot
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m.ReplicaGroupsExecuted != 0 || m.ReplicaSeedsSimulated != 0 {
-		t.Fatalf("cancelled group still simulated: %+v", m)
+	if m.JobsStarted != 1 {
+		t.Fatalf("jobs started %d, want 1 (the pinned job only): a cancelled member still ran", m.JobsStarted)
+	}
+}
+
+// TestBatchSeedsMembersStreamOwnWindows follows every member of a
+// seeds:3 batch on its own /events feed: each streams the window frames
+// of its own run, stamped with its own job id, before its end frame.
+func TestBatchSeedsMembersStreamOwnWindows(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2})
+	_, st := postBatch(t, ts, seedsBatch)
+	done := pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.State == "done" }, 60*time.Second)
+	if len(done.Points) != 3 {
+		t.Fatalf("batch has %d points, want 3", len(done.Points))
+	}
+	for _, p := range done.Points {
+		frames := collectFrames(t, openStream(t, ts.URL+"/v1/jobs/"+p.ID+"/events", "", 0))
+		checkFeedShape(t, frames)
+		wins := windowFrames(t, frames)
+		// 2,000 measured cycles at the default 500-cycle window.
+		if len(wins) != 4 {
+			t.Fatalf("member %s streamed %d window frames, want 4", p.ID, len(wins))
+		}
+		for _, w := range wins {
+			if w.JobID != p.ID {
+				t.Fatalf("member %s's feed carries a window of job %s", p.ID, w.JobID)
+			}
+		}
+	}
+}
+
+// TestBatchSeedsFeedCanaryPerMember holds a seeds:2 PowerML batch at the
+// canary's window to the canary evidence its two members give when
+// submitted as single jobs: each member's run feeds the canary.
+func TestBatchSeedsFeedCanaryPerMember(t *testing.T) {
+	dir := t.TempDir()
+	if err := syntheticArtifact(t, 500, 5000).SaveFile(filepath.Join(dir, "rw500.json")); err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Workers: 2, ModelDir: dir, CanaryAlias: "rw500"}
+	const point = `"preset":"ml-rw500","model":"rw500","warmup_cycles":200,"measure_cycles":4000`
+
+	s, ts := newTestServer(t, opts)
+	code, st := postBatch(t, ts, `{`+point+`,"seed":9,"seeds":2,"workloads":[{"cpu":"fmm","gpu":"DCT"}]}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d, want 202", code)
+	}
+	done := pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.State == "done" }, 60*time.Second)
+	var batch MetricsSnapshot
+	getJSON(t, ts.URL+"/metrics", &batch)
+
+	// The same two seeds as single jobs on a fresh daemon.
+	_, ts2 := newTestServer(t, opts)
+	for _, p := range done.Points {
+		member, ok := s.reg.get(p.ID)
+		if !ok {
+			t.Fatalf("member %s missing from registry", p.ID)
+		}
+		body := fmt.Sprintf(`{`+point+`,"seed":%d,"workload":{"cpu":"fmm","gpu":"DCT"}}`, member.exec.spec.Seed)
+		code, js := postJob(t, ts2, body)
+		if code != http.StatusAccepted {
+			t.Fatalf("single submit: HTTP %d, want 202", code)
+		}
+		pollUntil(t, ts2, js.ID, func(s JobStatus) bool { return s.State == string(StateDone) }, 60*time.Second)
+	}
+	var singles MetricsSnapshot
+	getJSON(t, ts2.URL+"/metrics", &singles)
+	if singles.CanarySamples == 0 {
+		t.Fatal("the single jobs fed the canary nothing; the test exercises nothing")
+	}
+	if batch.CanarySamples != singles.CanarySamples {
+		t.Fatalf("seeds:2 batch fed the canary %d samples, its two members as single jobs %d",
+			batch.CanarySamples, singles.CanarySamples)
 	}
 }

@@ -1,9 +1,18 @@
 package server
 
 import (
+	"context"
 	"testing"
 	"time"
 )
+
+// newJob builds a runnable job outside the request path: identity plus
+// execution state.
+func newJob(id string, spec jobSpec, parent context.Context) *Job {
+	j := newRecord(id, &spec)
+	j.arm(spec, parent)
+	return j
+}
 
 // doneJob fabricates a finished point: spec resolved through the real
 // request path, result injected directly.

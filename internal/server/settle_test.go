@@ -131,7 +131,6 @@ func admitAnon(t *testing.T, s *Server, spec jobSpec, b *Batch, want admission) 
 
 const (
 	twoPointBatch = `{"warmup_cycles":200,"measure_cycles":2000,"workloads":[{"cpu":"fmm","gpu":"DCT"},{"cpu":"x264","gpu":"Reduction"}]}`
-	onePointBatch = `{"warmup_cycles":200,"measure_cycles":2000,"workloads":[{"cpu":"fmm","gpu":"DCT"}]}`
 	seedsBatch2   = `{"warmup_cycles":200,"measure_cycles":2000,"seeds":2,"workloads":[{"cpu":"fmm","gpu":"DCT"}]}`
 	longSeeds2    = `{"warmup_cycles":200,"measure_cycles":5000000,"seeds":2,"workloads":[{"cpu":"fmm","gpu":"DCT"}]}`
 	// timedLeader and timedFollow share a key: the timeout is not part
@@ -153,10 +152,10 @@ type settleRow struct {
 	// run drives one terminal path and returns once the jobs it watches
 	// are terminal.
 	run func(t *testing.T, s *Server)
-	// want is the global delta; remote and groups are the
-	// shard_remote_served and replica_groups_executed deltas.
-	want           tally
-	remote, groups uint64
+	// want is the global delta; remote is the shard_remote_served
+	// delta.
+	want   tally
+	remote uint64
 	// tenants is the per-tenant delta; nil means want, all on the
 	// anonymous tenant.
 	tenants map[string]tally
@@ -219,9 +218,10 @@ var settleRows = []settleRow{
 		forceShutdown(s)
 		awaitJobs(t, s, terminal, pinned, queued)
 	}},
-	{name: "closed feeder", want: tally{cancelled: 1}, run: func(t *testing.T, s *Server) {
+	{name: "closed feeder", want: tally{cancelled: 2}, run: func(t *testing.T, s *Server) {
+		// Each seeds:2 member is withdrawn, and counts, on its own.
 		s.queue.close()
-		awaitBatch(t, s, submit(t, s, "/v1/batches", "", onePointBatch, http.StatusAccepted))
+		awaitBatch(t, s, submit(t, s, "/v1/batches", "", seedsBatch2, http.StatusAccepted))
 	}},
 	{name: "queue full", opts: Options{Workers: 1, QueueDepth: 1}, want: tally{rejected: 1}, run: func(t *testing.T, s *Server) {
 		pin(t, s, "")
@@ -278,26 +278,20 @@ var settleRows = []settleRow{
 		unfed := &Batch{ID: "batch-unfed", submitted: time.Now(), events: newEventRing(8)}
 		s.importRemote(admitAnon(t, s, resolveSpec(t, s, quickJob), unfed, admitDeferred), testResult(1))
 	}},
-	{name: "replica member done", want: tally{completed: 2}, groups: 1, run: func(t *testing.T, s *Server) {
+	{name: "replica member done", want: tally{completed: 2}, run: func(t *testing.T, s *Server) {
 		awaitBatch(t, s, submit(t, s, "/v1/batches", "", seedsBatch2, http.StatusAccepted))
 	}},
-	{name: "replica member cancelled", opts: Options{Workers: 1}, want: tally{cancelled: 2},
+	{name: "replica member cancelled", opts: Options{Workers: 2}, want: tally{cancelled: 2},
 		run: func(t *testing.T, s *Server) {
 			bid := submit(t, s, "/v1/batches", "", longSeeds2, http.StatusAccepted)
 			b, _ := s.batches.get(bid)
-			await(t, "lockstep run", func() bool { return b.status(false).Running == 2 })
+			await(t, "both member runs", func() bool { return b.status(false).Running == 2 })
 			forceShutdown(s)
 			awaitBatch(t, s, bid)
 		}},
 	{name: "replica member failed", want: tally{failed: 2}, run: func(t *testing.T, s *Server) {
 		timed := strings.Replace(longSeeds2, `"seeds"`, `"timeout_ms":50,"seeds"`, 1)
 		awaitBatch(t, s, submit(t, s, "/v1/batches", "", timed, http.StatusAccepted))
-	}},
-	{name: "carrier", want: tally{cancelled: 2}, run: func(t *testing.T, s *Server) {
-		// The closed feeder withdraws the carrier, which counts nothing,
-		// and the carrier releases its two members, which count.
-		s.queue.close()
-		awaitBatch(t, s, submit(t, s, "/v1/batches", "", seedsBatch2, http.StatusAccepted))
 	}},
 }
 
@@ -315,9 +309,9 @@ func TestSettleAccounting(t *testing.T) {
 
 			m := s.metrics.snapshot()
 			got := tally{m.JobsCompleted, m.JobsFailed, m.JobsCancelled, m.JobsRejected}
-			if got != row.want || m.ShardRemoteServed != row.remote || m.ReplicaGroupsExecuted != row.groups {
-				t.Errorf("global %+v remote=%d groups=%d, want %+v remote=%d groups=%d",
-					got, m.ShardRemoteServed, m.ReplicaGroupsExecuted, row.want, row.remote, row.groups)
+			if got != row.want || m.ShardRemoteServed != row.remote {
+				t.Errorf("global %+v remote=%d, want %+v remote=%d",
+					got, m.ShardRemoteServed, row.want, row.remote)
 			}
 			tenants := row.tenants
 			if tenants == nil {

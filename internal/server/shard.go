@@ -357,15 +357,12 @@ func (pc *peerClient) uploadModel(ctx context.Context, art *models.Artifact, tok
 // (falling back to the local queue on any failure) while local-owned
 // points trickle into the bounded queue exactly as an unsharded batch
 // would, with their completed entries replicated out to the peers.
-// Replica-group members hash by their group's key so a whole seeds:N
-// point lands on one node; a remote peer runs the seed members it
-// receives as ordinary individual jobs (the wire protocol carries no
-// group identity), while local-owned groups coalesce into lockstep
-// carriers inside feedBatch.
+// Each point, a seeds:N member included, is routed by its own cache
+// key.
 func (s *Server) feedBatchSharded(deferred []*Job) {
 	var local []*Job
 	for _, job := range deferred {
-		peer := s.shard.owner(job.shardKey())
+		peer := s.shard.owner(job.key)
 		if peer == nil {
 			s.replicateOnDone(job)
 			local = append(local, job)

@@ -5,7 +5,7 @@ import "math"
 // Welford is a streaming mean/variance accumulator (Welford's online
 // algorithm, with Chan et al.'s pairwise update for Merge). It holds
 // three words of state no matter how many samples it has seen, so the
-// server's per-series confidence intervals and the replicated runner's
+// server's per-series confidence intervals and pearlbench's per-point
 // seed aggregates can fold results in one at a time without keeping
 // the samples around. The zero value is an empty accumulator.
 type Welford struct {

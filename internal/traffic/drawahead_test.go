@@ -84,7 +84,7 @@ type drawAheadCoverage struct {
 // awake for the next cycle.
 func runDrawAheadTwin(t *testing.T, prof Profile, seed uint64, cycles, horizon int64, cov *drawAheadCoverage) {
 	t.Helper()
-	tab := NewExpTable()
+	tab := newExpTable()
 	var ref, twin generator
 	ref.init(0, prof, sim.NewRNG(seed), tab)
 	twin.init(0, prof, sim.NewRNG(seed), tab)

@@ -77,7 +77,7 @@ type generator struct {
 	// first 192 bytes of the generator's slot, the rest after them.
 
 	// rng is embedded by value: the 32 generators of a workload live in
-	// one contiguous array (see Workload.gens), so a replica's whole
+	// one contiguous array (see Workload.gens), so a run's whole
 	// traffic state walks the cache linearly instead of chasing per-
 	// generator pointers.
 	rng sim.RNG
@@ -122,8 +122,7 @@ type generator struct {
 	// float rate values on every burst (each value recurs dozens of times
 	// per million cycles), so most rate changes hit the table instead of
 	// math.Exp. The slice aliases a table shared by every generator of
-	// the workload (and, in replicated runs, by co-scheduled replicas of
-	// the same pair): the memo is value-transparent — a slot is only
+	// the workload: the memo is value-transparent — a slot is only
 	// consumed when its stored rate matches exactly — so sharing changes
 	// which lookups miss, never what any lookup returns.
 	expTab []expEntry
@@ -183,26 +182,16 @@ type expEntry struct {
 	exp  float64
 }
 
-// expTabBits sizes the shared exp cache (2^11 = 2048 slots, 32 KiB).
+// expTabBits sizes the exp cache (2^11 = 2048 slots, 32 KiB).
 const expTabBits = 11
 
-// ExpTable is a shareable exp(-rate) memo. One table serves all 32
-// generators of a workload (the burst-rate ladders of a pair's two
-// profiles fit 2048 slots with room to spare), replacing the former
-// per-generator tables — 32 KiB per workload instead of 1 MiB. A
-// lockstep replica set goes further and hands the same table to every
-// replica a worker lane steps (same goroutine, so unsynchronised
-// access is safe): the first replica warms the ladder, the rest hit.
-// Sharing is bit-transparent because a slot is re-verified against the
-// exact rate before its cached exponential is consumed.
-type ExpTable struct {
-	slots []expEntry
-}
-
-// NewExpTable allocates an empty shared memo.
-func NewExpTable() *ExpTable {
-	return &ExpTable{slots: make([]expEntry, 1<<expTabBits)}
-}
+// newExpTable allocates an empty exp(-rate) memo. One table serves all
+// 32 generators of a workload (the burst-rate ladders of a pair's two
+// profiles fit 2048 slots with room to spare) — 32 KiB per workload
+// instead of 1 MiB of per-generator tables. Sharing is bit-transparent
+// because a slot is re-verified against the exact rate before its
+// cached exponential is consumed.
+func newExpTable() []expEntry { return make([]expEntry, 1<<expTabBits) }
 
 // tickDemand advances the burst chain and returns this cycle's new
 // demands. Bursts ramp to full intensity over RampCycles (kernels
@@ -345,8 +334,7 @@ type Workload struct {
 
 	// gens holds the generators by value: one contiguous block of
 	// demand-process state (burst chains, MSHR windows, embedded RNG
-	// streams) per workload, which is what lets a replicated run lay N
-	// seeds' traffic state out back to back.
+	// streams) per workload.
 	gens [config.NumClusterRouters][noc.NumClasses]generator
 	// wake[r*NumClasses+class] is the cycle generator (r, class) drew
 	// ahead to: it has no demand before then and nothing pending, so Tick
@@ -387,15 +375,6 @@ type Workload struct {
 // must register the returned workload with the engine before the network
 // so demand is injected ahead of router arbitration each cycle.
 func NewWorkload(engine *sim.Engine, target Target, pair Pair, seed uint64) (*Workload, error) {
-	return NewWorkloadWithExpTable(engine, target, pair, seed, nil)
-}
-
-// NewWorkloadWithExpTable is NewWorkload with an explicit shared
-// exp(-rate) memo; nil allocates a fresh one. The table must only be
-// shared between workloads that tick on the same goroutine (lockstep
-// replicas on one worker lane) — it is a plain memo with no
-// synchronisation. Sharing never changes results, only memo hit rates.
-func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed uint64, tab *ExpTable) (*Workload, error) {
 	if err := pair.CPU.Validate(); err != nil {
 		return nil, err
 	}
@@ -405,9 +384,7 @@ func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed 
 	if pair.CPU.Class != noc.ClassCPU || pair.GPU.Class != noc.ClassGPU {
 		return nil, fmt.Errorf("traffic: pair %s has mismatched classes", pair.Name())
 	}
-	if tab == nil {
-		tab = NewExpTable()
-	}
+	tab := newExpTable()
 	w := &Workload{engine: engine, target: target, rng: sim.NewRNG(seed)}
 	w.admits, _ = target.(admitter)
 	w.mem[noc.ClassCPU] = newCoin(pair.CPU.MemFraction)
@@ -425,7 +402,7 @@ func NewWorkloadWithExpTable(engine *sim.Engine, target Target, pair Pair, seed 
 // init fills one in-place generator slot. rng's state is copied in by
 // value: the fork happens in the same order NewWorkload always forked,
 // so the draw sequences are unchanged.
-func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab *ExpTable) {
+func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab []expEntry) {
 	g.router = router
 	g.profile = profile
 	g.class = profile.Class
@@ -433,7 +410,7 @@ func (g *generator) init(router int, profile Profile, rng *sim.RNG, tab *ExpTabl
 	g.maxOutstanding = profile.MaxOutstanding
 	g.rng = *rng
 	g.expFor = math.NaN()
-	g.expTab = tab.slots
+	g.expTab = tab
 	if profile.RampCycles != 0 {
 		g.rampStep = 1 / float64(profile.RampCycles)
 	}
