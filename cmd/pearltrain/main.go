@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -24,45 +26,56 @@ import (
 )
 
 func main() {
-	var (
-		window = flag.Int("window", 500, "reservation window in cycles")
-		out    = flag.String("out", "", "write the trained model artifact here (e.g. rw500.json)")
-		quick  = flag.Bool("quick", false, "reduced data collection for smoke runs")
-		seed   = flag.Uint64("seed", 2018, "experiment seed")
-	)
-	flag.Parse()
-
-	if err := run(*window, *out, *quick, *seed); err != nil {
-		fmt.Fprintln(os.Stderr, "pearltrain:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout))
 }
 
-func run(window int, out string, quick bool, seed uint64) error {
+// run parses args, trains and evaluates the model and writes the report
+// to stdout; usage and errors go to stderr. It returns the exit status.
+func run(args []string, stdout io.Writer) int {
+	fs := flag.NewFlagSet("pearltrain", flag.ContinueOnError)
+	var (
+		window = fs.Int("window", 500, "reservation window in cycles")
+		out    = fs.String("out", "", "write the trained model artifact here (e.g. rw500.json)")
+		quick  = fs.Bool("quick", false, "reduced data collection for smoke runs")
+		seed   = fs.Uint64("seed", 2018, "experiment seed")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	if err := train(stdout, *window, *out, *quick, *seed); err != nil {
+		fmt.Fprintln(os.Stderr, "pearltrain:", err)
+		return 1
+	}
+	return 0
+}
+
+func train(stdout io.Writer, window int, out string, quick bool, seed uint64) error {
 	opts := experiments.Full()
 	if quick {
 		opts = experiments.Quick()
 	}
 	opts.Seed = seed
 
-	fmt.Printf("training ridge model for RW%d (%d train pairs, %d validation pairs)\n",
+	fmt.Fprintf(stdout, "training ridge model for RW%d (%d train pairs, %d validation pairs)\n",
 		window, len(opts.TrainPairs), len(opts.ValPairs))
 	start := time.Now()
 	model, err := experiments.Train(window, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trained in %v: lambda=%g validation NRMSE score=%.3f hash=%s\n",
+	fmt.Fprintf(stdout, "trained in %v: lambda=%g validation NRMSE score=%.3f hash=%s\n",
 		time.Since(start), model.Lambda, model.ValScore, model.Hash[:12])
 
 	ev, err := experiments.Evaluate(model, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("test pairs (%d examples):\n", ev.Examples)
-	fmt.Printf("  NRMSE score:        %.3f (paper: 0.68 at RW500, 0.05 at RW2000)\n", ev.TestScore)
-	fmt.Printf("  top-state accuracy: %.1f%% (paper: 99.9%% at RW2000)\n", 100*ev.TopStateAccuracy)
-	fmt.Printf("  exact-state agree:  %.1f%%\n", 100*ev.StateAccuracy)
+	fmt.Fprintf(stdout, "test pairs (%d examples):\n", ev.Examples)
+	fmt.Fprintf(stdout, "  NRMSE score:        %.3f (paper: 0.68 at RW500, 0.05 at RW2000)\n", ev.TestScore)
+	fmt.Fprintf(stdout, "  top-state accuracy: %.1f%% (paper: 99.9%% at RW2000)\n", 100*ev.TopStateAccuracy)
+	fmt.Fprintf(stdout, "  exact-state agree:  %.1f%%\n", 100*ev.StateAccuracy)
 
 	if out != "" {
 		// Provenance only — the content hash deliberately excludes it.
@@ -70,7 +83,7 @@ func run(window int, out string, quick bool, seed uint64) error {
 		if err := model.SaveFile(out); err != nil {
 			return err
 		}
-		fmt.Printf("model artifact written to %s (hash %s)\n", out, model.Hash)
+		fmt.Fprintf(stdout, "model artifact written to %s (hash %s)\n", out, model.Hash)
 	}
 	return nil
 }

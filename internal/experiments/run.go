@@ -58,7 +58,7 @@ type Options struct {
 }
 
 // Full returns the paper-faithful option set: all 16 test pairs, all 36
-// training pairs, 30k measured cycles.
+// training pairs, 60k measured cycles.
 func Full() Options {
 	return Options{
 		Seed:          2018,

@@ -366,11 +366,12 @@ type TenantSnapshot struct {
 // snapshot copies the ledger for the metrics endpoint: the totals by
 // value, the tenant, controller and residency maps cloned so the copy
 // shares nothing with the live counters, and the hit rate, utilisation
-// and latency quantiles derived from them. The gauges other layers own
-// are the caller's to fill in.
+// and latency quantiles derived from them. The latency samples are
+// copied under the lock and sorted after it is released, so job starts,
+// finishes and cache hits never wait on a scrape's sort. The gauges
+// other layers own are the caller's to fill in.
 func (m *metrics) snapshot() MetricsSnapshot {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	s := m.totals
 	s.UptimeSeconds = time.Since(m.upSince).Seconds()
 	if s.Workers > 0 {
@@ -379,8 +380,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	if lookups := s.CacheHits + s.CacheMisses; lookups > 0 {
 		s.CacheHitRate = float64(s.CacheHits) / float64(lookups)
 	}
-	q := m.latency.Percentiles(50, 99)
-	s.JobLatencyMeanS, s.JobLatencyP50S, s.JobLatencyP99S = m.latency.Mean(), q[0], q[1]
 	s.Controllers = cloneLedger(m.totals.Controllers)
 	s.Tenants = make(map[string]TenantSnapshot, len(m.tenants))
 	for name, t := range m.tenants {
@@ -388,6 +387,10 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		ts.Controllers = cloneLedger(t.Controllers)
 		s.Tenants[name] = ts
 	}
+	latency := m.latency.Clone()
+	m.mu.Unlock()
+	q := latency.Percentiles(50, 99)
+	s.JobLatencyMeanS, s.JobLatencyP50S, s.JobLatencyP99S = latency.Mean(), q[0], q[1]
 	return s
 }
 

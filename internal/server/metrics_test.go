@@ -9,6 +9,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // dynJob is a photonic run driven by a registered controller, so it
@@ -173,5 +175,24 @@ func TestMetricsSnapshotIsDeepCopy(t *testing.T) {
 	}
 	if reflect.DeepEqual(live.Controllers, snap.Controllers) {
 		t.Fatal("live controller ledger did not move: the test settled nothing")
+	}
+}
+
+// TestMetricsLatencyQuantiles: the job-latency mean, p50 and p99 a
+// snapshot reports, computed after the ledger lock is released, equal
+// stats.Histogram's answers over the same samples, ring wrap included.
+func TestMetricsLatencyQuantiles(t *testing.T) {
+	m := newMetrics(1)
+	ref := stats.NewHistogram(1 << 16)
+	for i := 0; i < 1<<16+5000; i++ {
+		x := float64(i*7919%10007) / 1000 // scrambled seconds
+		m.latency.Add(x)
+		ref.Add(x)
+	}
+	snap := m.snapshot()
+	q := ref.Percentiles(50, 99)
+	got := []float64{snap.JobLatencyMeanS, snap.JobLatencyP50S, snap.JobLatencyP99S}
+	if want := []float64{ref.Mean(), q[0], q[1]}; !slices.Equal(got, want) {
+		t.Fatalf("mean, p50, p99 = %v, reference %v", got, want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // denseLimit bounds the counted value range of a CycleHistogram: one
-// int64 counter per latency below it (32 KB when fully grown). PEARL's
+// uint32 counter per latency below it (16 KB when fully grown). PEARL's
 // latency maxima sit at a few hundred to a few thousand cycles, so
 // nearly every sample is a counter increment. A saturated CMESH
 // delivers few packets with latencies in the tens of thousands; counting
@@ -16,15 +16,23 @@ import (
 // above the limit are kept raw instead.
 const denseLimit = 4096
 
+// maxSamples is the most samples one CycleHistogram answers for: up to
+// it no uint32 counter can wrap. That is about 286M cycles of a
+// saturated network, far past any run the daemon admits. Past it Seal
+// and every percentile read panic rather than read a wrapped counter.
+const maxSamples = math.MaxUint32
+
 // CycleHistogram is an exact latency distribution over whole cycles.
 // Memory is bounded by the value range and the sample count together:
-// at most denseLimit counters plus 8 bytes per sample at or above
-// denseLimit, whatever the run length. Seal trims both to what was
-// counted once recording is over. The zero value is ready to use.
+// at most denseLimit 4-byte counters plus 8 bytes per sample at or
+// above denseLimit, whatever the run length. Seal trims both to what
+// was counted once recording is over. It counts at most maxSamples
+// samples. The zero value is ready to use.
 type CycleHistogram struct {
 	// dense[v] counts the samples equal to v; it grows on demand to the
 	// next power of two above the largest value seen, up to denseLimit.
-	dense []int64
+	// Reads widen each count to int64 before adding it to another.
+	dense []uint32
 	// overflow holds the samples >= denseLimit, sorted lazily at the
 	// first percentile query after an Add that left them unsorted.
 	overflow []int64
@@ -59,7 +67,7 @@ func (h *CycleHistogram) addSlow(v int64) {
 	for int64(size) <= v {
 		size *= 2
 	}
-	dense := make([]int64, size)
+	dense := make([]uint32, size)
 	copy(dense, h.dense)
 	h.dense = dense
 	h.dense[v]++
@@ -70,12 +78,17 @@ func (h *CycleHistogram) addSlow(v int64) {
 // found by walking until every counted sample is accounted for, so a
 // reset costs the range of the samples it forgets, not the counters'
 // length, and Add pays nothing to track it. The overflow slice keeps its
-// capacity.
+// capacity. A histogram past maxSamples, whose counters may have
+// wrapped, is cleared whole.
 func (h *CycleHistogram) Reset() {
-	left := h.n - int64(len(h.overflow))
-	for v := 0; left > 0; v++ {
-		left -= h.dense[v]
-		h.dense[v] = 0
+	if h.n > maxSamples {
+		clear(h.dense)
+	} else {
+		left := h.n - int64(len(h.overflow))
+		for v := 0; left > 0; v++ {
+			left -= int64(h.dense[v])
+			h.dense[v] = 0
+		}
 	}
 	h.overflow = h.overflow[:0]
 	h.unsorted = false
@@ -88,7 +101,9 @@ func (h *CycleHistogram) Reset() {
 // growth headroom. A sealed histogram's reads write nothing, so any
 // number of goroutines may query it at once. Add and Reset still work
 // afterwards; the first Add past the trimmed storage grows it again.
+// Sealing a histogram past maxSamples panics.
 func (h *CycleHistogram) Seal() {
+	h.checkCount()
 	top := len(h.dense)
 	for top > 0 && h.dense[top-1] == 0 {
 		top--
@@ -99,17 +114,25 @@ func (h *CycleHistogram) Seal() {
 
 // exact returns a copy of s with no spare capacity, or nil when s is
 // empty, so nothing of s's backing array stays reachable through it.
-func exact(s []int64) []int64 {
+func exact[T uint32 | int64](s []T) []T {
 	if len(s) == 0 {
 		return nil
 	}
-	out := make([]int64, len(s))
+	out := make([]T, len(s))
 	copy(out, s)
 	return out
 }
 
 // N returns the total samples recorded.
 func (h *CycleHistogram) N() int64 { return h.n }
+
+// checkCount panics once h holds more samples than its counters can
+// count without wrapping.
+func (h *CycleHistogram) checkCount() {
+	if h.n > maxSamples {
+		panic(fmt.Sprintf("stats: %d latency samples in one histogram, past the %d its uint32 counters hold", h.n, uint64(maxSamples)))
+	}
+}
 
 // Mean returns the mean over all recorded samples (0 when empty). The
 // integer sum is exact, so the result equals a float64 accumulation of
@@ -118,7 +141,8 @@ func (h *CycleHistogram) Mean() float64 { return mean(h.sum, h.n) }
 
 // Percentile returns the p-th percentile over every recorded sample by
 // nearest rank (rank = ceil(p/100*n)); p <= 0 gives the minimum,
-// p >= 100 the maximum, an empty histogram 0.
+// p >= 100 the maximum, an empty histogram 0. It panics past
+// maxSamples samples.
 func (h *CycleHistogram) Percentile(p float64) float64 { return percentile(p, h, &emptyHist) }
 
 // Percentiles returns Percentile(p) for each requested p.
@@ -175,8 +199,11 @@ func percentiles(ps []float64, a, b *CycleHistogram) []float64 {
 }
 
 // percentile is the one nearest-rank query: the p-th percentile of the
-// samples of a and b together.
+// samples of a and b together. It refuses an operand past maxSamples;
+// below that their summed counts cannot overflow the int64 walk.
 func percentile(p float64, a, b *CycleHistogram) float64 {
+	a.checkCount()
+	b.checkCount()
 	n := a.n + b.n
 	if n == 0 {
 		return 0
@@ -208,10 +235,10 @@ func atRank(rank int64, a, b *CycleHistogram) int64 {
 	}
 	var seen int64
 	for v, c := range long {
+		seen += int64(c)
 		if v < len(short) {
-			c += short[v]
+			seen += int64(short[v])
 		}
-		seen += c
 		if seen >= rank {
 			return int64(v)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -50,22 +51,23 @@ func checkAgainstReference(t *testing.T, h distribution, ref *Histogram) {
 	}
 }
 
-// runDifferential feeds ops to both types, comparing at every query
-// marker and once more at the end, so an Add after a query has to
-// re-dirty the lazy sort.
-func runDifferential(t *testing.T, ops []int64) {
+// runDifferential feeds ops to h, which must hold no samples, and to a
+// raw-sample reference, comparing at every query marker and once more at
+// the end, so an Add after a query has to re-dirty the lazy sort. It
+// returns the reference.
+func runDifferential(t *testing.T, h *CycleHistogram, ops []int64) *Histogram {
 	t.Helper()
-	var h CycleHistogram
 	ref := NewHistogram(0)
 	for _, v := range ops {
 		if v == query {
-			checkAgainstReference(t, &h, ref)
+			checkAgainstReference(t, h, ref)
 			continue
 		}
 		h.Add(v)
 		ref.Add(float64(v))
 	}
-	checkAgainstReference(t, &h, ref)
+	checkAgainstReference(t, h, ref)
+	return ref
 }
 
 func TestCycleHistogramMatchesRawSamples(t *testing.T) {
@@ -88,7 +90,7 @@ func TestCycleHistogramMatchesRawSamples(t *testing.T) {
 		{"interleaved", []int64{5, query, 1, query, 70000, query, 6000, 3, query, denseLimit, query}},
 		{"descending ramp across the limit", ramp},
 	} {
-		t.Run(tc.name, func(t *testing.T) { runDifferential(t, tc.ops) })
+		t.Run(tc.name, func(t *testing.T) { runDifferential(t, new(CycleHistogram), tc.ops) })
 	}
 }
 
@@ -153,7 +155,7 @@ func TestCycleHistogramReset(t *testing.T) {
 		if !slices.Equal(h.Percentiles(queryPoints...), fresh.Percentiles(queryPoints...)) || h.Mean() != fresh.Mean() {
 			t.Fatalf("after reset, %v answers unlike a fresh histogram", ops)
 		}
-		if dirty := slices.IndexFunc(h.dense[len(fresh.dense):], func(c int64) bool { return c != 0 }); dirty >= 0 {
+		if dirty := slices.IndexFunc(h.dense[len(fresh.dense):], func(c uint32) bool { return c != 0 }); dirty >= 0 {
 			t.Fatalf("after reset, %v left counter %d set past what it wrote", ops, len(fresh.dense)+dirty)
 		}
 	}
@@ -202,7 +204,8 @@ func TestCycleHistogramLongHorizon(t *testing.T) {
 
 // FuzzCycleHistogram decodes the input three bytes at a time into Adds
 // of small, limit-straddling and overflow values and interleaved
-// queries, and runs the same differential as the table test.
+// queries, and runs the same differential as the table test three times
+// on one histogram: fresh, then sealed and reset, then reset unsealed.
 func FuzzCycleHistogram(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 0, 7})
@@ -215,7 +218,14 @@ func FuzzCycleHistogram(f *testing.F) {
 		for ; len(data) >= 3; data = data[3:] {
 			ops = append(ops, decodeOp(data[0], data[1], data[2]))
 		}
-		runDifferential(t, ops)
+		var h CycleHistogram
+		ref := runDifferential(t, &h, ops)
+		h.Seal()
+		checkAgainstReference(t, &h, ref)
+		h.Reset()
+		runDifferential(t, &h, ops)
+		h.Reset()
+		runDifferential(t, &h, ops)
 	})
 }
 
@@ -374,4 +384,48 @@ func TestSealedHistogramConcurrentReads(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
+}
+
+// TestCycleHistogramSampleLimit: a histogram holding maxSamples samples,
+// all in one counter, still answers; the next Add wraps that counter,
+// and from then on Seal and every percentile read, its own or a union's,
+// panic naming the limit instead of answering from the wrapped count.
+// Reset clears it back to a fresh histogram.
+func TestCycleHistogramSampleLimit(t *testing.T) {
+	var h CycleHistogram
+	h.Add(5)
+	h.dense[5], h.n, h.sum = math.MaxUint32, maxSamples, 5*maxSamples
+	if got := h.Percentile(50); got != 5 {
+		t.Fatalf("at the limit p50 = %v, want 5", got)
+	}
+	h.Add(5)
+	if h.dense[5] != 0 {
+		t.Fatalf("counter reads %d; the test no longer wraps it", h.dense[5])
+	}
+	var other CycleHistogram
+	other.Add(3)
+	for name, read := range map[string]func(){
+		"Percentile":        func() { h.Percentile(50) },
+		"Percentiles":       func() { h.Percentiles(50, 99) },
+		"union Percentile":  func() { HistogramUnion{&other, &h}.Percentile(50) },
+		"union Percentiles": func() { HistogramUnion{&h, &other}.Percentiles(99) },
+		"Seal":              h.Seal,
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "4294967295") {
+					t.Fatalf("panic %q does not name the limit", msg)
+				}
+			}()
+			read()
+		})
+	}
+	h.Reset()
+	ref := NewHistogram(0)
+	for _, v := range []int64{5, 7, denseLimit} {
+		h.Add(v)
+		ref.Add(float64(v))
+	}
+	checkAgainstReference(t, &h, ref)
 }

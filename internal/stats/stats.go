@@ -7,6 +7,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -92,6 +93,15 @@ func (h *Histogram) Add(x float64) {
 	}
 	h.samples[h.next] = x
 	h.next = (h.next + 1) % h.limit
+}
+
+// Clone returns an independent copy of h: its retained samples, sum
+// and count. A caller that guards h with a lock clones it under the lock
+// and queries the copy after unlocking.
+func (h *Histogram) Clone() *Histogram {
+	c := *h
+	c.samples = slices.Clone(h.samples)
+	return &c
 }
 
 // N returns the total samples recorded.

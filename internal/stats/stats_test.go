@@ -147,6 +147,29 @@ func TestHistogramKeepsMostRecent(t *testing.T) {
 	}
 }
 
+// TestHistogramClone: a clone answers like the original, wrapped ring
+// included, and Adds to either leave the other as it was.
+func TestHistogramClone(t *testing.T) {
+	h := NewHistogram(4)
+	for _, x := range []float64{9, 1, 7, 3, 5, 2} {
+		h.Add(x)
+	}
+	c := h.Clone()
+	ps := []float64{0, 50, 99, 100}
+	want := h.Percentiles(ps...)
+	if got := c.Percentiles(ps...); !slices.Equal(got, want) || c.Mean() != h.Mean() || c.N() != h.N() || !c.Truncated() {
+		t.Fatalf("clone: percentiles %v mean %v n %d, original %v %v %d", got, c.Mean(), c.N(), want, h.Mean(), h.N())
+	}
+	h.Add(100)
+	c.Add(-100)
+	if got := h.Percentiles(ps...); !slices.Equal(got, []float64{2, 3, 100, 100}) {
+		t.Fatalf("original after Adds to both: %v", got)
+	}
+	if got := c.Percentiles(ps...); !slices.Equal(got, []float64{-100, 2, 5, 5}) {
+		t.Fatalf("clone after Adds to both: %v", got)
+	}
+}
+
 func TestClassCounts(t *testing.T) {
 	var c ClassCounts
 	c.Add(0, 128)
