@@ -13,11 +13,11 @@
 //	pearlbench -sweep fig5 -cache-out warm_fig5.json   # cache-warming artifact
 //	pearlbench -figure 5 -cpuprofile cpu.out -memprofile mem.out
 //
-// The -sweep mode evaluates a named figure sweep (fig4, fig5, fig6,
-// fig7, fig9, fig11) point by point and, with -cache-out, writes the
-// results as a cache-entry artifact whose content addresses match the
-// ones pearld computes — so `pearld -warm-cache warm_fig5.json` serves
-// every point of the equivalent batch without simulating.
+// The -sweep mode evaluates a named figure sweep (fig4 to fig11) point
+// by point and, with -cache-out, writes the results as a cache-entry
+// artifact whose content addresses match the ones pearld computes — so
+// `pearld -warm-cache warm_fig5.json` serves every point of the
+// equivalent batch without simulating.
 package main
 
 import (
@@ -399,46 +399,22 @@ func newSuite(opts experiments.Options, arts map[int]*models.Artifact) *experime
 	return suite
 }
 
+// run prints the artifact named by figure ("all" prints every one), in
+// the suite's paper order.
 func run(w io.Writer, opts experiments.Options, figure, jsonOut string, arts map[int]*models.Artifact) error {
-	suite := newSuite(opts, arts)
-	artifacts := []struct {
-		key string
-		fn  func() (experiments.Table, error)
-	}{
-		{"t1", func() (experiments.Table, error) { return experiments.TableI(), nil }},
-		{"t2", func() (experiments.Table, error) { return experiments.TableIIFig(), nil }},
-		{"t5", func() (experiments.Table, error) { return experiments.TableV(), nil }},
-		{"4", suite.Figure4},
-		{"5", suite.Figure5},
-		{"6", suite.Figure6},
-		{"7", suite.Figure7},
-		{"8", suite.Figure8},
-		{"9", suite.Figure9},
-		{"10", suite.Figure10},
-		{"11", suite.Figure11},
-		{"nrmse", suite.NRMSE},
-		{"ab-step", suite.AblationBandwidthStep},
-		{"ab-bounds", suite.AblationDBABounds},
-		{"ab-thresholds", suite.AblationThresholds},
-		{"ab-window", suite.AblationWindowSweep},
-		{"ab-features", suite.AblationFeatureSubset},
-		{"ab-label", suite.AblationLabelChoice},
-		{"extensions", suite.Extensions},
-		{"thermal", suite.ThermalStudy},
-	}
 	matched := false
 	var bench []benchRecord
-	for _, a := range artifacts {
-		if figure != "all" && figure != a.key {
+	for _, a := range newSuite(opts, arts).Artifacts() {
+		if figure != "all" && figure != a.Key {
 			continue
 		}
 		matched = true
 		var before runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		tbl, err := a.fn()
+		tbl, err := a.Fn()
 		if err != nil {
-			return fmt.Errorf("artifact %s: %w", a.key, err)
+			return fmt.Errorf("artifact %s: %w", a.Key, err)
 		}
 		elapsed := time.Since(start)
 		var after runtime.MemStats
@@ -446,7 +422,7 @@ func run(w io.Writer, opts experiments.Options, figure, jsonOut string, arts map
 		fmt.Fprintln(w, tbl)
 		fmt.Fprintf(w, "(generated in %v)\n\n", elapsed.Round(time.Millisecond))
 		bench = append(bench, benchRecord{
-			Name:       "artifact_" + a.key,
+			Name:       "artifact_" + a.Key,
 			Iters:      1,
 			NsPerOp:    float64(elapsed.Nanoseconds()),
 			BytesPerOp: after.TotalAlloc - before.TotalAlloc,

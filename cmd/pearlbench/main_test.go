@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -108,5 +109,21 @@ func TestSweepSeedsSeedZeroIsPaperSeed(t *testing.T) {
 		for j, seed := range experiments.ReplicaSeeds(2018, p.Name(), p.Pair.Name(), n) {
 			checkEntry(t, entries[i*n+j], experiments.Spec{Point: p, Seed: seed})
 		}
+	}
+}
+
+// TestRunArtifactKeys: -figure picks from the suite's own artifact list,
+// so an unknown key still fails and t5 prints Table V as it renders.
+func TestRunArtifactKeys(t *testing.T) {
+	if err := run(io.Discard, tinyOpts(), "nope", "", nil); err == nil || !strings.Contains(err.Error(), `unknown artifact "nope"`) {
+		t.Fatalf("unknown key: error %v, want unknown artifact", err)
+	}
+	var out bytes.Buffer
+	if err := run(&out, tinyOpts(), "t5", "", nil); err != nil {
+		t.Fatal(err)
+	}
+	table, _, ok := strings.Cut(out.String(), "(generated in ")
+	if want := experiments.TableV().String() + "\n"; !ok || table != want {
+		t.Fatalf("-figure t5 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }

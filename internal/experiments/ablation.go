@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/config"
-	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/mlkit"
@@ -23,21 +22,11 @@ import (
 // packets injected beats buffer utilisation because utilisation is
 // confounded by the current wavelength state).
 
-// runDynMean evaluates a configuration across the suite's pairs,
-// returning mean throughput (bits/cycle) and mean laser power (W).
-func (s *Suite) runDynMean(cfg config.Config, ctrl controller.Controller) (thr, laser float64, err error) {
-	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return runPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, res := range results {
-		thr += res.ThroughputBitsPerCycle()
-		laser += res.Account.AverageLaserPowerW()
-	}
-	n := float64(len(s.Opts.Pairs))
-	return thr / n, laser / n, nil
+// labelled is a photonic configuration under a table row's label.
+func labelled(label string, cfg config.Config) Point {
+	p := pearlPoint(cfg)
+	p.Label = label
+	return p
 }
 
 // AblationBandwidthStep sweeps the Algorithm 1 allocation granularity.
@@ -47,25 +36,13 @@ func (s *Suite) AblationBandwidthStep() (Table, error) {
 		Columns: []string{"throughput", "CPU p99 lat"},
 		Notes:   "paper §III.B: 25% allocation steps performed best among {6.25%, 12.5%, 25%}",
 	}
+	var cfgs []Point
 	for _, step := range []float64{0.0625, 0.125, 0.25} {
 		cfg := config.PEARLDyn()
 		cfg.BandwidthStep = step
-		var thr, p99 float64
-		for _, pair := range s.Opts.Pairs {
-			res, err := runPEARL(cfg, pair, s.Opts, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			thr += res.ThroughputBitsPerCycle()
-			p99 += res.Metrics.CPULatency.Percentile(99)
-		}
-		n := float64(len(s.Opts.Pairs))
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("step %.2f%%", step*100),
-			Values: []float64{thr / n, p99 / n},
-		})
+		cfgs = append(cfgs, labelled(fmt.Sprintf("step %.2f%%", step*100), cfg))
 	}
-	return t, nil
+	return s.meanRows(t, cfgs, throughput, func(r Result) float64 { return r.Metrics.CPULatency.Percentile(99) })
 }
 
 // AblationDBABounds sweeps the brute-forced occupancy upper bounds around
@@ -76,30 +53,18 @@ func (s *Suite) AblationDBABounds() (Table, error) {
 		Columns: []string{"throughput", "CPU lat", "GPU lat"},
 		Notes:   "paper §III.B: brute force found CPU 16% / GPU 6% optimal on a separate benchmark set",
 	}
-	points := []struct{ cpu, gpu float64 }{
+	var cfgs []Point
+	for _, pt := range []struct{ cpu, gpu float64 }{
 		{0.04, 0.06}, {0.16, 0.06}, {0.48, 0.06},
 		{0.16, 0.02}, {0.16, 0.18},
-	}
-	for _, pt := range points {
+	} {
 		cfg := config.PEARLDyn()
 		cfg.CPUUpperBound, cfg.GPUUpperBound = pt.cpu, pt.gpu
-		var thr, cpuLat, gpuLat float64
-		for _, pair := range s.Opts.Pairs {
-			res, err := runPEARL(cfg, pair, s.Opts, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			thr += res.ThroughputBitsPerCycle()
-			cpuLat += res.Metrics.CPULatency.Mean()
-			gpuLat += res.Metrics.GPULatency.Mean()
-		}
-		n := float64(len(s.Opts.Pairs))
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("CPU %.0f%% / GPU %.0f%%", pt.cpu*100, pt.gpu*100),
-			Values: []float64{thr / n, cpuLat / n, gpuLat / n},
-		})
+		cfgs = append(cfgs, labelled(fmt.Sprintf("CPU %.0f%% / GPU %.0f%%", pt.cpu*100, pt.gpu*100), cfg))
 	}
-	return t, nil
+	return s.meanRows(t, cfgs, throughput,
+		func(r Result) float64 { return r.Metrics.CPULatency.Mean() },
+		func(r Result) float64 { return r.Metrics.GPULatency.Mean() })
 }
 
 // AblationThresholds scales the reactive power thresholds to favour
@@ -112,6 +77,7 @@ func (s *Suite) AblationThresholds() (Table, error) {
 		Notes:   "paper §III.C: thresholds balance throughput and power and can be shifted either way",
 	}
 	base := config.DefaultThresholds()
+	var cfgs []Point
 	for _, scale := range []float64{0.25, 0.5, 1, 2, 4} {
 		cfg := config.DynRW(500)
 		cfg.Thresholds = config.PowerThresholds{
@@ -125,16 +91,9 @@ func (s *Suite) AblationThresholds() (Table, error) {
 			cfg.Thresholds.MidLower = cfg.Thresholds.Upper * 0.4
 			cfg.Thresholds.Lower = cfg.Thresholds.Upper * 0.1
 		}
-		thr, laser, err := s.runDynMean(cfg, nil)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("thresholds x%.2f", scale),
-			Values: []float64{thr, laser},
-		})
+		cfgs = append(cfgs, labelled(fmt.Sprintf("thresholds x%.2f", scale), cfg))
 	}
-	return t, nil
+	return s.meanRows(t, cfgs, throughput, laserW)
 }
 
 func clamp01(v float64) float64 {
@@ -152,17 +111,11 @@ func (s *Suite) AblationWindowSweep() (Table, error) {
 		Columns: []string{"throughput", "laser W"},
 		Notes:   "paper §IV: windows 100-2000 were explored; 500 and 2000 picked for the headline results",
 	}
+	var cfgs []Point
 	for _, window := range []int{100, 250, 500, 1000, 2000} {
-		thr, laser, err := s.runDynMean(config.DynRW(window), nil)
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("RW%d", window),
-			Values: []float64{thr, laser},
-		})
+		cfgs = append(cfgs, labelled(fmt.Sprintf("RW%d", window), config.DynRW(window)))
 	}
-	return t, nil
+	return s.meanRows(t, cfgs, throughput, laserW)
 }
 
 // AblationFeatureSubset trains on reduced Table III feature sets and
@@ -239,31 +192,17 @@ func (s *Suite) AblationLabelChoice() (Table, error) {
 		Columns: []string{"throughput", "laser W"},
 		Notes:   "paper §IV.A: predicting injections decouples the label from the wavelength state; utilisation does not",
 	}
-	// Packets-injected label: the standard pipeline.
-	mlCtrl, err := s.controllerFor(config.MLRW(500, true))
-	if err != nil {
-		return Table{}, err
-	}
-	thr, laser, err := s.runDynMean(config.MLRW(500, true), mlCtrl)
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = append(t.Rows, Row{Label: "packets injected (paper)", Values: []float64{thr, laser}})
-
-	// Buffer-utilisation label: collect (features, next-window beta),
-	// fit, deploy through the reactive threshold ladder.
+	// Packets-injected label: the standard pipeline. Buffer-utilisation
+	// label: collect (features, next-window beta), fit, deploy through
+	// the reactive threshold ladder.
 	betaModel, err := trainBetaModel(s.Opts)
 	if err != nil {
 		return Table{}, err
 	}
 	cfg := config.MLRW(500, true)
-	betaCtrl := fixedPolicy{betaStatePolicy{model: betaModel, thresholds: cfg.Thresholds, allow8: cfg.Allow8WL}}
-	thrB, laserB, err := s.runDynMean(cfg, betaCtrl)
-	if err != nil {
-		return Table{}, err
-	}
-	t.Rows = append(t.Rows, Row{Label: "buffer utilisation (rejected)", Values: []float64{thrB, laserB}})
-	return t, nil
+	rejected := labelled("buffer utilisation (rejected)", cfg)
+	rejected.Controller = fixedPolicy{betaStatePolicy{model: betaModel, thresholds: cfg.Thresholds, allow8: cfg.Allow8WL}}
+	return s.meanRows(t, []Point{labelled("packets injected (paper)", cfg), rejected}, throughput, laserW)
 }
 
 // betaStatePolicy maps a predicted next-window occupancy through the

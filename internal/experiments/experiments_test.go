@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/traffic"
@@ -24,6 +25,16 @@ func tiny() Options {
 	o.TrainPairs = o.TrainPairs[:3]
 	o.ValPairs = o.ValPairs[:1]
 	return o
+}
+
+// runPEARL and runCMESH are the tests' shorthand for an uncancellable
+// single run on each backend.
+func runPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
+	return Run(context.Background(), Point{Backend: BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
+}
+
+func runCMESH(pair traffic.Pair, opts Options, linkScale int) (Result, error) {
+	return Run(context.Background(), Point{Backend: BackendCMESH, Config: config.Default(), Pair: pair, LinkScale: linkScale}, opts)
 }
 
 func TestRunPEARLProducesMetrics(t *testing.T) {
@@ -355,9 +366,30 @@ func TestSuiteCachesModels(t *testing.T) {
 	}
 }
 
-func TestMeanOverPairsErrors(t *testing.T) {
-	if _, err := meanOverPairs(nil, nil); err == nil {
-		t.Fatal("expected error for empty pairs")
+// TestArtifactsNeedPairs: every artifact that simulates over
+// Opts.Pairs fails with no pairs instead of returning an empty or NaN
+// table. NRMSE evaluates on the pairs, so it fails on an empty test
+// dataset; the static tables and the feature-subset ablation (trained
+// and validated on TrainPairs and ValPairs) do not read Pairs.
+func TestArtifactsNeedPairs(t *testing.T) {
+	opts := tiny()
+	opts.Pairs = nil
+	s := NewSuite(opts)
+	for _, a := range s.Artifacts() {
+		switch a.Key {
+		case "t1", "t2", "t5", "ab-features":
+			continue
+		}
+		t.Run(a.Key, func(t *testing.T) {
+			tbl, err := a.Fn()
+			want := errNoPairs.Error()
+			if a.Key == "nrmse" {
+				want = "empty test dataset"
+			}
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("got %d rows and error %v, want an error containing %q", len(tbl.Rows), err, want)
+			}
+		})
 	}
 }
 

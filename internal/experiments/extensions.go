@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/config"
 	"repro/internal/core"
 	"repro/internal/rl"
@@ -28,61 +26,41 @@ func (s *Suite) Extensions() (Table, error) {
 		Notes:   "online learners need no offline data collection; Q-learning trades a slower ramp for threshold-free adaptation",
 	}
 
-	type entry struct {
-		name   string
-		runOne func(pairIdx int) (Result, error)
+	ml := config.MLRW(500, true)
+	cfgs := []Point{
+		labelled("PEARL-Dyn(64WL)", config.PEARLDyn()),
+		labelled("Dyn RW500 (reactive)", config.DynRW(500)),
+		labelled("ML RW500 (offline ridge)", ml),
+		labelled("Online RLS RW500", ml),
+		labelled("Q-learning RW500", ml),
 	}
-
-	mlCtrl, err := s.controllerFor(config.MLRW(500, true))
+	// The online learners learn as they run, so each pair gets its own:
+	// a fresh RLS predictor, and a Q-learning agent seeded per pair.
+	n := len(s.Opts.Pairs)
+	points := cross(cfgs, s.Opts.Pairs)
+	rls, qlearning := points[3*n:4*n], points[4*n:]
+	for i := range rls {
+		policy, err := core.NewOnlinePolicy(0.995, true)
+		if err != nil {
+			return Table{}, err
+		}
+		rls[i].Controller = fixedPolicy{policy}
+		rlCfg := rl.DefaultConfig()
+		rlCfg.Seed = s.Opts.Seed + uint64(i)
+		agent, err := rl.NewAgent(rlCfg)
+		if err != nil {
+			return Table{}, err
+		}
+		qlearning[i].Controller = fixedPolicy{agent}
+	}
+	rows, err := s.grid(points)
 	if err != nil {
 		return Table{}, err
 	}
-
-	entries := []entry{
-		{"PEARL-Dyn(64WL)", func(i int) (Result, error) {
-			return runPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
-		}},
-		{"Dyn RW500 (reactive)", func(i int) (Result, error) {
-			return runPEARL(config.DynRW(500), s.Opts.Pairs[i], s.Opts, nil)
-		}},
-		{"ML RW500 (offline ridge)", func(i int) (Result, error) {
-			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, mlCtrl)
-		}},
-		{"Online RLS RW500", func(i int) (Result, error) {
-			policy, err := core.NewOnlinePolicy(0.995, true)
-			if err != nil {
-				return Result{}, err
-			}
-			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, fixedPolicy{policy})
-		}},
-		{"Q-learning RW500", func(i int) (Result, error) {
-			rlCfg := rl.DefaultConfig()
-			rlCfg.Seed = s.Opts.Seed + uint64(i)
-			agent, err := rl.NewAgent(rlCfg)
-			if err != nil {
-				return Result{}, err
-			}
-			return runPEARL(config.MLRW(500, true), s.Opts.Pairs[i], s.Opts, fixedPolicy{agent})
-		}},
-	}
-
-	var baseThr, basePow float64
-	for idx, e := range entries {
-		var thr, pow float64
-		for i := range s.Opts.Pairs {
-			res, err := e.runOne(i)
-			if err != nil {
-				return Table{}, fmt.Errorf("extensions %s: %w", e.name, err)
-			}
-			thr += res.ThroughputBitsPerCycle()
-			pow += res.Account.AverageLaserPowerW()
-		}
-		n := float64(len(s.Opts.Pairs))
-		thr, pow = thr/n, pow/n
-		if idx == 0 {
-			baseThr, basePow = thr, pow
-		}
-		t.Rows = append(t.Rows, Row{Label: e.name, Values: []float64{
+	baseThr, basePow := mean(rows[0], throughput), mean(rows[0], laserW)
+	for i, row := range rows {
+		thr, pow := mean(row, throughput), mean(row, laserW)
+		t.Rows = append(t.Rows, Row{Label: cfgs[i].Label, Values: []float64{
 			thr, 100 * (thr - baseThr) / baseThr,
 			pow, 100 * (basePow - pow) / basePow,
 		}})

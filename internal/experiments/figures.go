@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/models"
 	"repro/internal/photonic"
-	"repro/internal/traffic"
 )
 
 // Table is a generic figure/table result: ordered columns, one row per
@@ -125,29 +125,90 @@ func (s *Suite) controllerFor(cfg config.Config) (controller.Controller, error) 
 	return controller.New(cfg, art)
 }
 
-// runOn runs a sweep configuration (a Point with no pair yet) on one
-// pair.
-func (s *Suite) runOn(p Point, pair traffic.Pair) (Result, error) {
-	p.Pair = pair
-	return Run(context.Background(), p, s.Opts)
+// errNoPairs is what every artifact that simulates over Opts.Pairs
+// returns when there are none: a mean over no pairs has no value.
+var errNoPairs = errors.New("experiments: no pairs")
+
+// grid runs a flat list of points laid out configuration-major,
+// pair-minor over s.Opts.Pairs (as cross lays it out) and returns the
+// results by [row][pair]. Every photonic point without a Controller is
+// bound to controllerFor's first, serially, because Model trains into a
+// map that is not safe for concurrent use; then every point runs with
+// s.Opts in one parallel fan.
+func (s *Suite) grid(points []Point) ([][]Result, error) {
+	n := len(s.Opts.Pairs)
+	if n == 0 {
+		return nil, errNoPairs
+	}
+	for i := range points {
+		if p := &points[i]; p.Backend != BackendCMESH && p.Controller == nil {
+			ctrl, err := s.controllerFor(p.Config)
+			if err != nil {
+				return nil, err
+			}
+			p.Controller = ctrl
+		}
+	}
+	results, err := parallelMap(len(points), func(i int) (Result, error) {
+		return Run(context.Background(), points[i], s.Opts)
+	})
+	if err != nil {
+		return nil, err
+	}
+	rows := make([][]Result, len(points)/n)
+	for r := range rows {
+		rows[r] = results[r*n : (r+1)*n]
+	}
+	return rows, nil
 }
 
-// meanOverPairs runs fn per pair (in parallel) and averages the returned
-// metric.
-func meanOverPairs(pairs []traffic.Pair, fn func(traffic.Pair) (float64, error)) (float64, error) {
-	if len(pairs) == 0 {
-		return 0, fmt.Errorf("experiments: no pairs")
-	}
-	vals, err := parallelMap(len(pairs), func(i int) (float64, error) { return fn(pairs[i]) })
+// sweepRows runs the named figure sweep's configurations over the
+// suite's pairs, returning them with their grid rows.
+func (s *Suite) sweepRows(name string) ([]Point, [][]Result, error) {
+	cfgs, err := sweepConfigs(name)
 	if err != nil {
-		return 0, err
+		return nil, nil, err
 	}
-	var sum float64
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(pairs)), nil
+	rows, err := s.grid(cross(cfgs, s.Opts.Pairs))
+	return cfgs, rows, err
 }
+
+// meanRows runs every configuration over the suite's pairs and appends
+// one row per configuration to t: its Label, then each metric's mean.
+func (s *Suite) meanRows(t Table, cfgs []Point, metrics ...func(Result) float64) (Table, error) {
+	rows, err := s.grid(cross(cfgs, s.Opts.Pairs))
+	if err != nil {
+		return Table{}, err
+	}
+	for i, row := range rows {
+		r := Row{Label: cfgs[i].Label}
+		for _, metric := range metrics {
+			r.Values = append(r.Values, mean(row, metric))
+		}
+		t.Rows = append(t.Rows, r)
+	}
+	return t, nil
+}
+
+// sum adds a metric over a row's runs in pair order; mean divides that
+// sum by the number of pairs. The conversion keeps an inlined metric's
+// last product from fusing into the addition.
+func sum(row []Result, metric func(Result) float64) float64 {
+	var total float64
+	for _, res := range row {
+		total += float64(metric(res))
+	}
+	return total
+}
+
+func mean(row []Result, metric func(Result) float64) float64 {
+	return sum(row, metric) / float64(len(row))
+}
+
+// The metrics the tables average.
+var throughput = Result.ThroughputBitsPerCycle
+
+func laserW(r Result) float64 { return r.Account.AverageLaserPowerW() }
 
 // Figure4 reproduces the CPU-GPU packet breakdown per benchmark pair:
 // the share of injected packets from each core type under PEARL-Dyn.
@@ -157,13 +218,11 @@ func (s *Suite) Figure4() (Table, error) {
 		Columns: []string{"CPU %", "GPU %"},
 		Notes:   "CPU benchmarks create more packets than GPU overall; DBA keeps allocation demand-driven",
 	}
-	results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-		return runPEARL(config.PEARLDyn(), s.Opts.Pairs[i], s.Opts, nil)
-	})
+	_, rows, err := s.sweepRows("fig4")
 	if err != nil {
 		return Table{}, err
 	}
-	for _, res := range results {
+	for _, res := range rows[0] {
 		cpu := float64(res.InjectedCPUShare * 100)
 		t.Rows = append(t.Rows, Row{Label: res.Pair.Name(), Values: []float64{cpu, 100 - cpu}})
 	}
@@ -179,24 +238,16 @@ func (s *Suite) Figure5() (Table, error) {
 	}
 	// The fig5 sweep lists, per bandwidth point, PEARL-Dyn, PEARL-FCFS
 	// and the bandwidth-matched CMESH: one row each, one column per point.
-	cfgs, err := sweepConfigs("fig5")
+	_, rows, err := s.sweepRows("fig5")
 	if err != nil {
 		return Table{}, err
 	}
 	t.Rows = []Row{{Label: "PEARL-Dyn"}, {Label: "PEARL-FCFS"}, {Label: "CMESH"}}
-	for i, p := range cfgs {
-		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := s.runOn(p, pair)
-			if err != nil {
-				return 0, err
-			}
-			return res.Account.EnergyPerBitJ() * 1e12, nil
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		row := &t.Rows[i%len(t.Rows)]
-		row.Values = append(row.Values, mean)
+	for i, row := range rows {
+		r := &t.Rows[i%len(t.Rows)]
+		r.Values = append(r.Values, mean(row, func(res Result) float64 {
+			return res.Account.EnergyPerBitJ() * 1e12
+		}))
 	}
 	t.Notes = figure5Note(t)
 	return t, nil
@@ -235,22 +286,13 @@ func figure5Note(t Table) string {
 		cmesh[0]/dyn[0], t.Columns[0], cmesh[last]/dyn[last], t.Columns[last])
 }
 
-// runScalingSet evaluates every Figure 6/7 configuration, returning mean
-// throughput (bits/cycle) and mean laser power (W) per configuration.
-// Results are cached on the suite.
+// runScalingSet evaluates every Figure 6/7 configuration once, returning
+// mean throughput (bits/cycle) and mean laser power (W) per
+// configuration; both figures read the tables cached on the suite.
 func (s *Suite) runScalingSet() (Table, Table, error) {
-	if s.scalingThr != nil && s.scalingPow != nil {
+	if s.scalingThr != nil {
 		return *s.scalingThr, *s.scalingPow, nil
 	}
-	thr, pow, err := s.runScalingSetUncached()
-	if err != nil {
-		return Table{}, Table{}, err
-	}
-	s.scalingThr, s.scalingPow = &thr, &pow
-	return thr, pow, nil
-}
-
-func (s *Suite) runScalingSetUncached() (Table, Table, error) {
 	thr := Table{
 		Title:   "Figure 6: throughput of power-scaling architectures (bits/cycle)",
 		Columns: []string{"throughput", "vs 64WL %"},
@@ -263,36 +305,21 @@ func (s *Suite) runScalingSetUncached() (Table, Table, error) {
 	}
 	// The fig6 sweep is the comparison set: the 64WL baseline first, then
 	// the paper's architectures and the related-work controllers.
-	cfgs, err := sweepConfigs("fig6")
+	cfgs, rows, err := s.sweepRows("fig6")
 	if err != nil {
 		return Table{}, Table{}, err
 	}
-	type point struct {
-		name       string
-		throughput float64
-		laser      float64
-	}
-	var points []point
-	for _, p := range cfgs {
-		ctrl, err := s.controllerFor(p.Config)
-		if err != nil {
-			return Table{}, Table{}, err
-		}
-		throughput, laser, err := s.runDynMean(p.Config, ctrl)
-		if err != nil {
-			return Table{}, Table{}, err
-		}
-		points = append(points, point{p.Name(), throughput, laser})
-	}
-	base := points[0]
-	for _, p := range points {
-		thr.Rows = append(thr.Rows, Row{Label: p.name, Values: []float64{
-			p.throughput, 100 * (p.throughput - base.throughput) / base.throughput,
+	baseThr, baseLaser := mean(rows[0], throughput), mean(rows[0], laserW)
+	for i, row := range rows {
+		tp, laser := mean(row, throughput), mean(row, laserW)
+		thr.Rows = append(thr.Rows, Row{Label: cfgs[i].Label, Values: []float64{
+			tp, 100 * (tp - baseThr) / baseThr,
 		}})
-		pow.Rows = append(pow.Rows, Row{Label: p.name, Values: []float64{
-			p.laser, 100 * (base.laser - p.laser) / base.laser,
+		pow.Rows = append(pow.Rows, Row{Label: cfgs[i].Label, Values: []float64{
+			laser, 100 * (baseLaser - laser) / baseLaser,
 		}})
 	}
+	s.scalingThr, s.scalingPow = &thr, &pow
 	return thr, pow, nil
 }
 
@@ -316,34 +343,30 @@ func (s *Suite) Figure8() (Table, error) {
 		Columns: []string{"8WL", "16WL", "32WL", "48WL", "64WL"},
 		Notes:   "paper: ML RW2000 spends just under 30% in the 64WL state",
 	}
-	for _, window := range []int{500, 2000} {
-		cfg := config.MLRW(window, true)
-		ctrl, err := s.controllerFor(cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		results, err := parallelMap(len(s.Opts.Pairs), func(i int) (Result, error) {
-			return runPEARL(cfg, s.Opts.Pairs[i], s.Opts, ctrl)
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		counts := map[int]float64{}
-		var total float64
-		for _, res := range results {
-			res0 := res.Metrics.StateResidency
-			for _, k := range res0.Keys() {
-				counts[k] += res0.Fraction(k)
-			}
-			total++
-		}
-		row := Row{Label: fmt.Sprintf("ML RW%d", window)}
+	cfgs, rows, err := s.sweepRows("fig8")
+	if err != nil {
+		return Table{}, err
+	}
+	for i, row := range rows {
+		r := Row{Label: cfgs[i].Label}
 		for _, wl := range []int{8, 16, 32, 48, 64} {
-			row.Values = append(row.Values, 100*counts[wl]/total)
+			share := sum(row, func(res Result) float64 { return res.Metrics.StateResidency.Fraction(wl) })
+			r.Values = append(r.Values, 100*share/float64(len(row)))
 		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, r)
 	}
 	return t, nil
+}
+
+// vsRow appends to every row the percentage by which its first value
+// exceeds the first value of row base.
+func vsRow(t Table, base int) Table {
+	ref := t.Rows[base].Values[0]
+	for i := range t.Rows {
+		v := t.Rows[i].Values[0]
+		t.Rows[i].Values = append(t.Rows[i].Values, 100*(v-ref)/ref)
+	}
+	return t
 }
 
 // Figure9 reproduces the RW500 no-8WL throughput comparison against the
@@ -354,47 +377,15 @@ func (s *Suite) Figure9() (Table, error) {
 		Columns: []string{"throughput", "vs CMESH %"},
 		Notes:   "paper: dynamic and ML power scaling outperform CMESH by 34% and 20%; Dyn RW500 ~= PEARL-FCFS",
 	}
-	mlCtrl, err := s.controllerFor(config.MLRW(500, false))
+	cfgs, err := sweepConfigs("fig9")
 	if err != nil {
 		return Table{}, err
 	}
-	noLow := config.DynRW(500)
-	noLow.Allow8WL = false
-	ml := pearlPoint(config.MLRW(500, false))
-	ml.Controller = mlCtrl
-	entries := []struct {
-		name string
-		p    Point
-	}{
-		{"PEARL-Dyn(64WL)", pearlPoint(config.PEARLDyn())},
-		{"PEARL-FCFS(64WL)", pearlPoint(config.PEARLFCFS())},
-		{"Dyn RW500", pearlPoint(noLow)},
-		{"ML RW500 no8WL", ml},
-		{"PROTEUS RW500", pearlPoint(config.ProteusRW(500))},
-		{"D3NOC RW500", pearlPoint(config.D3NOCRW(500))},
-		{"CMESH", cmeshPoint(1)},
+	t, err = s.meanRows(t, cfgs, throughput)
+	if err != nil {
+		return Table{}, err
 	}
-	var values []float64
-	for _, e := range entries {
-		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := s.runOn(e.p, pair)
-			if err != nil {
-				return 0, err
-			}
-			return res.ThroughputBitsPerCycle(), nil
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		values = append(values, mean)
-	}
-	cmeshThr := values[len(values)-1]
-	for i, e := range entries {
-		t.Rows = append(t.Rows, Row{Label: e.name, Values: []float64{
-			values[i], 100 * (values[i] - cmeshThr) / cmeshThr,
-		}})
-	}
-	return t, nil
+	return vsRow(t, len(t.Rows)-1), nil
 }
 
 // Figure10 reproduces the ML throughput across reservation windows 500,
@@ -405,38 +396,15 @@ func (s *Suite) Figure10() (Table, error) {
 		Columns: []string{"throughput", "vs 64WL %"},
 		Notes:   "paper: RW2000 best throughput; RW500/RW1000 drop vs static 64WL",
 	}
-	base, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-		res, err := runPEARL(config.PEARLDyn(), pair, s.Opts, nil)
-		if err != nil {
-			return 0, err
-		}
-		return res.ThroughputBitsPerCycle(), nil
-	})
+	cfgs, err := sweepConfigs("fig10")
 	if err != nil {
 		return Table{}, err
 	}
-	t.Rows = append(t.Rows, Row{Label: "PEARL-Dyn(64WL)", Values: []float64{base, 0}})
-	for _, window := range []int{500, 1000, 2000} {
-		ctrl, err := s.controllerFor(config.MLRW(window, true))
-		if err != nil {
-			return Table{}, err
-		}
-		mean, err := meanOverPairs(s.Opts.Pairs, func(pair traffic.Pair) (float64, error) {
-			res, err := runPEARL(config.MLRW(window, true), pair, s.Opts, ctrl)
-			if err != nil {
-				return 0, err
-			}
-			return res.ThroughputBitsPerCycle(), nil
-		})
-		if err != nil {
-			return Table{}, err
-		}
-		t.Rows = append(t.Rows, Row{
-			Label:  fmt.Sprintf("ML RW%d", window),
-			Values: []float64{mean, 100 * (mean - base) / base},
-		})
+	t, err = s.meanRows(t, cfgs, throughput)
+	if err != nil {
+		return Table{}, err
 	}
-	return t, nil
+	return vsRow(t, 0), nil
 }
 
 // Figure11 reproduces the laser turn-on sensitivity study: average laser
@@ -448,24 +416,22 @@ func (s *Suite) Figure11() (Table, error) {
 		Columns: []string{"laser W", "throughput", "thr loss %"},
 		Notes:   "paper: power varies <1% across turn-on latencies; throughput loss grows with turn-on time",
 	}
-	for _, window := range []int{500, 2000} {
-		var base float64
-		for _, turnOn := range []float64{2, 4, 16, 32} {
-			cfg := config.DynRW(window)
-			cfg.LaserTurnOnNs = turnOn
-			thr, pow, err := s.runDynMean(cfg, nil)
-			if err != nil {
-				return Table{}, err
-			}
-			if turnOn == 2 {
-				base = thr
-			}
-			loss := 100 * (base - thr) / base
-			t.Rows = append(t.Rows, Row{
-				Label:  fmt.Sprintf("Dyn RW%d @ %gns", window, turnOn),
-				Values: []float64{pow, thr, loss},
-			})
+	cfgs, err := sweepConfigs("fig11")
+	if err != nil {
+		return Table{}, err
+	}
+	t, err = s.meanRows(t, cfgs, laserW, throughput)
+	if err != nil {
+		return Table{}, err
+	}
+	// Each window's loss is against its own 2 ns row.
+	var base float64
+	for i := range t.Rows {
+		thr := t.Rows[i].Values[1]
+		if cfgs[i].Config.LaserTurnOnNs == 2 {
+			base = thr
 		}
+		t.Rows[i].Values = append(t.Rows[i].Values, 100*(base-thr)/base)
 	}
 	return t, nil
 }

@@ -383,16 +383,6 @@ func RunCMESHCtx(ctx context.Context, cfg config.Config, pair traffic.Pair, opts
 	return Run(ctx, Point{Backend: BackendCMESH, Config: cfg, Pair: pair, LinkScale: linkScale}, opts)
 }
 
-// runPEARL and runCMESH are the figure code's shorthand for an
-// uncancellable single run on each backend.
-func runPEARL(cfg config.Config, pair traffic.Pair, opts Options, ctrl controller.Controller) (Result, error) {
-	return Run(context.Background(), Point{Backend: BackendPEARL, Config: cfg, Pair: pair, Controller: ctrl}, opts)
-}
-
-func runCMESH(pair traffic.Pair, opts Options, linkScale int) (Result, error) {
-	return Run(context.Background(), Point{Backend: BackendCMESH, Config: config.Default(), Pair: pair, LinkScale: linkScale}, opts)
-}
-
 // runSeed derives the workload seed of a run from the experiment seed
 // and the pair, so every configuration sees the same workload randomness
 // for a given pair while different pairs differ.

@@ -1,0 +1,78 @@
+package experiments
+
+import (
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// suiteGoldenFile holds every Suite.Artifacts() table at
+// suiteGoldenOptions' scale, each cell in round-trip precision.
+var suiteGoldenFile = filepath.Join("testdata", "suite_tables.golden")
+
+// suiteGoldenOptions is Quick() cut to two test pairs and short runs, so
+// every artifact regenerates in about a second.
+func suiteGoldenOptions() Options {
+	o := Quick()
+	o.MeasureCycles = 3000
+	o.WarmupCycles = 500
+	o.CollectCycles = 4000
+	o.Pairs = o.Pairs[:2]
+	o.TrainPairs = o.TrainPairs[:3]
+	o.ValPairs = o.ValPairs[:1]
+	return o
+}
+
+// renderSuiteTables writes every artifact's title, columns, notes and
+// rows, one tab-separated line each, with every value formatted so it
+// parses back to the same float64.
+func renderSuiteTables(t *testing.T, s *Suite) string {
+	t.Helper()
+	var b strings.Builder
+	for _, a := range s.Artifacts() {
+		tbl, err := a.Fn()
+		if err != nil {
+			t.Fatalf("artifact %s: %v", a.Key, err)
+		}
+		b.WriteString("artifact\t" + a.Key + "\n")
+		b.WriteString("title\t" + tbl.Title + "\n")
+		b.WriteString("columns\t" + strings.Join(tbl.Columns, "\t") + "\n")
+		b.WriteString("notes\t" + tbl.Notes + "\n")
+		for _, r := range tbl.Rows {
+			b.WriteString("row\t" + r.Label)
+			for _, v := range r.Values {
+				b.WriteString("\t" + strconv.FormatFloat(v, 'g', -1, 64))
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// TestSuiteTablesGolden pins every evaluation table, cell for cell: how
+// the suite runs and reduces its rows must not move a bit of any value.
+func TestSuiteTablesGolden(t *testing.T) {
+	want, err := os.ReadFile(suiteGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := renderSuiteTables(t, NewSuite(suiteGoldenOptions()))
+	if got == string(want) {
+		return
+	}
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < max(len(gotLines), len(wantLines)); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Errorf("%s line %d:\n got  %q\n want %q", suiteGoldenFile, i+1, g, w)
+		}
+	}
+}

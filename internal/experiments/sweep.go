@@ -113,6 +113,12 @@ func FigureSweep(name string, pairs []traffic.Pair) ([]Point, error) {
 	if len(pairs) == 0 {
 		pairs = traffic.TestPairs()
 	}
+	return cross(cfgs, pairs), nil
+}
+
+// cross runs every configuration over every pair: one Point per
+// (configuration, pair), configuration-major, pair-minor.
+func cross(cfgs []Point, pairs []traffic.Pair) []Point {
 	points := make([]Point, 0, len(cfgs)*len(pairs))
 	for _, p := range cfgs {
 		for _, pair := range pairs {
@@ -120,7 +126,7 @@ func FigureSweep(name string, pairs []traffic.Pair) ([]Point, error) {
 			points = append(points, p)
 		}
 	}
-	return points, nil
+	return points
 }
 
 // RunSweep evaluates every spec (in parallel, deterministically per

@@ -22,61 +22,53 @@ func (s *Suite) ThermalStudy() (Table, error) {
 		Columns: []string{"laser W", "trim gated W", "trim ungated W", "net gated W", "net ungated W"},
 		Notes:   "gating idle banks' heaters (the four-bank design) preserves the laser savings; ungated heaters claw back the cooling headroom",
 	}
-	thermal := photonic.DefaultThermalConfig()
-	cfgs := []config.Config{
-		config.PEARLDyn(),
-		config.DynRW(500),
-		config.DynRW(2000),
-		config.MLRW(500, true),
+	cfgs := []Point{
+		pearlPoint(config.PEARLDyn()),
+		pearlPoint(config.DynRW(500)),
+		pearlPoint(config.DynRW(2000)),
+		pearlPoint(config.MLRW(500, true)),
 	}
-	for _, cfg := range cfgs {
-		ctrl, err := s.controllerFor(cfg)
-		if err != nil {
-			return Table{}, err
-		}
-		var laserSum, gatedSum, ungatedSum float64
-		for _, pair := range s.Opts.Pairs {
-			res, err := runPEARL(cfg, pair, s.Opts, ctrl)
-			if err != nil {
-				return Table{}, err
-			}
-			laser := res.Account.AverageLaserPowerW()
-			seconds := res.Account.Seconds()
-			breakdown := res.Account.Breakdown()
-			// Mean per-router activity power heating a site: its share
-			// of the laser plus modulation and conversion dissipation.
-			activityPerRouter := laser / float64(config.NumRouters)
-			if seconds > 0 {
-				activityPerRouter += (breakdown.Modulation + breakdown.Conversion) /
-					seconds / float64(config.NumRouters)
-			}
-			// Only the locally-coupled fraction heats the ring island.
-			activityPerRouter = float64(activityPerRouter * photonic.IslandCoupling)
-			// Ungated: every router's full heater bank regulates against
-			// its (cooler) substrate.
-			ungated := float64(thermal.SteadyStateHeaterW(activityPerRouter) * float64(config.NumRouters))
-			// Gated: only active banks are trimmed; heater need scales
-			// with the mean active-wavelength fraction from the run's
-			// state residency.
-			activeFraction := 0.0
-			res0 := res.Metrics.StateResidency
-			for _, wl := range res0.Keys() {
-				activeFraction += float64(res0.Fraction(wl) * float64(wl) / config.MaxWavelengths)
-			}
-			if len(res0.Keys()) == 0 {
-				activeFraction = 1
-			}
-			gated := float64(ungated * activeFraction)
-			laserSum += laser
-			gatedSum += gated
-			ungatedSum += ungated
-		}
-		n := float64(len(s.Opts.Pairs))
-		laser, gated, ungated := laserSum/n, gatedSum/n, ungatedSum/n
-		t.Rows = append(t.Rows, Row{
-			Label:  cfg.Name(),
-			Values: []float64{laser, gated, ungated, laser + gated, laser + ungated},
-		})
+	t, err := s.meanRows(t, cfgs, laserW,
+		func(r Result) float64 { gated, _ := trimmingW(r); return gated },
+		func(r Result) float64 { _, ungated := trimmingW(r); return ungated })
+	if err != nil {
+		return Table{}, err
+	}
+	for i := range t.Rows {
+		v := t.Rows[i].Values
+		t.Rows[i].Values = append(v, v[0]+v[1], v[0]+v[2])
 	}
 	return t, nil
+}
+
+// trimmingW is a run's steady-state heater power with idle banks' heaters
+// gated and with every heater on.
+func trimmingW(res Result) (gated, ungated float64) {
+	laser := res.Account.AverageLaserPowerW()
+	seconds := res.Account.Seconds()
+	breakdown := res.Account.Breakdown()
+	// Mean per-router activity power heating a site: its share of the
+	// laser plus modulation and conversion dissipation.
+	activityPerRouter := laser / float64(config.NumRouters)
+	if seconds > 0 {
+		activityPerRouter += (breakdown.Modulation + breakdown.Conversion) /
+			seconds / float64(config.NumRouters)
+	}
+	// Only the locally-coupled fraction heats the ring island.
+	activityPerRouter = float64(activityPerRouter * photonic.IslandCoupling)
+	// Ungated: every router's full heater bank regulates against its
+	// (cooler) substrate.
+	thermal := photonic.DefaultThermalConfig()
+	ungated = float64(thermal.SteadyStateHeaterW(activityPerRouter) * float64(config.NumRouters))
+	// Gated: only active banks are trimmed; heater need scales with the
+	// mean active-wavelength fraction from the run's state residency.
+	activeFraction := 0.0
+	res0 := res.Metrics.StateResidency
+	for _, wl := range res0.Keys() {
+		activeFraction += float64(res0.Fraction(wl) * float64(wl) / config.MaxWavelengths)
+	}
+	if len(res0.Keys()) == 0 {
+		activeFraction = 1
+	}
+	return float64(ungated * activeFraction), ungated
 }
