@@ -24,8 +24,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -40,45 +42,65 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// commands maps each subcommand to its implementation, which parses its
+// flags from args into fs and writes its report to stdout.
+var commands = map[string]func(fs *flag.FlagSet, args []string, stdout io.Writer) error{
+	"record":    record,
+	"replay":    replay,
+	"info":      info,
+	"export":    export,
+	"calibrate": calibrate,
+}
+
+// run dispatches the subcommand args[0], writing its report to stdout
+// and usage and errors to stderr. It returns the exit status: 0 on
+// success or -h, 2 for a missing or unknown subcommand or a bad flag,
+// and 1 when the subcommand fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	const usage = "usage: pearltrace {record|replay|info|export|calibrate} [flags]"
+	if len(args) > 0 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
+		fmt.Fprintln(stdout, usage)
+		return 0
 	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = record(os.Args[2:])
-	case "replay":
-		err = replay(os.Args[2:])
-	case "info":
-		err = info(os.Args[2:])
-	case "export":
-		err = export(os.Args[2:])
-	case "calibrate":
-		err = calibrate(os.Args[2:])
+	var cmd func(*flag.FlagSet, []string, io.Writer) error
+	if len(args) > 0 {
+		cmd = commands[args[0]]
+	}
+	if cmd == nil {
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	switch err := cmd(fs, args[1:], stdout).(type) {
+	case nil:
+		return 0
+	case flagError:
+		if errors.Is(err.error, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pearltrace:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "pearltrace:", err)
+		return 1
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: pearltrace {record|replay|info|export|calibrate} [flags]")
-}
+// flagError is a subcommand's failure to parse its flags, which the
+// flag set has already reported.
+type flagError struct{ error }
 
-func record(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+func record(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	cpu := fs.String("cpu", "fmm", "CPU benchmark")
 	gpu := fs.String("gpu", "DCT", "GPU benchmark")
 	cycles := fs.Int64("cycles", 30000, "cycles to record")
 	seed := fs.Uint64("seed", 2018, "workload seed")
 	out := fs.String("out", "trace.trc", "output file")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	cpuP, err := traffic.ProfileByName(*cpu)
 	if err != nil {
@@ -113,17 +135,16 @@ func record(args []string) error {
 	if err := trace.WriteAll(f, rec.Records()); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d injections over %d cycles to %s\n", rec.Len(), *cycles, *out)
+	fmt.Fprintf(stdout, "recorded %d injections over %d cycles to %s\n", rec.Len(), *cycles, *out)
 	return nil
 }
 
-func replay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ExitOnError)
+func replay(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	in := fs.String("in", "trace.trc", "input trace")
 	configName := fs.String("config", "pearl-dyn", "network configuration (any config preset, e.g. static-16 or proteus-rw500, or cmesh)")
 	drain := fs.Int64("drain", 20000, "extra cycles to drain in-flight packets")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	records, err := readTrace(*in)
 	if err != nil {
@@ -193,16 +214,15 @@ func replay(args []string) error {
 	engine.RunUntil(player.Done, *drain)
 	engine.Run(*drain)
 
-	fmt.Printf("replayed %d of %d packets into %s\n", player.Injected, len(records), *configName)
-	fmt.Println(metricsOf())
+	fmt.Fprintf(stdout, "replayed %d of %d packets into %s\n", player.Injected, len(records), *configName)
+	fmt.Fprintln(stdout, metricsOf())
 	return nil
 }
 
-func info(args []string) error {
-	fs := flag.NewFlagSet("info", flag.ExitOnError)
+func info(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	in := fs.String("in", "trace.trc", "input trace")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	records, err := readTrace(*in)
 	if err != nil {
@@ -224,18 +244,17 @@ func info(args []string) error {
 	if len(records) > 0 {
 		span = records[len(records)-1].InjectCycle - records[0].InjectCycle
 	}
-	fmt.Printf("records:   %d (%d CPU / %d GPU, %d requests)\n", len(records), cpu, gpu, requests)
-	fmt.Printf("span:      %d cycles\n", span)
-	fmt.Printf("payload:   %d bits (%.1f bits/cycle offered)\n", bits, float64(bits)/float64(span+1))
+	fmt.Fprintf(stdout, "records:   %d (%d CPU / %d GPU, %d requests)\n", len(records), cpu, gpu, requests)
+	fmt.Fprintf(stdout, "span:      %d cycles\n", span)
+	fmt.Fprintf(stdout, "payload:   %d bits (%.1f bits/cycle offered)\n", bits, float64(bits)/float64(span+1))
 	return nil
 }
 
-func export(args []string) error {
-	fs := flag.NewFlagSet("export", flag.ExitOnError)
+func export(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	in := fs.String("in", "trace.trc", "input trace")
 	out := fs.String("out", "trace.json", "output JSON")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	records, err := readTrace(*in)
 	if err != nil {
@@ -249,16 +268,15 @@ func export(args []string) error {
 	if err := trace.WriteJSON(f, records); err != nil {
 		return err
 	}
-	fmt.Printf("exported %d records to %s\n", len(records), *out)
+	fmt.Fprintf(stdout, "exported %d records to %s\n", len(records), *out)
 	return nil
 }
 
-func calibrate(args []string) error {
-	fs := flag.NewFlagSet("calibrate", flag.ExitOnError)
+func calibrate(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	in := fs.String("in", "trace.trc", "input trace")
 	window := fs.Int64("window", 500, "rate-aggregation window (cycles)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	records, err := readTrace(*in)
 	if err != nil {
@@ -275,16 +293,16 @@ func calibrate(args []string) error {
 			fmt.Sprintf("%s-fit", class), class, events,
 			config.NumClusterRouters, *window, config.L3RouterID)
 		if err != nil {
-			fmt.Printf("%s: %v\n", class, err)
+			fmt.Fprintf(stdout, "%s: %v\n", class, err)
 			continue
 		}
-		fmt.Printf("%s profile fit:\n", class)
-		fmt.Printf("  base rate     %.4f pkt/cycle/router\n", p.BaseRate)
-		fmt.Printf("  burst rate    %.4f pkt/cycle/router\n", p.BurstRate)
-		fmt.Printf("  burst entry   %.5f /cycle (mean gap %.0f cycles)\n", p.BurstEntry, 1/p.BurstEntry)
-		fmt.Printf("  burst exit    %.5f /cycle (mean burst %.0f cycles)\n", p.BurstExit, 1/p.BurstExit)
-		fmt.Printf("  duty cycle    %.1f%%\n", 100*p.BurstEntry/(p.BurstEntry+p.BurstExit))
-		fmt.Printf("  L3 fraction   %.2f   write fraction %.2f\n", p.L3Fraction, p.WriteFraction)
+		fmt.Fprintf(stdout, "%s profile fit:\n", class)
+		fmt.Fprintf(stdout, "  base rate     %.4f pkt/cycle/router\n", p.BaseRate)
+		fmt.Fprintf(stdout, "  burst rate    %.4f pkt/cycle/router\n", p.BurstRate)
+		fmt.Fprintf(stdout, "  burst entry   %.5f /cycle (mean gap %.0f cycles)\n", p.BurstEntry, 1/p.BurstEntry)
+		fmt.Fprintf(stdout, "  burst exit    %.5f /cycle (mean burst %.0f cycles)\n", p.BurstExit, 1/p.BurstExit)
+		fmt.Fprintf(stdout, "  duty cycle    %.1f%%\n", 100*p.BurstEntry/(p.BurstEntry+p.BurstExit))
+		fmt.Fprintf(stdout, "  L3 fraction   %.2f   write fraction %.2f\n", p.L3Fraction, p.WriteFraction)
 	}
 	return nil
 }

@@ -2,20 +2,18 @@ package config
 
 import "strconv"
 
-// CanonicalString renders every field of the configuration in a fixed
-// order with full float precision, so two Configs produce the same
-// string iff they would build identical networks. Field names are
-// spelled out (rather than relying on struct layout) so the encoding is
-// stable across refactors that reorder fields; adding a field requires
-// extending this list, which the round-trip test enforces by reflection.
-func (c Config) CanonicalString() string { return string(c.AppendCanonical(nil)) }
-
-// AppendCanonical appends the CanonicalString form to b and returns the
-// extended buffer: one "name=value" line per field, integers in
-// decimal, floats in exact hexadecimal floating point, the model ref
-// Go-quoted. pearld's result-cache keys hash these bytes, and on-disk
-// caches, warm-cache artifacts and shard peers address results by those
-// keys, so the rendering must never change.
+// AppendCanonical appends the configuration's canonical form to b and
+// returns the extended buffer. It renders every field in a fixed order
+// with full float precision, so two Configs produce the same bytes iff
+// they would build identical networks: one "name=value" line per field,
+// integers in decimal, floats in exact hexadecimal floating point, the
+// model ref Go-quoted. Field names are spelled out (rather than relying
+// on struct layout) so the encoding is stable across refactors that
+// reorder fields; adding a field requires extending this list, which
+// the round-trip test enforces by reflection. pearld's result-cache
+// keys hash these bytes, and on-disk caches, warm-cache artifacts and
+// shard peers address results by those keys, so the rendering must
+// never change.
 func (c Config) AppendCanonical(b []byte) []byte {
 	b = appendInt(b, "bandwidth", int(c.Bandwidth))
 	b = appendInt(b, "power", int(c.Power))

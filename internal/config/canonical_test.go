@@ -10,8 +10,8 @@ import (
 )
 
 func TestCanonicalStringStableAcrossCalls(t *testing.T) {
-	if a, b := Default().CanonicalString(), Default().CanonicalString(); a != b {
-		t.Fatalf("Default().CanonicalString() not deterministic:\n%s\nvs\n%s", a, b)
+	if a, b := string(Default().AppendCanonical(nil)), string(Default().AppendCanonical(nil)); a != b {
+		t.Fatalf("Default()'s canonical form not deterministic:\n%s\nvs\n%s", a, b)
 	}
 }
 
@@ -27,7 +27,7 @@ func TestCanonicalStringDistinguishesConfigs(t *testing.T) {
 		MLRW(500, true),
 		MLRW(500, false),
 	} {
-		s := c.CanonicalString()
+		s := string(c.AppendCanonical(nil))
 		if prev, dup := seen[s]; dup {
 			t.Fatalf("%s and %s render the same canonical string", prev, c.Name())
 		}
@@ -39,12 +39,12 @@ func TestCanonicalStringSensitiveToFloatFields(t *testing.T) {
 	a := Default()
 	b := Default()
 	b.Thresholds.Lower += 1e-12
-	if a.CanonicalString() == b.CanonicalString() {
+	if string(a.AppendCanonical(nil)) == string(b.AppendCanonical(nil)) {
 		t.Fatal("canonical string ignores tiny threshold change")
 	}
 	c := Default()
 	c.LaserTurnOnNs = 2.0000001
-	if a.CanonicalString() == c.CanonicalString() {
+	if string(a.AppendCanonical(nil)) == string(c.AppendCanonical(nil)) {
 		t.Fatal("canonical string ignores tiny laser turn-on change")
 	}
 }
@@ -54,7 +54,7 @@ func TestCanonicalStringSensitiveToFloatFields(t *testing.T) {
 // change the canonical string when perturbed.
 func TestCanonicalStringCoversEveryField(t *testing.T) {
 	base := Default()
-	baseStr := base.CanonicalString()
+	baseStr := string(base.AppendCanonical(nil))
 	rt := reflect.TypeOf(base)
 	if got, want := rt.NumField(), 16; got != want {
 		t.Fatalf("Config has %d fields, canonical encoding written for %d — update AppendCanonical, fmtCanonical and this test", got, want)
@@ -76,14 +76,14 @@ func TestCanonicalStringCoversEveryField(t *testing.T) {
 		default:
 			t.Fatalf("unhandled field kind %v for %s", rv.Kind(), rt.Field(i).Name)
 		}
-		if c.CanonicalString() == baseStr {
-			t.Errorf("field %s does not affect CanonicalString", rt.Field(i).Name)
+		if string(c.AppendCanonical(nil)) == baseStr {
+			t.Errorf("field %s does not affect the canonical form", rt.Field(i).Name)
 		}
 	}
 }
 
 func TestCanonicalStringIsLineOriented(t *testing.T) {
-	s := Default().CanonicalString()
+	s := string(Default().AppendCanonical(nil))
 	if !strings.Contains(s, "static_wavelengths=64\n") {
 		t.Fatalf("canonical string missing expected line:\n%s", s)
 	}
@@ -137,7 +137,7 @@ func TestAppendCanonicalMatchesFmt(t *testing.T) {
 	check := func(c Config) {
 		t.Helper()
 		want := fmtCanonical(c)
-		if got := c.CanonicalString(); got != want {
+		if got := string(c.AppendCanonical(nil)); got != want {
 			t.Fatalf("canonical form differs from the fmt rendering:\ngot  %q\nwant %q", got, want)
 		}
 		prefix := []byte("key-prefix\n")

@@ -246,7 +246,7 @@ type Config struct {
 
 	// ModelRef names the hosted trained model serving a PowerML run:
 	// a registry name (e.g. "rw500") or an artifact content hash. It
-	// participates in CanonicalString, so cached ML results are
+	// participates in AppendCanonical, so cached ML results are
 	// keyed by the exact model version. Empty lets the serving layer
 	// pick its default ("rw<window>"); meaningless unless Power is
 	// PowerML.

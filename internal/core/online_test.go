@@ -62,12 +62,14 @@ func TestOnlinePolicyLearnsIdle(t *testing.T) {
 
 // TestOnlinePolicyHeadroom pins the removal of the dead per-policy
 // headroom override: the capacity margin is always the window-derived
-// DefaultPredictionHeadroom, and the struct must not grow the field
-// back (online.go's NextState comment points here).
+// DefaultPredictionHeadroom, and neither model-driven policy may grow
+// the field back (both NextState comments point here).
 func TestOnlinePolicyHeadroom(t *testing.T) {
-	for _, name := range []string{"headroom", "Headroom"} {
-		if _, ok := reflect.TypeOf(OnlinePolicy{}).FieldByName(name); ok {
-			t.Fatalf("OnlinePolicy regained a %s field; the margin is always DefaultPredictionHeadroom", name)
+	for _, policy := range []any{OnlinePolicy{}, MLPolicy{}} {
+		for _, name := range []string{"headroom", "Headroom"} {
+			if _, ok := reflect.TypeOf(policy).FieldByName(name); ok {
+				t.Fatalf("%T regained a %s field; the margin is always DefaultPredictionHeadroom", policy, name)
+			}
 		}
 	}
 	p, err := NewOnlinePolicy(0.995, true)

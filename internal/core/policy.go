@@ -111,9 +111,6 @@ func DefaultPredictionHeadroom(windowCycles int) float64 {
 type MLPolicy struct {
 	Model    PacketPredictor
 	Allow8WL bool
-	// Headroom scales the predicted demand before the Eq. 7 capacity
-	// check; zero means DefaultPredictionHeadroom.
-	Headroom float64
 }
 
 // NextState evaluates the model and maps the prediction through Eq. 7
@@ -121,13 +118,11 @@ type MLPolicy struct {
 // buffer slot is 128 bits"). Using the slot size rather than a windowed
 // mean keeps the mapping hardware-trivial and makes the RW500 deployment
 // aggressive, as in the paper (max power savings at some throughput
-// cost).
+// cost). The capacity margin is always the window-derived default, as
+// in OnlinePolicy (see TestOnlinePolicyHeadroom).
 func (p MLPolicy) NextState(w WindowInfo) photonic.WLState {
 	pred := p.Model.PredictPackets(w.Features)
-	h := p.Headroom
-	if h <= 0 {
-		h = DefaultPredictionHeadroom(w.WindowCycles)
-	}
+	h := DefaultPredictionHeadroom(w.WindowCycles)
 	return StateForPrediction(pred*h, config.FlitBits, w.WindowCycles, p.Allow8WL)
 }
 

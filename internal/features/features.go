@@ -45,31 +45,6 @@ const (
 // the indices above (or Count) change.
 const SchemaVersion = 1
 
-// Names returns human-readable labels for reports, index-aligned with the
-// vector.
-func Names() []string {
-	names := make([]string, Count)
-	names[FeatL3Router] = "L3 router"
-	names[FeatCPUCoreBufUtil] = "CPU core input buffer utilization"
-	names[FeatCPUNetBufUtil] = "other router CPU input buffer utilization"
-	names[FeatGPUCoreBufUtil] = "GPU core input buffer utilization"
-	names[FeatGPUNetBufUtil] = "other router GPU input buffer utilization"
-	names[FeatLinkUtil] = "outgoing link utilization"
-	names[FeatPktsToCore] = "packets sent to a core"
-	names[FeatInFromRouters] = "incoming packets from other routers"
-	names[FeatInFromCores] = "incoming packets from the cores"
-	names[FeatRequestsSent] = "requests sent"
-	names[FeatRequestsRecv] = "requests received"
-	names[FeatResponsesSent] = "responses sent"
-	names[FeatResponsesRecv] = "responses received"
-	for s := noc.Source(0); s < noc.NumSources; s++ {
-		names[FeatRequestSrcBase+int(s)] = "request " + s.String()
-		names[FeatResponseSrcBase+int(s)] = "response " + s.String()
-	}
-	names[FeatWavelengths] = "number of wavelengths"
-	return names
-}
-
 // Collector accumulates one router's counters across a reservation window.
 type Collector struct {
 	isL3 bool

@@ -13,26 +13,6 @@ func TestCountIs30(t *testing.T) {
 	}
 }
 
-func TestNamesComplete(t *testing.T) {
-	names := Names()
-	if len(names) != Count {
-		t.Fatalf("names = %d entries", len(names))
-	}
-	seen := map[string]bool{}
-	for i, n := range names {
-		if n == "" {
-			t.Errorf("feature %d unnamed", i)
-		}
-		if seen[n] {
-			t.Errorf("duplicate name %q", n)
-		}
-		seen[n] = true
-	}
-	if names[FeatWavelengths] != "number of wavelengths" {
-		t.Errorf("feature 30 = %q", names[FeatWavelengths])
-	}
-}
-
 func TestL3Flag(t *testing.T) {
 	if NewCollector(false).Snapshot()[FeatL3Router] != 0 {
 		t.Error("cluster router flagged as L3")

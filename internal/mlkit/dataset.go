@@ -137,8 +137,6 @@ func TuneLambda(train, val *Dataset, lambdas []float64) (*Ridge, float64, float6
 }
 
 // fitScore is the NRMSE-style score used throughout: 1 - RMSE/stddev.
-// (Duplicated from the stats package signature to keep mlkit free of
-// simulator dependencies.)
 func fitScore(pred, target []float64) float64 {
 	var mean float64
 	for _, t := range target {

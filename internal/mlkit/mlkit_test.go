@@ -406,11 +406,91 @@ func TestTuneLambdaErrors(t *testing.T) {
 	}
 }
 
-func TestScorePanics(t *testing.T) {
+// expectPanic fails t unless fn panics.
+func expectPanic(t *testing.T, fn func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic")
+			t.Error("expected panic")
 		}
 	}()
-	Score([]float64{1}, []float64{1, 2})
+	fn()
+}
+
+func TestScorePanics(t *testing.T) {
+	expectPanic(t, func() { Score(nil, nil) })
+}
+
+func TestScorePanicsOnMismatch(t *testing.T) {
+	expectPanic(t, func() { Score([]float64{1}, []float64{1, 2}) })
+}
+
+// The paper's §IV.C fit score is 1 - RMSE/stddev(target). The tests below
+// pin it at its landmarks: 1 for a perfect fit, 0 for predicting the mean,
+// negative past that, and -inf for any error on a constant target.
+
+func TestScorePerfectFit(t *testing.T) {
+	if got := Score([]float64{1, 2, 3, 4}, []float64{1, 2, 3, 4}); got != 1 {
+		t.Errorf("score = %v, want 1", got)
+	}
+}
+
+func TestScoreMeanPredictor(t *testing.T) {
+	if got := Score([]float64{3, 3, 3, 3, 3}, []float64{1, 2, 3, 4, 5}); math.Abs(got) > 1e-12 {
+		t.Errorf("score = %v, want 0", got)
+	}
+}
+
+func TestScoreWorseThanMean(t *testing.T) {
+	if got := Score([]float64{30, -10, 50}, []float64{1, 2, 3}); got >= 0 {
+		t.Errorf("a predictor worse than the mean should score negative, got %v", got)
+	}
+}
+
+func TestScoreConstantTarget(t *testing.T) {
+	if got := Score([]float64{5, 5, 5}, []float64{5, 5, 5}); got != 1 {
+		t.Errorf("perfect fit of a constant target: score = %v, want 1", got)
+	}
+	if got := Score([]float64{6, 5, 5}, []float64{5, 5, 5}); !math.IsInf(got, -1) {
+		t.Errorf("imperfect fit of a constant target: score = %v, want -Inf", got)
+	}
+}
+
+// TestScoreMatchesRMSEOverStdDevProperty checks the score against its
+// definition computed the long way: RMSE and the target's population
+// standard deviation taken separately.
+func TestScoreMatchesRMSEOverStdDevProperty(t *testing.T) {
+	f := func(raw []uint8) bool {
+		if len(raw) < 4 {
+			return true
+		}
+		n := len(raw) / 2
+		pred := make([]float64, n)
+		target := make([]float64, n)
+		spread := false
+		for i := 0; i < n; i++ {
+			pred[i] = float64(raw[i])
+			target[i] = float64(raw[n+i])
+			if target[i] != target[0] {
+				spread = true
+			}
+		}
+		if !spread {
+			return true
+		}
+		var mean, mse, variance float64
+		for i := range target {
+			mean += target[i]
+			mse += (pred[i] - target[i]) * (pred[i] - target[i])
+		}
+		mean /= float64(n)
+		for _, v := range target {
+			variance += (v - mean) * (v - mean)
+		}
+		want := 1 - math.Sqrt(mse/float64(n))/math.Sqrt(variance/float64(n))
+		return math.Abs(Score(pred, target)-want) < 1e-9
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

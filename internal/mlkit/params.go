@@ -1,10 +1,6 @@
 package mlkit
 
-import (
-	"encoding/json"
-	"errors"
-	"io"
-)
+import "errors"
 
 // RidgeParams is the serialisable form of a fitted ridge model: the
 // standardisation statistics and the weight vector — exactly what the
@@ -46,20 +42,4 @@ func RidgeFromParams(p RidgeParams) (*Ridge, error) {
 	r.scaler = &Scaler{Mean: append([]float64(nil), p.Mean...), Std: append([]float64(nil), p.Std...)}
 	r.weights = append([]float64(nil), p.Weights...)
 	return r, nil
-}
-
-// SaveParams writes the model as JSON.
-func (r *Ridge) SaveParams(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(r.Params())
-}
-
-// LoadParams reads a JSON model.
-func LoadParams(rd io.Reader) (*Ridge, error) {
-	var p RidgeParams
-	if err := json.NewDecoder(rd).Decode(&p); err != nil {
-		return nil, err
-	}
-	return RidgeFromParams(p)
 }

@@ -67,31 +67,6 @@ func GaussSolve(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Invert returns A^-1 for a non-singular square matrix via column-wise
-// Gaussian solves.
-func Invert(a *Matrix) (*Matrix, error) {
-	n := a.rows
-	if a.cols != n {
-		return nil, fmt.Errorf("mlkit: Invert on %dx%d matrix", a.rows, a.cols)
-	}
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for col := 0; col < n; col++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[col] = 1
-		x, err := GaussSolve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, col, x[i])
-		}
-	}
-	return inv, nil
-}
-
 // RLS is a recursive least squares estimator: the online counterpart of
 // the closed-form ridge fit, updating weights one example at a time in
 // O(d^2). It supports the repository's online-learning extension, where

@@ -93,36 +93,6 @@ func TestGaussAgreesWithCholeskyProperty(t *testing.T) {
 	}
 }
 
-func TestInvert(t *testing.T) {
-	a := FromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A * A^-1 == I.
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			var s float64
-			for k := 0; k < 2; k++ {
-				s += a.At(i, k) * inv.At(k, j)
-			}
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(s-want) > 1e-12 {
-				t.Fatalf("(A A^-1)[%d][%d] = %v", i, j, s)
-			}
-		}
-	}
-	if _, err := Invert(FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})); err == nil {
-		t.Fatal("non-square accepted")
-	}
-	if _, err := Invert(FromRows([][]float64{{1, 1}, {1, 1}})); err == nil {
-		t.Fatal("singular accepted")
-	}
-}
-
 func TestRLSConvergesToLinearTarget(t *testing.T) {
 	rls, err := NewRLS(2, 1.0, 100)
 	if err != nil {

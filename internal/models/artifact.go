@@ -120,7 +120,7 @@ func (a *Artifact) validate() error {
 
 // contentHash digests the identity fields in a fixed line-oriented
 // order with full float precision (the same convention as
-// config.CanonicalString). Meta and Hash are excluded.
+// config.AppendCanonical). Meta and Hash are excluded.
 func (a *Artifact) contentHash() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "schema_version=%d\n", a.SchemaVersion)

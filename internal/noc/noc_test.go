@@ -25,19 +25,7 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestSourceStringsAndClasses(t *testing.T) {
-	cpuSources := []Source{SrcCPUL1I, SrcCPUL1D, SrcCPUL2Up, SrcCPUL2Down}
-	gpuSources := []Source{SrcGPUL1, SrcGPUL2Up, SrcGPUL2Down}
-	for _, s := range cpuSources {
-		if s.Class() != ClassCPU {
-			t.Errorf("%s should be CPU class", s)
-		}
-	}
-	for _, s := range gpuSources {
-		if s.Class() != ClassGPU {
-			t.Errorf("%s should be GPU class", s)
-		}
-	}
+func TestSourceStrings(t *testing.T) {
 	seen := map[string]bool{}
 	for s := Source(0); s < NumSources; s++ {
 		name := s.String()

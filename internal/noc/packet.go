@@ -86,21 +86,6 @@ func (s Source) String() string {
 	return fmt.Sprintf("Source(%d)", int(s))
 }
 
-// Class returns the traffic class a cache source injects into. L3 packets
-// travel on the class of the requester they answer, so Class for SrcL3
-// returns ClassCPU by convention; callers that know the requester should
-// set Packet.Class explicitly.
-func (s Source) Class() Class {
-	switch s {
-	case SrcCPUL1I, SrcCPUL1D, SrcCPUL2Up, SrcCPUL2Down:
-		return ClassCPU
-	case SrcGPUL1, SrcGPUL2Up, SrcGPUL2Down:
-		return ClassGPU
-	default:
-		return ClassCPU
-	}
-}
-
 // Packet is one network message. PEARL transmits a packet as a single
 // 128-bit flit (requests) or a multi-flit burst (responses carrying a
 // cache line); SizeBits captures the total payload plus header.

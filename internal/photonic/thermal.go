@@ -1,10 +1,5 @@
 package photonic
 
-import (
-	"fmt"
-	"math"
-)
-
 // Thermal model of the microring trimming problem (§III.A.1: "Due to
 // thermal sensitivity, ring heaters are used to ensure that the
 // wavelength drift is avoided"). Microring resonances red-shift with
@@ -14,7 +9,10 @@ import (
 // heater. The interesting system-level consequence: power scaling cools
 // the chip, which *increases* heater (trimming) power — partially
 // offsetting laser savings — unless the four-bank design also gates the
-// idle banks' heaters (§III.C), which PEARL does.
+// idle banks' heaters (§III.C), which PEARL does. The trimming study
+// reads the heater's closed-form steady state (SteadyStateHeaterW); the
+// package tests integrate the feedback loop to check that it settles
+// there.
 
 // Silicon photonic thermal constants.
 const (
@@ -31,18 +29,9 @@ const (
 	AmbientC = 45.0
 )
 
-// ToleranceK is the temperature excursion a ring tolerates before
-// detection fails.
-func ToleranceK() float64 { return DriftToleranceNm / RingDriftNmPerK }
-
-// DriftNm converts a temperature error to resonance drift.
-func DriftNm(deltaK float64) float64 { return deltaK * RingDriftNmPerK }
-
-// ThermalConfig parameterises a router-site thermal node.
+// ThermalConfig parameterises a router site's ring-bank island at
+// thermal equilibrium.
 type ThermalConfig struct {
-	// HeatCapacityJPerK is the lumped thermal mass of a router site's
-	// silicon (small: photonics sits in a thin device layer).
-	HeatCapacityJPerK float64
 	// ConductanceWPerK couples the site to the heat sink / ambient.
 	ConductanceWPerK float64
 	// SetpointC is the ring stabilisation temperature; it must exceed
@@ -51,13 +40,6 @@ type ThermalConfig struct {
 	SetpointC float64
 	// HeaterMaxW bounds a site's total trimming power.
 	HeaterMaxW float64
-	// Gain is the proportional feedback gain of the heater controller
-	// (W per K of error).
-	Gain float64
-	// IntegralGain is the integral feedback gain (W per K-second),
-	// eliminating the proportional controller's steady-state droop so
-	// rings hold the setpoint within the drift tolerance.
-	IntegralGain float64
 }
 
 // IslandCoupling is the fraction of a router site's activity power that
@@ -65,135 +47,17 @@ type ThermalConfig struct {
 // to the heat sink).
 const IslandCoupling = 0.15
 
-// DefaultThermalConfig returns a stable configuration for one router's
+// DefaultThermalConfig returns the configuration of one router's
 // ring-bank island, scaled so the idle trimming power matches Table V's
 // ~28 mW/router (1088 rings x 26 uW): 3 mW/K island coupling held 10 K
 // above ambient.
 func DefaultThermalConfig() ThermalConfig {
 	return ThermalConfig{
-		HeatCapacityJPerK: 5e-5,  // ring-bank island thermal mass
-		ConductanceWPerK:  0.003, // island-to-substrate coupling
-		SetpointC:         AmbientC + 10,
-		HeaterMaxW:        0.1,
-		Gain:              0.05,
-		IntegralGain:      1,
+		ConductanceWPerK: 0.003, // island-to-substrate coupling
+		SetpointC:        AmbientC + 10,
+		HeaterMaxW:       0.1,
 	}
 }
-
-// Validate reports the first bad parameter.
-func (c ThermalConfig) Validate() error {
-	switch {
-	case c.HeatCapacityJPerK <= 0:
-		return fmt.Errorf("photonic: non-positive heat capacity %v", c.HeatCapacityJPerK)
-	case c.ConductanceWPerK <= 0:
-		return fmt.Errorf("photonic: non-positive conductance %v", c.ConductanceWPerK)
-	case c.SetpointC <= AmbientC:
-		return fmt.Errorf("photonic: setpoint %v not above ambient %v", c.SetpointC, AmbientC)
-	case c.HeaterMaxW <= 0:
-		return fmt.Errorf("photonic: non-positive heater limit %v", c.HeaterMaxW)
-	case c.Gain <= 0:
-		return fmt.Errorf("photonic: non-positive gain %v", c.Gain)
-	case c.IntegralGain < 0:
-		return fmt.Errorf("photonic: negative integral gain %v", c.IntegralGain)
-	}
-	return nil
-}
-
-// ThermalNode integrates one router site's temperature and heater
-// feedback loop.
-type ThermalNode struct {
-	cfg ThermalConfig
-
-	// tempC is the ring/device temperature.
-	tempC float64
-	// heaterW is the current trimming power.
-	heaterW float64
-	// integral accumulates the PI controller's error integral (K-s),
-	// clamped for anti-windup.
-	integral float64
-
-	// heaterJ integrates trimming energy; violations counts steps where
-	// drift exceeded tolerance.
-	heaterJ    float64
-	violations uint64
-	steps      uint64
-	maxErrK    float64
-}
-
-// NewThermalNode returns a node settled at its setpoint (heaters pre-trim
-// the rings at boot).
-func NewThermalNode(cfg ThermalConfig) (*ThermalNode, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	return &ThermalNode{cfg: cfg, tempC: cfg.SetpointC}, nil
-}
-
-// Step advances the node by dt seconds with the given dissipated activity
-// power (laser driver, modulators, receivers) heating the site. The
-// heater applies proportional feedback toward the setpoint.
-func (n *ThermalNode) Step(activityW, dt float64) {
-	if dt <= 0 {
-		panic("photonic: non-positive dt")
-	}
-	errK := n.cfg.SetpointC - n.tempC
-	n.integral += errK * dt
-	// Anti-windup: bound the integral contribution to the heater range.
-	if lim := n.cfg.HeaterMaxW; n.cfg.IntegralGain > 0 {
-		if n.integral > lim/n.cfg.IntegralGain {
-			n.integral = lim / n.cfg.IntegralGain
-		}
-		if n.integral < -lim/n.cfg.IntegralGain {
-			n.integral = -lim / n.cfg.IntegralGain
-		}
-	}
-	n.heaterW = n.cfg.Gain*errK + n.cfg.IntegralGain*n.integral
-	if n.heaterW < 0 {
-		n.heaterW = 0
-	}
-	if n.heaterW > n.cfg.HeaterMaxW {
-		n.heaterW = n.cfg.HeaterMaxW
-	}
-	inW := activityW + n.heaterW
-	outW := n.cfg.ConductanceWPerK * (n.tempC - AmbientC)
-	n.tempC += (inW - outW) * dt / n.cfg.HeatCapacityJPerK
-
-	n.heaterJ += n.heaterW * dt
-	n.steps++
-	if e := math.Abs(n.cfg.SetpointC - n.tempC); e > n.maxErrK {
-		n.maxErrK = e
-	}
-	if math.Abs(DriftNm(n.cfg.SetpointC-n.tempC)) > DriftToleranceNm {
-		n.violations++
-	}
-}
-
-// TemperatureC returns the current device temperature.
-func (n *ThermalNode) TemperatureC() float64 { return n.tempC }
-
-// HeaterW returns the current trimming power.
-func (n *ThermalNode) HeaterW() float64 { return n.heaterW }
-
-// HeaterEnergyJ returns the integrated trimming energy.
-func (n *ThermalNode) HeaterEnergyJ() float64 { return n.heaterJ }
-
-// MeanHeaterW returns trimming energy divided by elapsed time.
-func (n *ThermalNode) MeanHeaterW(elapsedSeconds float64) float64 {
-	if elapsedSeconds <= 0 {
-		return 0
-	}
-	return n.heaterJ / elapsedSeconds
-}
-
-// Violations counts steps where ring drift exceeded the detection
-// tolerance.
-func (n *ThermalNode) Violations() uint64 { return n.violations }
-
-// Steps returns integration steps taken.
-func (n *ThermalNode) Steps() uint64 { return n.steps }
-
-// MaxErrorK returns the worst temperature excursion observed.
-func (n *ThermalNode) MaxErrorK() float64 { return n.maxErrK }
 
 // SteadyStateHeaterW solves the equilibrium trimming power for a constant
 // activity power: heater + activity = conductance x (T - ambient) with

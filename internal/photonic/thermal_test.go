@@ -3,77 +3,66 @@ package photonic
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
-func TestThermalConfigValidation(t *testing.T) {
-	if err := DefaultThermalConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	muts := []func(*ThermalConfig){
-		func(c *ThermalConfig) { c.HeatCapacityJPerK = 0 },
-		func(c *ThermalConfig) { c.ConductanceWPerK = -1 },
-		func(c *ThermalConfig) { c.SetpointC = AmbientC },
-		func(c *ThermalConfig) { c.HeaterMaxW = 0 },
-		func(c *ThermalConfig) { c.Gain = 0 },
-	}
-	for i, mut := range muts {
-		c := DefaultThermalConfig()
-		mut(&c)
-		if c.Validate() == nil {
-			t.Errorf("mutation %d accepted", i)
+// piIsland integrates one ring-bank island under a PI-controlled heater
+// for steps steps of dt seconds at constant activity power: the stepped
+// model whose equilibrium SteadyStateHeaterW solves in closed form. It
+// starts settled at the setpoint (heaters pre-trim the rings at boot)
+// and returns the final temperature and heater power, and the steps on
+// which ring drift exceeded the detection tolerance.
+func piIsland(cfg ThermalConfig, activityW, dt float64, steps int) (tempC, heaterW float64, violations int) {
+	const (
+		heatCapacityJPerK = 5e-5 // ring-bank island thermal mass
+		gain              = 0.05 // proportional gain, W per K of error
+		integralGain      = 1.0  // integral gain, W per K-second
+	)
+	tempC = cfg.SetpointC
+	var integral float64
+	for i := 0; i < steps; i++ {
+		errK := cfg.SetpointC - tempC
+		// Anti-windup: bound the integral contribution to the heater range.
+		lim := cfg.HeaterMaxW / integralGain
+		integral = math.Max(-lim, math.Min(lim, integral+errK*dt))
+		heaterW = math.Max(0, math.Min(cfg.HeaterMaxW, gain*errK+integralGain*integral))
+		outW := cfg.ConductanceWPerK * (tempC - AmbientC)
+		tempC += (activityW + heaterW - outW) * dt / heatCapacityJPerK
+		if math.Abs(cfg.SetpointC-tempC)*RingDriftNmPerK > DriftToleranceNm {
+			violations++
 		}
-		if _, err := NewThermalNode(c); err == nil {
-			t.Errorf("NewThermalNode accepted mutation %d", i)
-		}
 	}
+	return tempC, heaterW, violations
 }
 
 func TestToleranceIsSubKelvin(t *testing.T) {
 	// Dense WDM leaves only a fraction of a channel spacing of drift;
 	// at 0.09 nm/K that is well under 2 K.
-	if tol := ToleranceK(); tol <= 0 || tol > 2 {
+	if tol := DriftToleranceNm / RingDriftNmPerK; tol <= 0 || tol > 2 {
 		t.Fatalf("tolerance %v K implausible for 64-channel WDM", tol)
-	}
-	if DriftNm(1) != RingDriftNmPerK {
-		t.Fatal("drift conversion wrong")
 	}
 }
 
 func TestThermalSettlesAtSetpoint(t *testing.T) {
 	cfg := DefaultThermalConfig()
-	n, err := NewThermalNode(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Constant moderate island activity; integrate 2 s in 100 us steps.
-	for i := 0; i < 20000; i++ {
-		n.Step(0.005, 1e-4)
-	}
-	if math.Abs(n.TemperatureC()-cfg.SetpointC) > 0.2 {
-		t.Fatalf("settled at %v C, setpoint %v", n.TemperatureC(), cfg.SetpointC)
+	tempC, heaterW, violations := piIsland(cfg, 0.005, 1e-4, 20000)
+	if math.Abs(tempC-cfg.SetpointC) > 0.2 {
+		t.Fatalf("settled at %v C, setpoint %v", tempC, cfg.SetpointC)
 	}
 	// Steady-state heater power matches the closed form.
 	want := cfg.SteadyStateHeaterW(0.005)
-	if math.Abs(n.HeaterW()-want) > 0.002 {
-		t.Fatalf("heater %v W, steady state %v", n.HeaterW(), want)
+	if math.Abs(heaterW-want) > 0.002 {
+		t.Fatalf("heater %v W, steady state %v", heaterW, want)
 	}
-	if n.Violations() != 0 {
-		t.Fatalf("%d tolerance violations at steady state", n.Violations())
+	if violations != 0 {
+		t.Fatalf("%d tolerance violations at steady state", violations)
 	}
 }
 
 func TestMoreActivityMeansLessTrimming(t *testing.T) {
 	cfg := DefaultThermalConfig()
-	run := func(activity float64) float64 {
-		n, _ := NewThermalNode(cfg)
-		for i := 0; i < 20000; i++ {
-			n.Step(activity, 1e-4)
-		}
-		return n.MeanHeaterW(2)
-	}
-	idle := run(0.002)
-	busy := run(0.02)
+	idle := cfg.SteadyStateHeaterW(0.002)
+	busy := cfg.SteadyStateHeaterW(0.02)
 	if busy >= idle {
 		t.Fatalf("trimming power did not fall with activity: idle %v, busy %v", idle, busy)
 	}
@@ -95,70 +84,5 @@ func TestSteadyStateHeaterClosedForm(t *testing.T) {
 	small.HeaterMaxW = 0.01
 	if got := small.SteadyStateHeaterW(0); got != 0.01 {
 		t.Fatalf("heater not clamped: %v", got)
-	}
-}
-
-func TestThermalViolationOnOverheat(t *testing.T) {
-	cfg := DefaultThermalConfig()
-	n, _ := NewThermalNode(cfg)
-	// Dump far more power than the island coupling can remove; the site
-	// overshoots the setpoint (heaters cannot cool) and drifts out of
-	// tolerance.
-	for i := 0; i < 20000; i++ {
-		n.Step(0.5, 1e-4)
-	}
-	if n.TemperatureC() <= cfg.SetpointC {
-		t.Fatal("site did not overheat")
-	}
-	if n.Violations() == 0 {
-		t.Fatal("no violations recorded despite overheating")
-	}
-	if n.MaxErrorK() <= ToleranceK() {
-		t.Fatalf("max error %v below tolerance", n.MaxErrorK())
-	}
-}
-
-func TestThermalStepPanicsOnBadDt(t *testing.T) {
-	n, _ := NewThermalNode(DefaultThermalConfig())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	n.Step(0.1, 0)
-}
-
-func TestThermalEnergyAccounting(t *testing.T) {
-	n, _ := NewThermalNode(DefaultThermalConfig())
-	for i := 0; i < 1000; i++ {
-		n.Step(0.002, 1e-4)
-	}
-	if n.Steps() != 1000 {
-		t.Fatalf("steps = %d", n.Steps())
-	}
-	if n.HeaterEnergyJ() <= 0 {
-		t.Fatal("no heater energy integrated")
-	}
-	if n.MeanHeaterW(0.1) <= 0 {
-		t.Fatal("mean heater power zero")
-	}
-	if n.MeanHeaterW(0) != 0 {
-		t.Fatal("zero elapsed time should yield 0")
-	}
-}
-
-func TestThermalStabilityProperty(t *testing.T) {
-	// For any bounded activity, temperature stays bounded (the feedback
-	// loop must not diverge).
-	f := func(raw uint8) bool {
-		activity := float64(raw) / 255 * 0.05 // 0..50 mW island power
-		n, _ := NewThermalNode(DefaultThermalConfig())
-		for i := 0; i < 5000; i++ {
-			n.Step(activity, 1e-4)
-		}
-		return n.TemperatureC() > AmbientC-1 && n.TemperatureC() < 150
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -49,12 +49,6 @@ const (
 	CMESHLeakagePerRouterW = 25e-3
 )
 
-// LaserNetworkPowerW returns the network-wide laser electrical power when
-// every router sits in the given state — the paper's 1.16/0.871/0.581/
-// 0.29/0.145 W figures (§IV.B). Per-router laser power is this divided by
-// the 17 crossbar routers.
-func LaserNetworkPowerW(s photonic.WLState) float64 { return s.LaserPowerW() }
-
 // LaserRouterPowerW is one router's laser power in the given state.
 func LaserRouterPowerW(s photonic.WLState) float64 {
 	return s.LaserPowerW() / float64(config.NumRouters)

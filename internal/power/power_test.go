@@ -10,11 +10,11 @@ import (
 )
 
 func TestLaserNetworkPowerMatchesPaper(t *testing.T) {
-	if LaserNetworkPowerW(photonic.WL64) != 1.16 {
-		t.Errorf("64WL network laser = %v, want 1.16 W", LaserNetworkPowerW(photonic.WL64))
+	if photonic.WL64.LaserPowerW() != 1.16 {
+		t.Errorf("64WL network laser = %v, want 1.16 W", photonic.WL64.LaserPowerW())
 	}
-	if LaserNetworkPowerW(photonic.WL8) != 0.145 {
-		t.Errorf("8WL network laser = %v, want 0.145 W", LaserNetworkPowerW(photonic.WL8))
+	if photonic.WL8.LaserPowerW() != 0.145 {
+		t.Errorf("8WL network laser = %v, want 0.145 W", photonic.WL8.LaserPowerW())
 	}
 }
 

@@ -53,6 +53,25 @@ func TestShardPoolConstruction(t *testing.T) {
 	}
 }
 
+// TestPeerCancelJob: cancelling an orphaned remote job DELETEs it on the
+// peer with the caller's bearer token, and an unreachable peer is
+// ignored (the cancel is best effort).
+func TestPeerCancelJob(t *testing.T) {
+	type call struct{ method, path, auth string }
+	calls := make(chan call, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls <- call{r.Method, r.URL.Path, r.Header.Get("Authorization")}
+		w.WriteHeader(http.StatusAccepted)
+	}))
+	pc := &peerClient{base: peer.URL, client: peer.Client()}
+	pc.cancelJob(context.Background(), "job-000042", "tok-alice")
+	if got, want := <-calls, (call{http.MethodDelete, "/v1/jobs/job-000042", "Bearer tok-alice"}); got != want {
+		t.Fatalf("peer saw %+v, want %+v", got, want)
+	}
+	peer.Close()
+	pc.cancelJob(context.Background(), "job-000042", "tok-alice") // must return quietly
+}
+
 func TestRendezvousOwnershipIsStableAndSpread(t *testing.T) {
 	p, err := newShardPool(Options{Peers: []string{"http://a:1", "http://b:1"}}.withDefaults())
 	if err != nil {

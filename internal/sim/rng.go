@@ -59,8 +59,6 @@ func NewRNG(seed uint64) *RNG {
 	return r
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 uniformly distributed bits. The state runs
 // through locals and the rotates are written out with constant shifts so
 // the whole function stays within the compiler's inlining budget — this
@@ -141,35 +139,6 @@ func PoissonZeroThreshold(expNegMean float64) uint64 {
 	return uint64(math.Floor(expNegMean*(1<<53))) + 1
 }
 
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *RNG) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("sim: Exp with non-positive rate")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
-// Geometric returns the number of Bernoulli(p) failures before the first
-// success, i.e. a geometric variate with support {0, 1, 2, ...}.
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("sim: Geometric with non-positive p")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Floor(math.Log(u) / math.Log(1-p)))
-}
-
 // Poisson returns a Poisson variate with the given mean using Knuth's
 // method for small means and a normal approximation for large ones. Means
 // in this codebase are per-cycle injection counts, i.e. well under 10.
@@ -225,22 +194,4 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	u2 := r.Float64()
 	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 	return mean + float64(stddev*z)
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }

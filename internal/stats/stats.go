@@ -1,7 +1,6 @@
 // Package stats collects the measurements the paper reports: delivered
-// throughput (packets and bits per cycle, Gbps), per-class breakdowns,
-// end-to-end latency distributions, wavelength-state residency histograms
-// and generic running summaries.
+// throughput (bits per cycle, Gbps), per-class breakdowns, end-to-end
+// latency distributions and wavelength-state residency histograms.
 package stats
 
 import (
@@ -10,54 +9,6 @@ import (
 	"slices"
 	"sort"
 )
-
-// Summary is a running mean/variance/min/max accumulator (Welford).
-type Summary struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds a sample into the summary.
-func (s *Summary) Add(x float64) {
-	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
-}
-
-// N returns the sample count.
-func (s *Summary) N() int64 { return s.n }
-
-// Mean returns the sample mean (0 when empty).
-func (s *Summary) Mean() float64 { return s.mean }
-
-// Variance returns the population variance (0 for fewer than 2 samples).
-func (s *Summary) Variance() float64 {
-	if s.n < 2 {
-		return 0
-	}
-	return s.m2 / float64(s.n)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest sample (0 when empty).
-func (s *Summary) Min() float64 { return s.min }
-
-// Max returns the largest sample (0 when empty).
-func (s *Summary) Max() float64 { return s.max }
 
 // Histogram is a float64 sample distribution with percentile support
 // over a bounded ring of the most recent raw samples. Simulated
@@ -194,9 +145,6 @@ type Residency struct {
 	total  int64
 }
 
-// NewResidency returns an empty residency tracker.
-func NewResidency() Residency { return Residency{} }
-
 // Add records n cycles spent in the state identified by key (wavelength
 // count).
 func (r *Residency) Add(key int, n int64) {
@@ -287,73 +235,9 @@ func (n *Network) ThroughputGbps(clockHz float64) float64 {
 	return n.ThroughputBitsPerCycle() * clockHz / 1e9
 }
 
-// ThroughputPacketsPerCycle returns delivered packets per cycle.
-func (n *Network) ThroughputPacketsPerCycle() float64 {
-	if n.MeasuredCycles == 0 {
-		return 0
-	}
-	return float64(n.Delivered.TotalPackets()) / float64(n.MeasuredCycles)
-}
-
 // String summarises the headline numbers.
 func (n *Network) String() string {
 	return fmt.Sprintf("delivered=%d pkts (%.1f%% CPU) %.2f bits/cycle, mean latency %.1f cycles",
 		n.Delivered.TotalPackets(), 100*n.Delivered.Share(0),
 		n.ThroughputBitsPerCycle(), n.Latency.Mean())
-}
-
-// NRMSEScore returns the paper's normalised fit score where 1 is a perfect
-// fit and -inf the worst: 1 - RMSE(pred, target) / stddev(target). This is
-// the score the paper quotes as "NRMSE" (§IV.C: 0.79 validation, 0.68/0.05
-// test).
-func NRMSEScore(pred, target []float64) float64 {
-	if len(pred) != len(target) || len(pred) == 0 {
-		panic("stats: NRMSE over mismatched or empty slices")
-	}
-	var mean float64
-	for _, t := range target {
-		mean += t
-	}
-	mean /= float64(len(target))
-	var ssRes, ssTot float64
-	for i := range target {
-		d := pred[i] - target[i]
-		ssRes += d * d
-		v := target[i] - mean
-		ssTot += v * v
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.Inf(-1)
-	}
-	return 1 - math.Sqrt(ssRes/ssTot)
-}
-
-// R2 returns the coefficient of determination for reference alongside the
-// NRMSE score.
-func R2(pred, target []float64) float64 {
-	if len(pred) != len(target) || len(pred) == 0 {
-		panic("stats: R2 over mismatched or empty slices")
-	}
-	var mean float64
-	for _, t := range target {
-		mean += t
-	}
-	mean /= float64(len(target))
-	var ssRes, ssTot float64
-	for i := range target {
-		d := pred[i] - target[i]
-		ssRes += d * d
-		v := target[i] - mean
-		ssTot += v * v
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return math.Inf(-1)
-	}
-	return 1 - ssRes/ssTot
 }

@@ -3,11 +3,11 @@ package stats
 import "math"
 
 // Welford is a streaming mean/variance accumulator (Welford's online
-// algorithm, with Chan et al.'s pairwise update for Merge). It holds
-// three words of state no matter how many samples it has seen, so the
-// server's per-series confidence intervals and pearlbench's per-point
-// seed aggregates can fold results in one at a time without keeping
-// the samples around. The zero value is an empty accumulator.
+// algorithm). It holds three words of state no matter how many samples
+// it has seen, so the server's per-series confidence intervals and
+// pearlbench's per-point seed aggregates can fold results in one at a
+// time without keeping the samples around. The zero value is an empty
+// accumulator.
 type Welford struct {
 	n    uint64
 	mean float64
@@ -20,23 +20,6 @@ func (w *Welford) Add(x float64) {
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += float64(delta * (x - w.mean))
-}
-
-// Merge folds another accumulator's state into this one, as if every
-// sample it saw had been Added here.
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := float64(w.n + o.n)
-	delta := o.mean - w.mean
-	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/n
-	w.mean += delta * float64(o.n) / n
-	w.n += o.n
 }
 
 // N returns how many samples have been folded in.

@@ -167,15 +167,6 @@ func WriteJSON(w io.Writer, records []Record) error {
 	return enc.Encode(records)
 }
 
-// ReadJSON parses a JSON trace.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var records []Record
-	if err := json.NewDecoder(r).Decode(&records); err != nil {
-		return nil, err
-	}
-	return records, nil
-}
-
 // Recorder captures injections as they happen. Attach Wrap around a
 // network target; every accepted packet is recorded.
 type Recorder struct {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"strings"
@@ -111,11 +112,14 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, sampleRecords()); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSON(&buf)
-	if err != nil {
+	var got []Record
+	if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
 	want := sampleRecords()
+	if len(got) != len(want) {
+		t.Fatalf("%d records, want %d", len(got), len(want))
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("record %d mismatch", i)
