@@ -131,8 +131,11 @@ func record(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := trace.WriteAll(f, rec.Records()); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "recorded %d injections over %d cycles to %s\n", rec.Len(), *cycles, *out)
@@ -264,8 +267,11 @@ func export(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := trace.WriteJSON(f, records); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "exported %d records to %s\n", len(records), *out)

@@ -69,6 +69,39 @@ func TestSubcommands(t *testing.T) {
 	}
 }
 
+// TestWriteFailure sends record and export to a device that refuses
+// every write: each must fail with exit status 1 and report nothing
+// written.
+func TestWriteFailure(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	trc := filepath.Join(t.TempDir(), "t.trc")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"record", "-cycles", "500", "-out", trc}, &stdout, &stderr); code != 0 {
+		t.Fatalf("record: exit status %d\nstderr:\n%s", code, stderr.String())
+	}
+	for _, tc := range []struct {
+		args []string
+		line string
+	}{
+		{[]string{"record", "-cycles", "500", "-out", "/dev/full"}, "recorded"},
+		{[]string{"export", "-in", trc, "-out", "/dev/full"}, "exported"},
+	} {
+		stdout.Reset()
+		stderr.Reset()
+		if code := run(tc.args, &stdout, &stderr); code != 1 {
+			t.Errorf("pearltrace %v: exit status %d, want 1", tc.args, code)
+		}
+		if strings.Contains(stdout.String(), tc.line) {
+			t.Errorf("pearltrace %v reported a write that failed: %q", tc.args, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "pearltrace:") {
+			t.Errorf("pearltrace %v: stderr %q lacks the error", tc.args, stderr.String())
+		}
+	}
+}
+
 func TestUsageExitStatus(t *testing.T) {
 	for _, tc := range []struct {
 		args []string

@@ -102,39 +102,6 @@ func TestTraceRecordReplayAcrossNetworks(t *testing.T) {
 	}
 }
 
-func TestCoherenceOverBothNetworks(t *testing.T) {
-	// The NMOESI driver must complete traffic over the photonic crossbar
-	// and the electrical mesh alike.
-	for _, build := range []struct {
-		name string
-		run  func() (uint64, int)
-	}{
-		{"photonic", func() (uint64, int) {
-			engine := sim.NewEngine()
-			net, _ := core.New(engine, config.PEARLDyn())
-			d := NewCoherenceDriver(net, 11)
-			engine.Register(d)
-			engine.Register(net)
-			engine.Run(5000)
-			return d.InjectedPackets, net.InFlight()
-		}},
-		{"cmesh", func() (uint64, int) {
-			engine := sim.NewEngine()
-			net, _ := cmesh.New(engine, config.Default())
-			d := NewCoherenceDriver(net, 11)
-			engine.Register(d)
-			engine.Register(net)
-			engine.Run(5000)
-			return d.InjectedPackets, net.InFlight()
-		}},
-	} {
-		injected, _ := build.run()
-		if injected == 0 {
-			t.Errorf("%s: coherence driver injected nothing", build.name)
-		}
-	}
-}
-
 func TestDeterministicAcrossFullStack(t *testing.T) {
 	// The entire stack — workload, network, power scaling, power
 	// accounting — must be bit-reproducible.

@@ -3,10 +3,10 @@ package photonic
 // Thermal model of the microring trimming problem (§III.A.1: "Due to
 // thermal sensitivity, ring heaters are used to ensure that the
 // wavelength drift is avoided"). Microring resonances red-shift with
-// temperature (~0.09 nm/K in silicon); dense WDM spacing leaves well
-// under a kelvin of tolerance, so each ring is held at a setpoint above
-// the hottest expected substrate temperature by a feedback-controlled
-// heater. The interesting system-level consequence: power scaling cools
+// temperature (~0.09 nm/K in silicon); dense WDM spacing leaves about
+// 1.5 K of tolerance (a quarter of the 35/64 nm channel spacing, at
+// 0.09 nm/K), so each ring is held at a setpoint above the hottest
+// expected substrate temperature by a feedback-controlled heater. The interesting system-level consequence: power scaling cools
 // the chip, which *increases* heater (trimming) power — partially
 // offsetting laser savings — unless the four-bank design also gates the
 // idle banks' heaters (§III.C), which PEARL does. The trimming study

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -103,6 +105,41 @@ func TestWarmCacheServesWithoutSimulating(t *testing.T) {
 	warmedRaw, _ := resultBytes(t, ts2, goldenJob)
 	if string(warmedRaw) != string(raw) {
 		t.Fatalf("warmed result differs from the original:\n%s\nvs\n%s", warmedRaw, raw)
+	}
+}
+
+// TestResultPayloadMatchesWorker: ResultPayload of a direct run is the
+// payload the worker stores for the same spec, so an exported artifact
+// warms a daemon with exactly what it would have computed.
+func TestResultPayloadMatchesWorker(t *testing.T) {
+	s, ts := newTestServer(t, Options{Workers: 1})
+	_, st := resultBytes(t, ts, goldenJob)
+	hit, _, ok := s.lookup(st.CacheKey)
+	if !ok {
+		t.Fatalf("no cached result under the job's key %s", st.CacheKey)
+	}
+	spec := goldenSpec(t)
+	res, err := experiments.Run(context.Background(), spec.Point, spec.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ResultPayload(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(hit.result)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("worker stored\n%s\nResultPayload of the direct run is\n%s", got, want)
+	}
+}
+
+func TestWarmStatsString(t *testing.T) {
+	got := WarmStats{Files: 3, Loaded: 5, Skipped: 2, Errors: 1}.String()
+	if want := "3 files: 5 entries loaded, 2 skipped, 1 errors"; got != want {
+		t.Fatalf("WarmStats.String() = %q, want %q", got, want)
 	}
 }
 

@@ -16,13 +16,14 @@
 //
 // Every experiment from the paper's evaluation section is reachable
 // through Suite (Figure4 .. Figure11, NRMSE) and the cmd/pearlbench tool.
+// The package's Example functions tour these flows with their output;
+// `go test -run Example -v .` prints them.
 package pearl
 
 import (
 	"context"
 	"io"
 
-	"repro/internal/cache"
 	"repro/internal/cmesh"
 	"repro/internal/config"
 	"repro/internal/controller"
@@ -69,9 +70,6 @@ type (
 	Profile = traffic.Profile
 	// Workload drives a benchmark pair onto a network.
 	Workload = traffic.Workload
-	// CoherenceDriver replays memory accesses through the NMOESI cache
-	// hierarchy, generating protocol traffic.
-	CoherenceDriver = cache.Driver
 	// TraceRecord is one captured injection event.
 	TraceRecord = trace.Record
 	// TracePlayer replays a captured trace into a network.
@@ -219,8 +217,3 @@ func LoadModel(r io.Reader) (*TrainedModel, error) { return models.Load(r) }
 // OpenModelRegistry opens a directory-backed model registry (empty dir
 // means memory-only).
 func OpenModelRegistry(dir string) (*ModelRegistry, error) { return models.OpenRegistry(dir) }
-
-// NewCoherenceDriver wires a fresh NMOESI cache hierarchy to a network.
-func NewCoherenceDriver(target cache.Injector, seed uint64) *CoherenceDriver {
-	return cache.NewDriver(target, seed)
-}

@@ -95,21 +95,6 @@ func TestPublicBuildingBlocks(t *testing.T) {
 	}
 }
 
-func TestPublicCoherenceDriver(t *testing.T) {
-	engine := NewEngine()
-	net, err := NewNetwork(engine, PEARLDyn())
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewCoherenceDriver(net, 3)
-	engine.Register(d)
-	engine.Register(net)
-	engine.Run(3000)
-	if d.InjectedPackets == 0 {
-		t.Fatal("coherence driver injected nothing")
-	}
-}
-
 func TestBenchmarkSuitesExposed(t *testing.T) {
 	if len(CPUBenchmarks()) != 12 || len(GPUBenchmarks()) != 12 {
 		t.Fatal("benchmark suites wrong size")
