@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -45,33 +46,42 @@ import (
 // particular — runs on every exit path; os.Exit skips defers, so it is
 // called exactly once, here.
 func main() {
-	os.Exit(realMain())
+	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func realMain() int {
+// realMain parses args, writes the report to stdout (and to -out) and
+// usage and errors to stderr. It returns the exit status: 0 on success or
+// -h, 2 for a bad flag, and 1 when a run or a write fails.
+func realMain(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("pearlbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		full       = flag.Bool("full", false, "paper-scale runs (16 pairs, 60k cycles)")
-		check      = flag.Bool("check", false, "run the machine-verifiable paper-claim shape checks")
-		figure     = flag.String("figure", "all", "which artifact: all, t1, t2, t5, 4..11, nrmse, ab-step, ab-bounds, ab-thresholds, ab-window, ab-features, ab-label, extensions, thermal")
-		out        = flag.String("out", "", "also write results to this file")
-		jsonOut    = flag.String("json", "", "write machine-readable per-artifact benchmark records (name, iters, ns/op, bytes/op) to this file")
-		md         = flag.Bool("md", false, "emit a single Markdown report (all artifacts + shape checks)")
-		seed       = flag.Uint64("seed", 2018, "experiment seed")
-		seeds      = flag.Int("seeds", 1, "with -sweep: run every point over N derived seeds, one independent run each, and report mean ± 95% CI")
-		sweep      = flag.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
-		policy     = flag.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
-		cacheOut   = flag.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
-		serverURL  = flag.String("server", "", "with -sweep: submit to a running pearld at this base URL instead of simulating in-process; honors 429/503 Retry-After with bounded backoff")
-		token      = flag.String("token", "", "API token for -server (tenant bearer token)")
-		follow     = flag.Bool("follow", false, "with -server: stream the batch's live SSE event feed (per-window samples, per-point progress) instead of polling silently; falls back to polling if the stream fails")
-		modelList  = flag.String("model", "", "comma-separated trained model artifact files (pearltrain -out); serves ML points instead of training in-process")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile taken at exit to this file")
+		full       = fs.Bool("full", false, "paper-scale runs (16 pairs, 60k cycles)")
+		check      = fs.Bool("check", false, "run the machine-verifiable paper-claim shape checks")
+		figure     = fs.String("figure", "all", "which artifact: all, t1, t2, t5, 4..11, nrmse, ab-step, ab-bounds, ab-thresholds, ab-window, ab-features, ab-label, extensions, thermal")
+		out        = fs.String("out", "", "also write results to this file")
+		jsonOut    = fs.String("json", "", "write machine-readable per-artifact benchmark records (name, iters, ns/op, bytes/op) to this file")
+		md         = fs.Bool("md", false, "emit a single Markdown report (all artifacts + shape checks)")
+		seed       = fs.Uint64("seed", 2018, "experiment seed")
+		seeds      = fs.Int("seeds", 1, "with -sweep: run every point over N derived seeds, one independent run each, and report mean ± 95% CI")
+		sweep      = fs.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
+		policy     = fs.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
+		cacheOut   = fs.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
+		serverURL  = fs.String("server", "", "with -sweep: submit to a running pearld at this base URL instead of simulating in-process; honors 429/503 Retry-After with bounded backoff")
+		token      = fs.String("token", "", "API token for -server (tenant bearer token)")
+		follow     = fs.Bool("follow", false, "with -server: stream the batch's live SSE event feed (per-window samples, per-point progress) instead of polling silently; falls back to polling if the stream fails")
+		modelList  = fs.String("model", "", "comma-separated trained model artifact files (pearltrain -out); serves ML points instead of training in-process")
+		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memprofile = fs.String("memprofile", "", "write a heap profile taken at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "pearlbench:", err)
+		fmt.Fprintln(stderr, "pearlbench:", err)
 		return 1
 	}
 
@@ -93,13 +103,13 @@ func realMain() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "pearlbench:", err)
+				fmt.Fprintln(stderr, "pearlbench:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile shows live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "pearlbench:", err)
+				fmt.Fprintln(stderr, "pearlbench:", err)
 			}
 		}()
 	}
@@ -110,14 +120,26 @@ func realMain() int {
 	}
 	opts.Seed = *seed
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return fail(err)
 		}
-		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		// A bufio.Writer keeps the first write error, which the
+		// fmt.Fprint functions drop, and Flush returns it.
+		bw := bufio.NewWriter(f)
+		w = io.MultiWriter(stdout, bw)
+		defer func() {
+			err := bw.Flush()
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				fmt.Fprintln(stderr, "pearlbench:", err)
+				code = 1
+			}
+		}()
 	}
 
 	arts, err := loadModelArtifacts(*modelList)

@@ -127,3 +127,28 @@ func TestRunArtifactKeys(t *testing.T) {
 		t.Fatalf("-figure t5 printed\n%s\nwant\n%s", out.String(), want)
 	}
 }
+
+// TestOutWriteError: an -out file that cannot take the report fails the
+// command, naming the error, while stdout still gets the report.
+func TestOutWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-figure", "t1", "-out", "/dev/full"}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit status %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if want := "pearlbench: write /dev/full: no space left on device"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q lacks %q", stderr.String(), want)
+	}
+	if stdout.Len() == 0 {
+		t.Error("nothing printed to stdout")
+	}
+}
+
+func TestBadFlag(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
+		t.Fatalf("exit status %d for an unknown flag, want 2", code)
+	}
+}

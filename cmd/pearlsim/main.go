@@ -14,8 +14,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -28,26 +30,48 @@ import (
 )
 
 func main() {
-	var (
-		configName = flag.String("config", "pearl-dyn", "configuration to simulate")
-		cpuBench   = flag.String("cpu", "fmm", "CPU benchmark name")
-		gpuBench   = flag.String("gpu", "DCT", "GPU benchmark name")
-		cycles     = flag.Int64("cycles", 60000, "measured cycles")
-		warmup     = flag.Int64("warmup", 2000, "warmup cycles")
-		seed       = flag.Uint64("seed", 2018, "experiment seed")
-		turnOn     = flag.Float64("turnon", 2, "laser turn-on time (ns)")
-		modelPath  = flag.String("model", "", "trained model JSON (required for ml-* configs)")
-		timeline   = flag.Bool("timeline", false, "print per-window wavelength/throughput sparklines")
-	)
-	flag.Parse()
-
-	if err := run(*configName, *cpuBench, *gpuBench, *cycles, *warmup, *seed, *turnOn, *modelPath, *timeline); err != nil {
-		fmt.Fprintln(os.Stderr, "pearlsim:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint64, turnOn float64, modelPath string, timeline bool) error {
+// run parses args, simulates the configuration and writes the report to
+// stdout; usage and errors go to stderr. It returns the exit status: 0
+// on success or -h, 2 for a bad flag or run length, and 1 when the
+// simulation cannot be set up.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pearlsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		configName = fs.String("config", "pearl-dyn", "configuration to simulate")
+		cpuBench   = fs.String("cpu", "fmm", "CPU benchmark name")
+		gpuBench   = fs.String("gpu", "DCT", "GPU benchmark name")
+		cycles     = fs.Int64("cycles", 60000, "measured cycles")
+		warmup     = fs.Int64("warmup", 2000, "warmup cycles")
+		seed       = fs.Uint64("seed", 2018, "experiment seed")
+		turnOn     = fs.Float64("turnon", 2, "laser turn-on time (ns)")
+		modelPath  = fs.String("model", "", "trained model JSON (required for ml-* configs)")
+		timeline   = fs.Bool("timeline", false, "print per-window wavelength/throughput sparklines")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	switch {
+	case *cycles < 1:
+		fmt.Fprintf(stderr, "pearlsim: -cycles must be at least 1, got %d\n", *cycles)
+		return 2
+	case *warmup < 0:
+		fmt.Fprintf(stderr, "pearlsim: -warmup must not be negative, got %d\n", *warmup)
+		return 2
+	}
+	if err := simulate(stdout, *configName, *cpuBench, *gpuBench, *cycles, *warmup, *seed, *turnOn, *modelPath, *timeline); err != nil {
+		fmt.Fprintln(stderr, "pearlsim:", err)
+		return 1
+	}
+	return 0
+}
+
+func simulate(w io.Writer, configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint64, turnOn float64, modelPath string, timeline bool) error {
 	cpu, err := traffic.ProfileByName(cpuBench)
 	if err != nil {
 		return err
@@ -69,7 +93,7 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 		if err != nil {
 			return err
 		}
-		report(res)
+		report(w, res)
 		return nil
 	}
 
@@ -99,9 +123,9 @@ func run(configName, cpuBench, gpuBench string, cycles, warmup int64, seed uint6
 		return err
 	}
 	if tl != nil {
-		tl.report(res)
+		tl.report(w, res)
 	} else {
-		report(res)
+		report(w, res)
 	}
 	return nil
 }
@@ -142,43 +166,43 @@ func (tl *windowTimeline) observe(ws experiments.WindowStats) {
 	tl.throughput.Append(ws.Cycle, ws.ThroughputBitsPerCycle)
 }
 
-func (tl *windowTimeline) report(res experiments.Result) {
+func (tl *windowTimeline) report(w io.Writer, res experiments.Result) {
 	m := res.Metrics
-	fmt.Printf("%s on %s — %d windows of %d cycles\n\n",
+	fmt.Fprintf(w, "%s on %s — %d windows of %d cycles\n\n",
 		res.Name, res.Pair.Name(), tl.throughput.Len(), tl.window)
-	fmt.Printf("wavelengths  %s  (8..64)\n", tl.wavelengths.Sparkline(72, 8, 64))
-	fmt.Printf("throughput   %s  (0..max)\n\n", tl.throughput.Sparkline(72, 0, tl.throughput.Max()))
+	fmt.Fprintf(w, "wavelengths  %s  (8..64)\n", tl.wavelengths.Sparkline(72, 8, 64))
+	fmt.Fprintf(w, "throughput   %s  (0..max)\n\n", tl.throughput.Sparkline(72, 0, tl.throughput.Max()))
 	for _, wl := range m.StateResidency.Keys() {
-		fmt.Println(stats.HBar(fmt.Sprintf("%d wavelengths", wl),
+		fmt.Fprintln(w, stats.HBar(fmt.Sprintf("%d wavelengths", wl),
 			100*m.StateResidency.Fraction(wl), 100, 40))
 	}
-	fmt.Printf("\nthroughput %.2f bits/cycle, avg laser %.3f W\n",
+	fmt.Fprintf(w, "\nthroughput %.2f bits/cycle, avg laser %.3f W\n",
 		m.ThroughputBitsPerCycle(), res.Account.AverageLaserPowerW())
 }
 
-func report(res experiments.Result) {
+func report(w io.Writer, res experiments.Result) {
 	m := res.Metrics
-	fmt.Printf("configuration:      %s\n", res.Name)
-	fmt.Printf("benchmark pair:     %s\n", res.Pair.Name())
-	fmt.Printf("throughput:         %.2f bits/cycle (%.1f Gbps)\n",
+	fmt.Fprintf(w, "configuration:      %s\n", res.Name)
+	fmt.Fprintf(w, "benchmark pair:     %s\n", res.Pair.Name())
+	fmt.Fprintf(w, "throughput:         %.2f bits/cycle (%.1f Gbps)\n",
 		m.ThroughputBitsPerCycle(), m.ThroughputGbps(config.NetworkFrequencyHz))
-	fmt.Printf("delivered packets:  %d (%.1f%% CPU)\n",
+	fmt.Fprintf(w, "delivered packets:  %d (%.1f%% CPU)\n",
 		m.Delivered.TotalPackets(), 100*m.Delivered.Share(0))
-	fmt.Printf("mean latency:       %.1f cycles (p50 %.0f, p99 %.0f)\n",
+	fmt.Fprintf(w, "mean latency:       %.1f cycles (p50 %.0f, p99 %.0f)\n",
 		m.Latency.Mean(), m.Latency.Percentile(50), m.Latency.Percentile(99))
-	fmt.Printf("CPU latency:        %.1f cycles   GPU latency: %.1f cycles\n",
+	fmt.Fprintf(w, "CPU latency:        %.1f cycles   GPU latency: %.1f cycles\n",
 		m.CPULatency.Mean(), m.GPULatency.Mean())
-	fmt.Printf("round trips:        %d\n", res.Retired)
-	fmt.Printf("avg laser power:    %.3f W\n", res.Account.AverageLaserPowerW())
-	fmt.Printf("energy per bit:     %.3f pJ\n", res.Account.EnergyPerBitJ()*1e12)
+	fmt.Fprintf(w, "round trips:        %d\n", res.Retired)
+	fmt.Fprintf(w, "avg laser power:    %.3f W\n", res.Account.AverageLaserPowerW())
+	fmt.Fprintf(w, "energy per bit:     %.3f pJ\n", res.Account.EnergyPerBitJ()*1e12)
 	if res.TurnOnStalls > 0 {
-		fmt.Printf("turn-on stalls:     %d\n", res.TurnOnStalls)
+		fmt.Fprintf(w, "turn-on stalls:     %d\n", res.TurnOnStalls)
 	}
 	if keys := m.StateResidency.Keys(); len(keys) > 1 {
-		fmt.Printf("state residency:   ")
+		fmt.Fprintf(w, "state residency:   ")
 		for _, k := range keys {
-			fmt.Printf(" %dWL=%.1f%%", k, 100*m.StateResidency.Fraction(k))
+			fmt.Fprintf(w, " %dWL=%.1f%%", k, 100*m.StateResidency.Fraction(k))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -52,5 +54,31 @@ func TestTimelineMatchesPlainRun(t *testing.T) {
 	}
 	if tl.wavelengths.Min() == tl.wavelengths.Max() {
 		t.Errorf("timeline of a dynamic policy is flat at %v wavelengths", tl.wavelengths.Max())
+	}
+}
+
+// TestExitStatus pins what run returns before any long simulation: help
+// is a success, a flag or run length it cannot use is a usage error (2),
+// and a configuration that does not exist is a failure (1).
+func TestExitStatus(t *testing.T) {
+	for _, tc := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-h"}, 0, "-cycles"},
+		{[]string{"-no-such-flag"}, 2, "no-such-flag"},
+		{[]string{"-config", "static-16", "-cycles", "-5"}, 2, "-cycles must be at least 1, got -5"},
+		{[]string{"-config", "static-16", "-cycles", "0"}, 2, "-cycles must be at least 1, got 0"},
+		{[]string{"-config", "static-16", "-warmup", "-1"}, 2, "-warmup must not be negative, got -1"},
+		{[]string{"-config", "no-such-config", "-cycles", "100"}, 1, `pearlsim: unknown configuration "no-such-config"`},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("%q: exit status %d, stderr %q; want %d and %q", tc.args, code, stderr.String(), tc.code, tc.stderr)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed a report:\n%s", tc.args, stdout.String())
+		}
 	}
 }

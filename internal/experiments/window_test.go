@@ -79,9 +79,9 @@ func TestWindowSamplesTileTheMeasurement(t *testing.T) {
 }
 
 // TestOnWindowIsPureObservation is the no-observer-effect guarantee
-// the golden results and benchgate rest on: running with a hook yields
-// the exact Result a hookless run produces, and two hooked runs emit
-// identical sample sequences.
+// the golden results and the benchmark's digests rest on: running with a
+// hook yields the exact Result a hookless run produces, and two hooked
+// runs emit identical sample sequences.
 func TestOnWindowIsPureObservation(t *testing.T) {
 	opts := tiny()
 	bare, err := runPEARL(config.PEARLDyn(), traffic.TestPairs()[0], opts, nil)

@@ -373,35 +373,6 @@ func (b *Batch) statusOf(jobs []*Job, includePoints bool) BatchStatus {
 	return st
 }
 
-// batchRegistry is the id -> batch table. It holds every batch that has
-// not settled and the most recently settled ones (see retention.go):
-// filed lists those in settle order, members sums their member counts,
-// and retired counts the ones forgotten.
-type batchRegistry struct {
-	mu      sync.Mutex
-	batches map[string]*Batch
-	filed   fifo[*Batch]
-	members int
-	retired uint64
-}
-
-func newBatchRegistry() *batchRegistry {
-	return &batchRegistry{batches: make(map[string]*Batch)}
-}
-
-func (r *batchRegistry) add(b *Batch) {
-	r.mu.Lock()
-	r.batches[b.ID] = b
-	r.mu.Unlock()
-}
-
-func (r *batchRegistry) get(id string) (*Batch, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	b, ok := r.batches[id]
-	return b, ok
-}
-
 // feedRetryInterval paces the batch feeder's retries while the bounded
 // queue is full.
 const feedRetryInterval = 2 * time.Millisecond
@@ -491,7 +462,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	b := &Batch{
-		ID:            formatID(batchIDPrefix, s.nextBatchID.Add(1)),
+		ID:            s.batches.newID(),
 		cancelOnError: req.CancelOnError,
 		submitted:     time.Now(),
 		skipped:       skipped,
@@ -564,7 +535,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batchFor(w, r)
+	b, ok := s.batches.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -572,7 +543,7 @@ func (s *Server) handleBatchStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleBatchCancel(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batchFor(w, r)
+	b, ok := s.batches.resolve(w, r)
 	if !ok {
 		return
 	}

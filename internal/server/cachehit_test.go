@@ -342,7 +342,7 @@ func TestCachedBatchFeedReadersDuringSubmit(t *testing.T) {
 		s.cache.Put(key, res)
 	}
 	for round := 0; round < 20; round++ {
-		path := "/v1/batches/" + formatID(batchIDPrefix, s.nextBatchID.Load()+1) + "/events"
+		path := "/v1/batches/" + formatID(batchIDPrefix, s.batches.ids.Load()+1) + "/events"
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
 			wg.Add(1)

@@ -335,44 +335,3 @@ func (j *Job) Status() JobStatus {
 	}
 	return st
 }
-
-// registry is the id -> job table. It holds every job that is not
-// terminal and the most recently settled ones (see retention.go):
-// filed lists those in settle order, and retired counts the ones
-// forgotten.
-type registry struct {
-	mu      sync.Mutex
-	jobs    map[string]*Job
-	filed   fifo[*Job]
-	retired uint64
-}
-
-func newRegistry() *registry {
-	return &registry{jobs: make(map[string]*Job)}
-}
-
-// add registers the job under its ID.
-func (r *registry) add(j *Job) {
-	r.mu.Lock()
-	r.jobs[j.ID] = j
-	r.mu.Unlock()
-}
-
-// get looks a job up by ID.
-func (r *registry) get(id string) (*Job, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j, ok := r.jobs[id]
-	return j, ok
-}
-
-// snapshot copies the registered jobs out from under the lock.
-func (r *registry) snapshot() []*Job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	jobs := make([]*Job, 0, len(r.jobs))
-	for _, j := range r.jobs {
-		jobs = append(jobs, j)
-	}
-	return jobs
-}

@@ -165,7 +165,7 @@ func (b *Batch) results() BatchResults {
 
 // handleBatchResults is GET /v1/batches/{id}/results.
 func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batchFor(w, r)
+	b, ok := s.batches.resolve(w, r)
 	if !ok {
 		return
 	}

@@ -4,6 +4,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Retention bounds what a long-lived daemon holds. Pending and running
@@ -15,15 +17,14 @@ import (
 // retainedRecords filed jobs, or settled batches with more members than
 // that between them, the oldest filed record is forgotten.
 //
-// Ids are sequential, so a record the registry no longer holds but
-// whose number the id counter has passed was retired: it answers 410
+// Ids are sequential, so a record its table no longer holds but whose
+// number the table's id counter has passed was retired: it answers 410
 // Gone, and no tombstone is kept. A done job's result stays reachable
 // by the cache_key its status carried, at GET /v1/cache/{key}, for as
 // long as the result cache holds it.
 
-// retainedRecords bounds the settled job records the registry keeps, and
-// the summed member count of the settled batches the batch registry
-// keeps.
+// retainedRecords bounds the settled job records the job table keeps, and
+// the summed member count of the settled batches the batch table keeps.
 const retainedRecords = 4096
 
 // Id prefixes; a record's id is its prefix and its counter value in
@@ -86,7 +87,7 @@ func (q *fifo[T]) pop() T {
 // rebuilt copies m into a map sized for its live entries. A Go map
 // never shrinks, and one that keeps a steady size under deletes and
 // inserts fills with deleted slots and splits its tables: over 100,000
-// cache hits the registry's map grew by 220 KB, 11% of the daemon's
+// cache hits the job table's map grew by 220 KB, 11% of the daemon's
 // live heap, before it levelled off. Rebuilding after every
 // retainedRecords retirements costs one copy per retirement.
 func rebuilt[V any](m map[string]V) map[string]V {
@@ -97,53 +98,116 @@ func rebuilt[V any](m map[string]V) map[string]V {
 	return fresh
 }
 
-// settled files a registered terminal job, first retiring the oldest
-// filed jobs so that at most retainedRecords stay filed.
-func (r *registry) settled(j *Job) {
-	r.mu.Lock()
-	for r.filed.n >= retainedRecords {
-		delete(r.jobs, r.filed.pop().ID)
-		if r.retired++; r.retired%retainedRecords == 0 {
-			r.jobs = rebuilt(r.jobs)
+// table is an id -> record table: one holds the jobs, one the batches.
+// It issues its records' ids and holds every record that has not
+// settled and the most recently settled ones: filed lists those in
+// settle order, weight sums their retirement weights, and retired
+// counts the ones forgotten.
+type table[T record] struct {
+	prefix string        // the ids' prefix
+	kind   string        // "job" or "batch", as 404 and 410 bodies name it
+	gone   string        // what a 410 body says outlives a retired record
+	ids    atomic.Uint64 // the number of the last id issued
+
+	mu      sync.Mutex
+	byID    map[string]T
+	filed   fifo[T]
+	weight  int
+	retired uint64
+}
+
+// record is what a table holds. A job retires with weight 1, a batch
+// with its member count: the settled batches a table keeps hold at most
+// retainedRecords members between them.
+type record interface {
+	recordID() string
+	retireWeight() int
+}
+
+func (j *Job) recordID() string  { return j.ID }
+func (j *Job) retireWeight() int { return 1 }
+
+func (b *Batch) recordID() string  { return b.ID }
+func (b *Batch) retireWeight() int { return b.size() }
+
+func newTable[T record](prefix, kind, gone string) *table[T] {
+	return &table[T]{prefix: prefix, kind: kind, gone: gone, byID: make(map[string]T)}
+}
+
+// newID issues the next id. It counts as issued from here on, before
+// its record is added; in that gap it reads as retired, but no client
+// has been given it yet.
+func (t *table[T]) newID() string {
+	return formatID(t.prefix, t.ids.Add(1))
+}
+
+// add registers v under its id.
+func (t *table[T]) add(v T) {
+	t.mu.Lock()
+	t.byID[v.recordID()] = v
+	t.mu.Unlock()
+}
+
+// get looks a record up by id.
+func (t *table[T]) get(id string) (T, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.byID[id]
+	return v, ok
+}
+
+// snapshot copies the held records out from under the lock.
+func (t *table[T]) snapshot() []T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	vs := make([]T, 0, len(t.byID))
+	for _, v := range t.byID {
+		vs = append(vs, v)
+	}
+	return vs
+}
+
+// settled files a settled record, first retiring the oldest filed ones
+// while the filed weight, v's included, would be above retainedRecords.
+func (t *table[T]) settled(v T) {
+	w := v.retireWeight()
+	t.mu.Lock()
+	for t.filed.n > 0 && t.weight+w > retainedRecords {
+		old := t.filed.pop()
+		t.weight -= old.retireWeight()
+		delete(t.byID, old.recordID())
+		if t.retired++; t.retired%retainedRecords == 0 {
+			t.byID = rebuilt(t.byID)
 		}
 	}
-	r.filed.push(j)
-	r.mu.Unlock()
+	t.filed.push(v)
+	t.weight += w
+	t.mu.Unlock()
 }
 
-// retention reports the job records held and the settled ones retired.
-func (r *registry) retention() (held int, retired uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.jobs), r.retired
+// retention reports the records held and the settled ones retired.
+func (t *table[T]) retention() (held int, retired uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.byID), t.retired
 }
 
-// settled files a settled batch, then retires the oldest filed batches
-// while their summed member count is above retainedRecords.
-func (r *batchRegistry) settled(b *Batch) {
-	n := b.size()
-	r.mu.Lock()
-	r.filed.push(b)
-	r.members += n
-	for r.members > retainedRecords {
-		old := r.filed.pop()
-		r.members -= old.size()
-		delete(r.batches, old.ID)
-		if r.retired++; r.retired%retainedRecords == 0 {
-			r.batches = rebuilt(r.batches)
-		}
+// resolve finds the record a route's {id} names, answering 404 for an
+// id never issued and 410 for one issued and since retired.
+func (t *table[T]) resolve(w http.ResponseWriter, r *http.Request) (T, bool) {
+	id := r.PathValue("id")
+	v, ok := t.get(id)
+	switch {
+	case ok:
+	case issued(id, t.prefix, t.ids.Load()):
+		httpError(w, http.StatusGone, "%s %s was retired; %s", t.kind, id, t.gone)
+	default:
+		httpError(w, http.StatusNotFound, "no such %s", t.kind)
 	}
-	r.mu.Unlock()
+	return v, ok
 }
 
-// retention reports the batch records held and the settled ones retired.
-func (r *batchRegistry) retention() (held int, retired uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.batches), r.retired
-}
-
-// register adds a job to the registry and files it once it is terminal:
+// register adds a job to the job table and files it once it is terminal:
 // subscribe runs the filing inline for a cache hit, which is born
 // terminal. A batch member (b non-nil) is filed by settleBatch instead.
 func (s *Server) register(job *Job, b *Batch) {
@@ -160,37 +224,4 @@ func (s *Server) settleBatch(b *Batch) {
 		s.reg.settled(j)
 	}
 	s.batches.settled(b)
-}
-
-// jobFor resolves the job a /v1/jobs/{id} route names, answering 404
-// for an id never issued and 410 for one issued and since retired. An
-// id counts as issued once drawn, just before its job is registered;
-// in that gap it reads as retired, but no client has been given it yet.
-func (s *Server) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	id := r.PathValue("id")
-	if job, ok := s.reg.get(id); ok {
-		return job, true
-	}
-	if issued(id, jobIDPrefix, s.nextID.Load()) {
-		httpError(w, http.StatusGone,
-			"job %s was retired; a done job's result stays at GET /v1/cache/{cache_key} while the cache holds it", id)
-	} else {
-		httpError(w, http.StatusNotFound, "no such job")
-	}
-	return nil, false
-}
-
-// batchFor is jobFor for the /v1/batches/{id} routes.
-func (s *Server) batchFor(w http.ResponseWriter, r *http.Request) (*Batch, bool) {
-	id := r.PathValue("id")
-	if b, ok := s.batches.get(id); ok {
-		return b, true
-	}
-	if issued(id, batchIDPrefix, s.nextBatchID.Load()) {
-		httpError(w, http.StatusGone,
-			"batch %s was retired; its points' results stay at GET /v1/cache/{cache_key} while the cache holds them", id)
-	} else {
-		httpError(w, http.StatusNotFound, "no such batch")
-	}
-	return nil, false
 }

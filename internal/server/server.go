@@ -129,11 +129,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Server is the pearld daemon core: job registry, bounded queue, worker
-// pool, result cache and metrics, exposed as an http.Handler.
+// Server is the pearld daemon core: job and batch tables, bounded
+// queue, worker pool, result cache and metrics, exposed as an
+// http.Handler.
 type Server struct {
 	opts Options
-	reg  *registry
+	reg  *table[*Job]
 	// queue is the bounded intake behind the worker pool. Dispatch
 	// order is weighted fair-share across tenants (see fairQueue);
 	// within a tenant it is FIFO. Its capacity is the global bound
@@ -142,7 +143,7 @@ type Server struct {
 	cache   *resultCache
 	disk    *diskStore // nil without Options.CacheDir
 	flight  *flightTable
-	batches *batchRegistry
+	batches *table[*Batch]
 	models  *models.Registry
 	shard   *shardPool // nil without Options.Peers
 	tenants *tenant.Registry
@@ -156,13 +157,11 @@ type Server struct {
 	// leader-completes-between-lookup-and-lock window.
 	testHookAfterCacheMiss func(*Job)
 
-	rootCtx     context.Context
-	rootCancel  context.CancelFunc
-	wg          sync.WaitGroup
-	draining    atomic.Bool
-	drainOnce   sync.Once
-	nextID      atomic.Uint64
-	nextBatchID atomic.Uint64
+	rootCtx    context.Context
+	rootCancel context.CancelFunc
+	wg         sync.WaitGroup
+	draining   atomic.Bool
+	drainOnce  sync.Once
 }
 
 // New builds a server and starts its worker pool. The error paths are
@@ -173,11 +172,11 @@ func New(opts Options) (*Server, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		opts:       opts,
-		reg:        newRegistry(),
+		reg:        newTable[*Job](jobIDPrefix, "job", "a done job's result stays at GET /v1/cache/{cache_key} while the cache holds it"),
 		queue:      newFairQueue(opts.QueueDepth),
 		cache:      newResultCache(opts.CacheCapacity),
 		flight:     newFlightTable(),
-		batches:    newBatchRegistry(),
+		batches:    newTable[*Batch](batchIDPrefix, "batch", "its points' results stay at GET /v1/cache/{cache_key} while the cache holds them"),
 		metrics:    newMetrics(opts.Workers),
 		mux:        http.NewServeMux(),
 		rootCtx:    ctx,
@@ -246,7 +245,7 @@ func New(opts Options) (*Server, error) {
 // tenant, no execution state. admit settles it from the cache or arms
 // it to run.
 func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant, token string) *Job {
-	job := newRecord(formatID(jobIDPrefix, s.nextID.Add(1)), spec)
+	job := newRecord(s.reg.newID(), spec)
 	job.setTenant(tn.Name(), token, tn.Weight())
 	return job
 }
@@ -399,7 +398,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
+	job, ok := s.reg.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -407,7 +406,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
+	job, ok := s.reg.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -420,7 +419,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
+	job, ok := s.reg.resolve(w, r)
 	if !ok {
 		return
 	}

@@ -25,7 +25,7 @@ const streamRetryAfter = time.Second
 
 // handleJobEvents is GET /v1/jobs/{id}/events.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.jobFor(w, r)
+	job, ok := s.reg.resolve(w, r)
 	if !ok {
 		return
 	}
@@ -43,7 +43,7 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleBatchEvents is GET /v1/batches/{id}/events.
 func (s *Server) handleBatchEvents(w http.ResponseWriter, r *http.Request) {
-	b, ok := s.batchFor(w, r)
+	b, ok := s.batches.resolve(w, r)
 	if !ok {
 		return
 	}
