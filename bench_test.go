@@ -15,19 +15,48 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/models"
 )
 
 var (
-	suiteOnce sync.Once
-	suite     *experiments.Suite
+	modelsOnce sync.Once
+	trained    []*models.Artifact
+	trainErr   error
 )
 
-// benchSuite shares one suite (and its trained models) across benchmarks.
-func benchSuite() *experiments.Suite {
-	suiteOnce.Do(func() {
-		suite = experiments.NewSuite(experiments.Quick())
+// benchTable times one evaluation table. Every iteration builds a fresh
+// Quick suite, so it simulates each of its runs instead of reading
+// results a shared suite kept from an earlier iteration or benchmark;
+// the suites share the RW500/RW1000/RW2000 models, trained once outside
+// the timer. report sees the first iteration's table.
+func benchTable(b *testing.B, table func(*experiments.Suite) (experiments.Table, error), report func(experiments.Table)) {
+	modelsOnce.Do(func() {
+		for _, window := range []int{500, 1000, 2000} {
+			m, err := experiments.Train(window, experiments.Quick())
+			if err != nil {
+				trainErr = err
+				return
+			}
+			trained = append(trained, m)
+		}
 	})
-	return suite
+	if trainErr != nil {
+		b.Fatal(trainErr)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := experiments.NewSuite(experiments.Quick())
+		for _, m := range trained {
+			s.SetModel(m)
+		}
+		tbl, err := table(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			report(tbl)
+		}
+	}
 }
 
 func reportRows(b *testing.B, tbl experiments.Table, column string) {
@@ -88,232 +117,88 @@ func BenchmarkTableV(b *testing.B) {
 }
 
 func BenchmarkFigure4(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure4()
-		if err != nil {
-			b.Fatal(err)
+	benchTable(b, (*experiments.Suite).Figure4, func(tbl experiments.Table) {
+		// Mean CPU share across pairs.
+		var sum float64
+		for _, r := range tbl.Rows {
+			sum += r.Values[0]
 		}
-		if i == 0 {
-			// Mean CPU share across pairs.
-			var sum float64
-			for _, r := range tbl.Rows {
-				sum += r.Values[0]
-			}
-			b.ReportMetric(sum/float64(len(tbl.Rows)), "meanCPUshare_pct")
-		}
-	}
+		b.ReportMetric(sum/float64(len(tbl.Rows)), "meanCPUshare_pct")
+	})
+}
+
+// rows reports every row's value in column.
+func rows(b *testing.B, column string) func(experiments.Table) {
+	return func(tbl experiments.Table) { reportRows(b, tbl, column) }
 }
 
 func BenchmarkFigure5(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "64WL-eq")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure5, rows(b, "64WL-eq"))
 }
 
 func BenchmarkFigure6(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure6()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "vs 64WL %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure6, rows(b, "vs 64WL %"))
 }
 
 func BenchmarkFigure7(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "savings %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure7, rows(b, "savings %"))
 }
 
 func BenchmarkFigure8(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure8()
-		if err != nil {
-			b.Fatal(err)
+	benchTable(b, (*experiments.Suite).Figure8, func(tbl experiments.Table) {
+		for _, r := range tbl.Rows {
+			// 64WL residency is the paper's headline number.
+			b.ReportMetric(r.Values[4], sanitize(r.Label)+"_64WL_pct")
 		}
-		if i == 0 {
-			for _, r := range tbl.Rows {
-				// 64WL residency is the paper's headline number.
-				b.ReportMetric(r.Values[4], sanitize(r.Label)+"_64WL_pct")
-			}
-		}
-	}
+	})
 }
 
 func BenchmarkFigure9(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "vs CMESH %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure9, rows(b, "vs CMESH %"))
 }
 
 func BenchmarkFigure10(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "vs 64WL %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure10, rows(b, "vs 64WL %"))
 }
 
 func BenchmarkFigure11(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Figure11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "thr loss %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Figure11, rows(b, "thr loss %"))
 }
 
 func BenchmarkNRMSE(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.NRMSE()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "test")
-		}
-	}
+	benchTable(b, (*experiments.Suite).NRMSE, rows(b, "test"))
 }
 
 // --- Ablation benches (design choices from DESIGN.md) ---
 
 func BenchmarkAblationBandwidthStep(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationBandwidthStep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "throughput")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationBandwidthStep, rows(b, "throughput"))
 }
 
 func BenchmarkAblationDBABounds(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationDBABounds()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "CPU lat")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationDBABounds, rows(b, "CPU lat"))
 }
 
 func BenchmarkAblationThresholds(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationThresholds()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "laser W")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationThresholds, rows(b, "laser W"))
 }
 
 func BenchmarkAblationWindowSweep(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationWindowSweep()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "laser W")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationWindowSweep, rows(b, "laser W"))
 }
 
 func BenchmarkAblationFeatureSubset(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationFeatureSubset()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "val score")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationFeatureSubset, rows(b, "val score"))
 }
 
 func BenchmarkAblationLabelChoice(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.AblationLabelChoice()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "laser W")
-		}
-	}
+	benchTable(b, (*experiments.Suite).AblationLabelChoice, rows(b, "laser W"))
 }
 
 func BenchmarkExtensions(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.Extensions()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "savings %")
-		}
-	}
+	benchTable(b, (*experiments.Suite).Extensions, rows(b, "savings %"))
 }
 
 func BenchmarkThermalStudy(b *testing.B) {
-	s := benchSuite()
-	for i := 0; i < b.N; i++ {
-		tbl, err := s.ThermalStudy()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			reportRows(b, tbl, "net gated W")
-		}
-	}
+	benchTable(b, (*experiments.Suite).ThermalStudy, rows(b, "net gated W"))
 }

@@ -85,32 +85,51 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 		return 1
 	}
 
+	// flushClose flushes bw into f and closes f. A bufio.Writer keeps
+	// the first write error, which the fmt.Fprint functions and pprof
+	// drop, and Flush returns it; that error or Close's fails the
+	// command.
+	flushClose := func(bw *bufio.Writer, f *os.File) {
+		err := bw.Flush()
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "pearlbench:", err)
+			code = 1
+		}
+	}
+
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
 			return fail(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
+		bw := bufio.NewWriter(f)
+		if err := pprof.StartCPUProfile(bw); err != nil {
 			f.Close()
 			return fail(err)
 		}
 		defer func() {
 			pprof.StopCPUProfile()
-			f.Close()
+			flushClose(bw, f)
 		}()
 	}
 	if *memprofile != "" {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintln(stderr, "pearlbench:", err)
+				code = fail(err)
 				return
 			}
-			defer f.Close()
+			bw := bufio.NewWriter(f)
 			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, "pearlbench:", err)
+			if err := pprof.WriteHeapProfile(bw); err != nil {
+				f.Close()
+				code = fail(err)
+				return
 			}
+			flushClose(bw, f)
 		}()
 	}
 
@@ -126,20 +145,9 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		// A bufio.Writer keeps the first write error, which the
-		// fmt.Fprint functions drop, and Flush returns it.
 		bw := bufio.NewWriter(f)
 		w = io.MultiWriter(stdout, bw)
-		defer func() {
-			err := bw.Flush()
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "pearlbench:", err)
-				code = 1
-			}
-		}()
+		defer flushClose(bw, f)
 	}
 
 	arts, err := loadModelArtifacts(*modelList)
@@ -174,7 +182,7 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 			}
 			return 0
 		}
-		if err := runSweep(w, opts, *sweep, *policy, *cacheOut, arts); err != nil {
+		if err := runSweep(w, opts, *sweep, *policy, *cacheOut, *jsonOut, arts); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -237,8 +245,10 @@ func loadModelArtifacts(list string) (map[int]*models.Artifact, error) {
 // results as a cache-warming artifact. Each point runs and is keyed as
 // one normalized experiments.Spec — the identity pearld gives the
 // equivalent job — so the exported keys collide with the server's and
-// name exactly the runs behind their payloads.
-func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut string, arts map[int]*models.Artifact) error {
+// name exactly the runs behind their payloads. -json gets one
+// sweep_<name> record: the points as iterations, the wall time per
+// point as ns/op.
+func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut, jsonOut string, arts map[int]*models.Artifact) error {
 	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
 		return err
@@ -256,7 +266,18 @@ func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut stri
 			spec.Label, payload.Pair, payload.ThroughputBitsPerCycle,
 			payload.EnergyPerBitPJ, entries[i].Key)
 	}
-	fmt.Fprintf(w, "sweep %s: %d points in %v\n", name, len(specs), time.Since(start).Round(time.Millisecond))
+	elapsed := time.Since(start)
+	fmt.Fprintf(w, "sweep %s: %d points in %v\n", name, len(specs), elapsed.Round(time.Millisecond))
+	if jsonOut != "" {
+		rec := benchRecord{
+			Name:    "sweep_" + name,
+			Iters:   len(specs),
+			NsPerOp: float64(elapsed.Nanoseconds()) / float64(max(len(specs), 1)),
+		}
+		if err := writeBenchJSON(jsonOut, []benchRecord{rec}); err != nil {
+			return fmt.Errorf("writing %s: %w", jsonOut, err)
+		}
+	}
 	return writeCacheEntries(w, cacheOut, entries)
 }
 

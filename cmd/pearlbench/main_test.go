@@ -69,7 +69,7 @@ func checkEntry(t *testing.T, e server.CacheEntry, spec experiments.Spec) {
 func TestSweepSeedZeroIsPaperSeed(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "warm.json")
 	opts := tinyOpts()
-	if err := runSweep(io.Discard, opts, "fig5", "", out, nil); err != nil {
+	if err := runSweep(io.Discard, opts, "fig5", "", out, "", nil); err != nil {
 		t.Fatal(err)
 	}
 	points, err := experiments.FigureSweep("fig5", opts.Pairs)
@@ -150,5 +150,44 @@ func TestBadFlag(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := realMain([]string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit status %d for an unknown flag, want 2", code)
+	}
+}
+
+// TestSweepJSON: a one-seed -sweep writes its -json record too, one
+// sweep_<name> entry with the points as iterations.
+func TestSweepJSON(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sw.json")
+	var stdout, stderr bytes.Buffer
+	if code := realMain([]string{"-sweep", "fig4", "-json", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit status %d; stderr:\n%s", code, stderr.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []benchRecord
+	if err := json.Unmarshal(data, &recs); err != nil {
+		t.Fatal(err)
+	}
+	points := len(experiments.Quick().Pairs)
+	if len(recs) != 1 || recs[0].Name != "sweep_fig4" || recs[0].Iters != points || recs[0].NsPerOp <= 0 {
+		t.Fatalf("-json wrote %+v, want one sweep_fig4 record of %d iterations", recs, points)
+	}
+}
+
+// TestProfileWriteError: a profile file that cannot take the profile
+// fails the command, naming the error.
+func TestProfileWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full on this system")
+	}
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		var stdout, stderr bytes.Buffer
+		if code := realMain([]string{"-figure", "t1", flag, "/dev/full"}, &stdout, &stderr); code != 1 {
+			t.Errorf("%s /dev/full: exit status %d, want 1; stderr:\n%s", flag, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "pearlbench:") {
+			t.Errorf("%s /dev/full: stderr %q names no error", flag, stderr.String())
+		}
 	}
 }

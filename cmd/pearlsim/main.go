@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -36,7 +37,7 @@ func main() {
 // run parses args, simulates the configuration and writes the report to
 // stdout; usage and errors go to stderr. It returns the exit status: 0
 // on success or -h, 2 for a bad flag or run length, and 1 when the
-// simulation cannot be set up.
+// simulation cannot be set up or the report cannot be written.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pearlsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -64,7 +65,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pearlsim: -warmup must not be negative, got %d\n", *warmup)
 		return 2
 	}
-	if err := simulate(stdout, *configName, *cpuBench, *gpuBench, *cycles, *warmup, *seed, *turnOn, *modelPath, *timeline); err != nil {
+	// A bufio.Writer keeps the first write error, which the fmt.Fprint
+	// functions drop, and Flush returns it.
+	bw := bufio.NewWriter(stdout)
+	err := simulate(bw, *configName, *cpuBench, *gpuBench, *cycles, *warmup, *seed, *turnOn, *modelPath, *timeline)
+	if ferr := bw.Flush(); err == nil {
+		err = ferr
+	}
+	if err != nil {
 		fmt.Fprintln(stderr, "pearlsim:", err)
 		return 1
 	}

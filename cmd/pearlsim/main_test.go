@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -80,5 +81,22 @@ func TestExitStatus(t *testing.T) {
 		if stdout.Len() != 0 {
 			t.Errorf("%q: printed a report:\n%s", tc.args, stdout.String())
 		}
+	}
+}
+
+// failWriter fails every write, as a full disk or a closed pipe does.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("no space left on device") }
+
+// TestReportWriteError: a report that cannot be written fails the
+// command, naming the error.
+func TestReportWriteError(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-config", "static-16", "-cycles", "1000", "-warmup", "0"}, failWriter{}, &stderr); code != 1 {
+		t.Fatalf("exit status %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if want := "pearlsim: no space left on device"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q lacks %q", stderr.String(), want)
 	}
 }

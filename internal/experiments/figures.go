@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/config"
-	"repro/internal/controller"
 	"repro/internal/models"
 	"repro/internal/photonic"
 )
@@ -80,14 +79,15 @@ type Suite struct {
 	Opts   Options
 	models map[int]*models.Artifact
 
-	// scalingThr/scalingPow cache the Figure 6/7 sweep, which both
-	// figures share.
-	scalingThr, scalingPow *Table
+	// results holds every run the suite has made by its Spec key, for
+	// the suite's life: a configuration that several figures, ablations
+	// and studies report runs once per pair. Tables only read them.
+	results map[string]Result
 }
 
 // NewSuite returns a suite with the given options.
 func NewSuite(opts Options) *Suite {
-	return &Suite{Opts: opts, models: make(map[int]*models.Artifact)}
+	return &Suite{Opts: opts, models: make(map[int]*models.Artifact), results: make(map[string]Result)}
 }
 
 // SetModel registers a pre-trained artifact for its window, so the
@@ -110,50 +110,59 @@ func (s *Suite) Model(window int) (*models.Artifact, error) {
 	return m, nil
 }
 
-// controllerFor builds the configuration's registered controller,
-// training (or fetching) the suite's model artifact first when the
-// controller needs one.
-func (s *Suite) controllerFor(cfg config.Config) (controller.Controller, error) {
-	var art *models.Artifact
-	if spec, ok := controller.ForPower(cfg.Power); ok && spec.Caps.NeedsModel {
-		m, err := s.Model(cfg.ReservationWindow)
-		if err != nil {
-			return nil, err
-		}
-		art = m
-	}
-	return controller.New(cfg, art)
-}
-
 // errNoPairs is what every artifact that simulates over Opts.Pairs
 // returns when there are none: a mean over no pairs has no value.
 var errNoPairs = errors.New("experiments: no pairs")
 
 // grid runs a flat list of points laid out configuration-major,
 // pair-minor over s.Opts.Pairs (as cross lays it out) and returns the
-// results by [row][pair]. Every photonic point without a Controller is
-// bound to controllerFor's first, serially, because Model trains into a
-// map that is not safe for concurrent use; then every point runs with
-// s.Opts in one parallel fan.
+// results by [row][pair]. A point without a Controller is bound to the
+// suite's model for its window (serially: Model's map is not safe for
+// concurrent use) and keyed as the Spec of its run under s.Opts; each
+// key runs once for the suite's life. A point with its own Controller
+// always runs, as the key cannot see its learner state. The runs
+// share one parallel fan.
 func (s *Suite) grid(points []Point) ([][]Result, error) {
 	n := len(s.Opts.Pairs)
 	if n == 0 {
 		return nil, errNoPairs
 	}
+	lookup := func(cfg config.Config) (*models.Artifact, error) { return s.Model(cfg.ReservationWindow) }
+	keys := make([]string, len(points)) // empty for a point with its own Controller
+	var todo []int                      // the points to run
+	queued := make(map[string]bool)
 	for i := range points {
-		if p := &points[i]; p.Backend != BackendCMESH && p.Controller == nil {
-			ctrl, err := s.controllerFor(p.Config)
-			if err != nil {
+		if points[i].Controller == nil {
+			spec := Spec{Point: points[i], Seed: s.Opts.Seed}
+			spec.Config.WarmupCycles, spec.Config.MeasureCycles = int(s.Opts.WarmupCycles), int(s.Opts.MeasureCycles)
+			if _, err := spec.Bind(lookup); err != nil {
 				return nil, err
 			}
-			p.Controller = ctrl
+			points[i].Controller, keys[i] = spec.Controller, spec.Key()
+			if _, done := s.results[keys[i]]; done || queued[keys[i]] {
+				continue
+			}
+			queued[keys[i]] = true
 		}
+		todo = append(todo, i)
 	}
-	results, err := parallelMap(len(points), func(i int) (Result, error) {
-		return Run(context.Background(), points[i], s.Opts)
+	ran, err := parallelMap(len(todo), func(j int) (Result, error) {
+		return Run(context.Background(), points[todo[j]], s.Opts)
 	})
 	if err != nil {
 		return nil, err
+	}
+	results := make([]Result, len(points))
+	for j, i := range todo {
+		results[i] = ran[j]
+		if keys[i] != "" {
+			s.results[keys[i]] = ran[j]
+		}
+	}
+	for i, key := range keys {
+		if key != "" {
+			results[i] = s.results[key]
+		}
 	}
 	rows := make([][]Result, len(points)/n)
 	for r := range rows {
@@ -188,6 +197,17 @@ func (s *Suite) meanRows(t Table, cfgs []Point, metrics ...func(Result) float64)
 		t.Rows = append(t.Rows, r)
 	}
 	return t, nil
+}
+
+// sweepMeans is meanRows over the named figure sweep's configurations,
+// which it also returns.
+func (s *Suite) sweepMeans(t Table, name string, metrics ...func(Result) float64) (Table, []Point, error) {
+	cfgs, err := sweepConfigs(name)
+	if err != nil {
+		return Table{}, nil, err
+	}
+	t, err = s.meanRows(t, cfgs, metrics...)
+	return t, cfgs, err
 }
 
 // sum adds a metric over a row's runs in pair order; mean divides that
@@ -286,53 +306,39 @@ func figure5Note(t Table) string {
 		cmesh[0]/dyn[0], t.Columns[0], cmesh[last]/dyn[last], t.Columns[last])
 }
 
-// runScalingSet evaluates every Figure 6/7 configuration once, returning
-// mean throughput (bits/cycle) and mean laser power (W) per
-// configuration; both figures read the tables cached on the suite.
-func (s *Suite) runScalingSet() (Table, Table, error) {
-	if s.scalingThr != nil {
-		return *s.scalingThr, *s.scalingPow, nil
-	}
-	thr := Table{
+// Figure6 reproduces the throughput comparison with the 8WL low state:
+// the 64WL baseline, the paper's architectures and related work.
+func (s *Suite) Figure6() (Table, error) {
+	t := Table{
 		Title:   "Figure 6: throughput of power-scaling architectures (bits/cycle)",
 		Columns: []string{"throughput", "vs 64WL %"},
 		Notes:   "paper: ML RW2000 -0.3%, Dyn RW500 -1.3%, Dyn RW2000 -8%, ML RW500 -14%",
 	}
-	pow := Table{
+	t, _, err := s.sweepMeans(t, "fig6", throughput)
+	if err != nil {
+		return Table{}, err
+	}
+	return vsRow(t, 0), nil
+}
+
+// Figure7 reproduces the average laser power comparison over Figure
+// 6's configurations.
+func (s *Suite) Figure7() (Table, error) {
+	t := Table{
 		Title:   "Figure 7: average laser power (W)",
 		Columns: []string{"laser W", "savings %"},
 		Notes:   "paper: ML RW500 65.5%, ML RW500-no8WL 60.7%, Dyn RW2000 55.8%, Dyn RW500 46%, ML RW2000 42% savings",
 	}
-	// The fig6 sweep is the comparison set: the 64WL baseline first, then
-	// the paper's architectures and the related-work controllers.
-	cfgs, rows, err := s.sweepRows("fig6")
+	t, _, err := s.sweepMeans(t, "fig7", laserW)
 	if err != nil {
-		return Table{}, Table{}, err
+		return Table{}, err
 	}
-	baseThr, baseLaser := mean(rows[0], throughput), mean(rows[0], laserW)
-	for i, row := range rows {
-		tp, laser := mean(row, throughput), mean(row, laserW)
-		thr.Rows = append(thr.Rows, Row{Label: cfgs[i].Label, Values: []float64{
-			tp, 100 * (tp - baseThr) / baseThr,
-		}})
-		pow.Rows = append(pow.Rows, Row{Label: cfgs[i].Label, Values: []float64{
-			laser, 100 * (baseLaser - laser) / baseLaser,
-		}})
+	ref := t.Rows[0].Values[0]
+	for i := range t.Rows {
+		v := t.Rows[i].Values[0]
+		t.Rows[i].Values = append(t.Rows[i].Values, 100*(ref-v)/ref)
 	}
-	s.scalingThr, s.scalingPow = &thr, &pow
-	return thr, pow, nil
-}
-
-// Figure6 reproduces the throughput comparison with the 8WL low state.
-func (s *Suite) Figure6() (Table, error) {
-	thr, _, err := s.runScalingSet()
-	return thr, err
-}
-
-// Figure7 reproduces the average laser power comparison.
-func (s *Suite) Figure7() (Table, error) {
-	_, pow, err := s.runScalingSet()
-	return pow, err
+	return t, nil
 }
 
 // Figure8 reproduces the wavelength-state residency of ML-based power
@@ -377,11 +383,7 @@ func (s *Suite) Figure9() (Table, error) {
 		Columns: []string{"throughput", "vs CMESH %"},
 		Notes:   "paper: dynamic and ML power scaling outperform CMESH by 34% and 20%; Dyn RW500 ~= PEARL-FCFS",
 	}
-	cfgs, err := sweepConfigs("fig9")
-	if err != nil {
-		return Table{}, err
-	}
-	t, err = s.meanRows(t, cfgs, throughput)
+	t, _, err := s.sweepMeans(t, "fig9", throughput)
 	if err != nil {
 		return Table{}, err
 	}
@@ -396,11 +398,7 @@ func (s *Suite) Figure10() (Table, error) {
 		Columns: []string{"throughput", "vs 64WL %"},
 		Notes:   "paper: RW2000 best throughput; RW500/RW1000 drop vs static 64WL",
 	}
-	cfgs, err := sweepConfigs("fig10")
-	if err != nil {
-		return Table{}, err
-	}
-	t, err = s.meanRows(t, cfgs, throughput)
+	t, _, err := s.sweepMeans(t, "fig10", throughput)
 	if err != nil {
 		return Table{}, err
 	}
@@ -416,11 +414,7 @@ func (s *Suite) Figure11() (Table, error) {
 		Columns: []string{"laser W", "throughput", "thr loss %"},
 		Notes:   "paper: power varies <1% across turn-on latencies; throughput loss grows with turn-on time",
 	}
-	cfgs, err := sweepConfigs("fig11")
-	if err != nil {
-		return Table{}, err
-	}
-	t, err = s.meanRows(t, cfgs, laserW, throughput)
+	t, cfgs, err := s.sweepMeans(t, "fig11", laserW, throughput)
 	if err != nil {
 		return Table{}, err
 	}

@@ -16,9 +16,9 @@ import (
 // MeasureCycles. It is the one place that knows which fields each
 // backend reads: Normalize folds the fields a backend ignores into one
 // value, Key hashes the normalized spec, Options and Bind turn it into
-// what Run needs. pearld's jobs, its batch points and `pearlbench
-// -sweep` all describe their runs with it, which is what makes their
-// cache keys agree.
+// what Run needs. pearld's jobs, its batch points, `pearlbench -sweep`
+// and the Suite all describe their runs with it, which is what makes
+// their cache keys agree.
 type Spec struct {
 	Point
 	// Seed drives all randomness; 0 means the paper seed 2018.

@@ -6,6 +6,11 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/photonic"
+	"repro/internal/stats"
 )
 
 // suiteGoldenFile holds every Suite.Artifacts() table at
@@ -73,6 +78,52 @@ func TestSuiteTablesGolden(t *testing.T) {
 		}
 		if g != w {
 			t.Errorf("%s line %d:\n got  %q\n want %q", suiteGoldenFile, i+1, g, w)
+		}
+	}
+}
+
+// TestSuiteRunsEachKeyOnce: a suite runs each distinct Spec once for its
+// life. One Artifacts pass keys 130 points, 74 of them distinct, and
+// holds exactly those. A second pass renders the same tables from the
+// same results, and so do repeated points; a point that brings its own
+// Controller is never keyed.
+func TestSuiteRunsEachKeyOnce(t *testing.T) {
+	const distinct = 74
+	s := NewSuite(suiteGoldenOptions())
+	first := renderSuiteTables(t, s)
+	if len(s.results) != distinct {
+		t.Fatalf("one pass holds %d results, want %d", len(s.results), distinct)
+	}
+	held := make(map[string]*stats.Network, len(s.results))
+	for key, res := range s.results {
+		held[key] = res.Metrics
+	}
+	if second := renderSuiteTables(t, s); second != first {
+		t.Error("a second pass rendered different tables")
+	}
+
+	dyn := pearlPoint(config.PEARLDyn())
+	rows, err := s.grid(cross([]Point{dyn, labelled("again", config.PEARLDyn())}, s.Opts.Pairs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows[0] {
+		if rows[0][i].Metrics != rows[1][i].Metrics {
+			t.Errorf("pair %d: the repeated rows hold different results", i)
+		}
+	}
+	own := dyn
+	own.Controller = fixedPolicy{core.StaticPolicy{State: photonic.WL64}}
+	if _, err := s.grid(cross([]Point{own}, s.Opts.Pairs)); err != nil {
+		t.Fatal(err)
+	}
+
+	if len(s.results) != distinct {
+		t.Errorf("the suite ends holding %d results, want %d", len(s.results), distinct)
+	}
+	for key, res := range s.results {
+		if res.Metrics != held[key] {
+			t.Errorf("key %s ran again", key)
 		}
 	}
 }
