@@ -268,8 +268,8 @@ func runRemoteSweep(w io.Writer, opts experiments.Options, name, serverURL, toke
 		var next server.BatchStatus
 		if err := c.getJSON("/v1/batches/"+st.ID, &next); err != nil {
 			// Transient poll failures (daemon restarting its listener,
-			// network blips) get the same bounded tolerance as shard
-			// polling; a vanished batch is fatal via the 404 below.
+			// network blips) get a bounded tolerance; a vanished batch
+			// is fatal via the 404 below.
 			if misses++; misses >= remoteMaxRetries {
 				return fmt.Errorf("polling batch %s: %w", st.ID, err)
 			}

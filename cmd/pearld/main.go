@@ -10,7 +10,6 @@
 //	pearld -cache-dir /var/cache/pearld            # results survive restarts
 //	pearld -cache-dir d -warm-cache results/       # preload from artifacts
 //	pearld -model-dir models/                      # host trained ML models
-//	pearld -peers http://b:8080,http://c:8080      # shard batches across peers
 //	pearld -tenants tenants.json                   # token auth + fair-share scheduling
 //	pearld -stream-ring 1024 -max-streams 4        # tune the live /events SSE feeds
 //	pearld -model-dir models/ -canary rw500        # online canary retraining of "rw500"
@@ -24,8 +23,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -39,73 +40,81 @@ import (
 )
 
 func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		workers      = flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "bounded job-queue depth")
-		cacheCap     = flag.Int("cache", 1024, "result-cache capacity (entries, LRU)")
-		cacheDir     = flag.String("cache-dir", "", "directory for the disk-persistent result cache (empty = memory only)")
-		cacheDirMax  = flag.Int64("cache-dir-max", 0, "disk cache size cap in bytes (0 = 256 MiB default)")
-		warmCache    = flag.String("warm-cache", "", "JSON artifact file or directory to preload the cache from")
-		modelDir     = flag.String("model-dir", "", "directory of trained model artifacts to host (rw500.json serves ref \"rw500\"); uploads via POST /v1/models persist here")
-		peers        = flag.String("peers", "", "comma-separated base URLs of shard peers (e.g. http://b:8080,http://c:8080); batch points are partitioned across peers by content hash")
-		shardTimeout = flag.Duration("shard-timeout", 0, "per-request timeout for shard peer calls (0 = 15s default)")
-		shardRetries = flag.Int("shard-retries", 0, "attempts against an unavailable peer before falling back to local execution (0 = 3 default)")
-		tenants      = flag.String("tenants", "", "JSON tenant config file (tokens, weights, quotas); empty = open access as a single anonymous tenant. SIGHUP or POST /v1/admin/tenants/reload re-reads it")
-		shardToken   = flag.String("shard-token", "", "service API token peer calls fall back to when a job carries no tenant token (tokenized clusters)")
-		streamRing   = flag.Int("stream-ring", 0, "per-feed event ring capacity for /events streams; overflow drops oldest (0 = 512 default)")
-		streamHB     = flag.Duration("stream-heartbeat", 0, "idle heartbeat interval on /events streams (0 = 15s default)")
-		maxStreams   = flag.Int("max-streams", 0, "default per-tenant concurrent /events stream cap; per-tenant max_streams overrides (0 = 16 default)")
-		canary       = flag.String("canary", "", "hosted model name to retrain online: completed ML jobs at its window feed an RLS estimator; POST /v1/admin/canary/refine publishes a new version, promoting the alias only on holdout improvement")
-		canaryMin    = flag.Int("canary-min-samples", 0, "minimum RLS updates before a refinement is allowed (0 = 64 default)")
-		canaryHold   = flag.Int("canary-holdout", 0, "hold every Nth window sample out of training for the promotion gate (0 = 8 default)")
-
-		timeout    = flag.Duration("timeout", 5*time.Minute, "default per-job wall-clock timeout")
-		drainGrace = flag.Duration("drain-grace", 2*time.Minute, "how long shutdown waits for in-flight jobs")
-		pprofAddr  = flag.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled); kept off the API listener so profiling is never exposed with it")
-	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		go servePprof(*pprofAddr)
+	cfg, code := parseFlags(os.Args[1:], os.Stderr)
+	if cfg == nil {
+		os.Exit(code)
 	}
-
-	opts := server.Options{
-		Workers:             *workers,
-		QueueDepth:          *queue,
-		CacheCapacity:       *cacheCap,
-		CacheDir:            *cacheDir,
-		CacheDirMaxBytes:    *cacheDirMax,
-		ModelDir:            *modelDir,
-		DefaultTimeout:      *timeout,
-		Peers:               splitPeers(*peers),
-		ShardTimeout:        *shardTimeout,
-		ShardRetries:        *shardRetries,
-		TenantsFile:         *tenants,
-		ShardToken:          *shardToken,
-		StreamRingCapacity:  *streamRing,
-		StreamHeartbeat:     *streamHB,
-		MaxStreamsPerTenant: *maxStreams,
-		CanaryAlias:         *canary,
-		CanaryMinSamples:    *canaryMin,
-		CanaryHoldoutEvery:  *canaryHold,
+	if cfg.pprofAddr != "" {
+		go servePprof(cfg.pprofAddr)
 	}
-	if err := run(*addr, opts, *warmCache, *drainGrace); err != nil {
+	if err := run(cfg.addr, cfg.opts, cfg.warmCache, cfg.drainGrace); err != nil {
 		fmt.Fprintln(os.Stderr, "pearld:", err)
 		os.Exit(1)
 	}
 }
 
-// splitPeers turns the -peers flag into the Options list, tolerating
-// spaces and empty elements ("a, b," -> ["a", "b"]).
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
+// flags is what pearld's command line decides.
+type flags struct {
+	addr, pprofAddr string
+	opts            server.Options
+	warmCache       string
+	drainGrace      time.Duration
+}
+
+// parseFlags parses args, writing usage and errors to stderr. A nil
+// result means the process should exit with the returned code: 0 after
+// -h, 2 on a bad flag.
+func parseFlags(args []string, stderr io.Writer) (*flags, int) {
+	fs := flag.NewFlagSet("pearld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr        = fs.String("addr", ":8080", "listen address")
+		workers     = fs.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+		queue       = fs.Int("queue", 64, "bounded job-queue depth")
+		cacheCap    = fs.Int("cache", 1024, "result-cache capacity (entries, LRU)")
+		cacheDir    = fs.String("cache-dir", "", "directory for the disk-persistent result cache (empty = memory only)")
+		cacheDirMax = fs.Int64("cache-dir-max", 0, "disk cache size cap in bytes (0 = 256 MiB default)")
+		warmCache   = fs.String("warm-cache", "", "JSON artifact file or directory to preload the cache from")
+		modelDir    = fs.String("model-dir", "", "directory of trained model artifacts to host (rw500.json serves ref \"rw500\"); uploads via POST /v1/models persist here")
+		tenants     = fs.String("tenants", "", "JSON tenant config file (tokens, weights, quotas); empty = open access as a single anonymous tenant. SIGHUP or POST /v1/admin/tenants/reload re-reads it")
+		streamRing  = fs.Int("stream-ring", 0, "per-feed event ring capacity for /events streams; overflow drops oldest (0 = 512 default)")
+		streamHB    = fs.Duration("stream-heartbeat", 0, "idle heartbeat interval on /events streams (0 = 15s default)")
+		maxStreams  = fs.Int("max-streams", 0, "default per-tenant concurrent /events stream cap; per-tenant max_streams overrides (0 = 16 default)")
+		canary      = fs.String("canary", "", "hosted model name to retrain online: completed ML jobs at its window feed an RLS estimator; POST /v1/admin/canary/refine publishes a new version, promoting the alias only on holdout improvement")
+		canaryMin   = fs.Int("canary-min-samples", 0, "minimum RLS updates before a refinement is allowed (0 = 64 default)")
+		canaryHold  = fs.Int("canary-holdout", 0, "hold every Nth window sample out of training for the promotion gate (0 = 8 default)")
+
+		timeout    = fs.Duration("timeout", 5*time.Minute, "default per-job wall-clock timeout")
+		drainGrace = fs.Duration("drain-grace", 2*time.Minute, "how long shutdown waits for in-flight jobs")
+		pprofAddr  = fs.String("pprof-addr", "", "listen address for net/http/pprof (empty = disabled); kept off the API listener so profiling is never exposed with it")
+	)
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return nil, 0
+	} else if err != nil {
+		return nil, 2
 	}
-	return out
+	return &flags{
+		addr:      *addr,
+		pprofAddr: *pprofAddr,
+		opts: server.Options{
+			Workers:             *workers,
+			QueueDepth:          *queue,
+			CacheCapacity:       *cacheCap,
+			CacheDir:            *cacheDir,
+			CacheDirMaxBytes:    *cacheDirMax,
+			ModelDir:            *modelDir,
+			DefaultTimeout:      *timeout,
+			TenantsFile:         *tenants,
+			StreamRingCapacity:  *streamRing,
+			StreamHeartbeat:     *streamHB,
+			MaxStreamsPerTenant: *maxStreams,
+			CanaryAlias:         *canary,
+			CanaryMinSamples:    *canaryMin,
+			CanaryHoldoutEvery:  *canaryHold,
+		},
+		warmCache:  *warmCache,
+		drainGrace: *drainGrace,
+	}, 0
 }
 
 // servePprof exposes the standard pprof handlers on their own listener,

@@ -1,21 +1,45 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"strings"
 	"testing"
+	"time"
 )
 
-func TestSplitPeers(t *testing.T) {
+func TestFlags(t *testing.T) {
 	for _, tc := range []struct {
-		in   string
-		want []string
+		args []string
+		code int
 	}{
-		{"", nil},
-		{"a, b,", []string{"a", "b"}},
-		{" ,a", []string{"a"}},
+		{[]string{"-h"}, 0},
+		{[]string{"-no-such-flag"}, 2},
+		{[]string{"-peers", "http://x"}, 2},
+		{[]string{"-workers", "many"}, 2},
 	} {
-		if got := splitPeers(tc.in); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("splitPeers(%q) = %q, want %q", tc.in, got, tc.want)
+		var stderr bytes.Buffer
+		cfg, code := parseFlags(tc.args, &stderr)
+		if cfg != nil || code != tc.code {
+			t.Errorf("%q: got (%v, exit %d), want exit %d", tc.args, cfg, code, tc.code)
 		}
+		if !strings.Contains(stderr.String(), "Usage of pearld") {
+			t.Errorf("%q: stderr lacks the usage text:\n%s", tc.args, stderr.String())
+		}
+	}
+
+	var stderr bytes.Buffer
+	cfg, _ := parseFlags([]string{"-workers", "3", "-queue", "7", "-cache-dir", "d", "-canary", "rw500"}, &stderr)
+	if cfg == nil {
+		t.Fatalf("valid flags rejected:\n%s", stderr.String())
+	}
+	o := cfg.opts
+	if o.Workers != 3 || o.QueueDepth != 7 || o.CacheDir != "d" || o.CanaryAlias != "rw500" {
+		t.Errorf("options = %+v, want Workers 3, QueueDepth 7, CacheDir d, CanaryAlias rw500", o)
+	}
+	if cfg.addr != ":8080" || o.CacheCapacity != 1024 || o.DefaultTimeout != 5*time.Minute || cfg.drainGrace != 2*time.Minute {
+		t.Errorf("defaults: addr %q, cache %d, timeout %v, drain grace %v", cfg.addr, o.CacheCapacity, o.DefaultTimeout, cfg.drainGrace)
+	}
+	if stderr.Len() != 0 {
+		t.Errorf("valid flags wrote to stderr: %s", stderr.String())
 	}
 }

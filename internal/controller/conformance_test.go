@@ -6,7 +6,7 @@ package controller_test
 //
 //  1. Determinism: the same (config, pair, seed) produces bit-identical
 //     results regardless of GOMAXPROCS. pearld's content-addressed
-//     result cache and the shard layer both assume it.
+//     result cache assumes it.
 //  2. Independent runs: every Policy call mints its own instance, so
 //     the concurrent runs of a seed fan (experiments.RunSeeds) equal
 //     the same seeds run one at a time.

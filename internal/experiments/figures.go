@@ -85,8 +85,14 @@ type Suite struct {
 	results map[string]Result
 }
 
-// NewSuite returns a suite with the given options.
+// NewSuite returns a suite with the given options. A zero Opts.Seed
+// becomes the paper seed, as it does in Spec, so every run the suite
+// makes — grid points, trained models, ablation RNGs and the
+// extensions' learners — uses the seed its memo key records.
 func NewSuite(opts Options) *Suite {
+	if opts.Seed == 0 {
+		opts.Seed = paperSeed
+	}
 	return &Suite{Opts: opts, models: make(map[int]*models.Artifact), results: make(map[string]Result)}
 }
 

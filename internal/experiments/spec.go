@@ -66,8 +66,9 @@ func (s *Spec) Normalize() {
 // controller is derived from Config.Power and Config.ModelRef, both
 // keyed). The digested bytes are the lines backend, config (the
 // canonical form), cpu, gpu, seed, warmup, measure and link_scale, each
-// "name=value"; pearld's disk caches, warm-cache artifacts and shard
-// peers address results by this key, so the bytes must not change.
+// "name=value"; pearld's disk caches, warm-cache artifacts and
+// GET /v1/cache/{key} address results by this key, so the bytes must
+// not change.
 func (s Spec) AppendKey(dst []byte) []byte {
 	s.Normalize()
 	var buf [512]byte

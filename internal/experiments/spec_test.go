@@ -31,7 +31,7 @@ func runLengths(cfg config.Config, warmup, measure int) config.Config {
 
 // TestSpecKeyPinned pins the literal keys pearld's TestCacheKeyPinned
 // pins for the equivalent requests: disk caches, warm-cache artifacts
-// and shard peers address results by these digests.
+// and GET /v1/cache/{key} address results by these digests.
 func TestSpecKeyPinned(t *testing.T) {
 	fmmDCT := pairOf(t, "fmm", "DCT")
 	quick := runLengths(config.Default(), 200, 2000)

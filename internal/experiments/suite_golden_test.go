@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -125,5 +126,24 @@ func TestSuiteRunsEachKeyOnce(t *testing.T) {
 		if res.Metrics != held[key] {
 			t.Errorf("key %s ran again", key)
 		}
+	}
+}
+
+// TestSuiteSeedZeroIsPaperSeed: a zero seed is the paper seed for the
+// Suite as it is for Spec, so the runs it makes are the ones its memo
+// keys name and the tables match a seed-2018 suite's.
+func TestSuiteSeedZeroIsPaperSeed(t *testing.T) {
+	tables := make([]Table, 2)
+	for i, seed := range []uint64{0, paperSeed} {
+		opts := suiteGoldenOptions()
+		opts.Seed = seed
+		tab, err := NewSuite(opts).Figure4()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = tab
+	}
+	if !reflect.DeepEqual(tables[0], tables[1]) {
+		t.Fatalf("seed 0 and seed %d give different Figure 4 tables:\n%+v\n%+v", paperSeed, tables[0], tables[1])
 	}
 }

@@ -13,7 +13,6 @@
 //	GET    /v1/batches/{id}     poll a batch: per-point status + aggregate progress
 //	DELETE /v1/batches/{id}     cancel every unfinished point of a batch
 //	GET    /v1/cache/{key}      export one cached result as a CacheEntry
-//	POST   /v1/cache            import a CacheEntry (shard replication)
 //	GET    /metrics             MetricsSnapshot (queue, counters, latency)
 //	GET    /healthz             liveness probe
 //
@@ -103,8 +102,8 @@ type jobSpec struct {
 	experiments.Spec
 	timeout time.Duration
 	// artifact is the resolved model artifact for model-needing
-	// controllers (nil otherwise); the shard dispatcher uploads it to
-	// peers on miss and the canary retrainer matches against its hash.
+	// controllers (nil otherwise); the canary retrainer matches against
+	// its hash.
 	artifact *models.Artifact
 	// canarySample, when set, streams each reservation window's raw
 	// observation from this job's run into pearld's canary retrainer.
@@ -343,10 +342,7 @@ type JobStatus struct {
 	Cached   bool   `json:"cached"`
 	// Coalesced marks a job that attached to identical in-flight work
 	// (singleflight) instead of simulating on its own.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// Remote marks a batch point executed on a shard peer and imported
-	// through the cache exchange.
-	Remote      bool   `json:"remote,omitempty"`
+	Coalesced   bool   `json:"coalesced,omitempty"`
 	Error       string `json:"error,omitempty"`
 	SubmittedAt string `json:"submitted_at"`
 	StartedAt   string `json:"started_at,omitempty"`

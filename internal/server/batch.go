@@ -471,7 +471,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches.add(b)
 	s.metrics.inc(&s.metrics.totals.BatchesSubmitted)
 
-	token := bearerToken(r)
 	var deferred []*Job
 	allCached := true
 	for _, spec := range specs {
@@ -485,7 +484,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 				mspec.Seed = experiments.ReplicaSeed(spec.Seed, spec.Name(), spec.Pair.Name(), i)
 			}
 			s.metrics.jobSubmitted(tn.Name())
-			job := s.buildJob(&mspec, tn, token)
+			job := s.buildJob(&mspec, tn)
 			if b.isCancelled() {
 				// An earlier point already failed and cancel_on_error fired.
 				s.armJob(job, mspec, tn, b)
@@ -519,11 +518,7 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 		b.maybeCloseFeed(s, b.view())
 	}
 	if len(deferred) > 0 {
-		if s.shard != nil {
-			go s.feedBatchSharded(deferred)
-		} else {
-			go s.feedBatch(deferred)
-		}
+		go s.feedBatch(deferred)
 	}
 	code := http.StatusAccepted
 	if allCached {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"net/http"
 	"sync"
 )
 
@@ -69,4 +70,24 @@ func (c *resultCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// handleCacheGet is GET /v1/cache/{key}: one result by its content
+// hash, which stays reachable after its job's record is retired. It
+// serves the full cache stack (memory, then disk) as a CacheEntry
+// envelope — byte-compatible with the disk store's files, `-warm-cache`
+// input and `pearlbench -cache-out` artifacts.
+func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
+	key := r.PathValue("key")
+	if !validCacheKey(key) {
+		httpError(w, http.StatusBadRequest, "invalid cache key %q", key)
+		return
+	}
+	hit, _, ok := s.lookup(key)
+	if !ok {
+		httpError(w, http.StatusNotFound, "no cached entry for %s", key)
+		return
+	}
+	s.metrics.inc(&s.metrics.totals.CacheExports)
+	writeJSON(w, http.StatusOK, CacheEntry{Key: key, Result: hit.result})
 }

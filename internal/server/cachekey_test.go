@@ -11,10 +11,10 @@ import (
 )
 
 // TestCacheKeyPinned pins literal cache keys. On-disk caches, warm-cache
-// artifacts and shard peers address results by these digests, so any
-// drift in how a spec is rendered for hashing must fail here first. The
-// last case is a pearl request at link scale 4: the photonic network has
-// no link scale, so it shares the default request's key.
+// artifacts and GET /v1/cache/{key} address results by these digests,
+// so any drift in how a spec is rendered for hashing must fail here
+// first. The last case is a pearl request at link scale 4: the photonic
+// network has no link scale, so it shares the default request's key.
 func TestCacheKeyPinned(t *testing.T) {
 	s := newBareServer(t, Options{Workers: 1})
 	for _, tc := range []struct{ body, key string }{

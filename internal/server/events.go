@@ -108,7 +108,7 @@ func (w *windowSample) finite() bool {
 
 // JobEndEvent is the body of a job feed's terminal "end" frame. Every
 // feed ends with one, whatever path the job took — simulated, cache
-// hit, coalesced follower, remotely served, failed or cancelled — so a
+// hit, coalesced follower, failed or cancelled — so a
 // fully-warm replay still streams a complete, well-formed feed.
 type JobEndEvent struct {
 	frameMeta
@@ -155,8 +155,8 @@ type eventRing struct {
 }
 
 // newEventRing returns an empty ring bounded at capacity frames. Storage
-// is not reserved up front: most rings (coalesced, remote and failed
-// jobs) only ever hold their one end frame.
+// is not reserved up front: most rings (coalesced and failed jobs) only
+// ever hold their one end frame.
 func newEventRing(capacity int) *eventRing {
 	if capacity < 1 {
 		capacity = 1

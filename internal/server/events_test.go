@@ -265,8 +265,7 @@ func TestEventRingClose(t *testing.T) {
 
 // TestEventRingNilSafe: jobs constructed outside the HTTP path (tests,
 // future internal callers) carry no ring; every ring operation must
-// degrade to a no-op rather than dereference nil — the shard peer-feed
-// proxy in particular appends through job.exec.events unconditionally.
+// degrade to a no-op rather than dereference nil.
 func TestEventRingNilSafe(t *testing.T) {
 	var r *eventRing
 	if appended, evicted := r.append(eventKindWindow, &testEvent{}); appended || evicted {

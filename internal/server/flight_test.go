@@ -52,7 +52,7 @@ func TestAdmitRecheckHitCountsExactlyOneVerdict(t *testing.T) {
 	s.testHookAfterCacheMiss = func(j *Job) { s.cache.Put(j.key, want) }
 
 	anon := s.tenants.Anonymous()
-	job := s.buildJob(&spec, anon, "")
+	job := s.buildJob(&spec, anon)
 	if got := s.admit(job, spec, anon, nil); got != admitCached {
 		t.Fatalf("admit = %v, want admitCached (recheck hit)", got)
 	}
@@ -86,7 +86,7 @@ func TestAdmitRecheckConsultsDiskLayer(t *testing.T) {
 	}
 
 	anon := s.tenants.Anonymous()
-	job := s.buildJob(&spec, anon, "")
+	job := s.buildJob(&spec, anon)
 	if got := s.admit(job, spec, anon, nil); got != admitCached {
 		t.Fatalf("admit = %v, want admitCached (disk-layer recheck hit)", got)
 	}

@@ -13,9 +13,8 @@ import (
 // after every test (and its cleanups — shutdowns, ts.Close) has run,
 // the process must settle back to roughly its baseline goroutine
 // count. This is what catches a stream handler parked forever on a
-// ring after its client vanished, or a peer-feed proxy outliving its
-// dispatch — leaks that per-test assertions never see because each
-// test's server dies with the process anyway.
+// ring after its client vanished — leaks that per-test assertions
+// never see because each test's server dies with the process anyway.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()

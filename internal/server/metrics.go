@@ -13,10 +13,10 @@ import (
 // MetricsSnapshot, each tenant's share a TenantSnapshot and each
 // controller family's a ControllerSnapshot, so adding a counter is one
 // field plus one increment. The gauges other layers own (queue, caches,
-// shard, retention, tenant lanes and quotas) stay zero here; the
-// metrics handler fills them in. All fields are guarded by mu; the
-// latency histogram reuses internal/stats so the endpoint reports the
-// same nearest-rank quantiles the simulator does.
+// retention, tenant lanes and quotas) stay zero here; the metrics
+// handler fills them in. All fields are guarded by mu; the latency
+// histogram reuses internal/stats so the endpoint reports the same
+// nearest-rank quantiles the simulator does.
 type metrics struct {
 	mu     sync.Mutex
 	totals MetricsSnapshot
@@ -132,8 +132,6 @@ func (m *metrics) settled(j *Job, o outcome) {
 	case o.state == StateFailed:
 		m.totals.JobsFailed++
 		t.JobsFailed++
-	case o.via == remote:
-		m.totals.ShardRemoteServed++
 	default:
 		// A local run: latency, the simulated cycles billed to the
 		// tenant, and the controller ledger (cmesh runs have no
@@ -288,16 +286,8 @@ type MetricsSnapshot struct {
 	// degrading toward FIFO for the affected entries.
 	CacheDiskTouchFailures uint64 `json:"cache_disk_touch_failures"`
 	CacheWarmed            uint64 `json:"cache_warmed_entries"`
-	// Shard layer (zero-valued when -peers is not configured).
-	ShardPeers            int    `json:"shard_peers"`
-	ShardRemoteDispatched uint64 `json:"shard_remote_dispatched"`
-	ShardRemoteServed     uint64 `json:"shard_remote_served"`
-	ShardLocalFallbacks   uint64 `json:"shard_local_fallbacks"`
-	ShardReplicated       uint64 `json:"shard_replicated_entries"`
-	ShardReplicateErrors  uint64 `json:"shard_replicate_errors"`
-	// Cache-exchange endpoint traffic (GET/POST /v1/cache).
+	// CacheExports counts entries served by GET /v1/cache/{key}.
 	CacheExports    uint64  `json:"cache_entries_exported"`
-	CacheImports    uint64  `json:"cache_entries_imported"`
 	JobLatencyMeanS float64 `json:"job_latency_mean_s"`
 	JobLatencyP50S  float64 `json:"job_latency_p50_s"`
 	JobLatencyP99S  float64 `json:"job_latency_p99_s"`

@@ -48,11 +48,9 @@ type Job struct {
 	label   string
 
 	// Tenant identity, fixed at submission: the owning tenant's name
-	// (scheduling lane and metrics attribution), the bearer token it
-	// presented (forwarded on shard dispatch), and its fair-share
+	// (scheduling lane and metrics attribution) and its fair-share
 	// weight captured at admission time.
 	tenant string
-	token  string
 	weight int
 
 	// exec is nil on a job settled from the cache at submission.
@@ -64,7 +62,6 @@ type Job struct {
 	result    *JobResult
 	cached    bool
 	coalesced bool
-	remote    bool
 	follower  bool
 	subs      []func(*Job)
 	submitted time.Time
@@ -129,9 +126,8 @@ func (j *Job) release() {
 // setTenant stamps the owning tenant onto a freshly built job. Called
 // before the job is shared with any other goroutine, so the fields
 // need no lock afterwards.
-func (j *Job) setTenant(name, token string, weight int) {
+func (j *Job) setTenant(name string, weight int) {
 	j.tenant = name
-	j.token = token
 	j.weight = weight
 }
 
@@ -208,8 +204,6 @@ const (
 	cached
 	// coalesced: a singleflight follower taking its leader's outcome.
 	coalesced
-	// remote: run by a shard peer and imported.
-	remote
 	// rejected: refused at admission because the queue was full.
 	rejected
 )
@@ -261,10 +255,9 @@ func (s *Server) settle(j *Job, o outcome) bool {
 	}
 	j.state, j.result, j.err = o.state, o.result, o.err
 	j.finished = time.Now()
-	if o.state == StateDone && (o.via == cached || o.via == coalesced || o.via == remote) {
+	if o.state == StateDone && (o.via == cached || o.via == coalesced) {
 		// Served without running here: it started when it was submitted.
 		j.cached = true
-		j.remote = o.via == remote
 		j.started = j.submitted
 	}
 	s.metrics.settled(j, o)
@@ -320,7 +313,6 @@ func (j *Job) Status() JobStatus {
 		CacheKey:    j.key,
 		Cached:      j.cached,
 		Coalesced:   j.coalesced,
-		Remote:      j.remote,
 		SubmittedAt: j.submitted.UTC().Format(time.RFC3339Nano),
 	}
 	if j.err != nil {

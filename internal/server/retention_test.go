@@ -52,7 +52,7 @@ func settleHits(t *testing.T, s *Server, spec jobSpec, n int) {
 	anon := s.tenants.Anonymous()
 	for i := 0; i < n; i++ {
 		anon.AcquireSlots(1)
-		if got := s.admit(s.buildJob(&spec, anon, ""), spec, anon, nil); got != admitCached {
+		if got := s.admit(s.buildJob(&spec, anon), spec, anon, nil); got != admitCached {
 			t.Fatalf("hit %d: admit = %v, want admitCached", i, got)
 		}
 	}
@@ -255,7 +255,7 @@ func TestRetirementRacesReaders(t *testing.T) {
 	anon := s.tenants.Anonymous()
 	for i := 0; i < n; i++ {
 		anon.AcquireSlots(1)
-		job := s.buildJob(&spec, anon, "")
+		job := s.buildJob(&spec, anon)
 		s.admit(job, spec, anon, nil)
 		if i%every == 0 {
 			ids <- job.ID

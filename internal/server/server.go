@@ -40,32 +40,12 @@ type Options struct {
 	// DefaultTimeout bounds each job's wall-clock runtime unless the
 	// request overrides it (default 5 minutes).
 	DefaultTimeout time.Duration
-	// Peers lists base URLs of sibling pearld daemons. When non-empty,
-	// batch points are partitioned across them by rendezvous-hashing
-	// each point's content hash; any remote failure degrades the point
-	// back to local execution. Empty disables sharding.
-	Peers []string
-	// ShardTimeout bounds each individual HTTP call to a peer
-	// (default 15s).
-	ShardTimeout time.Duration
-	// ShardRetries is how many submit/poll attempts a peer gets before
-	// a point falls back to local execution (default 3).
-	ShardRetries int
-	// ShardRetryBase is the first retry backoff; it doubles per attempt
-	// (default 100ms).
-	ShardRetryBase time.Duration
-	// ShardPollInterval paces remote job status polls (default 100ms).
-	ShardPollInterval time.Duration
 	// TenantsFile, when non-empty, enables the multi-tenant front door:
 	// a JSON file of API tokens, fair-share weights, rate limits and
 	// quotas (see internal/tenant). Every /v1 request then needs a
 	// configured bearer token. Empty keeps the daemon open, with all
 	// work attributed to the anonymous tenant.
 	TenantsFile string
-	// ShardToken is the service token peer calls fall back to when the
-	// dispatching job has no tenant token of its own (anonymous local
-	// traffic into a tokenized peer cluster).
-	ShardToken string
 	// StreamRingCapacity bounds each job/batch event ring (default 512
 	// frames). Past it the oldest frames are dropped — never blocking
 	// the simulation — with the cumulative drop count stamped into every
@@ -105,18 +85,6 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = 5 * time.Minute
 	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 15 * time.Second
-	}
-	if o.ShardRetries <= 0 {
-		o.ShardRetries = 3
-	}
-	if o.ShardRetryBase <= 0 {
-		o.ShardRetryBase = 100 * time.Millisecond
-	}
-	if o.ShardPollInterval <= 0 {
-		o.ShardPollInterval = 100 * time.Millisecond
-	}
 	if o.StreamRingCapacity <= 0 {
 		o.StreamRingCapacity = 512
 	}
@@ -145,7 +113,6 @@ type Server struct {
 	flight  *flightTable
 	batches *table[*Batch]
 	models  *models.Registry
-	shard   *shardPool // nil without Options.Peers
 	tenants *tenant.Registry
 	canary  *canary // nil without Options.CanaryAlias
 	metrics *metrics
@@ -210,12 +177,6 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.tenants = tenants
-	shard, err := newShardPool(opts)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	s.shard = shard
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -229,7 +190,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/models", s.handleModelUpload)
 	s.mux.HandleFunc("GET /v1/models", s.handleModelList)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
-	s.mux.HandleFunc("POST /v1/cache", s.handleCachePut)
 	s.mux.HandleFunc("POST /v1/admin/tenants/reload", s.handleTenantReload)
 	s.mux.HandleFunc("POST /v1/admin/canary/refine", s.handleCanaryRefine)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -244,9 +204,9 @@ func New(opts Options) (*Server, error) {
 // buildJob constructs a job's record with the next id: identity and
 // tenant, no execution state. admit settles it from the cache or arms
 // it to run.
-func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant, token string) *Job {
+func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant) *Job {
 	job := newRecord(s.reg.newID(), spec)
-	job.setTenant(tn.Name(), token, tn.Weight())
+	job.setTenant(tn.Name(), tn.Weight())
 	return job
 }
 
@@ -385,7 +345,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobSubmitted(tn.Name())
-	job := s.buildJob(&spec, tn, bearerToken(r))
+	job := s.buildJob(&spec, tn)
 	switch s.admit(job, spec, tn, nil) {
 	case admitCached:
 		writeJSON(w, http.StatusOK, job.Status())
@@ -438,9 +398,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.disk != nil {
 		snap.CacheDiskEntries, snap.CacheDiskBytes = s.disk.stats()
 		snap.CacheDiskTouchFailures = s.disk.touchFailures()
-	}
-	if s.shard != nil {
-		snap.ShardPeers = len(s.shard.peers)
 	}
 	snap.TenantsConfigured = s.tenants.Len()
 	for name, n := range s.queue.depths() {

@@ -561,8 +561,8 @@ func TestForcedShutdownCancelsInFlight(t *testing.T) {
 
 func TestDeterministicResultsAcrossServers(t *testing.T) {
 	// The same spec on two independent daemons must produce identical
-	// payloads — the property that makes the content-addressed cache
-	// sound in a future sharded deployment.
+	// payloads — the property that makes a cache entry sound to carry
+	// from one daemon to another (GET /v1/cache/{key}, -warm-cache).
 	run := func() JobResult {
 		_, ts := newTestServer(t, Options{Workers: 1})
 		_, st := postJob(t, ts, quickJob)

@@ -122,7 +122,7 @@ func admitAnon(t *testing.T, s *Server, spec jobSpec, b *Batch, want admission) 
 	t.Helper()
 	anon := s.tenants.Anonymous()
 	anon.AcquireSlots(1)
-	job := s.buildJob(&spec, anon, "")
+	job := s.buildJob(&spec, anon)
 	if got := s.admit(job, spec, anon, b); got != want {
 		t.Fatalf("admit = %v, want %v", got, want)
 	}
@@ -152,10 +152,8 @@ type settleRow struct {
 	// run drives one terminal path and returns once the jobs it watches
 	// are terminal.
 	run func(t *testing.T, s *Server)
-	// want is the global delta; remote is the shard_remote_served
-	// delta.
-	want   tally
-	remote uint64
+	// want is the global delta.
+	want tally
 	// tenants is the per-tenant delta; nil means want, all on the
 	// anonymous tenant.
 	tenants map[string]tally
@@ -272,12 +270,6 @@ var settleRows = []settleRow{
 			cancelJob(t, s, "tok-alice", pinned)
 			awaitJobs(t, s, terminal, leader, f1, f2)
 		}},
-	{name: "remote done", remote: 1, run: func(t *testing.T, s *Server) {
-		// A batch nothing feeds: its point waits pending, never queued,
-		// until the peer's result is imported.
-		unfed := &Batch{ID: "batch-unfed", submitted: time.Now(), events: newEventRing(8)}
-		s.importRemote(admitAnon(t, s, resolveSpec(t, s, quickJob), unfed, admitDeferred), testResult(1))
-	}},
 	{name: "replica member done", want: tally{completed: 2}, run: func(t *testing.T, s *Server) {
 		awaitBatch(t, s, submit(t, s, "/v1/batches", "", seedsBatch2, http.StatusAccepted))
 	}},
@@ -309,9 +301,8 @@ func TestSettleAccounting(t *testing.T) {
 
 			m := s.metrics.snapshot()
 			got := tally{m.JobsCompleted, m.JobsFailed, m.JobsCancelled, m.JobsRejected}
-			if got != row.want || m.ShardRemoteServed != row.remote {
-				t.Errorf("global %+v remote=%d, want %+v remote=%d",
-					got, m.ShardRemoteServed, row.want, row.remote)
+			if got != row.want {
+				t.Errorf("global %+v, want %+v", got, row.want)
 			}
 			tenants := row.tenants
 			if tenants == nil {

@@ -9,8 +9,7 @@ import (
 )
 
 // Minimal Server-Sent Events wire support, shared by the daemon's
-// stream handlers, the shard layer's peer-feed proxy, and pearlbench's
-// -follow mode. Only the subset of the SSE grammar the daemon emits is
+// stream handlers and pearlbench's -follow mode. Only the subset of the SSE grammar the daemon emits is
 // implemented: "id:", "event:" and "data:" fields, comment lines for
 // heartbeats, and blank-line frame delimiters.
 

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"time"
@@ -153,7 +151,7 @@ func (s *Server) emitWindow(job *Job, ws experiments.WindowStats) {
 
 // closeFeedOnTerminal arranges an armed job's synthetic terminal
 // frame: whatever path the job takes to a terminal state — simulated,
-// settled by the cache after all, coalesced, remote, failed, cancelled,
+// settled by the cache after all, coalesced, failed, cancelled,
 // never scheduled — its feed ends with one "end" frame carrying the
 // final status. A cache hit at submission gets the same frame from
 // handleJobEvents.
@@ -261,78 +259,4 @@ func (b *Batch) renderFeed(capacity int) *eventRing {
 	}
 	ring.close(eventKindEnd, v.end())
 	return ring
-}
-
-// --- shard peer feed proxy ---
-
-// proxyPeerFeed mirrors a peer's live job feed into the local job's
-// rings while runRemote drives the point: window frames decoded from
-// the peer's SSE stream re-emit locally under the local job identity,
-// so a coordinator batch feed carries remote points' windows too. The
-// same bounded retry/backoff discipline as the rest of shard.go
-// applies, resuming from the last received event id; this is pure
-// observability — any terminal failure here costs frames, never the
-// point (runRemote's result import is independent).
-func (s *Server) proxyPeerFeed(ctx context.Context, job *Job, peer *peerClient, remoteID, tok string) {
-	var last uint64
-	backoff := s.shard.retryBase
-	for attempt := 0; attempt < s.shard.retries; attempt++ {
-		done, err := s.streamPeerFeed(ctx, job, peer, remoteID, tok, &last)
-		if done || ctx.Err() != nil {
-			return
-		}
-		_ = err
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(backoff):
-		}
-		backoff *= 2
-	}
-}
-
-// streamPeerFeed runs one streaming attempt; done reports a clean end
-// frame (the remote feed is complete).
-func (s *Server) streamPeerFeed(ctx context.Context, job *Job, peer *peerClient, remoteID, tok string, last *uint64) (done bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		peer.base+"/v1/jobs/"+remoteID+"/events", nil)
-	if err != nil {
-		return false, err
-	}
-	if *last > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*last, 10))
-	}
-	authorize(req, tok)
-	resp, err := s.shard.streamClient.Do(req)
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusGone {
-		// The peer settled and retired the job: its feed is over.
-		return true, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return false, errPeerUnavailable
-	}
-	err = DecodeSSE(resp.Body, func(fr SSEFrame) error {
-		if n, perr := strconv.ParseUint(fr.ID, 10, 64); perr == nil {
-			*last = n
-		}
-		switch fr.Event {
-		case eventKindWindow:
-			var ev WindowEvent
-			if json.Unmarshal(fr.Data, &ev) != nil {
-				return nil
-			}
-			// Local identity, remote measurement: consumers of this
-			// daemon's feeds see this daemon's job id, label and pair.
-			s.emitWindow(job, ev.WindowStats)
-		case eventKindEnd:
-			done = true
-			return ErrSSEStop
-		}
-		return nil
-	})
-	return done, err
 }

@@ -475,54 +475,6 @@ func TestBatchEventsFeed(t *testing.T) {
 	}
 }
 
-// TestShardedBatchStreamsRemoteWindows is the two-daemon feed: points
-// the rendezvous partition sends to the peer run over there, but their
-// window frames must still arrive in the coordinator's batch feed (the
-// shard layer proxies the peer's job feed), re-stamped with the
-// coordinator's own job ids.
-func TestShardedBatchStreamsRemoteWindows(t *testing.T) {
-	_, tsB := newTestServer(t, Options{Workers: 2, QueueDepth: 16})
-	sA, tsA := newTestServer(t, shardedOptions(tsB.URL))
-
-	code, st := postBatch(t, tsA, eightPairBatch)
-	if code != http.StatusAccepted {
-		t.Fatalf("batch submit: HTTP %d", code)
-	}
-	remoteIDs := map[string]bool{}
-	localIDs := map[string]bool{}
-	for _, p := range st.Points {
-		localIDs[p.ID] = true
-		if sA.shard.owner(p.CacheKey) != nil {
-			remoteIDs[p.ID] = true
-		}
-	}
-	if len(remoteIDs) == 0 {
-		t.Fatal("rendezvous partition kept all 8 points local; the proxy path is untested")
-	}
-
-	frames := collectFrames(t, openStream(t, tsA.URL+"/v1/batches/"+st.ID+"/events", "", 0))
-	checkFeedShape(t, frames)
-	remoteWindows := 0
-	for _, ev := range windowFrames(t, frames) {
-		if !localIDs[ev.JobID] {
-			t.Fatalf("batch feed window carries foreign job id %q; proxied frames must be re-stamped", ev.JobID)
-		}
-		if remoteIDs[ev.JobID] {
-			remoteWindows++
-		}
-	}
-	if remoteWindows == 0 {
-		t.Fatalf("no window frames from the %d remote points reached the coordinator feed", len(remoteIDs))
-	}
-	var end BatchEndEvent
-	if err := json.Unmarshal(frames[len(frames)-1].Data, &end); err != nil {
-		t.Fatal(err)
-	}
-	if end.Status.Done != 8 {
-		t.Fatalf("sharded batch feed ended %+v, want 8 done", end.Status)
-	}
-}
-
 // TestStreamDeterministicAcrossGOMAXPROCS extends the golden-result
 // determinism guarantee to the event feed: the same job replayed on a
 // serial and a parallel runtime must stream byte-identical window
