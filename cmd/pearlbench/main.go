@@ -315,7 +315,7 @@ func sweepSpecs(w io.Writer, opts experiments.Options, name, policy string, arts
 		}
 		spec := experiments.Spec{Point: p, Seed: opts.Seed}
 		spec.Normalize()
-		if _, err := spec.Bind(lookup); err != nil {
+		if err := spec.Bind(lookup); err != nil {
 			if errors.Is(err, errNoArtifact) {
 				fmt.Fprintf(w, "%-28s %-12s skipped: %v\n", p.Label, p.Pair.Name(), err)
 				continue

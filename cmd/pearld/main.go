@@ -12,7 +12,6 @@
 //	pearld -model-dir models/                      # host trained ML models
 //	pearld -tenants tenants.json                   # token auth + fair-share scheduling
 //	pearld -stream-ring 1024 -max-streams 4        # tune the live /events SSE feeds
-//	pearld -model-dir models/ -canary rw500        # online canary retraining of "rw500"
 //
 // SIGINT/SIGTERM starts a graceful drain: intake stops (503), queued
 // jobs are cancelled, in-flight simulations finish (bounded by
@@ -80,9 +79,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 		streamRing  = fs.Int("stream-ring", 0, "per-feed event ring capacity for /events streams; overflow drops oldest (0 = 512 default)")
 		streamHB    = fs.Duration("stream-heartbeat", 0, "idle heartbeat interval on /events streams (0 = 15s default)")
 		maxStreams  = fs.Int("max-streams", 0, "default per-tenant concurrent /events stream cap; per-tenant max_streams overrides (0 = 16 default)")
-		canary      = fs.String("canary", "", "hosted model name to retrain online: completed ML jobs at its window feed an RLS estimator; POST /v1/admin/canary/refine publishes a new version, promoting the alias only on holdout improvement")
-		canaryMin   = fs.Int("canary-min-samples", 0, "minimum RLS updates before a refinement is allowed (0 = 64 default)")
-		canaryHold  = fs.Int("canary-holdout", 0, "hold every Nth window sample out of training for the promotion gate (0 = 8 default)")
 
 		timeout    = fs.Duration("timeout", 5*time.Minute, "default per-job wall-clock timeout")
 		drainGrace = fs.Duration("drain-grace", 2*time.Minute, "how long shutdown waits for in-flight jobs")
@@ -108,9 +104,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 			StreamRingCapacity:  *streamRing,
 			StreamHeartbeat:     *streamHB,
 			MaxStreamsPerTenant: *maxStreams,
-			CanaryAlias:         *canary,
-			CanaryMinSamples:    *canaryMin,
-			CanaryHoldoutEvery:  *canaryHold,
 		},
 		warmCache:  *warmCache,
 		drainGrace: *drainGrace,

@@ -15,6 +15,7 @@ func TestFlags(t *testing.T) {
 		{[]string{"-h"}, 0},
 		{[]string{"-no-such-flag"}, 2},
 		{[]string{"-peers", "http://x"}, 2},
+		{[]string{"-canary", "rw500"}, 2},
 		{[]string{"-workers", "many"}, 2},
 	} {
 		var stderr bytes.Buffer
@@ -28,13 +29,13 @@ func TestFlags(t *testing.T) {
 	}
 
 	var stderr bytes.Buffer
-	cfg, _ := parseFlags([]string{"-workers", "3", "-queue", "7", "-cache-dir", "d", "-canary", "rw500"}, &stderr)
+	cfg, _ := parseFlags([]string{"-workers", "3", "-queue", "7", "-cache-dir", "d", "-model-dir", "m"}, &stderr)
 	if cfg == nil {
 		t.Fatalf("valid flags rejected:\n%s", stderr.String())
 	}
 	o := cfg.opts
-	if o.Workers != 3 || o.QueueDepth != 7 || o.CacheDir != "d" || o.CanaryAlias != "rw500" {
-		t.Errorf("options = %+v, want Workers 3, QueueDepth 7, CacheDir d, CanaryAlias rw500", o)
+	if o.Workers != 3 || o.QueueDepth != 7 || o.CacheDir != "d" || o.ModelDir != "m" {
+		t.Errorf("options = %+v, want Workers 3, QueueDepth 7, CacheDir d, ModelDir m", o)
 	}
 	if cfg.addr != ":8080" || o.CacheCapacity != 1024 || o.DefaultTimeout != 5*time.Minute || cfg.drainGrace != 2*time.Minute {
 		t.Errorf("defaults: addr %q, cache %d, timeout %v, drain grace %v", cfg.addr, o.CacheCapacity, o.DefaultTimeout, cfg.drainGrace)

@@ -100,3 +100,18 @@ func TestReportWriteError(t *testing.T) {
 		t.Errorf("stderr %q lacks %q", stderr.String(), want)
 	}
 }
+
+// TestSeedZeroIsPaperSeed: -seed 0 means the paper seed, so its report
+// is the -seed 2018 report, line for line.
+func TestSeedZeroIsPaperSeed(t *testing.T) {
+	var out [2]bytes.Buffer
+	for i, seed := range []string{"0", "2018"} {
+		var stderr bytes.Buffer
+		if code := run([]string{"-seed", seed, "-cycles", "5000", "-warmup", "500"}, &out[i], &stderr); code != 0 {
+			t.Fatalf("-seed %s: exit status %d; stderr:\n%s", seed, code, stderr.String())
+		}
+	}
+	if out[0].String() != out[1].String() {
+		t.Fatalf("-seed 0 prints\n%s\n-seed 2018 prints\n%s", out[0].String(), out[1].String())
+	}
+}

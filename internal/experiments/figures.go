@@ -90,10 +90,7 @@ type Suite struct {
 // makes — grid points, trained models, ablation RNGs and the
 // extensions' learners — uses the seed its memo key records.
 func NewSuite(opts Options) *Suite {
-	if opts.Seed == 0 {
-		opts.Seed = paperSeed
-	}
-	return &Suite{Opts: opts, models: make(map[int]*models.Artifact), results: make(map[string]Result)}
+	return &Suite{Opts: opts.withPaperSeed(), models: make(map[int]*models.Artifact), results: make(map[string]Result)}
 }
 
 // SetModel registers a pre-trained artifact for its window, so the
@@ -141,7 +138,7 @@ func (s *Suite) grid(points []Point) ([][]Result, error) {
 		if points[i].Controller == nil {
 			spec := Spec{Point: points[i], Seed: s.Opts.Seed}
 			spec.Config.WarmupCycles, spec.Config.MeasureCycles = int(s.Opts.WarmupCycles), int(s.Opts.MeasureCycles)
-			if _, err := spec.Bind(lookup); err != nil {
+			if err := spec.Bind(lookup); err != nil {
 				return nil, err
 			}
 			points[i].Controller, keys[i] = spec.Controller, spec.Key()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/controller"
 	"repro/internal/core"
 	"repro/internal/noc"
-	"repro/internal/photonic"
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -27,7 +26,7 @@ import (
 // Options bound the cost and fidelity of an experiment run.
 type Options struct {
 	// Seed drives all randomness; identical options produce identical
-	// results.
+	// results. 0 means the paper seed 2018, as in Spec.
 	Seed uint64
 	// WarmupCycles run before measurement starts.
 	WarmupCycles int64
@@ -47,14 +46,6 @@ type Options struct {
 	// it must not block, and it must not touch the engine. Leaving it
 	// nil keeps the run byte-identical to one without observation.
 	OnWindow func(WindowStats)
-	// OnWindowSample, when non-nil, receives every router's raw
-	// reservation-window observation on PEARL runs: the Table III
-	// feature snapshot and the 128-bit flits injected during the closing
-	// window (the label for the *previous* window's features, matching
-	// the training pipeline's pairing). pearld's canary retrainer feeds
-	// on this. Same discipline as OnWindow: simulation goroutine, must
-	// not block, nil keeps the run byte-identical.
-	OnWindowSample func(routerID int, feats []float64, injected int64)
 }
 
 // Full returns the paper-faithful option set: all 16 test pairs, all 36
@@ -245,11 +236,6 @@ func build(p Point, opts Options, measured bool) (stack, error) {
 			return stack{}, err
 		}
 		net.SetStatePolicy(pol)
-		if sample := opts.OnWindowSample; sample != nil {
-			net.SetWindowHook(func(routerID int, feats []float64, injected int64, _ float64, _ photonic.WLState) {
-				sample(routerID, feats, injected)
-			})
-		}
 		r.net, r.photonic = net, net
 	}
 	if measured {
@@ -334,10 +320,12 @@ func (r *stack) runCtx(ctx context.Context, n int64) error {
 	return nil
 }
 
-// Run simulates one point with seed opts.Seed, stepped inline on the
-// calling goroutine. The simulation aborts between cycle chunks once ctx
-// is cancelled or its deadline passes, returning the context error.
+// Run simulates one point with seed opts.Seed (0 means 2018), stepped
+// inline on the calling goroutine. The simulation aborts between cycle
+// chunks once ctx is cancelled or its deadline passes, returning the
+// context error.
 func Run(ctx context.Context, p Point, opts Options) (Result, error) {
+	opts = opts.withPaperSeed()
 	r, err := build(p, opts, true)
 	if err != nil {
 		return Result{}, err
@@ -357,14 +345,14 @@ func Run(ctx context.Context, p Point, opts Options) (Result, error) {
 // over GOMAXPROCS goroutines, and returns their Results in seed order.
 // seeds[i] replaces opts.Seed for run i — callers wanting the standard
 // fan use ReplicaSeeds — so results[i] is Run with opts.Seed = seeds[i].
-// opts.OnWindow and opts.OnWindowSample, if set, observe seeds[0]'s run
-// only, from whichever goroutine steps it.
+// opts.OnWindow, if set, observes seeds[0]'s run only, from whichever
+// goroutine steps it.
 func RunSeeds(ctx context.Context, p Point, opts Options, seeds []uint64) ([]Result, error) {
 	return parallelMapCtx(ctx, len(seeds), func(ctx context.Context, i int) (Result, error) {
 		o := opts
 		o.Seed = seeds[i]
 		if i != 0 {
-			o.OnWindow, o.OnWindowSample = nil, nil
+			o.OnWindow = nil
 		}
 		return Run(ctx, p, o)
 	})

@@ -25,8 +25,19 @@ type Spec struct {
 	Seed uint64
 }
 
-// paperSeed is the seed a zero Spec.Seed means.
+// paperSeed is the seed a zero Spec.Seed or Options.Seed means.
 const paperSeed = 2018
+
+// withPaperSeed returns opts with a zero Seed replaced by paperSeed.
+// Every entry point that derives seeds from Options (Run, Train,
+// CollectDataset, NewSuite) calls it first, so a zero seed runs what
+// its Spec key records.
+func (o Options) withPaperSeed() Options {
+	if o.Seed == 0 {
+		o.Seed = paperSeed
+	}
+	return o
+}
 
 // KeyLen is the length of a Key: the first 16 bytes of a SHA-256 in
 // lowercase hex.
@@ -106,29 +117,28 @@ func (s Spec) Options() Options {
 // Config.Power. A controller that needs a model gets its artifact from
 // lookup, and Config.ModelRef is pinned to the artifact's content hash,
 // so the key names the exact model version (and a name ref and its
-// hash share one key). Bind returns that artifact, nil when the
-// controller needs none; an electrical point has no controller. An
-// error from lookup is returned as is.
-func (s *Spec) Bind(lookup func(config.Config) (*models.Artifact, error)) (*models.Artifact, error) {
+// hash share one key). An electrical point has no controller. An error
+// from lookup is returned as is.
+func (s *Spec) Bind(lookup func(config.Config) (*models.Artifact, error)) error {
 	if s.Backend == BackendCMESH {
-		return nil, nil
+		return nil
 	}
 	cs, ok := controller.ForPower(s.Config.Power)
 	if !ok {
-		return nil, fmt.Errorf("no controller registered for power policy %s", s.Config.Power)
+		return fmt.Errorf("no controller registered for power policy %s", s.Config.Power)
 	}
 	var art *models.Artifact
 	if cs.Caps.NeedsModel {
 		var err error
 		if art, err = lookup(s.Config); err != nil {
-			return nil, err
+			return err
 		}
 		s.Config.ModelRef = art.Hash
 	}
 	ctrl, err := cs.Factory(s.Config, art)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.Controller = ctrl
-	return art, nil
+	return nil
 }

@@ -199,3 +199,45 @@ func TestCMESHDroppedFieldsLeaveResult(t *testing.T) {
 		}
 	}
 }
+
+// TestRunSeedZeroIsPaperSeed: a bare Run with Options.Seed 0 runs the
+// paper seed, the run Spec{Seed: 0} keys, on both backends.
+func TestRunSeedZeroIsPaperSeed(t *testing.T) {
+	pair := pairOf(t, "fluidanimate", "DCT")
+	for _, p := range []Point{
+		{Backend: BackendPEARL, Config: config.DynRW(500), Pair: pair},
+		{Backend: BackendCMESH, Config: config.Default(), Pair: pair, LinkScale: 1},
+	} {
+		var res [2]Result
+		for i, seed := range []uint64{0, paperSeed} {
+			r, err := Run(context.Background(), p, Options{Seed: seed, WarmupCycles: 300, MeasureCycles: 3000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("%s: seed 0 and seed %d give different results: %.2f vs %.2f bits/cycle",
+				p.Name(), paperSeed, res[0].ThroughputBitsPerCycle(), res[1].ThroughputBitsPerCycle())
+		}
+	}
+}
+
+// TestTrainSeedZeroIsPaperSeed: Train with Options.Seed 0 collects and
+// fits under the paper seed and records it, so its artifact is the
+// seed-2018 artifact, hash included.
+func TestTrainSeedZeroIsPaperSeed(t *testing.T) {
+	var hashes [2]string
+	for i, seed := range []uint64{0, paperSeed} {
+		opts := tiny()
+		opts.Seed = seed
+		a, err := Train(500, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes[i] = a.Hash
+	}
+	if hashes[0] != hashes[1] {
+		t.Fatalf("seed 0 trains artifact %s, seed %d trains %s", hashes[0], paperSeed, hashes[1])
+	}
+}

@@ -27,6 +27,7 @@ import (
 // in index order on the calling goroutine, which keeps the dataset a
 // function of the arguments at any GOMAXPROCS.
 func CollectDataset(pairs []traffic.Pair, window int, opts Options, policy core.StatePolicy) (*mlkit.Dataset, error) {
+	opts = opts.withPaperSeed()
 	packets := func(injected int64, _ float64) float64 { return float64(injected) }
 	collect := func(ds *mlkit.Dataset, i int) error {
 		err := collectExamples(ds, pairs[i], window, opts, policy, opts.Seed+uint64(i)*7919, packets)
@@ -97,6 +98,7 @@ func Train(window int, opts Options) (*models.Artifact, error) {
 	if len(opts.TrainPairs) == 0 || len(opts.ValPairs) == 0 {
 		return nil, fmt.Errorf("experiments: training needs train and validation pairs")
 	}
+	opts = opts.withPaperSeed()
 	randomPolicy := core.RandomPolicy{RNG: sim.NewRNG(opts.Seed ^ 0x5ee4)}
 	train1, err := CollectDataset(opts.TrainPairs, window, opts, randomPolicy)
 	if err != nil {

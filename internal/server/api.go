@@ -96,20 +96,11 @@ type JobRequest struct {
 
 // jobSpec is a fully resolved, validated request — the unit of work the
 // queue carries. Its identity, and so its cache key, is the embedded
-// experiments.Spec (normalized and bound by finalize); the other fields
-// are execution state.
+// experiments.Spec (normalized and bound by finalize); its timeout is
+// execution state.
 type jobSpec struct {
 	experiments.Spec
 	timeout time.Duration
-	// artifact is the resolved model artifact for model-needing
-	// controllers (nil otherwise); the canary retrainer matches against
-	// its hash.
-	artifact *models.Artifact
-	// canarySample, when set, streams each reservation window's raw
-	// observation from this job's run into pearld's canary retrainer.
-	// Execution state only — never part of the cache key, never affects
-	// the result.
-	canarySample func(routerID int, feats []float64, injected int64)
 }
 
 // options bounds for externally supplied run lengths.
@@ -247,11 +238,9 @@ func (s jobSpec) finalize(defaultTimeout time.Duration, reg *models.Registry) (j
 		return jobSpec{}, fmt.Errorf("workload needs both cpu and gpu benchmark names")
 	}
 	s.Normalize()
-	art, err := s.Bind(func(cfg config.Config) (*models.Artifact, error) { return resolveModel(cfg, reg) })
-	if err != nil {
+	if err := s.Bind(func(cfg config.Config) (*models.Artifact, error) { return resolveModel(cfg, reg) }); err != nil {
 		return jobSpec{}, err
 	}
-	s.artifact = art
 	if s.timeout <= 0 {
 		s.timeout = defaultTimeout
 	}

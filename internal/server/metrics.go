@@ -59,35 +59,6 @@ func addRun(set map[string]ControllerSnapshot, name string, residency map[int]fl
 	return set
 }
 
-// canaryObserved accumulates the retraining feed: raw window samples
-// consumed and RLS updates applied, attributed to the controller whose
-// serving path the canary refines.
-func (m *metrics) canaryObserved(ctrlName string, samples, updates uint64) {
-	m.mu.Lock()
-	m.totals.CanarySamples += samples
-	m.totals.CanaryUpdates += updates
-	c := m.totals.Controllers[ctrlName]
-	c.OnlineUpdates += updates
-	m.totals.Controllers[ctrlName] = c
-	m.mu.Unlock()
-}
-
-// canaryRefined records one refinement attempt; hash is the promoted
-// artifact's content hash when the candidate beat the incumbent on the
-// holdout (promoted), empty otherwise.
-func (m *metrics) canaryRefined(ctrlName string, promoted bool, hash string) {
-	m.mu.Lock()
-	m.totals.CanaryRefinements++
-	if promoted {
-		m.totals.CanaryPromotions++
-		m.totals.CanaryLastPromoted = hash
-		c := m.totals.Controllers[ctrlName]
-		c.LastPromotedModel = hash
-		m.totals.Controllers[ctrlName] = c
-	}
-	m.mu.Unlock()
-}
-
 // forTenant returns the tenant's counter block; callers hold m.mu.
 func (m *metrics) forTenant(name string) *TenantSnapshot {
 	t, ok := m.tenants[name]
@@ -305,24 +276,14 @@ type MetricsSnapshot struct {
 	// Per-controller execution ledger keyed by registered controller
 	// name (static, reactive, ml, proteus, d3noc, ...).
 	Controllers map[string]ControllerSnapshot `json:"controllers,omitempty"`
-	// Canary retraining loop (zero-valued unless -canary is configured).
-	CanarySamples      uint64 `json:"canary_samples"`
-	CanaryUpdates      uint64 `json:"canary_updates"`
-	CanaryRefinements  uint64 `json:"canary_refinements"`
-	CanaryPromotions   uint64 `json:"canary_promotions"`
-	CanaryLastPromoted string `json:"canary_last_promoted,omitempty"`
 }
 
 // ControllerSnapshot is one controller family's slice of the metrics
-// payload: completed runs, wavelength-state residency in measured
-// cycles keyed by wavelength count, and — for learning controllers —
-// online updates applied plus the last model hash those updates
-// promoted.
+// payload: completed runs and wavelength-state residency in measured
+// cycles keyed by wavelength count.
 type ControllerSnapshot struct {
 	Runs                 uint64         `json:"runs"`
 	StateResidencyCycles map[int]uint64 `json:"state_residency_cycles,omitempty"`
-	OnlineUpdates        uint64         `json:"online_updates,omitempty"`
-	LastPromotedModel    string         `json:"last_promoted_model,omitempty"`
 }
 
 // TenantSnapshot is one tenant's slice of the metrics payload.

@@ -93,8 +93,7 @@ func TestMetricsWireShape(t *testing.T) {
 			"cache_disk_bytes", "cache_disk_entries", "cache_disk_errors", "cache_disk_hits",
 			"cache_disk_touch_failures", "cache_entries", "cache_entries_exported",
 			"cache_hit_rate", "cache_hits", "cache_misses",
-			"cache_warmed_entries", "canary_promotions", "canary_refinements", "canary_samples",
-			"canary_updates", "controllers", "events_dropped", "events_emitted",
+			"cache_warmed_entries", "controllers", "events_dropped", "events_emitted",
 			"job_latency_mean_s", "job_latency_p50_s", "job_latency_p99_s",
 			"jobs_cancelled", "jobs_coalesced", "jobs_completed", "jobs_failed", "jobs_rejected",
 			"jobs_retained", "jobs_retired", "jobs_started", "jobs_submitted", "jobs_throttled",

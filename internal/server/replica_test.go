@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -288,50 +287,5 @@ func TestBatchSeedsMembersStreamOwnWindows(t *testing.T) {
 				t.Fatalf("member %s's feed carries a window of job %s", p.ID, w.JobID)
 			}
 		}
-	}
-}
-
-// TestBatchSeedsFeedCanaryPerMember holds a seeds:2 PowerML batch at the
-// canary's window to the canary evidence its two members give when
-// submitted as single jobs: each member's run feeds the canary.
-func TestBatchSeedsFeedCanaryPerMember(t *testing.T) {
-	dir := t.TempDir()
-	if err := syntheticArtifact(t, 500, 5000).SaveFile(filepath.Join(dir, "rw500.json")); err != nil {
-		t.Fatal(err)
-	}
-	opts := Options{Workers: 2, ModelDir: dir, CanaryAlias: "rw500"}
-	const point = `"preset":"ml-rw500","model":"rw500","warmup_cycles":200,"measure_cycles":4000`
-
-	s, ts := newTestServer(t, opts)
-	code, st := postBatch(t, ts, `{`+point+`,"seed":9,"seeds":2,"workloads":[{"cpu":"fmm","gpu":"DCT"}]}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d, want 202", code)
-	}
-	done := pollBatch(t, ts, st.ID, func(b BatchStatus) bool { return b.State == "done" }, 60*time.Second)
-	var batch MetricsSnapshot
-	getJSON(t, ts.URL+"/metrics", &batch)
-
-	// The same two seeds as single jobs on a fresh daemon.
-	_, ts2 := newTestServer(t, opts)
-	for _, p := range done.Points {
-		member, ok := s.reg.get(p.ID)
-		if !ok {
-			t.Fatalf("member %s missing from registry", p.ID)
-		}
-		body := fmt.Sprintf(`{`+point+`,"seed":%d,"workload":{"cpu":"fmm","gpu":"DCT"}}`, member.exec.spec.Seed)
-		code, js := postJob(t, ts2, body)
-		if code != http.StatusAccepted {
-			t.Fatalf("single submit: HTTP %d, want 202", code)
-		}
-		pollUntil(t, ts2, js.ID, func(s JobStatus) bool { return s.State == string(StateDone) }, 60*time.Second)
-	}
-	var singles MetricsSnapshot
-	getJSON(t, ts2.URL+"/metrics", &singles)
-	if singles.CanarySamples == 0 {
-		t.Fatal("the single jobs fed the canary nothing; the test exercises nothing")
-	}
-	if batch.CanarySamples != singles.CanarySamples {
-		t.Fatalf("seeds:2 batch fed the canary %d samples, its two members as single jobs %d",
-			batch.CanarySamples, singles.CanarySamples)
 	}
 }

@@ -57,19 +57,6 @@ type Options struct {
 	// MaxStreamsPerTenant caps a tenant's concurrent SSE streams when
 	// its own max_streams limit is unset (default 16).
 	MaxStreamsPerTenant int
-	// CanaryAlias, when non-empty, enables online canary retraining for
-	// that hosted model name: locally executed PowerML jobs at the
-	// alias's window feed their window samples into an RLS estimator,
-	// and POST /v1/admin/canary/refine publishes the estimate as a new
-	// artifact version, promoting the alias only on holdout
-	// improvement. The alias must resolve at boot.
-	CanaryAlias string
-	// CanaryMinSamples is the minimum RLS updates a refinement needs
-	// (default 64).
-	CanaryMinSamples int
-	// CanaryHoldoutEvery holds every Nth sample out of training for the
-	// promotion gate (default 8).
-	CanaryHoldoutEvery int
 }
 
 func (o Options) withDefaults() Options {
@@ -114,7 +101,6 @@ type Server struct {
 	batches *table[*Batch]
 	models  *models.Registry
 	tenants *tenant.Registry
-	canary  *canary // nil without Options.CanaryAlias
 	metrics *metrics
 	mux     *http.ServeMux
 
@@ -163,14 +149,6 @@ func New(opts Options) (*Server, error) {
 		return nil, err
 	}
 	s.models = reg
-	if opts.CanaryAlias != "" {
-		c, err := newCanary(reg, opts.CanaryAlias, opts.CanaryMinSamples, opts.CanaryHoldoutEvery, s.metrics)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		s.canary = c
-	}
 	tenants, err := tenant.Open(opts.TenantsFile)
 	if err != nil {
 		cancel()
@@ -191,7 +169,6 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/models", s.handleModelList)
 	s.mux.HandleFunc("GET /v1/cache/{key}", s.handleCacheGet)
 	s.mux.HandleFunc("POST /v1/admin/tenants/reload", s.handleTenantReload)
-	s.mux.HandleFunc("POST /v1/admin/canary/refine", s.handleCanaryRefine)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	for w := 0; w < opts.Workers; w++ {
@@ -216,12 +193,8 @@ func (s *Server) buildJob(spec *jobSpec, tn *tenant.Tenant) *Job {
 // transition it eventually takes. A batch member also feeds the batch's
 // ring, created with the batch's first armed member, joins its
 // cancel-on-first-error policy, and only then joins the batch, fully
-// armed. Jobs the canary learns from get their window-sample observer
-// here; it is execution state, never part of the cache key.
+// armed.
 func (s *Server) armJob(job *Job, spec jobSpec, tn *tenant.Tenant, b *Batch) {
-	if s.canary != nil {
-		spec.canarySample = s.canary.attach(spec)
-	}
 	job.arm(spec, s.rootCtx)
 	job.exec.events = newEventRing(s.opts.StreamRingCapacity)
 	job.subscribe(func(*Job) { tn.ReleaseSlot() })
@@ -413,22 +386,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap.JobsRetained, snap.JobsRetired = s.reg.retention()
 	snap.BatchesRetained, snap.BatchesRetired = s.batches.retention()
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// handleCanaryRefine triggers one canary refinement: package the
-// current online estimate as an artifact version, gate promotion on
-// holdout improvement, report both errors and the outcome.
-func (s *Server) handleCanaryRefine(w http.ResponseWriter, r *http.Request) {
-	if s.canary == nil {
-		httpError(w, http.StatusNotFound, "canary retraining not enabled (start pearld with -canary)")
-		return
-	}
-	st, err := s.canary.refine()
-	if err != nil {
-		httpError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {

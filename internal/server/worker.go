@@ -44,8 +44,6 @@ func (s *Server) runJob(job *Job) {
 	}
 	opts := spec.Options()
 	opts.OnWindow = func(ws experiments.WindowStats) { s.emitWindow(job, ws) }
-	// nil unless this is a photonic ML run the canary learns from.
-	opts.OnWindowSample = spec.canarySample
 	start := time.Now()
 	res, err := experiments.Run(ctx, spec.Point, opts)
 	o := ranOutcome(err, spec.timeout)
