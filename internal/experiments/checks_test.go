@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestShapeChecksReport(t *testing.T) {
 	opts := tiny()
@@ -14,10 +17,19 @@ func TestShapeChecksReport(t *testing.T) {
 	if len(report.Checks) < 10 {
 		t.Fatalf("only %d checks", len(report.Checks))
 	}
-	// At tiny scale the figures are noisy; require the large majority of
-	// claims to hold and the report to render.
-	if report.Passed() < len(report.Checks)-2 {
-		t.Fatalf("too many failures:\n%s", report)
+	// The verdicts at this scale are pinned by ID: every claim holds but
+	// the one below, which fails at Quick scale too and holds at paper
+	// scale (shape_checks.txt). A verdict that changes must change here,
+	// with its reason.
+	wantFailing := []string{"F6F7.dyn2000-saves-more-than-ml2000"}
+	var failing []string
+	for _, c := range report.Checks {
+		if !c.Pass {
+			failing = append(failing, c.ID)
+		}
+	}
+	if !slices.Equal(failing, wantFailing) {
+		t.Fatalf("failing claims %v, want %v:\n%s", failing, wantFailing, report)
 	}
 	if report.String() == "" {
 		t.Fatal("empty report")

@@ -7,9 +7,9 @@ package noc
 // Pooling invariant: a packet handed to Put must not be referenced again
 // by its previous owner. In this codebase that means a delivered packet is
 // recycled only at the end of the delivery callback (OnDeliver) — nothing
-// downstream of delivery retains packet pointers (the trace recorder
-// copies fields at inject time, stats read fields before the callback
-// runs).
+// downstream of delivery retains packet pointers (stats read fields before
+// the callback runs, and anything that needs packet data longer must copy
+// it).
 //
 // Pool is NOT safe for concurrent use. Each Workload owns its own pool,
 // matching the one-goroutine-per-simulation model.

@@ -275,20 +275,6 @@ func (e *Engine) Run(n int64) {
 	}
 }
 
-// RunUntil executes cycles until the predicate returns true (checked
-// before each cycle) or the hard limit is reached. It returns the number
-// of cycles executed and whether the predicate was satisfied.
-func (e *Engine) RunUntil(pred func() bool, limit int64) (executed int64, ok bool) {
-	for executed < limit {
-		if pred() {
-			return executed, true
-		}
-		e.Step()
-		executed++
-	}
-	return executed, pred()
-}
-
 // PendingEvents reports how many scheduled events have not yet fired.
 // Useful for drain checks in tests.
 func (e *Engine) PendingEvents() int { return e.pending }

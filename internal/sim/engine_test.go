@@ -231,20 +231,6 @@ func TestScheduleFromEventCascades(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	e.Register(ComponentFunc(func(int64) { count++ }))
-	executed, ok := e.RunUntil(func() bool { return count >= 7 }, 100)
-	if !ok || executed != 7 {
-		t.Fatalf("RunUntil executed=%d ok=%v", executed, ok)
-	}
-	executed, ok = e.RunUntil(func() bool { return false }, 10)
-	if ok || executed != 10 {
-		t.Fatalf("RunUntil limit executed=%d ok=%v", executed, ok)
-	}
-}
-
 func TestScheduleNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -70,10 +69,6 @@ type (
 	Profile = traffic.Profile
 	// Workload drives a benchmark pair onto a network.
 	Workload = traffic.Workload
-	// TraceRecord is one captured injection event.
-	TraceRecord = trace.Record
-	// TracePlayer replays a captured trace into a network.
-	TracePlayer = trace.Player
 )
 
 // Experiment and ML types.

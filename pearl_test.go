@@ -2,6 +2,7 @@ package pearl
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -29,6 +30,23 @@ func TestPublicAPISmoke(t *testing.T) {
 	}
 	if res.ThroughputBitsPerCycle() <= 0 {
 		t.Fatal("no throughput through the public API")
+	}
+}
+
+func TestDeterministicAcrossFullStack(t *testing.T) {
+	// The entire stack behind the public Run — workload, network, power
+	// scaling, power accounting — must be bit-reproducible.
+	run := func() Result {
+		res, err := Run(DynRW(500), TestPairs()[9], smallOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	a, b := run(), run()
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("full stack not deterministic: %.2f vs %.2f bits/cycle, %.2f vs %.2f cycles mean latency",
+			a.ThroughputBitsPerCycle(), b.ThroughputBitsPerCycle(), a.Metrics.Latency.Mean(), b.Metrics.Latency.Mean())
 	}
 }
 
