@@ -10,14 +10,13 @@
 //	pearlbench -figure 7       # a single figure
 //	pearlbench -out results.txt
 //	pearlbench -json BENCH_quick.json   # machine-readable timings
-//	pearlbench -sweep fig5 -cache-out warm_fig5.json   # cache-warming artifact
+//	pearlbench -sweep fig5 -cache-dir warm/   # a warm pearld -cache-dir
 //	pearlbench -figure 5 -cpuprofile cpu.out -memprofile mem.out
 //
 // The -sweep mode evaluates a named figure sweep (fig4 to fig11) point
-// by point and, with -cache-out, writes the results as a cache-entry
-// artifact whose content addresses match the ones pearld computes — so
-// `pearld -warm-cache warm_fig5.json` serves every point of the
-// equivalent batch without simulating.
+// by point and, with -cache-dir, stores each result as the file pearld's
+// disk cache would write for the equivalent job — so `pearld -cache-dir
+// warm/` serves every point of the equivalent batch without simulating.
 package main
 
 import (
@@ -66,7 +65,7 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 		seeds      = fs.Int("seeds", 1, "with -sweep: run every point over N derived seeds, one independent run each, and report mean ± 95% CI")
 		sweep      = fs.String("sweep", "", "evaluate a named figure sweep ("+strings.Join(experiments.SweepNames(), ", ")+")")
 		policy     = fs.String("policy", "", "with -sweep: run every photonic point under the named registered controller ("+strings.Join(controller.Names(), ", ")+")")
-		cacheOut   = fs.String("cache-out", "", "with -sweep: write results as a pearld cache-warming artifact (JSON)")
+		cacheDir   = fs.String("cache-dir", "", "with -sweep: store results in this directory as pearld's disk cache would (a warm pearld -cache-dir)")
 		serverURL  = fs.String("server", "", "with -sweep: submit to a running pearld at this base URL instead of simulating in-process; honors 429/503 Retry-After with bounded backoff")
 		token      = fs.String("token", "", "API token for -server (tenant bearer token)")
 		follow     = fs.Bool("follow", false, "with -server: stream the batch's live SSE event feed (per-window samples, per-point progress) instead of polling silently; falls back to polling if the stream fails")
@@ -168,8 +167,8 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 	}
 	if *sweep != "" {
 		if *serverURL != "" {
-			if *cacheOut != "" {
-				return fail(fmt.Errorf("-cache-out needs local results; drop -server (the daemon already caches server-side)"))
+			if *cacheDir != "" {
+				return fail(fmt.Errorf("-cache-dir needs local results; drop -server (the daemon already caches server-side)"))
 			}
 			if err := runRemoteSweep(w, opts, *sweep, *serverURL, *token, *follow, *seeds); err != nil {
 				return fail(err)
@@ -177,12 +176,12 @@ func realMain(args []string, stdout, stderr io.Writer) (code int) {
 			return 0
 		}
 		if *seeds > 1 {
-			if err := runSweepSeeds(w, opts, *sweep, *policy, *cacheOut, *jsonOut, arts, *seeds); err != nil {
+			if err := runSweepSeeds(w, opts, *sweep, *policy, *cacheDir, *jsonOut, arts, *seeds); err != nil {
 				return fail(err)
 			}
 			return 0
 		}
-		if err := runSweep(w, opts, *sweep, *policy, *cacheOut, *jsonOut, arts); err != nil {
+		if err := runSweep(w, opts, *sweep, *policy, *cacheDir, *jsonOut, arts); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -241,14 +240,14 @@ func loadModelArtifacts(list string) (map[int]*models.Artifact, error) {
 	return arts, nil
 }
 
-// runSweep evaluates a named figure sweep and optionally exports the
-// results as a cache-warming artifact. Each point runs and is keyed as
-// one normalized experiments.Spec — the identity pearld gives the
-// equivalent job — so the exported keys collide with the server's and
+// runSweep evaluates a named figure sweep and optionally stores the
+// results in a cache directory. Each point runs and is keyed as one
+// normalized experiments.Spec — the identity pearld gives the
+// equivalent job — so the stored keys collide with the server's and
 // name exactly the runs behind their payloads. -json gets one
 // sweep_<name> record: the points as iterations, the wall time per
 // point as ns/op.
-func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut, jsonOut string, arts map[int]*models.Artifact) error {
+func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheDir, jsonOut string, arts map[int]*models.Artifact) error {
 	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
 		return err
@@ -260,11 +259,10 @@ func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut, jso
 	}
 	entries := make([]server.CacheEntry, len(specs))
 	for i, spec := range specs {
-		payload := server.ResultPayload(results[i])
-		entries[i] = server.CacheEntry{Key: spec.Key(), Result: payload}
+		sum := experiments.Summarize(results[i])
+		entries[i] = server.CacheEntry{Key: spec.Key(), Result: &sum}
 		fmt.Fprintf(w, "%-28s %-12s %10.2f bits/cycle  %8.2f pJ/bit  %s\n",
-			spec.Label, payload.Pair, payload.ThroughputBitsPerCycle,
-			payload.EnergyPerBitPJ, entries[i].Key)
+			spec.Label, sum.Pair, sum.ThroughputBitsPerCycle, sum.EnergyPerBitPJ, entries[i].Key)
 	}
 	elapsed := time.Since(start)
 	fmt.Fprintf(w, "sweep %s: %d points in %v\n", name, len(specs), elapsed.Round(time.Millisecond))
@@ -278,7 +276,7 @@ func runSweep(w io.Writer, opts experiments.Options, name, policy, cacheOut, jso
 			return fmt.Errorf("writing %s: %w", jsonOut, err)
 		}
 	}
-	return writeCacheEntries(w, cacheOut, entries)
+	return writeCacheDir(w, cacheDir, entries)
 }
 
 // errNoArtifact is sweepSpecs' model lookup failing: no -model artifact
@@ -327,35 +325,25 @@ func sweepSpecs(w io.Writer, opts experiments.Options, name, policy string, arts
 	return specs, nil
 }
 
-// writeCacheEntries writes a pearld cache-warming artifact; a no-op
-// when -cache-out was not given.
-func writeCacheEntries(w io.Writer, cacheOut string, entries []server.CacheEntry) error {
-	if cacheOut == "" {
+// writeCacheDir stores the entries in cacheDir as pearld's disk cache
+// would; a no-op when -cache-dir was not given.
+func writeCacheDir(w io.Writer, cacheDir string, entries []server.CacheEntry) error {
+	if cacheDir == "" {
 		return nil
 	}
-	f, err := os.Create(cacheOut)
-	if err != nil {
+	if err := server.WriteCacheDir(cacheDir, entries); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(entries); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %d cache entries to %s\n", len(entries), cacheOut)
+	fmt.Fprintf(w, "wrote %d cache entries to %s\n", len(entries), cacheDir)
 	return nil
 }
 
 // runSweepSeeds is runSweep with every point run over n derived seeds,
 // one independent run per seed (experiments.RunSeeds). Each point
-// prints mean ± 95% CI over its seeds, and -cache-out exports one entry
+// prints mean ± 95% CI over its seeds, and -cache-dir stores one entry
 // per (point, seed), keys matching what a pearld seeds:n batch would
 // publish.
-func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut, jsonOut string, arts map[int]*models.Artifact, n int) error {
+func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheDir, jsonOut string, arts map[int]*models.Artifact, n int) error {
 	specs, err := sweepSpecs(w, opts, name, policy, arts)
 	if err != nil {
 		return err
@@ -381,12 +369,12 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 
 		var tput, epb stats.Welford
 		for i, res := range results {
-			payload := server.ResultPayload(res)
-			tput.Add(payload.ThroughputBitsPerCycle)
-			epb.Add(payload.EnergyPerBitPJ)
+			sum := experiments.Summarize(res)
+			tput.Add(sum.ThroughputBitsPerCycle)
+			epb.Add(sum.EnergyPerBitPJ)
 			member := spec
 			member.Seed = seeds[i]
-			entries = append(entries, server.CacheEntry{Key: member.Key(), Result: payload})
+			entries = append(entries, server.CacheEntry{Key: member.Key(), Result: &sum})
 		}
 		fmt.Fprintf(w, "%-28s %-12s %10.2f ±%-6.2f bits/cycle  %8.2f ±%-5.2f pJ/bit  (n=%d, 95%% CI)\n",
 			p.Label, p.Pair.Name(), tput.Mean(), tput.CI95(), epb.Mean(), epb.CI95(), n)
@@ -403,7 +391,7 @@ func runSweepSeeds(w io.Writer, opts experiments.Options, name, policy, cacheOut
 			return fmt.Errorf("writing %s: %w", jsonOut, err)
 		}
 	}
-	return writeCacheEntries(w, cacheOut, entries)
+	return writeCacheDir(w, cacheDir, entries)
 }
 
 // benchRecord is one artifact's machine-readable timing, mirroring the

@@ -8,7 +8,7 @@
 //	pearld                         # listen on :8080 with GOMAXPROCS workers
 //	pearld -addr :9000 -workers 8 -queue 256 -cache 4096 -timeout 2m
 //	pearld -cache-dir /var/cache/pearld            # results survive restarts
-//	pearld -cache-dir d -warm-cache results/       # preload from artifacts
+//	pearld -cache-dir warm/                        # serve a `pearlbench -sweep -cache-dir warm/`
 //	pearld -model-dir models/                      # host trained ML models
 //	pearld -tenants tenants.json                   # token auth + fair-share scheduling
 //	pearld -stream-ring 1024 -max-streams 4        # tune the live /events SSE feeds
@@ -46,7 +46,7 @@ func main() {
 	if cfg.pprofAddr != "" {
 		go servePprof(cfg.pprofAddr)
 	}
-	if err := run(cfg.addr, cfg.opts, cfg.warmCache, cfg.drainGrace); err != nil {
+	if err := run(cfg.addr, cfg.opts, cfg.drainGrace); err != nil {
 		fmt.Fprintln(os.Stderr, "pearld:", err)
 		os.Exit(1)
 	}
@@ -56,7 +56,6 @@ func main() {
 type flags struct {
 	addr, pprofAddr string
 	opts            server.Options
-	warmCache       string
 	drainGrace      time.Duration
 }
 
@@ -73,7 +72,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 		cacheCap    = fs.Int("cache", 1024, "result-cache capacity (entries, LRU)")
 		cacheDir    = fs.String("cache-dir", "", "directory for the disk-persistent result cache (empty = memory only)")
 		cacheDirMax = fs.Int64("cache-dir-max", 0, "disk cache size cap in bytes (0 = 256 MiB default)")
-		warmCache   = fs.String("warm-cache", "", "JSON artifact file or directory to preload the cache from")
 		modelDir    = fs.String("model-dir", "", "directory of trained model artifacts to host (rw500.json serves ref \"rw500\"); uploads via POST /v1/models persist here")
 		tenants     = fs.String("tenants", "", "JSON tenant config file (tokens, weights, quotas); empty = open access as a single anonymous tenant. SIGHUP or POST /v1/admin/tenants/reload re-reads it")
 		streamRing  = fs.Int("stream-ring", 0, "per-feed event ring capacity for /events streams; overflow drops oldest (0 = 512 default)")
@@ -105,7 +103,6 @@ func parseFlags(args []string, stderr io.Writer) (*flags, int) {
 			StreamHeartbeat:     *streamHB,
 			MaxStreamsPerTenant: *maxStreams,
 		},
-		warmCache:  *warmCache,
 		drainGrace: *drainGrace,
 	}, 0
 }
@@ -127,17 +124,10 @@ func servePprof(addr string) {
 	}
 }
 
-func run(addr string, opts server.Options, warmCache string, drainGrace time.Duration) error {
+func run(addr string, opts server.Options, drainGrace time.Duration) error {
 	daemon, err := server.New(opts)
 	if err != nil {
 		return err
-	}
-	if warmCache != "" {
-		stats, err := daemon.WarmCache(warmCache)
-		if err != nil {
-			return err
-		}
-		log.Printf("pearld: warmed cache from %s (%s)", warmCache, stats)
 	}
 	httpServer := &http.Server{
 		Addr:              addr,

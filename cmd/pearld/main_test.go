@@ -16,6 +16,7 @@ func TestFlags(t *testing.T) {
 		{[]string{"-no-such-flag"}, 2},
 		{[]string{"-peers", "http://x"}, 2},
 		{[]string{"-canary", "rw500"}, 2},
+		{[]string{"-warm-cache", "warm.json"}, 2},
 		{[]string{"-workers", "many"}, 2},
 	} {
 		var stderr bytes.Buffer

@@ -101,7 +101,7 @@ func simulate(w io.Writer, configName, cpuBench, gpuBench string, cycles, warmup
 		if err != nil {
 			return err
 		}
-		report(w, res)
+		report(w, experiments.Summarize(res))
 		return nil
 	}
 
@@ -130,10 +130,10 @@ func simulate(w io.Writer, configName, cpuBench, gpuBench string, cycles, warmup
 	if err != nil {
 		return err
 	}
-	if tl != nil {
-		tl.report(w, res)
+	if sum := experiments.Summarize(res); tl != nil {
+		tl.report(w, sum)
 	} else {
-		report(w, res)
+		report(w, sum)
 	}
 	return nil
 }
@@ -174,42 +174,40 @@ func (tl *windowTimeline) observe(ws experiments.WindowStats) {
 	tl.throughput.Append(ws.Cycle, ws.ThroughputBitsPerCycle)
 }
 
-func (tl *windowTimeline) report(w io.Writer, res experiments.Result) {
-	m := res.Metrics
+func (tl *windowTimeline) report(w io.Writer, sum experiments.Summary) {
 	fmt.Fprintf(w, "%s on %s — %d windows of %d cycles\n\n",
-		res.Name, res.Pair.Name(), tl.throughput.Len(), tl.window)
+		sum.Config, sum.Pair, tl.throughput.Len(), tl.window)
 	fmt.Fprintf(w, "wavelengths  %s  (8..64)\n", tl.wavelengths.Sparkline(72, 8, 64))
 	fmt.Fprintf(w, "throughput   %s  (0..max)\n\n", tl.throughput.Sparkline(72, 0, tl.throughput.Max()))
-	for _, wl := range m.StateResidency.Keys() {
+	for _, wl := range sum.ResidencyStates() {
 		fmt.Fprintln(w, stats.HBar(fmt.Sprintf("%d wavelengths", wl),
-			100*m.StateResidency.Fraction(wl), 100, 40))
+			100*sum.StateResidency[wl], 100, 40))
 	}
 	fmt.Fprintf(w, "\nthroughput %.2f bits/cycle, avg laser %.3f W\n",
-		m.ThroughputBitsPerCycle(), res.Account.AverageLaserPowerW())
+		sum.ThroughputBitsPerCycle, sum.AvgLaserPowerW)
 }
 
-func report(w io.Writer, res experiments.Result) {
-	m := res.Metrics
-	fmt.Fprintf(w, "configuration:      %s\n", res.Name)
-	fmt.Fprintf(w, "benchmark pair:     %s\n", res.Pair.Name())
+func report(w io.Writer, sum experiments.Summary) {
+	fmt.Fprintf(w, "configuration:      %s\n", sum.Config)
+	fmt.Fprintf(w, "benchmark pair:     %s\n", sum.Pair)
 	fmt.Fprintf(w, "throughput:         %.2f bits/cycle (%.1f Gbps)\n",
-		m.ThroughputBitsPerCycle(), m.ThroughputGbps(config.NetworkFrequencyHz))
+		sum.ThroughputBitsPerCycle, sum.ThroughputGbps)
 	fmt.Fprintf(w, "delivered packets:  %d (%.1f%% CPU)\n",
-		m.Delivered.TotalPackets(), 100*m.Delivered.Share(0))
+		sum.DeliveredPackets, 100*sum.CPUShare)
 	fmt.Fprintf(w, "mean latency:       %.1f cycles (p50 %.0f, p99 %.0f)\n",
-		m.Latency.Mean(), m.Latency.Percentile(50), m.Latency.Percentile(99))
+		sum.MeanLatencyCycles, sum.P50LatencyCycles, sum.P99LatencyCycles)
 	fmt.Fprintf(w, "CPU latency:        %.1f cycles   GPU latency: %.1f cycles\n",
-		m.CPULatency.Mean(), m.GPULatency.Mean())
-	fmt.Fprintf(w, "round trips:        %d\n", res.Retired)
-	fmt.Fprintf(w, "avg laser power:    %.3f W\n", res.Account.AverageLaserPowerW())
-	fmt.Fprintf(w, "energy per bit:     %.3f pJ\n", res.Account.EnergyPerBitJ()*1e12)
-	if res.TurnOnStalls > 0 {
-		fmt.Fprintf(w, "turn-on stalls:     %d\n", res.TurnOnStalls)
+		sum.CPULatencyCycles, sum.GPULatencyCycles)
+	fmt.Fprintf(w, "round trips:        %d\n", sum.RetiredRoundTrips)
+	fmt.Fprintf(w, "avg laser power:    %.3f W\n", sum.AvgLaserPowerW)
+	fmt.Fprintf(w, "energy per bit:     %.3f pJ\n", sum.EnergyPerBitPJ)
+	if sum.TurnOnStalls > 0 {
+		fmt.Fprintf(w, "turn-on stalls:     %d\n", sum.TurnOnStalls)
 	}
-	if keys := m.StateResidency.Keys(); len(keys) > 1 {
+	if states := sum.ResidencyStates(); len(states) > 1 {
 		fmt.Fprintf(w, "state residency:   ")
-		for _, k := range keys {
-			fmt.Fprintf(w, " %dWL=%.1f%%", k, 100*m.StateResidency.Fraction(k))
+		for _, k := range states {
+			fmt.Fprintf(w, " %dWL=%.1f%%", k, 100*sum.StateResidency[k])
 		}
 		fmt.Fprintln(w)
 	}

@@ -11,9 +11,8 @@ import "strconv"
 // on struct layout) so the encoding is stable across refactors that
 // reorder fields; adding a field requires extending this list, which
 // the round-trip test enforces by reflection. pearld's result-cache
-// keys hash these bytes, and on-disk caches, warm-cache artifacts and
-// GET /v1/cache/{key} address results by those keys, so the rendering
-// must never change.
+// keys hash these bytes, and on-disk caches and GET /v1/cache/{key}
+// address results by those keys, so the rendering must never change.
 func (c Config) AppendCanonical(b []byte) []byte {
 	b = appendInt(b, "bandwidth", int(c.Bandwidth))
 	b = appendInt(b, "power", int(c.Power))

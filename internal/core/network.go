@@ -107,8 +107,9 @@ func (n *Network) SetDeliveryHandler(h func(p *noc.Packet, cycle int64)) { n.onD
 
 // SetWindowHook installs a per-router reservation-window callback used by
 // the ML data-collection pipeline: it receives the window's feature
-// snapshot, the 128-bit flits injected during that window (the label for the
-// previous window), the mean occupancy, and the chosen next state.
+// snapshot (valid for the call, as WindowInfo.Features), the 128-bit flits
+// injected during that window (the label for the previous window), the
+// mean occupancy, and the chosen next state.
 func (n *Network) SetWindowHook(h func(routerID int, feats []float64, injected int64, betaTotal float64, next photonic.WLState)) {
 	n.windowHook = h
 }

@@ -18,7 +18,9 @@ const FeatureCount = features.Count
 type WindowInfo struct {
 	// RouterID identifies the deciding router.
 	RouterID int
-	// Features is the window's Table III snapshot.
+	// Features is the window's Table III snapshot: the router's own
+	// buffer, valid for the NextState call, so a policy that keeps it
+	// keeps a copy.
 	Features []float64
 	// BetaTotal is the window's mean total buffer occupancy (Algorithm 1
 	// step 7).

@@ -42,7 +42,7 @@ func (s *Suite) AblationBandwidthStep() (Table, error) {
 		cfg.BandwidthStep = step
 		cfgs = append(cfgs, labelled(fmt.Sprintf("step %.2f%%", step*100), cfg))
 	}
-	return s.meanRows(t, cfgs, throughput, func(r Result) float64 { return r.Metrics.CPULatency.Percentile(99) })
+	return s.meanRows(t, cfgs, throughput, func(r Summary) float64 { return r.CPUP99LatencyCycles })
 }
 
 // AblationDBABounds sweeps the brute-forced occupancy upper bounds around
@@ -63,8 +63,8 @@ func (s *Suite) AblationDBABounds() (Table, error) {
 		cfgs = append(cfgs, labelled(fmt.Sprintf("CPU %.0f%% / GPU %.0f%%", pt.cpu*100, pt.gpu*100), cfg))
 	}
 	return s.meanRows(t, cfgs, throughput,
-		func(r Result) float64 { return r.Metrics.CPULatency.Mean() },
-		func(r Result) float64 { return r.Metrics.GPULatency.Mean() })
+		func(r Summary) float64 { return r.CPULatencyCycles },
+		func(r Summary) float64 { return r.GPULatencyCycles })
 }
 
 // AblationThresholds scales the reactive power thresholds to favour

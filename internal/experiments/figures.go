@@ -79,10 +79,11 @@ type Suite struct {
 	Opts   Options
 	models map[int]*models.Artifact
 
-	// results holds every run the suite has made by its Spec key, for
-	// the suite's life: a configuration that several figures, ablations
-	// and studies report runs once per pair. Tables only read them.
-	results map[string]Result
+	// results holds the Summary of every run the suite has made by its
+	// Spec key, for the suite's life: a configuration that several
+	// figures, ablations and studies report runs once per pair. Tables
+	// only read them.
+	results map[string]Summary
 }
 
 // NewSuite returns a suite with the given options. A zero Opts.Seed
@@ -90,7 +91,7 @@ type Suite struct {
 // makes — grid points, trained models, ablation RNGs and the
 // extensions' learners — uses the seed its memo key records.
 func NewSuite(opts Options) *Suite {
-	return &Suite{Opts: opts.withPaperSeed(), models: make(map[int]*models.Artifact), results: make(map[string]Result)}
+	return &Suite{Opts: opts.withPaperSeed(), models: make(map[int]*models.Artifact), results: make(map[string]Summary)}
 }
 
 // SetModel registers a pre-trained artifact for its window, so the
@@ -118,30 +119,33 @@ func (s *Suite) Model(window int) (*models.Artifact, error) {
 var errNoPairs = errors.New("experiments: no pairs")
 
 // grid runs a flat list of points laid out configuration-major,
-// pair-minor over s.Opts.Pairs (as cross lays it out) and returns the
-// results by [row][pair]. A point without a Controller is bound to the
-// suite's model for its window (serially: Model's map is not safe for
-// concurrent use) and keyed as the Spec of its run under s.Opts; each
-// key runs once for the suite's life. A point with its own Controller
-// always runs, as the key cannot see its learner state. The runs
-// share one parallel fan.
-func (s *Suite) grid(points []Point) ([][]Result, error) {
+// pair-minor over s.Opts.Pairs (as cross lays it out) and returns their
+// summaries by [row][pair]. Each point runs as its Spec: the point with
+// s.Opts' seed and run lengths. A point without a Controller is
+// bound to the suite's model for its window (serially: Model's map is
+// not safe for concurrent use) and keyed by that Spec; each key runs
+// once for the suite's life. A point with its own Controller always
+// runs, as the key cannot see its learner state. The runs share one
+// parallel fan.
+func (s *Suite) grid(points []Point) ([][]Summary, error) {
 	n := len(s.Opts.Pairs)
 	if n == 0 {
 		return nil, errNoPairs
 	}
 	lookup := func(cfg config.Config) (*models.Artifact, error) { return s.Model(cfg.ReservationWindow) }
+	specs := make([]Spec, len(points))
 	keys := make([]string, len(points)) // empty for a point with its own Controller
 	var todo []int                      // the points to run
 	queued := make(map[string]bool)
 	for i := range points {
-		if points[i].Controller == nil {
-			spec := Spec{Point: points[i], Seed: s.Opts.Seed}
-			spec.Config.WarmupCycles, spec.Config.MeasureCycles = int(s.Opts.WarmupCycles), int(s.Opts.MeasureCycles)
+		spec := &specs[i]
+		*spec = Spec{Point: points[i], Seed: s.Opts.Seed}
+		spec.Config.WarmupCycles, spec.Config.MeasureCycles = int(s.Opts.WarmupCycles), int(s.Opts.MeasureCycles)
+		if spec.Controller == nil {
 			if err := spec.Bind(lookup); err != nil {
 				return nil, err
 			}
-			points[i].Controller, keys[i] = spec.Controller, spec.Key()
+			keys[i] = spec.Key()
 			if _, done := s.results[keys[i]]; done || queued[keys[i]] {
 				continue
 			}
@@ -149,34 +153,39 @@ func (s *Suite) grid(points []Point) ([][]Result, error) {
 		}
 		todo = append(todo, i)
 	}
-	ran, err := parallelMap(len(todo), func(j int) (Result, error) {
-		return Run(context.Background(), points[todo[j]], s.Opts)
+	ran, err := parallelMap(len(todo), func(j int) (Summary, error) {
+		spec := specs[todo[j]]
+		res, err := Run(context.Background(), spec.Point, spec.Options())
+		if err != nil {
+			return Summary{}, err
+		}
+		return Summarize(res), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	results := make([]Result, len(points))
+	summaries := make([]Summary, len(points))
 	for j, i := range todo {
-		results[i] = ran[j]
+		summaries[i] = ran[j]
 		if keys[i] != "" {
 			s.results[keys[i]] = ran[j]
 		}
 	}
 	for i, key := range keys {
 		if key != "" {
-			results[i] = s.results[key]
+			summaries[i] = s.results[key]
 		}
 	}
-	rows := make([][]Result, len(points)/n)
+	rows := make([][]Summary, len(points)/n)
 	for r := range rows {
-		rows[r] = results[r*n : (r+1)*n]
+		rows[r] = summaries[r*n : (r+1)*n]
 	}
 	return rows, nil
 }
 
 // sweepRows runs the named figure sweep's configurations over the
 // suite's pairs, returning them with their grid rows.
-func (s *Suite) sweepRows(name string) ([]Point, [][]Result, error) {
+func (s *Suite) sweepRows(name string) ([]Point, [][]Summary, error) {
 	cfgs, err := sweepConfigs(name)
 	if err != nil {
 		return nil, nil, err
@@ -187,7 +196,7 @@ func (s *Suite) sweepRows(name string) ([]Point, [][]Result, error) {
 
 // meanRows runs every configuration over the suite's pairs and appends
 // one row per configuration to t: its Label, then each metric's mean.
-func (s *Suite) meanRows(t Table, cfgs []Point, metrics ...func(Result) float64) (Table, error) {
+func (s *Suite) meanRows(t Table, cfgs []Point, metrics ...func(Summary) float64) (Table, error) {
 	rows, err := s.grid(cross(cfgs, s.Opts.Pairs))
 	if err != nil {
 		return Table{}, err
@@ -204,7 +213,7 @@ func (s *Suite) meanRows(t Table, cfgs []Point, metrics ...func(Result) float64)
 
 // sweepMeans is meanRows over the named figure sweep's configurations,
 // which it also returns.
-func (s *Suite) sweepMeans(t Table, name string, metrics ...func(Result) float64) (Table, []Point, error) {
+func (s *Suite) sweepMeans(t Table, name string, metrics ...func(Summary) float64) (Table, []Point, error) {
 	cfgs, err := sweepConfigs(name)
 	if err != nil {
 		return Table{}, nil, err
@@ -216,7 +225,7 @@ func (s *Suite) sweepMeans(t Table, name string, metrics ...func(Result) float64
 // sum adds a metric over a row's runs in pair order; mean divides that
 // sum by the number of pairs. The conversion keeps an inlined metric's
 // last product from fusing into the addition.
-func sum(row []Result, metric func(Result) float64) float64 {
+func sum(row []Summary, metric func(Summary) float64) float64 {
 	var total float64
 	for _, res := range row {
 		total += float64(metric(res))
@@ -224,14 +233,14 @@ func sum(row []Result, metric func(Result) float64) float64 {
 	return total
 }
 
-func mean(row []Result, metric func(Result) float64) float64 {
+func mean(row []Summary, metric func(Summary) float64) float64 {
 	return sum(row, metric) / float64(len(row))
 }
 
 // The metrics the tables average.
-var throughput = Result.ThroughputBitsPerCycle
+func throughput(s Summary) float64 { return s.ThroughputBitsPerCycle }
 
-func laserW(r Result) float64 { return r.Account.AverageLaserPowerW() }
+func laserW(s Summary) float64 { return s.AvgLaserPowerW }
 
 // Figure4 reproduces the CPU-GPU packet breakdown per benchmark pair:
 // the share of injected packets from each core type under PEARL-Dyn.
@@ -247,7 +256,7 @@ func (s *Suite) Figure4() (Table, error) {
 	}
 	for _, res := range rows[0] {
 		cpu := float64(res.InjectedCPUShare * 100)
-		t.Rows = append(t.Rows, Row{Label: res.Pair.Name(), Values: []float64{cpu, 100 - cpu}})
+		t.Rows = append(t.Rows, Row{Label: res.Pair, Values: []float64{cpu, 100 - cpu}})
 	}
 	return t, nil
 }
@@ -268,9 +277,7 @@ func (s *Suite) Figure5() (Table, error) {
 	t.Rows = []Row{{Label: "PEARL-Dyn"}, {Label: "PEARL-FCFS"}, {Label: "CMESH"}}
 	for i, row := range rows {
 		r := &t.Rows[i%len(t.Rows)]
-		r.Values = append(r.Values, mean(row, func(res Result) float64 {
-			return res.Account.EnergyPerBitJ() * 1e12
-		}))
+		r.Values = append(r.Values, mean(row, func(res Summary) float64 { return res.EnergyPerBitPJ }))
 	}
 	t.Notes = figure5Note(t)
 	return t, nil
@@ -359,7 +366,7 @@ func (s *Suite) Figure8() (Table, error) {
 	for i, row := range rows {
 		r := Row{Label: cfgs[i].Label}
 		for _, wl := range []int{8, 16, 32, 48, 64} {
-			share := sum(row, func(res Result) float64 { return res.Metrics.StateResidency.Fraction(wl) })
+			share := sum(row, func(res Summary) float64 { return res.StateResidency[wl] })
 			r.Values = append(r.Values, 100*share/float64(len(row)))
 		}
 		t.Rows = append(t.Rows, r)

@@ -30,8 +30,8 @@ func runLengths(cfg config.Config, warmup, measure int) config.Config {
 }
 
 // TestSpecKeyPinned pins the literal keys pearld's TestCacheKeyPinned
-// pins for the equivalent requests: disk caches, warm-cache artifacts
-// and GET /v1/cache/{key} address results by these digests.
+// pins for the equivalent requests: disk caches and GET /v1/cache/{key}
+// address results by these digests.
 func TestSpecKeyPinned(t *testing.T) {
 	fmmDCT := pairOf(t, "fmm", "DCT")
 	quick := runLengths(config.Default(), 200, 2000)

@@ -29,8 +29,8 @@ func (s *Suite) ThermalStudy() (Table, error) {
 		pearlPoint(config.MLRW(500, true)),
 	}
 	t, err := s.meanRows(t, cfgs, laserW,
-		func(r Result) float64 { gated, _ := trimmingW(r); return gated },
-		func(r Result) float64 { _, ungated := trimmingW(r); return ungated })
+		func(r Summary) float64 { gated, _ := trimmingW(r); return gated },
+		func(r Summary) float64 { _, ungated := trimmingW(r); return ungated })
 	if err != nil {
 		return Table{}, err
 	}
@@ -43,15 +43,14 @@ func (s *Suite) ThermalStudy() (Table, error) {
 
 // trimmingW is a run's steady-state heater power with idle banks' heaters
 // gated and with every heater on.
-func trimmingW(res Result) (gated, ungated float64) {
-	laser := res.Account.AverageLaserPowerW()
-	seconds := res.Account.Seconds()
-	breakdown := res.Account.Breakdown()
+func trimmingW(res Summary) (gated, ungated float64) {
+	laser := res.AvgLaserPowerW
+	seconds := res.SimulatedSeconds
 	// Mean per-router activity power heating a site: its share of the
 	// laser plus modulation and conversion dissipation.
 	activityPerRouter := laser / float64(config.NumRouters)
 	if seconds > 0 {
-		activityPerRouter += (breakdown.Modulation + breakdown.Conversion) /
+		activityPerRouter += (res.ModulationJ + res.ConversionJ) /
 			seconds / float64(config.NumRouters)
 	}
 	// Only the locally-coupled fraction heats the ring island.
@@ -63,11 +62,10 @@ func trimmingW(res Result) (gated, ungated float64) {
 	// Gated: only active banks are trimmed; heater need scales with the
 	// mean active-wavelength fraction from the run's state residency.
 	activeFraction := 0.0
-	res0 := res.Metrics.StateResidency
-	for _, wl := range res0.Keys() {
-		activeFraction += float64(res0.Fraction(wl) * float64(wl) / config.MaxWavelengths)
+	for _, wl := range res.ResidencyStates() {
+		activeFraction += float64(res.StateResidency[wl] * float64(wl) / config.MaxWavelengths)
 	}
-	if len(res0.Keys()) == 0 {
+	if len(res.StateResidency) == 0 {
 		activeFraction = 1
 	}
 	return float64(ungated * activeFraction), ungated

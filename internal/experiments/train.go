@@ -76,7 +76,7 @@ func collectExamples(ds *mlkit.Dataset, pair traffic.Pair, window int, opts Opti
 		if p, ok := prev[router]; ok {
 			ds.Add(p, label(injected, beta))
 		}
-		prev[router] = feats
+		prev[router] = append([]float64(nil), feats...) // feats is the collector's buffer
 	})
 	r.engine.Run(opts.WarmupCycles + opts.CollectCycles)
 	return nil

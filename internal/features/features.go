@@ -74,6 +74,9 @@ type Collector struct {
 	// paper's "packets" are single-flit 128-bit units, so this is the
 	// training label.
 	injectedFlits int64
+
+	// snap is the vector Snapshot renders into.
+	snap [Count]float64
 }
 
 // NewCollector returns an empty collector; isL3 sets the Table III
@@ -176,9 +179,12 @@ func (c *Collector) MeanInjectedBits(fallback float64) float64 {
 
 // Snapshot renders the Table III vector for the window so far. It does
 // not reset; call Reset afterwards (the paper resets counters at each
-// window boundary).
+// window boundary). The vector is the collector's own buffer, which the
+// next Snapshot overwrites and Reset clears: a caller that keeps it
+// past then keeps a copy.
 func (c *Collector) Snapshot() []float64 {
-	v := make([]float64, Count)
+	v := c.snap[:]
+	clear(v)
 	if c.isL3 {
 		v[FeatL3Router] = 1
 	}

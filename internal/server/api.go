@@ -264,55 +264,10 @@ func applyOverrides(cfg config.Config, overrides map[string]any) (config.Config,
 	return cfg, nil
 }
 
-// JobResult is the measurement payload of a completed job.
-type JobResult struct {
-	Config                 string          `json:"config"`
-	Pair                   string          `json:"pair"`
-	ThroughputBitsPerCycle float64         `json:"throughput_bits_per_cycle"`
-	ThroughputGbps         float64         `json:"throughput_gbps"`
-	DeliveredPackets       uint64          `json:"delivered_packets"`
-	CPUShare               float64         `json:"cpu_share"`
-	MeanLatencyCycles      float64         `json:"mean_latency_cycles"`
-	P50LatencyCycles       float64         `json:"p50_latency_cycles"`
-	P99LatencyCycles       float64         `json:"p99_latency_cycles"`
-	CPULatencyCycles       float64         `json:"cpu_latency_cycles"`
-	GPULatencyCycles       float64         `json:"gpu_latency_cycles"`
-	RetiredRoundTrips      uint64          `json:"retired_round_trips"`
-	AvgLaserPowerW         float64         `json:"avg_laser_power_w"`
-	EnergyPerBitPJ         float64         `json:"energy_per_bit_pj"`
-	TurnOnStalls           uint64          `json:"turn_on_stalls"`
-	StateResidency         map[int]float64 `json:"state_residency,omitempty"`
-}
-
-// newJobResult flattens an experiments.Result into the wire payload.
-func newJobResult(res experiments.Result) *JobResult {
-	m := res.Metrics
-	q := m.Latency.Percentiles(50, 99)
-	out := &JobResult{
-		Config:                 res.Name,
-		Pair:                   res.Pair.Name(),
-		ThroughputBitsPerCycle: m.ThroughputBitsPerCycle(),
-		ThroughputGbps:         m.ThroughputGbps(config.NetworkFrequencyHz),
-		DeliveredPackets:       m.Delivered.TotalPackets(),
-		CPUShare:               m.Delivered.Share(0),
-		MeanLatencyCycles:      m.Latency.Mean(),
-		P50LatencyCycles:       q[0],
-		P99LatencyCycles:       q[1],
-		CPULatencyCycles:       m.CPULatency.Mean(),
-		GPULatencyCycles:       m.GPULatency.Mean(),
-		RetiredRoundTrips:      res.Retired,
-		AvgLaserPowerW:         res.Account.AverageLaserPowerW(),
-		EnergyPerBitPJ:         res.Account.EnergyPerBitJ() * 1e12,
-		TurnOnStalls:           res.TurnOnStalls,
-	}
-	if keys := m.StateResidency.Keys(); len(keys) > 0 {
-		out.StateResidency = make(map[int]float64, len(keys))
-		for _, k := range keys {
-			out.StateResidency[k] = m.StateResidency.Fraction(k)
-		}
-	}
-	return out
-}
+// JobResult is the measurement payload of a completed job: the run's
+// experiments.Summary, which is also what the cache layers and
+// `pearlbench -sweep -cache-dir` store for its key.
+type JobResult = experiments.Summary
 
 // JobStatus is the poll payload for a job in any state.
 type JobStatus struct {

@@ -75,8 +75,7 @@ func (c *resultCache) Len() int {
 // handleCacheGet is GET /v1/cache/{key}: one result by its content
 // hash, which stays reachable after its job's record is retired. It
 // serves the full cache stack (memory, then disk) as a CacheEntry
-// envelope — byte-compatible with the disk store's files, `-warm-cache`
-// input and `pearlbench -cache-out` artifacts.
+// envelope, the bytes of the disk store's file for the key.
 func (s *Server) handleCacheGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if !validCacheKey(key) {

@@ -8,7 +8,7 @@ import (
 // TestCacheExchangeEndpoints covers GET /v1/cache/{key}, where a result
 // stays reachable by content hash after its job record is retired, and
 // pins that the cache has no write endpoint: entries arrive by running
-// or through -warm-cache.
+// or as files in the -cache-dir.
 func TestCacheExchangeEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1, TenantsFile: writeTenantsFile(t, testTenants)})
 	get := func(key string) (int, []byte) {
@@ -33,10 +33,10 @@ func TestCacheExchangeEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("cached entry GET: HTTP %d: %s", code, body)
 	}
-	// The body is a -warm-cache entry: the same validation accepts it.
+	// The body is a disk-cache entry: the same validation accepts it.
 	got, err := decodeCacheEntry(body)
 	if err != nil {
-		t.Fatalf("exported entry fails -warm-cache validation: %v\n%s", err, body)
+		t.Fatalf("exported entry fails disk-cache validation: %v\n%s", err, body)
 	}
 	if got.Key != key || got.Result.ThroughputBitsPerCycle != want.ThroughputBitsPerCycle {
 		t.Fatalf("export drifted: key %s throughput %v, want %s %v",

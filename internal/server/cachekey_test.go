@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// TestCacheKeyPinned pins literal cache keys. On-disk caches, warm-cache
-// artifacts and GET /v1/cache/{key} address results by these digests,
+// TestCacheKeyPinned pins literal cache keys. On-disk caches (pearld's
+// and `pearlbench -sweep -cache-dir`'s) and GET /v1/cache/{key} address
+// results by these digests,
 // so any drift in how a spec is rendered for hashing must fail here
 // first. The last case is a pearl request at link scale 4: the photonic
 // network has no link scale, so it shares the default request's key.

@@ -42,7 +42,7 @@ const goldenJob = `{"preset":"static-32","workload":{"cpu":"fmm","gpu":"DCT"},"s
 // TestDeterminismGoldenResult drives the same (preset, pair, seed)
 // through the full server path on two independent daemons and demands
 // byte-identical canonical results and equal content hashes — the
-// property both cache layers and the warm-artifact format rest on.
+// property both cache layers and the cache-directory format rest on.
 func TestDeterminismGoldenResult(t *testing.T) {
 	_, ts1 := newTestServer(t, Options{Workers: 2})
 	_, ts2 := newTestServer(t, Options{Workers: 2})

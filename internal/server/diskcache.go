@@ -15,10 +15,11 @@ import (
 	"repro/internal/experiments"
 )
 
-// CacheEntry is the on-disk / warm-artifact envelope for one cached
-// result: the job's content-address plus its payload. The same shape is
-// written by the disk cache, exported by `pearlbench -cache-out`, and
-// accepted by `pearld -warm-cache`.
+// CacheEntry is the on-disk envelope for one cached result: the job's
+// content-address plus its payload. It is the one file format results
+// leave a process in: the disk cache writes one per key (so does
+// `pearlbench -sweep -cache-dir`, through WriteCacheDir), and
+// GET /v1/cache/{key} serves the same bytes.
 type CacheEntry struct {
 	Key    string     `json:"key"`
 	Result *JobResult `json:"result"`
@@ -161,6 +162,22 @@ func (d *diskStore) Get(key string) (*JobResult, error) {
 		d.touchFails.Add(1)
 	}
 	return entry.Result, nil
+}
+
+// WriteCacheDir stores each entry in dir through the disk cache's own
+// writer: one file per key, written atomically, under the default size
+// cap. A directory it writes is a warm `pearld -cache-dir`.
+func WriteCacheDir(dir string, entries []CacheEntry) error {
+	d, err := newDiskStore(dir, 0)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if err := d.Put(e.Key, e.Result); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // touchFailures reports how many Get-path recency touches have failed

@@ -194,13 +194,6 @@ func (m *metrics) cacheHit(tn string, disk bool) {
 	m.mu.Unlock()
 }
 
-// cacheWarmed accumulates entries preloaded by WarmCache.
-func (m *metrics) cacheWarmed(n int) {
-	m.mu.Lock()
-	m.totals.CacheWarmed += uint64(n)
-	m.mu.Unlock()
-}
-
 func (m *metrics) jobStarted() {
 	m.mu.Lock()
 	m.totals.JobsStarted++
@@ -256,7 +249,6 @@ type MetricsSnapshot struct {
 	// (os.Chtimes) that failed; a growing count means LRU eviction is
 	// degrading toward FIFO for the affected entries.
 	CacheDiskTouchFailures uint64 `json:"cache_disk_touch_failures"`
-	CacheWarmed            uint64 `json:"cache_warmed_entries"`
 	// CacheExports counts entries served by GET /v1/cache/{key}.
 	CacheExports    uint64  `json:"cache_entries_exported"`
 	JobLatencyMeanS float64 `json:"job_latency_mean_s"`

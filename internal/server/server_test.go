@@ -562,7 +562,7 @@ func TestForcedShutdownCancelsInFlight(t *testing.T) {
 func TestDeterministicResultsAcrossServers(t *testing.T) {
 	// The same spec on two independent daemons must produce identical
 	// payloads — the property that makes a cache entry sound to carry
-	// from one daemon to another (GET /v1/cache/{key}, -warm-cache).
+	// from one daemon to another (GET /v1/cache/{key}, a shared -cache-dir).
 	run := func() JobResult {
 		_, ts := newTestServer(t, Options{Workers: 1})
 		_, st := postJob(t, ts, quickJob)

@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/config"
@@ -35,7 +33,7 @@ func goldenSpec(t *testing.T) experiments.Spec {
 }
 
 // TestSpecKeyMatchesServerKey proves the key of an experiments.Spec —
-// what `pearlbench -cache-out` stamps on artifacts — agrees with the
+// what `pearlbench -sweep -cache-dir` names its entries by — agrees with the
 // content hash the server assigns the equivalent job submission.
 func TestSpecKeyMatchesServerKey(t *testing.T) {
 	_, ts := newTestServer(t, Options{Workers: 1})
@@ -55,8 +53,10 @@ func TestSpecKeyMatchesServerKey(t *testing.T) {
 }
 
 // TestWarmCacheServesWithoutSimulating round-trips a result through a
-// warm artifact: run once, export, warm a fresh daemon, and watch the
-// resubmission come back cached with zero simulations.
+// cache directory written by WriteCacheDir (what `pearlbench -sweep
+// -cache-dir` calls): run once, write the entry, start a fresh daemon
+// on that directory, and watch the resubmission come back cached with
+// zero simulations.
 func TestWarmCacheServesWithoutSimulating(t *testing.T) {
 	_, ts1 := newTestServer(t, Options{Workers: 1})
 	raw, st := resultBytes(t, ts1, goldenJob)
@@ -66,30 +66,11 @@ func TestWarmCacheServesWithoutSimulating(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	artifact := filepath.Join(dir, "warm_golden.json")
-	payload, err := json.Marshal([]CacheEntry{{Key: st.CacheKey, Result: &res}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(artifact, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// A pearlbench timing file sits in the same directory; warming must
-	// skip its records rather than choke on them.
-	bench := []byte(`[{"name":"artifact_5","iters":1,"ns_per_op":12.5,"bytes_per_op":100}]`)
-	if err := os.WriteFile(filepath.Join(dir, "BENCH_quick.json"), bench, 0o644); err != nil {
+	if err := WriteCacheDir(dir, []CacheEntry{{Key: st.CacheKey, Result: &res}}); err != nil {
 		t.Fatal(err)
 	}
 
-	s2, ts2 := newTestServer(t, Options{Workers: 1})
-	stats, err := s2.WarmCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Files != 2 || stats.Loaded != 1 || stats.Skipped == 0 || stats.Errors != 0 {
-		t.Fatalf("warm stats: %s", stats)
-	}
-
+	_, ts2 := newTestServer(t, Options{Workers: 1, CacheDir: dir})
 	code, warmed := postJob(t, ts2, goldenJob)
 	if code != http.StatusOK {
 		t.Fatalf("warmed submit: HTTP %d, want 200", code)
@@ -98,8 +79,8 @@ func TestWarmCacheServesWithoutSimulating(t *testing.T) {
 		t.Fatalf("warmed job: %+v", warmed)
 	}
 	m := snapshotMetrics(t, ts2)
-	if m.JobsStarted != 0 || m.CacheHits != 1 || m.CacheWarmed != 1 {
-		t.Fatalf("warmed metrics: started=%d hits=%d warmed=%d", m.JobsStarted, m.CacheHits, m.CacheWarmed)
+	if m.JobsStarted != 0 || m.CacheHits != 1 || m.CacheDiskHits != 1 {
+		t.Fatalf("warmed metrics: started=%d hits=%d disk hits=%d", m.JobsStarted, m.CacheHits, m.CacheDiskHits)
 	}
 
 	warmedRaw, _ := resultBytes(t, ts2, goldenJob)
@@ -108,9 +89,10 @@ func TestWarmCacheServesWithoutSimulating(t *testing.T) {
 	}
 }
 
-// TestResultPayloadMatchesWorker: ResultPayload of a direct run is the
-// payload the worker stores for the same spec, so an exported artifact
-// warms a daemon with exactly what it would have computed.
+// TestResultPayloadMatchesWorker: the Summary of a direct run is the
+// payload the worker stores for the same spec, so a cache directory
+// `pearlbench -sweep` writes holds exactly what the daemon would have
+// computed.
 func TestResultPayloadMatchesWorker(t *testing.T) {
 	s, ts := newTestServer(t, Options{Workers: 1})
 	_, st := resultBytes(t, ts, goldenJob)
@@ -123,7 +105,7 @@ func TestResultPayloadMatchesWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(ResultPayload(res))
+	want, err := json.Marshal(experiments.Summarize(res))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,35 +114,6 @@ func TestResultPayloadMatchesWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("worker stored\n%s\nResultPayload of the direct run is\n%s", got, want)
-	}
-}
-
-func TestWarmStatsString(t *testing.T) {
-	got := WarmStats{Files: 3, Loaded: 5, Skipped: 2, Errors: 1}.String()
-	if want := "3 files: 5 entries loaded, 2 skipped, 1 errors"; got != want {
-		t.Fatalf("WarmStats.String() = %q, want %q", got, want)
-	}
-}
-
-func TestWarmCacheMissingPath(t *testing.T) {
-	s, _ := newTestServer(t, Options{Workers: 1})
-	if _, err := s.WarmCache(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("warming from a missing path should error")
-	}
-}
-
-func TestWarmCacheUnreadableFileCounted(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "broken.json"), []byte("{{{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, _ := newTestServer(t, Options{Workers: 1})
-	stats, err := s.WarmCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Files != 1 || stats.Errors != 1 || stats.Loaded != 0 {
-		t.Fatalf("warm stats: %s", stats)
+		t.Fatalf("worker stored\n%s\nthe direct run's Summary is\n%s", got, want)
 	}
 }

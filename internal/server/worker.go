@@ -49,7 +49,8 @@ func (s *Server) runJob(job *Job) {
 	o := ranOutcome(err, spec.timeout)
 	o.elapsed = time.Since(start)
 	if err == nil {
-		o.result = newJobResult(res)
+		sum := experiments.Summarize(res)
+		o.result = &sum
 		// Publish to the cache layers BEFORE settling: settle fires the
 		// flight-table removal, and any duplicate admitted after that
 		// must find the result in the cache (exactly-once invariant).

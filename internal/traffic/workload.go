@@ -354,7 +354,7 @@ type Workload struct {
 	// respQ holds service-complete responses waiting for buffer space at
 	// their source router, drained FIFO each cycle. Index is the
 	// response's source router (clusters and L3).
-	respQ [config.NumRouters][noc.NumClasses][]*noc.Packet
+	respQ [config.NumRouters][noc.NumClasses]respQueue
 	// respMask has bit r*2+class set when respQ[r][class] is non-empty,
 	// so the drain pass touches only occupied queues instead of scanning
 	// all 34 (NumRouters x NumClasses fits a uint64).
@@ -609,7 +609,7 @@ func (w *Workload) scheduleResponse(req *noc.Packet, cycle int64) {
 func (w *Workload) HandleEvent(cycle int64, ptr any, _ int64) {
 	resp := ptr.(*noc.Packet)
 	resp.InjectCycle = cycle
-	w.respQ[resp.Src][resp.Class] = append(w.respQ[resp.Src][resp.Class], resp)
+	w.respQ[resp.Src][resp.Class].push(resp)
 	w.respMask |= 1 << (uint(resp.Src)*noc.NumClasses + uint(resp.Class))
 }
 
@@ -622,9 +622,9 @@ func (w *Workload) drainResponses(int64) {
 		b := uint(bits.TrailingZeros64(mask))
 		mask &^= 1 << b
 		r, class := b/noc.NumClasses, b%noc.NumClasses
-		q := w.respQ[r][class]
+		q := &w.respQ[r][class]
 		n := 0
-		for _, p := range q {
+		for _, p := range q.buf[q.head:] {
 			if w.admits != nil && !w.admits.Admits(p.Src, p.Dst, p.Class, p.SizeBits) {
 				break
 			}
@@ -636,17 +636,28 @@ func (w *Workload) drainResponses(int64) {
 				w.Injected.Add(int(p.Class), p.SizeBits)
 			}
 		}
-		if n > 0 {
-			remaining := copy(q, q[n:])
-			for i := remaining; i < len(q); i++ {
-				q[i] = nil
-			}
-			w.respQ[r][class] = q[:remaining]
-			if remaining == 0 {
-				w.respMask &^= 1 << b
-			}
+		if q.head += n; q.head == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+			w.respMask &^= 1 << b
 		}
 	}
+}
+
+// respQueue is one FIFO of responses waiting for buffer space: the live
+// entries are buf[head:]. A drain advances head rather than copying the
+// tail down, the buffer rewinds when it empties, and a push into a full
+// buffer first slides the live entries to the front. Slots before head
+// hold stale pointers to pooled packets and are never read.
+type respQueue struct {
+	buf  []*noc.Packet
+	head int
+}
+
+func (q *respQueue) push(p *noc.Packet) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, p)
 }
 
 // Outstanding returns total in-flight requests across all generators
